@@ -2,38 +2,32 @@
 
 The engine answers one question: given a cursor position in a document,
 which member keywords and which element templates may be inserted into
-the enclosing container? Locating the container works on raw tokens with
-brace balancing, so it stays usable while the line under the cursor is
-half-typed. Proposals come in two flavours, plain keywords first and
-whole-element templates second; templates carry ``${n:hint}`` blanks and
-pre-fill mandatory cross-references with the first fitting target found
-in the document.
-
-Element numbering during the scan follows the textual start order of
-elements, which for a clean document coincides with the pre-order ids
-assigned by the parser.
+the enclosing container? The container comes from the parse itself: the
+forgiving parser records every element body and wrapped block it opens,
+with the members already present, and keeps going after damage, so the
+lookup stays usable while the line under the cursor is half-typed. One
+parse serves both the lookup and the reference cache. Proposals come in
+two flavours, plain keywords first and whole-element templates second;
+templates carry ``${n:hint}`` blanks and pre-fill mandatory
+cross-references with the first fitting target found in the document.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .grammar import (
     Grammar,
     InlineContainment,
     KeywordAttribute,
     KeywordCrossRef,
-    WrappedContainment,
 )
-from .metamodel import Attribute, CrossReference, Metamodel, PrimitiveKind
+from .metamodel import Metamodel
 from .model import ReferenceCache, lookup_first_fitting
-from .textsyntax import _RuleInfo, Token, lex
+from .textsyntax import Document, parse_document
 
 KEYWORD = "Keyword"
 TEMPLATE = "Template"
-
-_IDENT = PrimitiveKind.IDENTIFIER.value
-_VALUE_KINDS = frozenset(k.value for k in PrimitiveKind)
 
 
 @dataclass(frozen=True)
@@ -67,159 +61,34 @@ class CursorContext:
     has_root: bool = False
 
 
-@dataclass
-class _Frame:
-    kind: str  # "element", "wrapper", "anon"
-    open_offset: int
-    close_offset: int | None = None
-    class_name: str | None = None
-    element_id: int = 0
-    member: str | None = None
-    present: set[str] = field(default_factory=set)
-
-
-def _offset_of(text: str, line: int, column: int) -> int:
-    """1-based line/column to a character offset, clamped to the text."""
-    starts = [0]
-    for idx, ch in enumerate(text):
-        if ch == "\n":
-            starts.append(idx + 1)
-    if line < 1:
-        return 0
-    if line > len(starts):
-        return len(text)
-    return min(starts[line - 1] + max(column - 1, 0), len(text))
-
-
-def _scan_frames(
-    tokens: list[Token], g: Grammar, mm: Metamodel,
-) -> tuple[list[_Frame], bool]:
-    """Single pass over the tokens, building every brace frame.
-
-    Returns the frames (open and closed alike) plus a flag telling
-    whether a top-level element was seen. The scan is deliberately
-    forgiving: unknown tokens are skipped and a stray open brace gets an
-    anonymous frame so that balancing survives.
-    """
-    infos = {name: _RuleInfo(rule) for name, rule in g.rules.items()}
-    class_of_keyword = {rule.keyword: name for name, rule in g.rules.items()}
-
-    frames: list[_Frame] = []
-    stack: list[_Frame] = []
-    counter = 0
-    saw_root = False
-    i = 0
-    n = len(tokens)
-
-    def fits_here(top: _Frame | None, class_name: str) -> bool:
-        if top is None or top.kind == "anon":
-            return True
-        if top.kind == "wrapper":
-            return top.class_name is not None and mm.is_subtype(
-                class_name, top.class_name
-            )
-        info = infos[top.class_name]  # type: ignore[index]
-        return any(
-            mm.is_subtype(class_name, e.target)
-            for e in info.inline
-            if e.target is not None
+def context_at(doc: Document, offset: int) -> CursorContext | None:
+    """Context for a character offset in a parsed document; None when the
+    offset lies inside a string literal."""
+    for start, end in doc.strings:
+        if start < offset < end:
+            return None
+    # Bodies are recorded in textual order, so the last one around the
+    # offset is the innermost.
+    for body in reversed(doc.bodies):
+        if body.open_offset < offset and (
+            body.close_offset is None or offset <= body.close_offset
+        ):
+            break
+    else:
+        return CursorContext(kind="top", has_root=doc.root is not None)
+    if body.member is not None:
+        return CursorContext(
+            kind="wrapper",
+            class_name=body.class_name,
+            element_id=body.element_id,
+            member=body.member,
         )
-
-    while i < n:
-        tok = tokens[i]
-        top = stack[-1] if stack else None
-
-        if tok.kind == "}":
-            if stack:
-                stack.pop().close_offset = tok.offset
-            i += 1
-            continue
-        if tok.kind in (",", "."):
-            i += 1
-            continue
-        if tok.kind == "{":
-            frame = _Frame("anon", open_offset=tok.offset)
-            stack.append(frame)
-            frames.append(frame)
-            i += 1
-            continue
-
-        if tok.kind == _IDENT:
-            word = tok.lexeme
-            if top is not None and top.kind == "element":
-                entry = infos[top.class_name].by_keyword.get(word)  # type: ignore[index]
-                if entry is not None:
-                    top.present.add(entry.member)
-                    i += 1
-                    form = entry.form
-                    if isinstance(form, KeywordAttribute):
-                        if i < n and tokens[i].kind in _VALUE_KINDS:
-                            i += 1
-                    elif isinstance(form, KeywordCrossRef):
-                        if i < n and tokens[i].kind == _IDENT:
-                            i += 1
-                            while (
-                                i + 1 < n
-                                and tokens[i].kind == "."
-                                and tokens[i + 1].kind == _IDENT
-                            ):
-                                i += 2
-                    elif isinstance(form, WrappedContainment):
-                        if i < n and tokens[i].kind == "{":
-                            frame = _Frame(
-                                "wrapper",
-                                open_offset=tokens[i].offset,
-                                class_name=form.target,
-                                member=entry.member,
-                                element_id=top.element_id,
-                            )
-                            stack.append(frame)
-                            frames.append(frame)
-                            i += 1
-                    continue
-
-            class_name = class_of_keyword.get(word)
-            if class_name is not None and fits_here(top, class_name):
-                counter += 1
-                if top is None:
-                    saw_root = True
-                elif top.kind == "element":
-                    info = infos[top.class_name]  # type: ignore[index]
-                    for e in info.inline:
-                        if e.target and mm.is_subtype(class_name, e.target):
-                            top.present.add(e.member)
-                            break
-                rule = g.rules[class_name]
-                i += 1
-                if rule.name_inline and i < n and tokens[i].kind == _IDENT:
-                    i += 1
-                if i < n and tokens[i].kind == "{":
-                    frame = _Frame(
-                        "element",
-                        open_offset=tokens[i].offset,
-                        class_name=class_name,
-                        element_id=counter,
-                    )
-                    stack.append(frame)
-                    frames.append(frame)
-                    i += 1
-                continue
-
-            if top is not None and top.kind == "element":
-                info = infos[top.class_name]  # type: ignore[index]
-                if info.positional is not None:
-                    top.present.add(info.positional.member)
-            i += 1
-            continue
-
-        # Remaining value tokens: a positional attribute if one exists.
-        if top is not None and top.kind == "element" and tok.kind in _VALUE_KINDS:
-            info = infos[top.class_name]  # type: ignore[index]
-            if info.positional is not None:
-                top.present.add(info.positional.member)
-        i += 1
-
-    return frames, saw_root
+    return CursorContext(
+        kind="element",
+        class_name=body.class_name,
+        element_id=body.element_id,
+        members_present=frozenset(body.present),
+    )
 
 
 def locate_context_at(
@@ -227,47 +96,18 @@ def locate_context_at(
 ) -> CursorContext | None:
     """Context for a character offset; None when inside a string literal."""
     offset = max(0, min(offset, len(text)))
-    tokens, _ = lex(text, g.terminal_patterns())
-
-    for tok in tokens:
-        if tok.kind == PrimitiveKind.STRING.value:
-            if tok.offset < offset < tok.end_offset:
-                return None
-
-    frames, saw_root = _scan_frames(tokens, g, mm)
-
-    best: _Frame | None = None
-    for frame in frames:
-        if frame.kind == "anon":
-            continue
-        if frame.open_offset < offset and (
-            frame.close_offset is None or offset <= frame.close_offset
-        ):
-            if best is None or frame.open_offset > best.open_offset:
-                best = frame
-
-    if best is None:
-        return CursorContext(kind="top", has_root=saw_root)
-    if best.kind == "wrapper":
-        return CursorContext(
-            kind="wrapper",
-            class_name=best.class_name,
-            element_id=best.element_id,
-            member=best.member,
-        )
-    return CursorContext(
-        kind="element",
-        class_name=best.class_name,
-        element_id=best.element_id,
-        members_present=frozenset(best.present),
-    )
+    return context_at(parse_document(text, g, mm), offset)
 
 
 def locate_context(
     text: str, line: int, column: int, g: Grammar, mm: Metamodel,
 ) -> CursorContext | None:
-    """Context for a 1-based line/column position."""
-    return locate_context_at(text, _offset_of(text, line, column), g, mm)
+    """Context for a 1-based line/column position, clamped to the text."""
+    offset = 0
+    if line >= 1:
+        before = text.split("\n", line - 1)[: line - 1]
+        offset = sum(len(s) + 1 for s in before) + max(column - 1, 0)
+    return locate_context_at(text, offset, g, mm)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import sys
 import tempfile
 
 from .assist import complete as compute_proposals
-from .assist import locate_context
+from .assist import context_at
 from .diagnostics import (
     ConfigError,
     Diagnostic,
@@ -38,7 +38,7 @@ from .grammar import (
 )
 from .metamodel import Metamodel, load_metamodel
 from .model import ReferenceCache, build_cache, resolve
-from .textsyntax import format_model, parse_model
+from .textsyntax import format_model, parse_document, parse_model
 from .xmlio import from_eaxml, to_eaxml
 
 OK = 0
@@ -145,15 +145,13 @@ def cmd_adapt(args: argparse.Namespace) -> int:
 
 
 def _parse_file(args: argparse.Namespace, mm: Metamodel, g: Grammar):
-    text = _read_text(args.model)
-    root, diags = parse_model(text, g, mm)
-    return text, root, diags
+    return parse_model(_read_text(args.model), g, mm)
 
 
 def cmd_check(args: argparse.Namespace) -> int:
     mm = _load_mm(args)
     g = _build_grammar(args, mm)
-    _, root, diags = _parse_file(args, mm, g)
+    root, diags = _parse_file(args, mm, g)
     if root is not None:
         diags = diags + resolve(root, mm)
     _print_diags(args.model, diags, sys.stdout)
@@ -163,7 +161,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_to_xml(args: argparse.Namespace) -> int:
     mm = _load_mm(args)
     g = _build_grammar(args, mm)
-    _, root, diags = _parse_file(args, mm, g)
+    root, diags = _parse_file(args, mm, g)
     _print_diags(args.model, diags, sys.stderr)
     if root is None or has_errors(diags):
         return DATA_ERROR
@@ -194,7 +192,7 @@ def cmd_to_text(args: argparse.Namespace) -> int:
 def cmd_format(args: argparse.Namespace) -> int:
     mm = _load_mm(args)
     g = _build_grammar(args, mm)
-    _, root, diags = _parse_file(args, mm, g)
+    root, diags = _parse_file(args, mm, g)
     _print_diags(args.model, diags, sys.stderr)
     if root is None or has_errors(diags):
         return DATA_ERROR
@@ -202,23 +200,27 @@ def cmd_format(args: argparse.Namespace) -> int:
     return OK
 
 
+def _cursor_offset(text: str, line: int, col: int) -> int:
+    """Character offset of a 1-based position that must lie in the text."""
+    lines = text.split("\n")
+    if line < 1 or line > len(lines):
+        raise _CliError(USAGE_ERROR, f"line {line} out of range (1..{len(lines)})")
+    width = len(lines[line - 1]) + 1
+    if col < 1 or col > width:
+        raise _CliError(
+            USAGE_ERROR, f"column {col} out of range (1..{width}) on line {line}"
+        )
+    return sum(len(before) + 1 for before in lines[: line - 1]) + col - 1
+
+
 def cmd_complete(args: argparse.Namespace) -> int:
     mm = _load_mm(args)
     g = _build_grammar(args, mm)
     text = _read_text(args.model)
-
-    lines = text.split("\n")
-    if args.line < 1 or args.line > len(lines):
-        raise _CliError(USAGE_ERROR, f"line {args.line} out of range (1..{len(lines)})")
-    width = len(lines[args.line - 1]) + 1
-    if args.col < 1 or args.col > width:
-        raise _CliError(
-            USAGE_ERROR, f"column {args.col} out of range (1..{width}) on line {args.line}"
-        )
-
-    ctx = locate_context(text, args.line, args.col, g, mm)
-    root, _ = parse_model(text, g, mm)
-    cache = build_cache(root, mm) if root is not None else ReferenceCache()
+    offset = _cursor_offset(text, args.line, args.col)
+    doc = parse_document(text, g, mm)
+    ctx = context_at(doc, offset)
+    cache = build_cache(doc.root, mm) if doc.root is not None else ReferenceCache()
     for p in compute_proposals(ctx, g, mm, cache):
         body = (
             p.insert_text.replace("\\", "\\\\")
@@ -232,7 +234,7 @@ def cmd_complete(args: argparse.Namespace) -> int:
 def cmd_roundtrip_check(args: argparse.Namespace) -> int:
     mm = _load_mm(args)
     g = _build_grammar(args, mm)
-    _, root, diags = _parse_file(args, mm, g)
+    root, diags = _parse_file(args, mm, g)
     _print_diags(args.model, diags, sys.stderr)
     if root is None or has_errors(diags):
         return DATA_ERROR
@@ -332,7 +334,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader went away. Send what is still buffered to the null
+        # device, so that the flush at interpreter exit stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return USAGE_ERROR
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

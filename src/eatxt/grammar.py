@@ -532,8 +532,9 @@ def emit_grammar(g: Grammar) -> str:
     for t in g.terminals:
         terminal_lines.append(f"terminal {_type_name(t.kind)}: /{t.pattern}/;")
     defined = g.defined_kinds()
+    used = g.used_kinds()
     for kind in PrimitiveKind:
-        if kind in g.used_kinds() and kind not in defined:
+        if kind in used and kind not in defined:
             terminal_lines.append(
                 f"// terminal {_type_name(kind)} not defined here; "
                 "the lexer uses the builtin default pattern"

@@ -63,7 +63,6 @@ class Attribute:
 @dataclass(frozen=True)
 class Containment:
     target: str
-    ordered: bool = True
 
 
 @dataclass(frozen=True)
@@ -233,8 +232,7 @@ def _parse_feature(elem: ET.Element, class_name: str) -> Member:
         if not etype:
             raise MetamodelError(f"reference '{class_name}.{name}' has no eType")
         if elem.get("containment") == "true":
-            ordered = elem.get("ordered", "true") != "false"
-            return Member(name, Containment(etype, ordered), lower, upper)
+            return Member(name, Containment(etype), lower, upper)
         return Member(name, CrossReference(etype), lower, upper)
     raise MetamodelError(
         f"feature '{class_name}.{name}' has unrecognized kind marker '{marker}'"

@@ -64,17 +64,8 @@ class ModelElement:
         for _, child in self.children:
             yield from child.iter_preorder()
 
-    def find(self, element_id: int) -> "ModelElement | None":
-        for el in self.iter_preorder():
-            if el.id == element_id:
-                return el
-        return None
-
     def attribute_values(self, member: str) -> list[str]:
         return [v for (m, v) in self.attributes if m == member]
-
-    def size(self) -> int:
-        return sum(1 for _ in self.iter_preorder())
 
 
 def assign_preorder_ids(root: ModelElement, start: int = 1) -> int:

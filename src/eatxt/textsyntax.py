@@ -8,15 +8,19 @@ never clash with class names.
 The parser is a recursive-descent interpreter over the grammar IR. It is
 deliberately forgiving: every problem becomes a diagnostic with a span,
 and an unparseable construct is skipped as a whole so that one typo does
-not cascade. The formatter is the inverse direction and defines the
-canonical layout: four-space indents, braces on their own lines, one
-construct per line. Formatting canonical text is the identity.
+not cascade. Besides the tree it records one :class:`Body` per brace pair
+it opens, with the members present in it, so that completion reads the
+cursor's container from the same parse.
+
+The formatter is the inverse direction and defines the canonical layout:
+four-space indents, braces on their own lines, one construct per line.
+Formatting canonical text is the identity.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .diagnostics import ConfigError, Diagnostic, ERROR, SerializationError, Span, WARNING
 from .grammar import (
@@ -51,10 +55,6 @@ class Token:
     lexeme: str
     span: Span
     offset: int  # start offset in the source text
-
-    @property
-    def end_offset(self) -> int:
-        return self.offset + len(self.lexeme)
 
 
 class _LineIndex:
@@ -185,6 +185,36 @@ class _RuleInfo:
                 self.by_keyword[keyword] = entry
 
 
+@dataclass(slots=True)
+class Body:
+    """One brace pair the parser opened: an element body, or a wrapped
+    ``member { ... }`` block (then ``class_name`` is the block's target
+    and ``element_id`` its owner's). Elements are numbered in textual
+    start order, the pre-order id for a clean document. ``present`` holds
+    the members whose keyword, child or positional value appeared in an
+    element body, even a keyword still lacking its value.
+    ``close_offset`` is None for a brace never closed."""
+
+    open_offset: int
+    close_offset: int | None
+    class_name: str
+    element_id: int
+    member: str | None = None
+    present: set[str] = field(default_factory=set)
+
+
+@dataclass
+class Document:
+    """One parse of a text: the tree and its diagnostics, plus what
+    completion needs from it. The tokens themselves are not kept; only
+    the offsets of string literals survive."""
+
+    root: ModelElement | None
+    diagnostics: list[Diagnostic]
+    bodies: list[Body]
+    strings: list[tuple[int, int]]
+
+
 class _Parser:
     def __init__(self, tokens: list[Token], g: Grammar, mm: Metamodel):
         self.tokens = tokens
@@ -192,14 +222,15 @@ class _Parser:
         self.g = g
         self.mm = mm
         self.diagnostics: list[Diagnostic] = []
+        self.bodies: list[Body] = []
+        self.elements = 0
         self.rules = {name: _RuleInfo(rule) for name, rule in g.rules.items()}
         self.class_keywords = {rule.keyword: name for name, rule in g.rules.items()}
 
     # -- token access -------------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token | None:
-        j = self.i + ahead
-        return self.tokens[j] if j < len(self.tokens) else None
+    def peek(self) -> Token | None:
+        return self.tokens[self.i] if self.i < len(self.tokens) else None
 
     def advance(self) -> Token:
         tok = self.tokens[self.i]
@@ -220,7 +251,7 @@ class _Parser:
 
     # -- document -----------------------------------------------------------
 
-    def parse_document(self) -> ModelElement | None:
+    def parse_root(self) -> ModelElement | None:
         tok = self.peek()
         if tok is None:
             self.error("empty document: expected an element", Span(1, 1, 1, 1))
@@ -239,6 +270,21 @@ class _Parser:
             )
         return root
 
+    def parse_detached(self) -> None:
+        """Parse every class keyword left over as a detached element.
+
+        Runs after the top-level element ended early or never started, so
+        that the bodies of a damaged document are still recorded. The
+        trees and diagnostics of this pass are dropped.
+        """
+        reported = len(self.diagnostics)
+        while (tok := self.peek()) is not None:
+            if tok.kind == "Identifier" and tok.lexeme in self.class_keywords:
+                self.parse_element(self.class_keywords[tok.lexeme])
+            else:
+                self.i += 1
+        del self.diagnostics[reported:]
+
     # -- elements -----------------------------------------------------------
 
     def parse_element(self, class_name: str) -> ModelElement:
@@ -246,6 +292,8 @@ class _Parser:
         rule = info.rule
         keyword_tok = self.advance()
         el = ModelElement(class_name=class_name, span=keyword_tok.span)
+        self.elements += 1
+        element_id = self.elements
 
         if rule.name_inline:
             tok = self.peek()
@@ -260,7 +308,9 @@ class _Parser:
         tok = self.peek()
         if tok is not None and tok.kind == "{":
             self.advance()
-            self.parse_body(el, info)
+            body = Body(tok.offset, None, class_name, element_id)
+            self.bodies.append(body)
+            body.close_offset = self.parse_body(el, info, body)
         elif not rule.body_optional:
             self.error(
                 f"expected '{{' to open the body of '{rule.keyword}'",
@@ -270,9 +320,10 @@ class _Parser:
         self.check_lower_bounds(el, info)
         return el
 
-    def parse_body(self, el: ModelElement, info: _RuleInfo) -> None:
+    def parse_body(self, el: ModelElement, info: _RuleInfo, body: Body) -> int | None:
+        """Parse members up to the closing brace; return its offset, or
+        None when the text ends first."""
         counts: dict[str, int] = {}
-        seen_blocks: set[str] = set()
         while True:
             tok = self.peek()
             if tok is None:
@@ -280,18 +331,18 @@ class _Parser:
                     f"unexpected end of file inside '{info.rule.keyword}'",
                     self._last_span(),
                 )
-                return
+                return None
             if tok.kind == "}":
                 self.advance()
-                return
-            self.parse_member_line(el, info, counts, seen_blocks)
+                return tok.offset
+            self.parse_member_line(el, info, counts, body)
 
     def parse_member_line(
         self,
         el: ModelElement,
         info: _RuleInfo,
         counts: dict[str, int],
-        seen_blocks: set[str],
+        body: Body,
     ) -> None:
         tok = self.peek()
         assert tok is not None
@@ -300,17 +351,17 @@ class _Parser:
         if tok.kind == "Identifier":
             entry = info.by_keyword.get(tok.lexeme)
             if entry is not None:
-                self.parse_keyworded_member(el, entry, counts, seen_blocks)
+                self.parse_keyworded_member(el, entry, counts, body)
                 return
             child_class = self.class_keywords.get(tok.lexeme)
             if child_class is not None:
-                self.parse_inline_child(el, info, child_class, counts)
+                self.parse_inline_child(el, info, child_class, counts, body)
                 return
             if (
                 info.positional is not None
                 and info.positional.form.kind is PrimitiveKind.IDENTIFIER  # type: ignore[union-attr]
             ):
-                self.take_positional(el, info.positional, counts)
+                self.take_positional(el, info.positional, counts, body)
                 return
             expected = list(info.by_keyword)
             for entry in info.inline:
@@ -330,7 +381,7 @@ class _Parser:
         if tok.kind in ("String", "Boolean", "Numerical", "UUID"):
             pos = info.positional
             if pos is not None and pos.form.kind.value == tok.kind:  # type: ignore[union-attr]
-                self.take_positional(el, pos, counts)
+                self.take_positional(el, pos, counts, body)
             else:
                 self.error(
                     f"unexpected value '{tok.lexeme}' in '{rule.keyword}'",
@@ -369,10 +420,12 @@ class _Parser:
         el: ModelElement,
         entry: MemberEntry,
         counts: dict[str, int],
-        seen_blocks: set[str],
+        body: Body,
     ) -> None:
         keyword_tok = self.advance()
         form = entry.form
+        seen = entry.member in body.present
+        body.present.add(entry.member)
 
         if isinstance(form, KeywordAttribute):
             self.parse_attribute_value(el, entry, keyword_tok, counts)
@@ -385,9 +438,8 @@ class _Parser:
             return
 
         # Wrapped containment: keyword { child ("," child)* }
-        if entry.member in seen_blocks:
+        if seen:
             self.error(f"duplicate '{entry.member}' block", keyword_tok.span)
-        seen_blocks.add(entry.member)
         tok = self.peek()
         if tok is None or tok.kind != "{":
             self.error(
@@ -396,6 +448,8 @@ class _Parser:
             )
             return
         self.advance()
+        block = Body(tok.offset, None, form.target, body.element_id, entry.member)
+        self.bodies.append(block)
         accepted = set(self.mm.concrete_subclasses(form.target))
         while True:
             tok = self.peek()
@@ -407,6 +461,7 @@ class _Parser:
                 return
             if tok.kind == "}":
                 self.advance()
+                block.close_offset = tok.offset
                 return
             if tok.kind == ",":
                 self.advance()
@@ -456,8 +511,9 @@ class _Parser:
         self.store_attribute(el, entry, tok.lexeme)
 
     def take_positional(
-        self, el: ModelElement, entry: MemberEntry, counts: dict[str, int],
+        self, el: ModelElement, entry: MemberEntry, counts: dict[str, int], body: Body,
     ) -> None:
+        body.present.add(entry.member)
         tok = self.advance()
         if self.bump(el, entry, counts, tok.span):
             self.store_attribute(el, entry, tok.lexeme)
@@ -507,6 +563,7 @@ class _Parser:
         info: _RuleInfo,
         child_class: str,
         counts: dict[str, int],
+        body: Body,
     ) -> None:
         tok = self.peek()
         assert tok is not None
@@ -530,6 +587,7 @@ class _Parser:
                 tok.span,
             )
         entry = fitting[0]
+        body.present.add(entry.member)
         child = self.parse_element(child_class)
         if self.bump(el, entry, counts, child.span or tok.span):
             el.children.append((entry.member, child))
@@ -591,19 +649,28 @@ class _Parser:
             self.advance()
 
 
+def parse_document(text: str, g: Grammar, mm: Metamodel) -> Document:
+    """Lex and parse once, keeping what both checking and completion need."""
+    tokens, diagnostics = lex(text, g.terminal_patterns())
+    parser = _Parser(tokens, g, mm)
+    root = parser.parse_root()
+    parser.parse_detached()
+    diagnostics.extend(parser.diagnostics)
+    if root is not None:
+        assign_preorder_ids(root)
+    string = PrimitiveKind.STRING.value
+    strings = [(t.offset, t.offset + len(t.lexeme)) for t in tokens if t.kind == string]
+    return Document(root, diagnostics, parser.bodies, strings)
+
+
 def parse_model(
     text: str, g: Grammar, mm: Metamodel,
 ) -> tuple[ModelElement | None, list[Diagnostic]]:
     """Parse one top-level element. Always returns every diagnostic found;
     the tree is best-effort and is None only when nothing parseable was
     present at the top level."""
-    tokens, diagnostics = lex(text, g.terminal_patterns())
-    parser = _Parser(tokens, g, mm)
-    root = parser.parse_document()
-    diagnostics.extend(parser.diagnostics)
-    if root is not None:
-        assign_preorder_ids(root)
-    return root, diagnostics
+    doc = parse_document(text, g, mm)
+    return doc.root, doc.diagnostics
 
 
 # ---------------------------------------------------------------------------

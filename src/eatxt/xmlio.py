@@ -41,17 +41,6 @@ def to_tag(name: str) -> str:
     return "-".join(w.upper() for w in _WORD_RE.findall(name))
 
 
-def member_name_from_tag(tag: str) -> str:
-    """Inverse of to_tag under the camelCase member convention."""
-    words = tag.split("-")
-    return words[0].lower() + "".join(w.capitalize() for w in words[1:])
-
-
-def class_name_from_tag(tag: str) -> str:
-    """Inverse of to_tag under the PascalCase class convention."""
-    return "".join(w.capitalize() for w in tag.split("-"))
-
-
 class XmlNameMap:
     """Tag tables for one metamodel, checked for collisions once."""
 

@@ -91,6 +91,50 @@ def test_wrapper_context_in_unadapted_grammar(gen_g, mm):
     assert ctx.member == "element"
 
 
+def test_keyword_without_value_counts_as_present(g, mm):
+    text = "EAPackage P\n{\n    category\n    \n}\n"
+    ctx = locate_context(text, 4, 5, g, mm)
+    assert ctx.kind == "element" and "category" in ctx.members_present
+    props = complete(ctx, g, mm, None)
+    assert "category" not in [p.label for p in props if p.kind == KEYWORD]
+
+
+# --- damaged documents -------------------------------------------------------
+
+
+def test_stray_brace_keeps_later_bodies_in_context(g, mm):
+    # The stray "}" on line 6 closes the root early; the function type
+    # after it is parsed as a detached element and keeps its context.
+    text = (
+        "EAPackage P\n{\n"
+        "    EADatatype T\n    {\n    }\n"
+        "    }\n"
+        "    DesignFunctionType F\n    {\n        \n    }\n"
+        "}\n"
+    )
+    ctx = locate_context(text, 9, 9, g, mm)
+    assert ctx.kind == "element" and ctx.class_name == "DesignFunctionType"
+    keywords = [p.label for p in complete(ctx, g, mm, None) if p.kind == KEYWORD]
+    assert keywords[0] == "isElementary"
+
+
+def test_misspelled_root_keeps_nested_bodies_in_context(g, mm):
+    text = "EAPackge P\n{\n    EADatatype T\n    {\n        \n    }\n}\n"
+    ctx = locate_context(text, 5, 9, g, mm)
+    assert ctx.kind == "element" and ctx.class_name == "EADatatype"
+    top = locate_context(text, 1, 1, g, mm)
+    assert top.kind == "top" and not top.has_root
+
+
+def test_recovery_leaves_diagnostics_alone(g, mm):
+    text = "EAPackage P\n{\n}\n}\nEAPackage Q\n{\n    bogus\n}\n"
+    root, diags = parse_model(text, g, mm)
+    assert root is not None and root.short_name == "P"
+    assert [d.message for d in diags] == [
+        "unexpected text after the top-level element: '}'",
+    ]
+
+
 # --- proposal lists ----------------------------------------------------------
 
 

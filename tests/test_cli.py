@@ -288,6 +288,27 @@ def test_complete_inside_string_prints_nothing(capsys, tmp_path):
     assert code == 0 and out == ""
 
 
+def test_complete_lexes_the_document_once(capsys, monkeypatch):
+    import eatxt.textsyntax
+
+    original = eatxt.textsyntax.lex
+    calls = []
+
+    def counting_lex(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    # Patch every module's binding, as a caller importing lex by name sees it.
+    for name, module in list(sys.modules.items()):
+        if name == "eatxt" or name.startswith("eatxt."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting_lex)
+    code, out, _ = run(capsys, *complete_args(WIPER, 17, 13))
+    assert code == 0 and out
+    assert len(calls) == 1
+
+
 def test_complete_position_out_of_range_is_usage_error(capsys, tmp_path):
     f = tmp_path / "m.eatxt"
     f.write_text("EAPackage P\n", encoding="utf-8")
@@ -347,6 +368,23 @@ def test_runs_are_deterministic(capsys):
     first = run(capsys, *argv)
     second = run(capsys, *argv)
     assert first == second
+
+
+def test_closed_stdout_pipe_exits_without_traceback(tmp_path):
+    # Far more diagnostics than a pipe buffers, so writing hits the
+    # closed read end.
+    noisy = tmp_path / "noisy.eatxt"
+    noisy.write_text(
+        "EAPackage P\n{\n" + '    "stray"\n' * 3000 + "}\n", encoding="utf-8"
+    )
+    argv = [sys.executable, "-m", "eatxt.cli", *map(str, base_args(noisy))]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() in (0, 1, 2)
+    assert "Traceback" not in err
 
 
 def test_console_script_is_wired():

@@ -10,9 +10,7 @@ from eatxt.model import same_structure
 from eatxt.textsyntax import format_model, parse_model
 from eatxt.xmlio import (
     XmlNameMap,
-    class_name_from_tag,
     from_eaxml,
-    member_name_from_tag,
     to_eaxml,
     to_tag,
 )
@@ -40,27 +38,6 @@ def parse_ok(text, g, mm):
 )
 def test_names_map_to_upper_hyphen_tags(name, tag):
     assert to_tag(name) == tag
-
-
-@pytest.mark.parametrize(
-    "tag,member",
-    [
-        ("SHORT-NAME", "shortName"),
-        ("UUID", "uuid"),
-        ("IS-ELEMENTARY", "isElementary"),
-        ("OWNED-COMMENT", "ownedComment"),
-    ],
-)
-def test_member_names_recover_from_tags(tag, member):
-    assert member_name_from_tag(tag) == member
-
-
-def test_class_name_recovery_is_conventional():
-    # Plain camel case classes invert exactly; all-caps runs need the
-    # metamodel table because the case information is gone.
-    assert class_name_from_tag("DESIGN-FUNCTION-TYPE") == "DesignFunctionType"
-    assert class_name_from_tag("COMMENT") == "Comment"
-    assert class_name_from_tag("EA-PACKAGE") == "EaPackage"
 
 
 def test_name_map_round_trips_every_metamodel_class(mm):
