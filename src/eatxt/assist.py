@@ -24,7 +24,7 @@ from .grammar import (
 )
 from .metamodel import Metamodel
 from .model import ReferenceCache, lookup_first_fitting
-from .textsyntax import Document, parse_document
+from .textsyntax import Document, LineIndex, parse_document
 
 KEYWORD = "Keyword"
 TEMPLATE = "Template"
@@ -103,10 +103,13 @@ def locate_context(
     text: str, line: int, column: int, g: Grammar, mm: Metamodel,
 ) -> CursorContext | None:
     """Context for a 1-based line/column position, clamped to the text."""
-    offset = 0
-    if line >= 1:
-        before = text.split("\n", line - 1)[: line - 1]
-        offset = sum(len(s) + 1 for s in before) + max(column - 1, 0)
+    lines = LineIndex(text)
+    if line < 1:
+        offset = 0
+    elif line > len(lines.starts):
+        offset = len(text)
+    else:
+        offset = lines.offset(line, max(column, 1))
     return locate_context_at(text, offset, g, mm)
 
 

@@ -38,7 +38,7 @@ from .grammar import (
 )
 from .metamodel import Metamodel, load_metamodel
 from .model import ReferenceCache, build_cache, resolve
-from .textsyntax import format_model, parse_document, parse_model
+from .textsyntax import LineIndex, format_model, parse_document, parse_model
 from .xmlio import from_eaxml, to_eaxml
 
 OK = 0
@@ -202,15 +202,17 @@ def cmd_format(args: argparse.Namespace) -> int:
 
 def _cursor_offset(text: str, line: int, col: int) -> int:
     """Character offset of a 1-based position that must lie in the text."""
-    lines = text.split("\n")
-    if line < 1 or line > len(lines):
-        raise _CliError(USAGE_ERROR, f"line {line} out of range (1..{len(lines)})")
-    width = len(lines[line - 1]) + 1
+    lines = LineIndex(text)
+    count = len(lines.starts)
+    if line < 1 or line > count:
+        raise _CliError(USAGE_ERROR, f"line {line} out of range (1..{count})")
+    end = lines.starts[line] if line < count else len(text) + 1
+    width = end - lines.starts[line - 1]
     if col < 1 or col > width:
         raise _CliError(
             USAGE_ERROR, f"column {col} out of range (1..{width}) on line {line}"
         )
-    return sum(len(before) + 1 for before in lines[: line - 1]) + col - 1
+    return lines.offset(line, col)
 
 
 def cmd_complete(args: argparse.Namespace) -> int:

@@ -118,6 +118,7 @@ class Metamodel:
     root_class: str
     name: str = ""
     _flattened: dict[str, tuple[Member, ...]] = field(default_factory=dict, repr=False)
+    _members: dict[str, dict[str, Member]] = field(default_factory=dict, repr=False)
     _ancestors: dict[str, frozenset[str]] = field(default_factory=dict, repr=False)
 
     # -- queries ------------------------------------------------------------
@@ -151,10 +152,10 @@ class Metamodel:
         )
 
     def member_of(self, class_name: str, member_name: str) -> Member | None:
-        for m in self.flatten_members(class_name):
-            if m.name == member_name:
-                return m
-        return None
+        try:
+            return self._members[class_name].get(member_name)
+        except KeyError:
+            raise MetamodelError(f"unknown class '{class_name}'") from None
 
     def name_slot_of(self, class_name: str) -> Member | None:
         for m in self.flatten_members(class_name):
@@ -407,3 +408,6 @@ def _validate_and_index(mm: Metamodel) -> None:
     for name in classes:
         flatten(name)
     mm._flattened.update(flattened)
+    mm._members.update(
+        (name, {m.name: m for m in members}) for name, members in flattened.items()
+    )

@@ -3,7 +3,10 @@
 The lexer knows five value terminals plus four punctuation marks and line
 comments. Keywords are not a lexical category: every word comes out as an
 Identifier token and the parser promotes it by context, so member names
-never clash with class names.
+never clash with class names. A token carries its start offset and the
+line index of its text; its line:col span is computed only when read,
+which the parser does for element and cross-reference positions and for
+diagnostics.
 
 The parser is a recursive-descent interpreter over the grammar IR. It is
 deliberately forgiving: every problem becomes a diagnostic with a span,
@@ -20,6 +23,7 @@ Formatting canonical text is the identity.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .diagnostics import ConfigError, Diagnostic, ERROR, SerializationError, Span, WARNING
@@ -48,38 +52,54 @@ _PRIORITY = [
     PrimitiveKind.IDENTIFIER,
 ]
 
-
-@dataclass(frozen=True)
-class Token:
-    kind: str  # a PrimitiveKind value name, or one of "{", "}", ",", "."
-    lexeme: str
-    span: Span
-    offset: int  # start offset in the source text
+_NEWLINE = re.compile("\n")
+# Whitespace and ``//`` comments between tokens, in one match.
+_SKIP = re.compile(r"(?:[ \t\r\n]+|//[^\n]*\n?)*")
+# An unlexable run: scanning resumes at the next whitespace.
+_UNLEXABLE = re.compile(r"[^ \t\r\n]*")
 
 
-class _LineIndex:
-    """Offset to 1-based (line, col) translation."""
+class LineIndex:
+    """Translation between offsets and 1-based (line, col) positions of
+    one text, by bisection over the offsets where lines start."""
+
+    __slots__ = ("starts",)
 
     def __init__(self, text: str):
         self.starts = [0]
-        for i, ch in enumerate(text):
-            if ch == "\n":
-                self.starts.append(i + 1)
+        self.starts += [m.end() for m in _NEWLINE.finditer(text)]
 
     def position(self, offset: int) -> tuple[int, int]:
-        lo, hi = 0, len(self.starts) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.starts[mid] <= offset:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo + 1, offset - self.starts[lo] + 1
+        line = bisect_right(self.starts, offset)
+        return line, offset - self.starts[line - 1] + 1
 
     def span(self, start: int, end: int) -> Span:
         line, col = self.position(start)
         end_line, end_col = self.position(end)
         return Span(line, col, end_line, end_col)
+
+    def offset(self, line: int, col: int) -> int:
+        """Offset of a 1-based position; the caller checks the range."""
+        return self.starts[line - 1] + col - 1
+
+
+class Token:
+    """One lexeme, its kind (a PrimitiveKind value name, or one of
+    ``{`` ``}`` ``,`` ``.``) and its start offset. Tokens share the line
+    index of their text and build their :class:`Span` only when it is
+    read: for an element or cross-reference position, or a diagnostic."""
+
+    __slots__ = ("kind", "lexeme", "offset", "lines")
+
+    def __init__(self, kind: str, lexeme: str, offset: int, lines: LineIndex):
+        self.kind = kind
+        self.lexeme = lexeme
+        self.offset = offset
+        self.lines = lines
+
+    @property
+    def span(self) -> Span:
+        return self.lines.span(self.offset, self.offset + len(self.lexeme))
 
 
 def _normalize_terminals(
@@ -108,48 +128,35 @@ def lex(
     at the next whitespace. ``//`` comments are dropped.
     """
     patterns = _normalize_terminals(terminals)
-    compiled = [(kind, re.compile(patterns[kind])) for kind in _PRIORITY]
-    index = _LineIndex(text)
+    matchers = [(kind.value, re.compile(patterns[kind]).match) for kind in _PRIORITY]
+    lines = LineIndex(text)
     tokens: list[Token] = []
     diagnostics: list[Diagnostic] = []
+    append = tokens.append
+    skip = _SKIP.match
 
-    pos = 0
     n = len(text)
+    pos = skip(text, 0).end()
     while pos < n:
         ch = text[pos]
-        if ch in " \t\r\n":
-            pos += 1
-            continue
-        if text.startswith("//", pos):
-            nl = text.find("\n", pos)
-            pos = n if nl == -1 else nl + 1
-            continue
         if ch in PUNCT:
-            tokens.append(Token(ch, ch, index.span(pos, pos + 1), pos))
-            pos += 1
+            append(Token(ch, ch, pos, lines))
+            pos = skip(text, pos + 1).end()
             continue
-
-        best: tuple[PrimitiveKind, str] | None = None
-        for kind, pattern in compiled:
-            m = pattern.match(text, pos)
-            if m and m.end() > pos:
-                lexeme = m.group()
-                if best is None or len(lexeme) > len(best[1]):
-                    best = (kind, lexeme)
-        if best is None:
+        best_kind = None
+        best_end = pos
+        for kind, match in matchers:
+            m = match(text, pos)
+            if m is not None and m.end() > best_end:
+                best_kind, best_end = kind, m.end()
+        if best_kind is None:
             diagnostics.append(Diagnostic(
-                ERROR,
-                f"cannot read character {ch!r}",
-                index.span(pos, pos + 1),
+                ERROR, f"cannot read character {ch!r}", lines.span(pos, pos + 1),
             ))
-            while pos < n and text[pos] not in " \t\r\n":
-                pos += 1
-            continue
-        kind, lexeme = best
-        tokens.append(Token(
-            kind.value, lexeme, index.span(pos, pos + len(lexeme)), pos,
-        ))
-        pos += len(lexeme)
+            best_end = _UNLEXABLE.match(text, pos).end()
+        else:
+            append(Token(best_kind, text[pos:best_end], pos, lines))
+        pos = skip(text, best_end).end()
 
     return tokens, diagnostics
 
@@ -397,20 +404,20 @@ class _Parser:
     # -- member forms ---------------------------------------------------------
 
     def bump(
-        self, el: ModelElement, entry: MemberEntry, counts: dict[str, int], span: Span,
+        self, el: ModelElement, entry: MemberEntry, counts: dict[str, int], tok: Token,
     ) -> bool:
-        """Count one occurrence; report a violated upper bound."""
+        """Count one occurrence; report a violated upper bound at ``tok``."""
         member = self.mm.member_of(el.class_name, entry.member)
         n = counts.get(entry.member, 0) + 1
         counts[entry.member] = n
         upper = member.upper if member is not None else None
         if upper is not None and n > upper:
             if upper == 1:
-                self.error(f"duplicate member '{entry.member}'", span)
+                self.error(f"duplicate member '{entry.member}'", tok.span)
             else:
                 self.error(
                     f"member '{entry.member}' allows at most {upper} values",
-                    span,
+                    tok.span,
                 )
             return False
         return True
@@ -433,7 +440,7 @@ class _Parser:
 
         if isinstance(form, KeywordCrossRef):
             qn, span = self.parse_qualified_name(keyword_tok)
-            if qn is not None and self.bump(el, entry, counts, keyword_tok.span):
+            if qn is not None and self.bump(el, entry, counts, keyword_tok):
                 el.cross_refs.append(CrossRef(entry.member, qn, span=span))
             return
 
@@ -479,7 +486,7 @@ class _Parser:
                 self.skip_construct()
                 continue
             child = self.parse_element(child_class)
-            if self.bump(el, entry, counts, child.span or tok.span):
+            if self.bump(el, entry, counts, tok):
                 el.children.append((entry.member, child))
 
     def parse_attribute_value(
@@ -506,7 +513,7 @@ class _Parser:
                 tok.span,
             )
             return
-        if not self.bump(el, entry, counts, tok.span):
+        if not self.bump(el, entry, counts, tok):
             return
         self.store_attribute(el, entry, tok.lexeme)
 
@@ -515,7 +522,7 @@ class _Parser:
     ) -> None:
         body.present.add(entry.member)
         tok = self.advance()
-        if self.bump(el, entry, counts, tok.span):
+        if self.bump(el, entry, counts, tok):
             self.store_attribute(el, entry, tok.lexeme)
 
     def store_attribute(self, el: ModelElement, entry: MemberEntry, lexeme: str) -> None:
@@ -552,9 +559,7 @@ class _Parser:
                 break
             last = self.advance()
             segments.append(last.lexeme)
-        span = Span(
-            first.span.line, first.span.col, last.span.end_line, last.span.end_col,
-        )
+        span = first.lines.span(first.offset, last.offset + len(last.lexeme))
         return QualifiedName(tuple(segments)), span
 
     def parse_inline_child(
@@ -589,7 +594,7 @@ class _Parser:
         entry = fitting[0]
         body.present.add(entry.member)
         child = self.parse_element(child_class)
-        if self.bump(el, entry, counts, child.span or tok.span):
+        if self.bump(el, entry, counts, tok):
             el.children.append((entry.member, child))
 
     # -- bookkeeping ----------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Holds the fixture paths, a reader that parses emitted grammar text back
 into the IR (round-reading check), a seeded random model generator used
-by the roundtrip and cache tests, and a brute-force reference-cache
-oracle.
+by the roundtrip and cache tests, a brute-force reference-cache oracle
+and a frozen reference lexer.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import random
 import re
 from pathlib import Path
 
+from eatxt.diagnostics import ERROR, ConfigError, Diagnostic, Span
 from eatxt.grammar import (
     Grammar,
     InlineContainment,
@@ -382,3 +383,77 @@ def fill_placeholders(snippet: str) -> str:
         return _DUMMIES.get(hint, "probe1")
 
     return _PLACEHOLDER.sub(sub, snippet)
+
+
+# ---------------------------------------------------------------------------
+# Reference lexer (differential oracle for textsyntax.lex)
+# ---------------------------------------------------------------------------
+
+_REFERENCE_PRIORITY = [
+    PrimitiveKind.UUID,
+    PrimitiveKind.NUMERICAL,
+    PrimitiveKind.BOOLEAN,
+    PrimitiveKind.STRING,
+    PrimitiveKind.IDENTIFIER,
+]
+
+
+def reference_lex(
+    text: str, terminals: dict[PrimitiveKind, str],
+) -> tuple[list[tuple[str, str, int, Span]], list[Diagnostic]]:
+    """The character-at-a-time lexer of docs/FORMATS.md section 4, kept
+    as it was written first: it tries every terminal at every token start,
+    keeps the longest match (earlier kinds in ``_REFERENCE_PRIORITY`` win
+    ties), skips whitespace one character at a time and computes every
+    position by scanning the text from the start. Returns
+    ``(kind, lexeme, offset, span)`` tuples and the diagnostics."""
+    missing = [k.value for k in PrimitiveKind if k not in terminals]
+    if missing:
+        raise ConfigError(
+            "lexer needs a pattern for every terminal kind; missing: "
+            + ", ".join(missing)
+        )
+    compiled = [(kind, re.compile(terminals[kind])) for kind in _REFERENCE_PRIORITY]
+
+    def position(offset: int) -> tuple[int, int]:
+        line = text.count("\n", 0, offset) + 1
+        return line, offset - (text.rfind("\n", 0, offset) + 1) + 1
+
+    def span(start: int, end: int) -> Span:
+        return Span(*position(start), *position(end))
+
+    tokens: list[tuple[str, str, int, Span]] = []
+    diagnostics: list[Diagnostic] = []
+    pos = 0
+    n = len(text)
+    while pos < n:
+        ch = text[pos]
+        if ch in " \t\r\n":
+            pos += 1
+            continue
+        if text.startswith("//", pos):
+            nl = text.find("\n", pos)
+            pos = n if nl == -1 else nl + 1
+            continue
+        if ch in "{},.":
+            tokens.append((ch, ch, pos, span(pos, pos + 1)))
+            pos += 1
+            continue
+        best: tuple[PrimitiveKind, str] | None = None
+        for kind, pattern in compiled:
+            m = pattern.match(text, pos)
+            if m and m.end() > pos:
+                lexeme = m.group()
+                if best is None or len(lexeme) > len(best[1]):
+                    best = (kind, lexeme)
+        if best is None:
+            diagnostics.append(Diagnostic(
+                ERROR, f"cannot read character {ch!r}", span(pos, pos + 1),
+            ))
+            while pos < n and text[pos] not in " \t\r\n":
+                pos += 1
+            continue
+        kind, lexeme = best
+        tokens.append((kind.value, lexeme, pos, span(pos, pos + len(lexeme))))
+        pos += len(lexeme)
+    return tokens, diagnostics

@@ -1,5 +1,7 @@
 """Cursor context detection and proposal generation."""
 
+from hypothesis import given, strategies as st
+
 from eatxt.assist import (
     KEYWORD,
     TEMPLATE,
@@ -36,6 +38,18 @@ def test_context_inside_an_element_body(g, mm):
     assert ctx.kind == "element"
     assert ctx.class_name == "DesignFunctionType"
     assert "isElementary" in ctx.members_present
+
+
+@given(line=st.integers(-1, 8), column=st.integers(-1, 20))
+def test_line_and_column_clamp_like_a_split_of_the_text(g, mm, line, column):
+    text = "EAPackage P\n{\n    EADatatype T\n}\n"
+    offset = 0
+    if line >= 1:
+        before = text.split("\n")[: line - 1]
+        offset = sum(len(s) + 1 for s in before) + max(column - 1, 0)
+    assert locate_context(text, line, column, g, mm) == locate_context_at(
+        text, offset, g, mm,
+    )
 
 
 def test_context_at_top_of_empty_document(g, mm):

@@ -312,10 +312,21 @@ def test_complete_lexes_the_document_once(capsys, monkeypatch):
 def test_complete_position_out_of_range_is_usage_error(capsys, tmp_path):
     f = tmp_path / "m.eatxt"
     f.write_text("EAPackage P\n", encoding="utf-8")
-    for line, col in ((99, 1), (1, 99), (0, 1), (1, 0)):
+    for line, col, message in (
+        (99, 1, "line 99 out of range (1..2)"),
+        (3, 1, "line 3 out of range (1..2)"),
+        (0, 1, "line 0 out of range (1..2)"),
+        (1, 99, "column 99 out of range (1..12) on line 1"),
+        (1, 13, "column 13 out of range (1..12) on line 1"),
+        (2, 2, "column 2 out of range (1..1) on line 2"),
+        (1, 0, "column 0 out of range (1..12) on line 1"),
+    ):
         code, _, err = run(capsys, *complete_args(f, line, col))
         assert code == 2, (line, col)
-        assert "line" in err or "col" in err
+        assert message in err
+    for line, col in ((1, 12), (2, 1)):
+        code, _, _ = run(capsys, *complete_args(f, line, col))
+        assert code == 0, (line, col)
 
 
 def test_complete_works_on_files_with_errors(capsys):

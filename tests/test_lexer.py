@@ -3,10 +3,12 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from eatxt.diagnostics import ConfigError
+from eatxt.diagnostics import ConfigError, Span
 from eatxt.grammar import DEFAULT_TERMINAL_PATTERNS
 from eatxt.metamodel import PrimitiveKind
 from eatxt.textsyntax import lex
+
+from support import FIXTURES, reference_lex
 
 PATTERNS = {k: re.compile(p) for k, p in DEFAULT_TERMINAL_PATTERNS.items()}
 
@@ -96,6 +98,17 @@ def test_spans_are_one_based():
     assert (tokens[1].span.line, tokens[1].span.col) == (2, 3)
 
 
+def test_span_of_token_across_a_newline():
+    terminals = {**DEFAULT_TERMINAL_PATTERNS, PrimitiveKind.STRING: r'"[^"]*"'}
+    tokens, diags = lex('a "x\ny" b', terminals)
+    assert diags == []
+    assert [(t.kind, t.lexeme, t.offset) for t in tokens] == [
+        ("Identifier", "a", 0), ("String", '"x\ny"', 2), ("Identifier", "b", 8),
+    ]
+    assert tokens[1].span == Span(1, 3, 2, 3)
+    assert tokens[2].span == Span(2, 4, 2, 5)
+
+
 def test_longest_match_wins():
     # "0x" then "FF" would be two tokens; the longest single match is taken.
     assert single("0xFF") == ("Numerical", "0xFF")
@@ -134,3 +147,48 @@ def test_numerical_shaped_input_never_splits(s):
     assert diags == []
     assert len(tokens) == 1
     assert tokens[0].kind in ("Numerical", "UUID")
+
+
+# -- differential against the reference lexer ------------------------------
+
+TERMINAL_SETS = {
+    "default": DEFAULT_TERMINAL_PATTERNS,
+    # A pattern that matches the empty string everywhere.
+    "empty-match": {**DEFAULT_TERMINAL_PATTERNS, PrimitiveKind.NUMERICAL: r"[0-9]*"},
+    "multiline-string": {**DEFAULT_TERMINAL_PATTERNS, PrimitiveKind.STRING: r'"[^"]*"'},
+    "capture-groups": {
+        **DEFAULT_TERMINAL_PATTERNS,
+        PrimitiveKind.IDENTIFIER: r"([A-Za-z_])([A-Za-z0-9_]|-(?=[a-z]))*",
+    },
+}
+
+FIXTURE_FILES = sorted(p for p in FIXTURES.rglob("*") if p.is_file())
+
+# Pieces that exercise every branch of the lexer: whitespace runs,
+# comments, unterminated and escaped strings, signs and exponents,
+# UUID prefixes, punctuation and characters no terminal accepts.
+FRAGMENTS = [
+    " ", "   ", "\t", "\n", "\r\n", "//", "/", '"', "\\", "0", "7", "42", "-",
+    "+", ".", "e", "x", "b", "0x", "{", "}", ",", "\u00a7", "\u00e9", "\u65e5",
+    "a", "Z", "_", "true", "false", "deadbeef-", "cafe-",
+]
+
+
+def assert_same_as_reference(text, terminals):
+    tokens, diags = lex(text, terminals)
+    expected_tokens, expected_diags = reference_lex(text, terminals)
+    assert [(t.kind, t.lexeme, t.offset, t.span) for t in tokens] == expected_tokens
+    assert diags == expected_diags
+
+
+@pytest.mark.parametrize("name", sorted(TERMINAL_SETS))
+def test_lex_matches_reference_on_fixtures(name):
+    assert FIXTURE_FILES
+    for path in FIXTURE_FILES:
+        assert_same_as_reference(path.read_text(encoding="utf-8"), TERMINAL_SETS[name])
+
+
+@pytest.mark.parametrize("name", sorted(TERMINAL_SETS))
+@given(text=st.lists(st.sampled_from(FRAGMENTS), max_size=40).map("".join))
+def test_lex_matches_reference_on_generated_text(name, text):
+    assert_same_as_reference(text, TERMINAL_SETS[name])

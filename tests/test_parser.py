@@ -1,4 +1,6 @@
 from eatxt.diagnostics import ERROR, WARNING
+from eatxt.grammar import generate_grammar
+from eatxt.metamodel import load_metamodel
 from eatxt.textsyntax import parse_model
 
 from support import MODELS, random_model
@@ -116,7 +118,38 @@ def test_missing_mandatory_member_reported(g, mm):
 def test_duplicate_single_valued_member_reported(g, mm):
     text = "EAPackage P\n{\n    category a\n    category b\n}\n"
     diags = errors_of(text, g, mm)
-    assert any("duplicate member 'category'" in d.message for d in diags)
+    dup = [d for d in diags if "duplicate member 'category'" in d.message]
+    assert [(d.span.line, d.span.col) for d in dup] == [(4, 14)]
+
+
+def test_duplicate_cross_reference_points_at_its_keyword(g, mm):
+    text = (
+        "EAPackage P\n{\n    EADatatype T\n    DesignFunctionType F\n    {\n"
+        "        FunctionFlowPort p\n        {\n            direction in\n"
+        "            type P.T\n            type P.T\n        }\n    }\n}\n"
+    )
+    diags = errors_of(text, g, mm)
+    assert [(d.message, d.span.line, d.span.col) for d in diags] == [
+        ("duplicate member 'type'", 10, 13),
+    ]
+
+
+def test_bounded_member_overflow_points_at_the_extra_value():
+    mm = load_metamodel(
+        '<ecore:EPackage xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance"'
+        ' xmlns:ecore="http://www.eclipse.org/emf/2002/Ecore" name="p">'
+        '<eClassifiers xsi:type="ecore:EClass" name="A">'
+        '<eStructuralFeatures xsi:type="ecore:EAttribute" name="shortName"'
+        ' eType="#//Identifier" lowerBound="1"/>'
+        '<eStructuralFeatures xsi:type="ecore:EAttribute" name="tag"'
+        ' eType="#//Identifier" upperBound="2"/></eClassifiers>'
+        "</ecore:EPackage>"
+    )
+    text = "A\n{\n    shortName a\n    tag x\n    tag y\n    tag z\n}\n"
+    diags = errors_of(text, generate_grammar(mm), mm)
+    assert [(d.message, d.span.line, d.span.col) for d in diags] == [
+        ("member 'tag' allows at most 2 values", 6, 9),
+    ]
 
 
 def test_unknown_keyword_lists_alternatives(g, mm):
