@@ -24,7 +24,7 @@ from .grammar import (
 )
 from .metamodel import Metamodel
 from .model import ReferenceCache, lookup_first_fitting
-from .textsyntax import Document, LineIndex, parse_document
+from .textsyntax import Document, parse_document
 
 KEYWORD = "Keyword"
 TEMPLATE = "Template"
@@ -103,14 +103,14 @@ def locate_context(
     text: str, line: int, column: int, g: Grammar, mm: Metamodel,
 ) -> CursorContext | None:
     """Context for a 1-based line/column position, clamped to the text."""
-    lines = LineIndex(text)
+    doc = parse_document(text, g, mm)
     if line < 1:
         offset = 0
-    elif line > len(lines.starts):
+    elif line > len(doc.lines.starts):
         offset = len(text)
     else:
-        offset = lines.offset(line, max(column, 1))
-    return locate_context_at(text, offset, g, mm)
+        offset = min(doc.lines.offset(line, max(column, 1)), len(text))
+    return context_at(doc, offset)
 
 
 # ---------------------------------------------------------------------------

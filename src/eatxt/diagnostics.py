@@ -17,10 +17,6 @@ class Span:
     end_line: int
     end_col: int
 
-    @classmethod
-    def point(cls, line: int, col: int) -> "Span":
-        return cls(line, col, line, col)
-
 
 # Fallback span for diagnostics that have no source position (e.g. produced
 # while reading an XML document, where the reader gives us no offsets).

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import copy
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .diagnostics import ConfigError, GrammarError
 from .metamodel import (
@@ -87,8 +87,6 @@ class WrappedContainment:
 
     keyword: str
     target: str
-    braces: bool = True
-    comma_separated: bool = True
 
 
 @dataclass
@@ -107,13 +105,6 @@ class MemberEntry:
     form: EntryForm
     optional: bool
     repeatable: bool
-
-    @property
-    def target(self) -> str | None:
-        form = self.form
-        if isinstance(form, (KeywordCrossRef, WrappedContainment, InlineContainment)):
-            return form.target
-        return None
 
 
 @dataclass
@@ -143,9 +134,6 @@ class Grammar:
         for t in self.terminals:
             patterns[t.kind] = t.pattern
         return patterns
-
-    def defined_kinds(self) -> set[PrimitiveKind]:
-        return {t.kind for t in self.terminals}
 
     def used_kinds(self) -> set[PrimitiveKind]:
         used: set[PrimitiveKind] = set()
@@ -242,17 +230,24 @@ class AdaptationConfig:
     directives: list[Directive] = field(default_factory=list)
 
 
+# Config-file name of each directive. Every directive but define-terminal
+# takes one glob argument per field.
+_DIRECTIVES: dict[str, type] = {
+    "define-terminal": DefineTerminal,
+    "hoist-short-name": HoistShortName,
+    "unfold-containment": UnfoldContainment,
+    "optional-body": OptionalBody,
+    "remove-attribute-keyword": RemoveAttributeKeyword,
+}
+_DIRECTIVE_NAMES = {cls: name for name, cls in _DIRECTIVES.items()}
+
+
 def render_directive(d: Directive) -> str:
     """Config-file spelling of a directive, used in reports and errors."""
     if isinstance(d, DefineTerminal):
         return f"define-terminal {d.kind.value} /{d.pattern}/"
-    if isinstance(d, HoistShortName):
-        return f"hoist-short-name {d.class_glob}"
-    if isinstance(d, UnfoldContainment):
-        return f"unfold-containment {d.class_glob} {d.member_glob}"
-    if isinstance(d, OptionalBody):
-        return f"optional-body {d.class_glob}"
-    return f"remove-attribute-keyword {d.class_glob} {d.member_glob}"
+    globs = " ".join(getattr(d, f.name) for f in fields(d))
+    return f"{_DIRECTIVE_NAMES[type(d)]} {globs}"
 
 
 def _compile_glob(glob: str) -> re.Pattern[str]:
@@ -318,28 +313,16 @@ def parse_config(text: str) -> AdaptationConfig:
             directives.append(DefineTerminal(kind, pattern))
             continue
 
-        arity = {
-            "hoist-short-name": 1,
-            "unfold-containment": 2,
-            "optional-body": 1,
-            "remove-attribute-keyword": 2,
-        }.get(name)
-        if arity is None:
+        cls = _DIRECTIVES.get(name)
+        if cls is None:
             raise ConfigError(f"line {line_no}: unknown directive '{name}'")
+        arity = len(fields(cls))
         if len(words) != 1 + arity:
             raise ConfigError(
                 f"line {line_no}: {name} takes {arity} argument(s), "
                 f"got {len(words) - 1}"
             )
-        globs = [_check_glob(w, line_no) for w in words[1:]]
-        if name == "hoist-short-name":
-            directives.append(HoistShortName(globs[0]))
-        elif name == "unfold-containment":
-            directives.append(UnfoldContainment(globs[0], globs[1]))
-        elif name == "optional-body":
-            directives.append(OptionalBody(globs[0]))
-        else:
-            directives.append(RemoveAttributeKeyword(globs[0], globs[1]))
+        directives.append(cls(*(_check_glob(w, line_no) for w in words[1:])))
     return AdaptationConfig(directives)
 
 
@@ -488,12 +471,10 @@ def _emit_entry(e: MemberEntry) -> str:
     else:
         op = "+=" if e.repeatable else "="
         inner = f"{e.member}{op}{form.target}"
-        open_b, close_b = ("'{' ", " '}'") if form.braces else ("", "")
         if e.repeatable:
-            sep = f'( "," {inner})*' if form.comma_separated else f"( {inner})*"
-            core = f"'{form.keyword}' {open_b}{inner} {sep}{close_b}"
+            core = f"""'{form.keyword}' '{{' {inner} ( "," {inner})* '}}'"""
         else:
-            core = f"'{form.keyword}' {open_b}{inner}{close_b}"
+            core = f"'{form.keyword}' '{{' {inner} '}}'"
         if e.optional:
             return f"({core} )?"
         return core
@@ -531,7 +512,7 @@ def emit_grammar(g: Grammar) -> str:
     terminal_lines: list[str] = []
     for t in g.terminals:
         terminal_lines.append(f"terminal {_type_name(t.kind)}: /{t.pattern}/;")
-    defined = g.defined_kinds()
+    defined = {t.kind for t in g.terminals}
     used = g.used_kinds()
     for kind in PrimitiveKind:
         if kind in used and kind not in defined:
@@ -567,8 +548,6 @@ def grammar_to_dict(g: Grammar) -> dict:
             d["form"] = "wrapped"
             d["keyword"] = form.keyword
             d["class"] = form.target
-            d["braces"] = form.braces
-            d["commas"] = form.comma_separated
         else:
             d["form"] = "inline"
             d["class"] = form.target
@@ -598,7 +577,7 @@ def grammar_from_dict(data: dict) -> Grammar:
         elif d["form"] == "crossref":
             form = KeywordCrossRef(d["keyword"], d["class"])
         elif d["form"] == "wrapped":
-            form = WrappedContainment(d["keyword"], d["class"], d["braces"], d["commas"])
+            form = WrappedContainment(d["keyword"], d["class"])
         elif d["form"] == "inline":
             form = InlineContainment(d["class"])
         else:

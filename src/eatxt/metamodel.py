@@ -116,7 +116,6 @@ class Metamodel:
 
     classes: dict[str, MetaClass]
     root_class: str
-    name: str = ""
     _flattened: dict[str, tuple[Member, ...]] = field(default_factory=dict, repr=False)
     _members: dict[str, dict[str, Member]] = field(default_factory=dict, repr=False)
     _ancestors: dict[str, frozenset[str]] = field(default_factory=dict, repr=False)
@@ -298,7 +297,7 @@ def load_metamodel(source: str | Path) -> Metamodel:
             members=members,
         )
 
-    mm = Metamodel(classes=classes, root_class="", name=root.get("name", ""))
+    mm = Metamodel(classes=classes, root_class="")
     _validate_and_index(mm)
 
     root_class = root.get("rootClass", "")

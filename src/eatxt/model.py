@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .diagnostics import Diagnostic, ERROR, ModelError, Span
+from .diagnostics import Diagnostic, ERROR, ModelError, NO_SPAN, Span
 from .metamodel import Metamodel
 
 
@@ -151,14 +151,14 @@ def resolve(root: ModelElement, mm: Metamodel) -> list[Diagnostic]:
             diagnostics.append(Diagnostic(
                 ERROR,
                 f"duplicate qualified name '{fqn}' ({ids})",
-                elements[1].span or Span(0, 0, 0, 0),
+                elements[1].span or NO_SPAN,
             ))
 
     for el in root.iter_preorder():
         for ref in el.cross_refs:
             member = mm.member_of(el.class_name, ref.member)
             target_class = getattr(member.kind, "target", None) if member else None
-            span = ref.span or el.span or Span(0, 0, 0, 0)
+            span = ref.span or el.span or NO_SPAN
             candidates = census.get(ref.target, [])
             if not candidates:
                 diagnostics.append(Diagnostic(

@@ -34,7 +34,6 @@ from .grammar import (
     KeywordCrossRef,
     MemberEntry,
     ProductionRule,
-    TerminalRule,
     WrappedContainment,
 )
 from .metamodel import Metamodel, PrimitiveKind
@@ -102,33 +101,21 @@ class Token:
         return self.lines.span(self.offset, self.offset + len(self.lexeme))
 
 
-def _normalize_terminals(
-    terminals: list[TerminalRule] | dict[PrimitiveKind, str],
-) -> dict[PrimitiveKind, str]:
-    if isinstance(terminals, dict):
-        patterns = dict(terminals)
-    else:
-        patterns = {t.kind: t.pattern for t in terminals}
-    missing = [k.value for k in PrimitiveKind if k not in patterns]
+def lex(
+    text: str, terminals: dict[PrimitiveKind, str],
+) -> tuple[list[Token], list[Diagnostic]]:
+    """Tokenize with longest-match semantics, one pattern per terminal kind.
+
+    An unlexable character yields one error diagnostic; scanning resumes
+    at the next whitespace. ``//`` comments are dropped.
+    """
+    missing = [k.value for k in PrimitiveKind if k not in terminals]
     if missing:
         raise ConfigError(
             "lexer needs a pattern for every terminal kind; missing: "
             + ", ".join(missing)
         )
-    return patterns
-
-
-def lex(
-    text: str,
-    terminals: list[TerminalRule] | dict[PrimitiveKind, str],
-) -> tuple[list[Token], list[Diagnostic]]:
-    """Tokenize with longest-match semantics.
-
-    An unlexable character yields one error diagnostic; scanning resumes
-    at the next whitespace. ``//`` comments are dropped.
-    """
-    patterns = _normalize_terminals(terminals)
-    matchers = [(kind.value, re.compile(patterns[kind]).match) for kind in _PRIORITY]
+    matchers = [(kind.value, re.compile(terminals[kind]).match) for kind in _PRIORITY]
     lines = LineIndex(text)
     tokens: list[Token] = []
     diagnostics: list[Diagnostic] = []
@@ -214,12 +201,13 @@ class Body:
 class Document:
     """One parse of a text: the tree and its diagnostics, plus what
     completion needs from it. The tokens themselves are not kept; only
-    the offsets of string literals survive."""
+    the offsets of string literals and the line index survive."""
 
     root: ModelElement | None
     diagnostics: list[Diagnostic]
     bodies: list[Body]
     strings: list[tuple[int, int]]
+    lines: LineIndex
 
 
 class _Parser:
@@ -665,7 +653,8 @@ def parse_document(text: str, g: Grammar, mm: Metamodel) -> Document:
         assign_preorder_ids(root)
     string = PrimitiveKind.STRING.value
     strings = [(t.offset, t.offset + len(t.lexeme)) for t in tokens if t.kind == string]
-    return Document(root, diagnostics, parser.bodies, strings)
+    lines = tokens[0].lines if tokens else LineIndex(text)
+    return Document(root, diagnostics, parser.bodies, strings, lines)
 
 
 def parse_model(
@@ -741,7 +730,7 @@ def _format_element(el: ModelElement, g: Grammar, indent: int, out: list[str]) -
             body.append(pad + INDENT + form.keyword)
             body.append(pad + INDENT + "{")
             for pos, child in enumerate(children):
-                if pos and form.comma_separated:
+                if pos:
                     body.append(pad + INDENT * 2 + ",")
                 _format_element(child, g, indent + 2, body)
             body.append(pad + INDENT + "}")

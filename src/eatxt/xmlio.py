@@ -45,7 +45,6 @@ class XmlNameMap:
     """Tag tables for one metamodel, checked for collisions once."""
 
     def __init__(self, mm: Metamodel):
-        self.mm = mm
         self.class_by_tag: dict[str, str] = {}
         self.tag_by_name: dict[str, str] = {}
 
@@ -75,12 +74,6 @@ class XmlNameMap:
                 table[tag] = m
             self.members_by_class[cls] = table
 
-    def tag(self, name: str) -> str:
-        try:
-            return self.tag_by_name[name]
-        except KeyError:
-            return to_tag(name)
-
 
 # ---------------------------------------------------------------------------
 # Writing
@@ -94,11 +87,12 @@ def _attr_text(member: Member, lexeme: str) -> str:
     return lexeme
 
 
-def _element_to_xml(el: ModelElement, names: XmlNameMap, mm: Metamodel) -> ET.Element:
-    node = ET.Element(names.tag(el.class_name))
+def _element_to_xml(el: ModelElement, names: XmlNameMap) -> ET.Element:
     members = names.members_by_class.get(el.class_name)
     if members is None:
         raise SerializationError(f"unknown class '{el.class_name}'")
+    tag = names.tag_by_name
+    node = ET.Element(tag[el.class_name])
     by_name = {m.name: m for m in members.values()}
 
     if el.short_name is not None:
@@ -111,7 +105,7 @@ def _element_to_xml(el: ModelElement, names: XmlNameMap, mm: Metamodel) -> ET.El
             raise SerializationError(
                 f"'{el.class_name}' has no attribute '{member_name}'"
             )
-        sub = ET.SubElement(node, names.tag(member_name))
+        sub = ET.SubElement(node, tag[member_name])
         sub.text = _attr_text(member, lexeme)
 
     for ref in el.cross_refs:
@@ -120,8 +114,8 @@ def _element_to_xml(el: ModelElement, names: XmlNameMap, mm: Metamodel) -> ET.El
             raise SerializationError(
                 f"'{el.class_name}' has no cross-reference '{ref.member}'"
             )
-        sub = ET.SubElement(node, names.tag(ref.member))
-        sub.set("DEST", names.tag(member.kind.target))
+        sub = ET.SubElement(node, tag[ref.member])
+        sub.set("DEST", tag[member.kind.target])
         sub.text = "/" + "/".join(ref.target.segments)
 
     # One wrapper per run of consecutive same-member children keeps the
@@ -135,9 +129,9 @@ def _element_to_xml(el: ModelElement, names: XmlNameMap, mm: Metamodel) -> ET.El
                 f"'{el.class_name}' has no containment '{member_name}'"
             )
         if wrapper is None or member_name != wrapper_member:
-            wrapper = ET.SubElement(node, names.tag(member_name))
+            wrapper = ET.SubElement(node, tag[member_name])
             wrapper_member = member_name
-        wrapper.append(_element_to_xml(child, names, mm))
+        wrapper.append(_element_to_xml(child, names))
     return node
 
 
@@ -146,7 +140,7 @@ def to_eaxml(root: ModelElement, mm: Metamodel) -> str:
     names = XmlNameMap(mm)
     doc = ET.Element("EAXML")
     doc.set("version", EAXML_VERSION)
-    doc.append(_element_to_xml(root, names, mm))
+    doc.append(_element_to_xml(root, names))
     ET.indent(doc, space="  ")
     body = ET.tostring(doc, encoding="unicode")
     return '<?xml version="1.0" encoding="UTF-8"?>\n' + body + "\n"

@@ -12,6 +12,8 @@ import sys
 import pytest
 
 from eatxt.cli import main
+from eatxt.grammar import grammar_to_dict
+from eatxt.textsyntax import format_model, parse_model
 
 from support import CONFIG, EXTRA, GOLDEN, METAMODEL, MODELS
 
@@ -77,6 +79,30 @@ def test_missing_metamodel_file_is_usage_error(capsys, tmp_path):
     code, _, err = run(capsys, "gen-grammar", "--metamodel", tmp_path / "no.ecore")
     assert code == 2
     assert "no.ecore" in err
+
+
+# Root's containment targets an abstract class that no concrete class extends.
+UNGENERATABLE_MM = (
+    '<?xml version="1.0" encoding="UTF-8"?>\n'
+    '<ecore:EPackage xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance"'
+    ' xmlns:ecore="http://www.eclipse.org/emf/2002/Ecore" name="p" rootClass="Root">'
+    '<eClassifiers xsi:type="ecore:EClass" name="Ghost" abstract="true"/>'
+    '<eClassifiers xsi:type="ecore:EClass" name="Root">'
+    '<eStructuralFeatures xsi:type="ecore:EReference" name="kids"'
+    ' eType="#//Ghost" containment="true" upperBound="-1"/>'
+    "</eClassifiers></ecore:EPackage>"
+)
+
+
+@pytest.mark.parametrize("command", ["gen-grammar", "check"])
+def test_ungeneratable_grammar_is_usage_error(capsys, tmp_path, command):
+    bad = tmp_path / "ghost.ecore"
+    bad.write_text(UNGENERATABLE_MM, encoding="utf-8")
+    argv = [command, "--metamodel", bad] + ([WIPER] if command == "check" else [])
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "error: containment 'Root.kids' targets 'Ghost'" in err
+    assert "Traceback" not in err
 
 
 def test_broken_config_is_usage_error(capsys, tmp_path):
@@ -197,6 +223,14 @@ def test_format_canonicalizes_messy_input(capsys, tmp_path):
     assert code2 == 0 and out2 == text
 
 
+def test_output_into_a_missing_directory_is_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "grammar.gtext"
+    code, out, err = run(capsys, "gen-grammar", "--metamodel", METAMODEL, "-o", target)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert not target.parent.exists()
+
+
 def test_output_files_are_written_atomically(capsys, tmp_path):
     target = tmp_path / "result.gtext"
     target.write_text("old content", encoding="utf-8")
@@ -235,6 +269,68 @@ def test_stale_grammar_cache_content_wins(capsys, tmp_path):
     code, out, _ = run(capsys, *base_args(WIPER), "--grammar-cache", cache)
     assert code == 1
     assert "isElementary" in out
+
+
+def edited_cache(capsys, tmp_path, edit):
+    """A grammar cache written by the CLI, then changed by ``edit``."""
+    cache = tmp_path / "grammar.json"
+    run(capsys, *base_args(WIPER), "--grammar-cache", cache)
+    data = json.loads(cache.read_text(encoding="utf-8"))
+    edit(data)
+    cache.write_text(json.dumps(data), encoding="utf-8")
+    return cache
+
+
+def test_grammar_cache_with_unknown_entry_form_is_usage_error(capsys, tmp_path):
+    def bogus(data):
+        data["rules"][0]["entries"][0]["form"] = "bogus"
+
+    cache = edited_cache(capsys, tmp_path, bogus)
+    code, out, err = run(capsys, *base_args(WIPER), "--grammar-cache", cache)
+    assert code == 2 and out == ""
+    assert f"error: unusable grammar cache {cache}: " in err
+    assert "unknown entry form 'bogus'" in err and "Traceback" not in err
+
+
+def test_grammar_cache_without_a_class_rule_is_usage_error(capsys, tmp_path):
+    def drop_datatype(data):
+        data["rules"] = [r for r in data["rules"] if r["class"] != "EADatatype"]
+
+    cache = edited_cache(capsys, tmp_path, drop_datatype)
+    code, out, err = run(
+        capsys, *complete_args(WIPER, 4, 5), "--grammar-cache", cache
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: unusable grammar cache {cache}: no rule for class EADatatype\n"
+    )
+
+
+def test_grammar_cache_with_wrapper_flags_still_loads(capsys, tmp_path, mm, g, gen_g):
+    # Caches used to store "braces" and "commas" on every wrapped entry;
+    # loading ignores them. The generated grammar keeps its wrappers.
+    text = tmp_path / "wiper.eatxt"
+    root, diags = parse_model(WIPER.read_text(encoding="utf-8"), g, mm)
+    assert diags == []
+    text.write_text(format_model(root, gen_g), encoding="utf-8")
+    data = grammar_to_dict(gen_g)
+    wrapped = [
+        e for r in data["rules"] for e in r["entries"] if e["form"] == "wrapped"
+    ]
+    assert wrapped
+    for entry in wrapped:
+        entry.update(braces=True, commas=True)
+    cache = tmp_path / "old.json"
+    cache.write_text(json.dumps(data), encoding="utf-8")
+
+    argv = ["format", text, "--metamodel", METAMODEL]
+    fresh = run(capsys, *argv)
+    assert fresh == (0, text.read_text(encoding="utf-8"), "")
+    assert run(capsys, *argv, "--grammar-cache", cache) == fresh
+    code, out, _ = run(
+        capsys, "check", text, "--metamodel", METAMODEL, "--grammar-cache", cache
+    )
+    assert (code, out) == (0, "")
 
 
 # --- complete ----------------------------------------------------------------
@@ -293,6 +389,14 @@ def test_complete_lexes_the_document_once(capsys, monkeypatch):
 
     original = eatxt.textsyntax.lex
     calls = []
+    indexes = []
+    index_init = eatxt.textsyntax.LineIndex.__init__
+
+    def counting_index_init(self, text):
+        indexes.append(text)
+        index_init(self, text)
+
+    monkeypatch.setattr(eatxt.textsyntax.LineIndex, "__init__", counting_index_init)
 
     def counting_lex(*args, **kwargs):
         calls.append(args[0])
@@ -307,6 +411,7 @@ def test_complete_lexes_the_document_once(capsys, monkeypatch):
     code, out, _ = run(capsys, *complete_args(WIPER, 17, 13))
     assert code == 0 and out
     assert len(calls) == 1
+    assert len(indexes) == 1
 
 
 def test_complete_position_out_of_range_is_usage_error(capsys, tmp_path):

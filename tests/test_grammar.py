@@ -43,7 +43,6 @@ def test_generated_eapackage_entry_shapes(gen_g):
     assert isinstance(forms["uuid"], KeywordAttribute)
     assert forms["uuid"].kind is PrimitiveKind.STRING
     assert isinstance(forms["subPackage"], WrappedContainment)
-    assert forms["subPackage"].braces and forms["subPackage"].comma_separated
     short = rule.entry_for("shortName")
     assert short is not None and not short.optional and not short.repeatable
     sub = rule.entry_for("subPackage")
