@@ -51,7 +51,7 @@ from .grammar import (
 from .metamodel import Metamodel, load_metamodel
 from .model import ModelElement, ReferenceCache, build_cache, resolve
 from .textsyntax import LineIndex, format_model, parse_document, parse_model
-from .xmlio import from_eaxml, to_eaxml
+from .xmlio import XmlNameMap, from_eaxml, to_eaxml
 
 OK = 0
 DATA_ERROR = 1
@@ -103,6 +103,15 @@ def _load_mm(args: argparse.Namespace) -> Metamodel:
         raise _UsageError(f"{args.metamodel}: {exc}")
 
 
+def _xml_names(args: argparse.Namespace, mm: Metamodel) -> XmlNameMap:
+    """The metamodel's XML tag tables, once per XML command. A metamodel
+    with a class or member name that has no tag is unusable there."""
+    try:
+        return XmlNameMap(mm)
+    except SerializationError as exc:
+        raise _UsageError(f"{args.metamodel}: {exc}") from None
+
+
 def _build_grammar(args: argparse.Namespace, mm: Metamodel) -> Grammar:
     """Grammar for model commands: generated, adapted, optionally cached.
 
@@ -148,14 +157,11 @@ def _clean_tree(
     Text is parsed; to-text reads its file as EAXML. Diagnostics go to
     stderr, and the tree is returned only when none of them is an error.
     """
-    text = _read_text(args.model)
     if args.command == "to-text":
-        try:
-            root, diags = from_eaxml(text, mm)
-        except SerializationError as exc:  # the metamodel has no XML mapping
-            raise _UsageError(str(exc)) from None
+        names = _xml_names(args, mm)
+        root, diags = from_eaxml(_read_text(args.model), mm, names)
     else:
-        root, diags = parse_model(text, g, mm)
+        root, diags = parse_model(_read_text(args.model), g, mm)
     _print_diags(args.model, diags, sys.stderr)
     return None if has_errors(diags) else root
 
@@ -188,10 +194,11 @@ def cmd_check(args: argparse.Namespace, mm: Metamodel, g: Grammar) -> int:
 
 
 def cmd_to_xml(args: argparse.Namespace, mm: Metamodel, g: Grammar) -> int:
+    names = _xml_names(args, mm)
     root = _clean_tree(args, mm, g)
     if root is None:
         return DATA_ERROR
-    _emit_output(args, to_eaxml(root, mm))
+    _emit_output(args, to_eaxml(root, mm, names))
     return OK
 
 
@@ -233,11 +240,12 @@ def cmd_complete(args: argparse.Namespace, mm: Metamodel, g: Grammar) -> int:
 
 
 def cmd_roundtrip_check(args: argparse.Namespace, mm: Metamodel, g: Grammar) -> int:
+    names = _xml_names(args, mm)
     root = _clean_tree(args, mm, g)
     if root is None:
         return DATA_ERROR
     canonical = format_model(root, g)
-    back, xml_diags = from_eaxml(to_eaxml(root, mm), mm)
+    back, xml_diags = from_eaxml(to_eaxml(root, mm, names), mm, names)
     if back is None or has_errors(xml_diags):
         _print_diags(args.model, xml_diags, sys.stderr)
         return DATA_ERROR

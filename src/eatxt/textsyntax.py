@@ -3,17 +3,23 @@
 The lexer knows five value terminals plus four punctuation marks and line
 comments. Keywords are not a lexical category: every word comes out as an
 Identifier token and the parser promotes it by context, so member names
-never clash with class names. A token carries its start offset and the
-line index of its text; its line:col span is computed only when read,
-which the parser does for element and cross-reference positions and for
-diagnostics.
+never clash with class names. :func:`lex` returns :class:`Tokens`: the
+kinds, lexemes and start offsets of the tokens in three parallel lists,
+plus the line index of the text. Indexing or iterating it builds
+:class:`Token` views for callers that want one object per token; the
+parser reads the lists by index and builds none. Line:col spans are
+computed from offsets only when needed: for element and cross-reference
+positions and for diagnostics.
 
 The parser is a recursive-descent interpreter over the grammar IR. It is
 deliberately forgiving: every problem becomes a diagnostic with a span,
 and an unparseable construct is skipped as a whole so that one typo does
-not cascade. Besides the tree it records one :class:`Body` per brace pair
-it opens, with the members present in it, so that completion reads the
-cursor's container from the same parse.
+not cascade. It builds the tables of a class's rule (member keywords,
+bounds, accepted child classes) when it first meets the class. Besides
+the tree it records one :class:`Body` per brace pair it opens, with the
+members present in it, so that completion reads the cursor's container
+from the same parse. Nesting deeper than the interpreter's recursion
+limit allows becomes one error diagnostic instead of a crash.
 
 The formatter is the inverse direction and defines the canonical layout:
 four-space indents, braces on their own lines, one construct per line.
@@ -68,14 +74,13 @@ class LineIndex:
         self.starts = [0]
         self.starts += [m.end() for m in _NEWLINE.finditer(text)]
 
-    def position(self, offset: int) -> tuple[int, int]:
-        line = bisect_right(self.starts, offset)
-        return line, offset - self.starts[line - 1] + 1
-
     def span(self, start: int, end: int) -> Span:
-        line, col = self.position(start)
-        end_line, end_col = self.position(end)
-        return Span(line, col, end_line, end_col)
+        starts = self.starts
+        line = bisect_right(starts, start)
+        end_line = bisect_right(starts, end)
+        return Span(
+            line, start - starts[line - 1] + 1, end_line, end - starts[end_line - 1] + 1,
+        )
 
     def offset(self, line: int, col: int) -> int:
         """Offset of a 1-based position; the caller checks the range."""
@@ -83,10 +88,9 @@ class LineIndex:
 
 
 class Token:
-    """One lexeme, its kind (a PrimitiveKind value name, or one of
-    ``{`` ``}`` ``,`` ``.``) and its start offset. Tokens share the line
-    index of their text and build their :class:`Span` only when it is
-    read: for an element or cross-reference position, or a diagnostic."""
+    """A view of one token of :class:`Tokens`: its kind (a PrimitiveKind
+    value name, or one of ``{`` ``}`` ``,`` ``.``), lexeme and start
+    offset. Its :class:`Span` is built only when read."""
 
     __slots__ = ("kind", "lexeme", "offset", "lines")
 
@@ -101,9 +105,32 @@ class Token:
         return self.lines.span(self.offset, self.offset + len(self.lexeme))
 
 
+class Tokens:
+    """The tokens of one text, column by column: three parallel lists
+    (kind, lexeme and start offset of each token) and the text's line
+    index. Indexing builds a :class:`Token` view (and so does iteration,
+    which indexes until ``IndexError``); the parser reads the lists."""
+
+    __slots__ = ("kinds", "lexemes", "offsets", "lines")
+
+    def __init__(
+        self, kinds: list[str], lexemes: list[str], offsets: list[int], lines: LineIndex,
+    ):
+        self.kinds = kinds
+        self.lexemes = lexemes
+        self.offsets = offsets
+        self.lines = lines
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __getitem__(self, i: int) -> Token:
+        return Token(self.kinds[i], self.lexemes[i], self.offsets[i], self.lines)
+
+
 def lex(
     text: str, terminals: dict[PrimitiveKind, str],
-) -> tuple[list[Token], list[Diagnostic]]:
+) -> tuple[Tokens, list[Diagnostic]]:
     """Tokenize with longest-match semantics, one pattern per terminal kind.
 
     An unlexable character yields one error diagnostic; scanning resumes
@@ -117,9 +144,11 @@ def lex(
         )
     matchers = [(kind.value, re.compile(terminals[kind]).match) for kind in _PRIORITY]
     lines = LineIndex(text)
-    tokens: list[Token] = []
+    kinds: list[str] = []
+    lexemes: list[str] = []
+    offsets: list[int] = []
     diagnostics: list[Diagnostic] = []
-    append = tokens.append
+    add_kind, add_lexeme, add_offset = kinds.append, lexemes.append, offsets.append
     skip = _SKIP.match
 
     n = len(text)
@@ -127,30 +156,38 @@ def lex(
     while pos < n:
         ch = text[pos]
         if ch in PUNCT:
-            append(Token(ch, ch, pos, lines))
+            add_kind(ch)
+            add_lexeme(ch)
+            add_offset(pos)
             pos = skip(text, pos + 1).end()
             continue
         best_kind = None
         best_end = pos
         for kind, match in matchers:
             m = match(text, pos)
-            if m is not None and m.end() > best_end:
-                best_kind, best_end = kind, m.end()
+            if m is not None and (end := m.end()) > best_end:
+                best_kind, best_end = kind, end
         if best_kind is None:
             diagnostics.append(Diagnostic(
                 ERROR, f"cannot read character {ch!r}", lines.span(pos, pos + 1),
             ))
             best_end = _UNLEXABLE.match(text, pos).end()
         else:
-            append(Token(best_kind, text[pos:best_end], pos, lines))
+            add_kind(best_kind)
+            add_lexeme(text[pos:best_end])
+            add_offset(pos)
         pos = skip(text, best_end).end()
 
-    return tokens, diagnostics
+    return Tokens(kinds, lexemes, offsets, lines), diagnostics
 
 
 # ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------
+
+# The kind of the sentinel the parser reads after the last token.
+_END = "<end>"
+
 
 def _is_name_slot_entry(entry: MemberEntry) -> bool:
     return (
@@ -161,13 +198,24 @@ def _is_name_slot_entry(entry: MemberEntry) -> bool:
 
 
 class _RuleInfo:
-    """Per-rule dispatch tables, built once per parse."""
+    """The tables of one class's rule, built when the parser first meets
+    the class: dispatch by member keyword, the value kind and bounds of
+    each member, the classes each wrapped block accepts and, filled per
+    child class, the inline containments a child fits.
 
-    def __init__(self, rule: ProductionRule):
+    A rule whose class the metamodel lacks raises MetamodelError here,
+    unless the rule has no entries."""
+
+    def __init__(self, class_name: str, rule: ProductionRule, mm: Metamodel):
         self.rule = rule
         self.by_keyword: dict[str, MemberEntry] = {}
         self.inline: list[MemberEntry] = []
         self.positional: MemberEntry | None = None
+        self.upper: dict[str, int | None] = {}
+        self.lower: list[tuple[str, int]] = []
+        self.accepted: dict[str, set[str]] = {}
+        self.fitting: dict[str, list[MemberEntry]] = {}
+        self.value_kind: dict[str, str] = {}
         for entry in rule.entries:
             form = entry.form
             if isinstance(form, InlineContainment):
@@ -175,8 +223,19 @@ class _RuleInfo:
             elif isinstance(form, KeywordAttribute) and form.keyword is None:
                 self.positional = entry
             else:
-                keyword = form.keyword  # type: ignore[union-attr]
-                self.by_keyword[keyword] = entry
+                self.by_keyword[form.keyword] = entry  # type: ignore[union-attr]
+            if isinstance(form, KeywordAttribute):
+                self.value_kind[entry.member] = form.kind.value
+            elif isinstance(form, WrappedContainment):
+                self.accepted[entry.member] = set(mm.concrete_subclasses(form.target))
+            member = mm.member_of(class_name, entry.member)
+            if member is None:
+                upper, lower = None, (0 if entry.optional else 1)
+            else:
+                upper, lower = member.upper, member.lower
+            self.upper[entry.member] = upper
+            if lower > 0:
+                self.lower.append((entry.member, lower))
 
 
 @dataclass(slots=True)
@@ -211,26 +270,36 @@ class Document:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], g: Grammar, mm: Metamodel):
-        self.tokens = tokens
+    """Recursive descent over the token columns. ``i`` indexes the next
+    token; the lists end with an ``_END`` sentinel, so reading past the
+    last token needs no bounds check."""
+
+    def __init__(self, tokens: Tokens, g: Grammar, mm: Metamodel):
+        self.kinds = tokens.kinds + [_END]
+        self.lexemes = tokens.lexemes + [""]
+        self.offsets = tokens.offsets
+        self.lines = tokens.lines
+        self.n = len(tokens)
         self.i = 0
         self.g = g
         self.mm = mm
         self.diagnostics: list[Diagnostic] = []
         self.bodies: list[Body] = []
         self.elements = 0
-        self.rules = {name: _RuleInfo(rule) for name, rule in g.rules.items()}
+        self.rules: dict[str, _RuleInfo] = {}
         self.class_keywords = {rule.keyword: name for name, rule in g.rules.items()}
 
-    # -- token access -------------------------------------------------------
+    # -- positions ------------------------------------------------------------
 
-    def peek(self) -> Token | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+    def span(self, i: int) -> Span:
+        """Span of token ``i``, or of the last token for the sentinel:
+        at the end of the text, a problem is reported at the last token."""
+        if i >= self.n:
+            if not self.n:
+                return Span(1, 1, 1, 1)
+            i = self.n - 1
+        start = self.offsets[i]
+        return self.lines.span(start, start + len(self.lexemes[i]))
 
     def error(self, message: str, span: Span) -> None:
         self.diagnostics.append(Diagnostic(ERROR, message, span))
@@ -238,30 +307,23 @@ class _Parser:
     def warning(self, message: str, span: Span) -> None:
         self.diagnostics.append(Diagnostic(WARNING, message, span))
 
-    def _last_span(self) -> Span:
-        if self.tokens:
-            tok = self.tokens[min(self.i, len(self.tokens) - 1)]
-            return tok.span
-        return Span(1, 1, 1, 1)
-
     # -- document -----------------------------------------------------------
 
     def parse_root(self) -> ModelElement | None:
-        tok = self.peek()
-        if tok is None:
+        kind = self.kinds[0]
+        if kind == _END:
             self.error("empty document: expected an element", Span(1, 1, 1, 1))
             return None
-        if tok.kind != "Identifier" or tok.lexeme not in self.class_keywords:
-            self.error(
-                f"expected an element, got '{tok.lexeme}'", tok.span,
-            )
+        lexeme = self.lexemes[0]
+        if kind != "Identifier" or lexeme not in self.class_keywords:
+            self.error(f"expected an element, got '{lexeme}'", self.span(0))
             return None
-        root = self.parse_element(self.class_keywords[tok.lexeme])
-        extra = self.peek()
-        if extra is not None:
+        root = self.parse_element(self.class_keywords[lexeme])
+        if self.kinds[self.i] != _END:
             self.error(
-                f"unexpected text after the top-level element: '{extra.lexeme}'",
-                extra.span,
+                "unexpected text after the top-level element: "
+                f"'{self.lexemes[self.i]}'",
+                self.span(self.i),
             )
         return root
 
@@ -272,65 +334,74 @@ class _Parser:
         that the bodies of a damaged document are still recorded. The
         trees and diagnostics of this pass are dropped.
         """
+        kinds, lexemes, class_keywords = self.kinds, self.lexemes, self.class_keywords
         reported = len(self.diagnostics)
-        while (tok := self.peek()) is not None:
-            if tok.kind == "Identifier" and tok.lexeme in self.class_keywords:
-                self.parse_element(self.class_keywords[tok.lexeme])
-            else:
-                self.i += 1
-        del self.diagnostics[reported:]
+        try:
+            while (kind := kinds[self.i]) != _END:
+                class_name = class_keywords.get(lexemes[self.i])
+                if kind == "Identifier" and class_name is not None:
+                    self.parse_element(class_name)
+                else:
+                    self.i += 1
+        finally:
+            del self.diagnostics[reported:]
 
     # -- elements -----------------------------------------------------------
 
     def parse_element(self, class_name: str) -> ModelElement:
-        info = self.rules[class_name]
+        """Parse the element whose class keyword is the next token."""
+        info = self.rules.get(class_name)
+        if info is None:
+            info = self.rules[class_name] = _RuleInfo(
+                class_name, self.g.rules[class_name], self.mm,
+            )
         rule = info.rule
-        keyword_tok = self.advance()
-        el = ModelElement(class_name=class_name, span=keyword_tok.span)
+        kinds = self.kinds
+        i = self.i
+        start = self.offsets[i]
+        span = self.lines.span(start, start + len(self.lexemes[i]))
+        el = ModelElement(class_name=class_name, span=span)
         self.elements += 1
         element_id = self.elements
+        i += 1
 
         if rule.name_inline:
-            tok = self.peek()
-            if tok is not None and tok.kind == "Identifier":
-                el.short_name = self.advance().lexeme
+            if kinds[i] == "Identifier":
+                el.short_name = self.lexemes[i]
+                i += 1
             else:
-                self.error(
-                    f"expected a name after '{rule.keyword}'",
-                    tok.span if tok else keyword_tok.span,
-                )
+                self.error(f"expected a name after '{rule.keyword}'", self.span(i))
 
-        tok = self.peek()
-        if tok is not None and tok.kind == "{":
-            self.advance()
-            body = Body(tok.offset, None, class_name, element_id)
-            self.bodies.append(body)
-            body.close_offset = self.parse_body(el, info, body)
-        elif not rule.body_optional:
-            self.error(
-                f"expected '{{' to open the body of '{rule.keyword}'",
-                tok.span if tok else keyword_tok.span,
-            )
-
-        self.check_lower_bounds(el, info)
-        return el
-
-    def parse_body(self, el: ModelElement, info: _RuleInfo, body: Body) -> int | None:
-        """Parse members up to the closing brace; return its offset, or
-        None when the text ends first."""
         counts: dict[str, int] = {}
-        while True:
-            tok = self.peek()
-            if tok is None:
+        if kinds[i] == "{":
+            self.i = i + 1
+            body = Body(self.offsets[i], None, class_name, element_id)
+            self.bodies.append(body)
+            # Members up to the closing brace, or to the end of the text.
+            while True:
+                kind = kinds[self.i]
+                if kind == "}":
+                    body.close_offset = self.offsets[self.i]
+                    self.i += 1
+                    break
+                if kind == _END:
+                    self.error(
+                        f"unexpected end of file inside '{rule.keyword}'",
+                        self.span(self.i),
+                    )
+                    break
+                self.parse_member_line(el, info, counts, body)
+        else:
+            self.i = i
+            if not rule.body_optional:
                 self.error(
-                    f"unexpected end of file inside '{info.rule.keyword}'",
-                    self._last_span(),
+                    f"expected '{{' to open the body of '{rule.keyword}'",
+                    span if kinds[i] == _END else self.span(i),
                 )
-                return None
-            if tok.kind == "}":
-                self.advance()
-                return tok.offset
-            self.parse_member_line(el, info, counts, body)
+
+        if info.lower:
+            self.check_lower_bounds(el, info, counts)
+        return el
 
     def parse_member_line(
         self,
@@ -339,16 +410,17 @@ class _Parser:
         counts: dict[str, int],
         body: Body,
     ) -> None:
-        tok = self.peek()
-        assert tok is not None
+        i = self.i
+        kind = self.kinds[i]
+        lexeme = self.lexemes[i]
         rule = info.rule
 
-        if tok.kind == "Identifier":
-            entry = info.by_keyword.get(tok.lexeme)
+        if kind == "Identifier":
+            entry = info.by_keyword.get(lexeme)
             if entry is not None:
-                self.parse_keyworded_member(el, entry, counts, body)
+                self.parse_keyworded_member(el, info, entry, counts, body)
                 return
-            child_class = self.class_keywords.get(tok.lexeme)
+            child_class = self.class_keywords.get(lexeme)
             if child_class is not None:
                 self.parse_inline_child(el, info, child_class, counts, body)
                 return
@@ -356,7 +428,7 @@ class _Parser:
                 info.positional is not None
                 and info.positional.form.kind is PrimitiveKind.IDENTIFIER  # type: ignore[union-attr]
             ):
-                self.take_positional(el, info.positional, counts, body)
+                self.take_positional(el, info, info.positional, counts, body)
                 return
             expected = list(info.by_keyword)
             for entry in info.inline:
@@ -366,152 +438,152 @@ class _Parser:
                     if c in self.g.rules
                 ))
             self.error(
-                f"unknown keyword '{tok.lexeme}' in '{rule.keyword}'; "
+                f"unknown keyword '{lexeme}' in '{rule.keyword}'; "
                 "expected one of: " + ", ".join(expected),
-                tok.span,
+                self.span(i),
             )
             self.skip_construct(info)
             return
 
-        if tok.kind in ("String", "Boolean", "Numerical", "UUID"):
+        if kind in ("String", "Boolean", "Numerical", "UUID"):
             pos = info.positional
-            if pos is not None and pos.form.kind.value == tok.kind:  # type: ignore[union-attr]
-                self.take_positional(el, pos, counts, body)
+            if pos is not None and info.value_kind[pos.member] == kind:
+                self.take_positional(el, info, pos, counts, body)
             else:
-                self.error(
-                    f"unexpected value '{tok.lexeme}' in '{rule.keyword}'",
-                    tok.span,
-                )
-                self.advance()
+                self.error(f"unexpected value '{lexeme}' in '{rule.keyword}'", self.span(i))
+                self.i = i + 1
             return
 
         # Stray punctuation at body level.
-        self.error(f"unexpected '{tok.lexeme}' in '{rule.keyword}'", tok.span)
-        self.advance()
+        self.error(f"unexpected '{lexeme}' in '{rule.keyword}'", self.span(i))
+        self.i = i + 1
 
     # -- member forms ---------------------------------------------------------
 
     def bump(
-        self, el: ModelElement, entry: MemberEntry, counts: dict[str, int], tok: Token,
+        self, info: _RuleInfo, entry: MemberEntry, counts: dict[str, int], i: int,
     ) -> bool:
-        """Count one occurrence; report a violated upper bound at ``tok``."""
-        member = self.mm.member_of(el.class_name, entry.member)
-        n = counts.get(entry.member, 0) + 1
-        counts[entry.member] = n
-        upper = member.upper if member is not None else None
+        """Count one occurrence; report a violated upper bound at token ``i``."""
+        member = entry.member
+        n = counts.get(member, 0) + 1
+        counts[member] = n
+        upper = info.upper[member]
         if upper is not None and n > upper:
             if upper == 1:
-                self.error(f"duplicate member '{entry.member}'", tok.span)
+                self.error(f"duplicate member '{member}'", self.span(i))
             else:
-                self.error(
-                    f"member '{entry.member}' allows at most {upper} values",
-                    tok.span,
-                )
+                self.error(f"member '{member}' allows at most {upper} values", self.span(i))
             return False
         return True
 
     def parse_keyworded_member(
         self,
         el: ModelElement,
+        info: _RuleInfo,
         entry: MemberEntry,
         counts: dict[str, int],
         body: Body,
     ) -> None:
-        keyword_tok = self.advance()
+        keyword = self.i
+        self.i += 1
         form = entry.form
         seen = entry.member in body.present
         body.present.add(entry.member)
 
         if isinstance(form, KeywordAttribute):
-            self.parse_attribute_value(el, entry, keyword_tok, counts)
+            self.parse_attribute_value(el, info, entry, keyword, counts)
             return
 
         if isinstance(form, KeywordCrossRef):
-            qn, span = self.parse_qualified_name(keyword_tok)
-            if qn is not None and self.bump(el, entry, counts, keyword_tok):
+            qn, span = self.parse_qualified_name(keyword)
+            if qn is not None and self.bump(info, entry, counts, keyword):
                 el.cross_refs.append(CrossRef(entry.member, qn, span=span))
             return
 
         # Wrapped containment: keyword { child ("," child)* }
         if seen:
-            self.error(f"duplicate '{entry.member}' block", keyword_tok.span)
-        tok = self.peek()
-        if tok is None or tok.kind != "{":
-            self.error(
-                f"expected '{{' after '{entry.member}'",
-                tok.span if tok else keyword_tok.span,
-            )
+            self.error(f"duplicate '{entry.member}' block", self.span(keyword))
+        kinds, lexemes = self.kinds, self.lexemes
+        i = self.i
+        if kinds[i] != "{":
+            self.error(f"expected '{{' after '{entry.member}'", self.span(i))
             return
-        self.advance()
-        block = Body(tok.offset, None, form.target, body.element_id, entry.member)
+        self.i = i + 1
+        block = Body(self.offsets[i], None, form.target, body.element_id, entry.member)
         self.bodies.append(block)
-        accepted = set(self.mm.concrete_subclasses(form.target))
+        accepted = info.accepted[entry.member]
         while True:
-            tok = self.peek()
-            if tok is None:
+            i = self.i
+            kind = kinds[i]
+            if kind == _END:
                 self.error(
-                    f"unexpected end of file inside '{entry.member}' block",
-                    self._last_span(),
+                    f"unexpected end of file inside '{entry.member}' block", self.span(i),
                 )
                 return
-            if tok.kind == "}":
-                self.advance()
-                block.close_offset = tok.offset
+            if kind == "}":
+                self.i = i + 1
+                block.close_offset = self.offsets[i]
                 return
-            if tok.kind == ",":
-                self.advance()
+            if kind == ",":
+                self.i = i + 1
                 continue
             child_class = (
-                self.class_keywords.get(tok.lexeme)
-                if tok.kind == "Identifier" else None
+                self.class_keywords.get(lexemes[i]) if kind == "Identifier" else None
             )
             if child_class is None or child_class not in accepted:
                 self.error(
                     f"'{entry.member}' accepts {form.target} elements, "
-                    f"got '{tok.lexeme}'",
-                    tok.span,
+                    f"got '{lexemes[i]}'",
+                    self.span(i),
                 )
                 self.skip_construct()
                 continue
             child = self.parse_element(child_class)
-            if self.bump(el, entry, counts, tok):
+            if self.bump(info, entry, counts, i):
                 el.children.append((entry.member, child))
 
     def parse_attribute_value(
         self,
         el: ModelElement,
+        info: _RuleInfo,
         entry: MemberEntry,
-        keyword_tok: Token,
+        keyword: int,
         counts: dict[str, int],
     ) -> None:
-        kind: PrimitiveKind = entry.form.kind  # type: ignore[union-attr]
-        article = "an" if kind is PrimitiveKind.IDENTIFIER else "a"
-        tok = self.peek()
-        if tok is None or tok.kind in PUNCT:
+        kind = info.value_kind[entry.member]
+        i = self.i
+        got = self.kinds[i]
+        if got != kind:
+            article = "an" if kind == "Identifier" else "a"
+            if got == _END or got in PUNCT:
+                self.error(
+                    f"expected {article} {kind} value for '{entry.member}'", self.span(i),
+                )
+                return
+            self.i = i + 1
             self.error(
-                f"expected {article} {kind.value} value for '{entry.member}'",
-                tok.span if tok else keyword_tok.span,
+                f"expected {article} {kind} value for '{entry.member}', "
+                f"got {got} '{self.lexemes[i]}'",
+                self.span(i),
             )
             return
-        tok = self.advance()
-        if tok.kind != kind.value:
-            self.error(
-                f"expected {article} {kind.value} value for '{entry.member}', "
-                f"got {tok.kind} '{tok.lexeme}'",
-                tok.span,
-            )
-            return
-        if not self.bump(el, entry, counts, tok):
-            return
-        self.store_attribute(el, entry, tok.lexeme)
+        self.i = i + 1
+        if self.bump(info, entry, counts, i):
+            self.store_attribute(el, entry, self.lexemes[i])
 
     def take_positional(
-        self, el: ModelElement, entry: MemberEntry, counts: dict[str, int], body: Body,
+        self,
+        el: ModelElement,
+        info: _RuleInfo,
+        entry: MemberEntry,
+        counts: dict[str, int],
+        body: Body,
     ) -> None:
         body.present.add(entry.member)
-        tok = self.advance()
-        if self.bump(el, entry, counts, tok):
-            self.store_attribute(el, entry, tok.lexeme)
+        i = self.i
+        self.i = i + 1
+        if self.bump(info, entry, counts, i):
+            self.store_attribute(el, entry, self.lexemes[i])
 
     def store_attribute(self, el: ModelElement, entry: MemberEntry, lexeme: str) -> None:
         if _is_name_slot_entry(entry):
@@ -520,35 +592,33 @@ class _Parser:
             el.attributes.append((entry.member, lexeme))
 
     def parse_qualified_name(
-        self, keyword_tok: Token,
-    ) -> tuple[QualifiedName | None, Span]:
-        tok = self.peek()
-        if tok is None or tok.kind != "Identifier":
+        self, keyword: int,
+    ) -> tuple[QualifiedName | None, Span | None]:
+        kinds, lexemes = self.kinds, self.lexemes
+        i = self.i
+        if kinds[i] != "Identifier":
             self.error(
-                "expected a qualified name after "
-                f"'{keyword_tok.lexeme}'",
-                tok.span if tok else keyword_tok.span,
+                f"expected a qualified name after '{lexemes[keyword]}'", self.span(i),
             )
-            return None, keyword_tok.span
-        first = self.advance()
-        segments = [first.lexeme]
-        last = first
-        while True:
-            tok = self.peek()
-            if tok is None or tok.kind != ".":
-                break
-            self.advance()
-            tok = self.peek()
-            if tok is None or tok.kind != "Identifier":
+            return None, None
+        first = last = i
+        segments = [lexemes[i]]
+        i += 1
+        while kinds[i] == ".":
+            i += 1
+            if kinds[i] != "Identifier":
                 self.error(
                     "qualified name ends with '.'",
-                    tok.span if tok else last.span,
+                    self.span(last if kinds[i] == _END else i),
                 )
                 break
-            last = self.advance()
-            segments.append(last.lexeme)
-        span = first.lines.span(first.offset, last.offset + len(last.lexeme))
-        return QualifiedName(tuple(segments)), span
+            last = i
+            segments.append(lexemes[i])
+            i += 1
+        self.i = i
+        start = self.offsets[first]
+        end = self.offsets[last] + len(lexemes[last])
+        return QualifiedName(tuple(segments)), self.lines.span(start, end)
 
     def parse_inline_child(
         self,
@@ -558,17 +628,18 @@ class _Parser:
         counts: dict[str, int],
         body: Body,
     ) -> None:
-        tok = self.peek()
-        assert tok is not None
-        fitting = [
-            e for e in info.inline
-            if self.mm.is_subtype(child_class, e.form.target)  # type: ignore[union-attr]
-        ]
+        i = self.i
+        fitting = info.fitting.get(child_class)
+        if fitting is None:
+            fitting = info.fitting[child_class] = [
+                e for e in info.inline
+                if self.mm.is_subtype(child_class, e.form.target)  # type: ignore[union-attr]
+            ]
         if not fitting:
             self.error(
                 f"'{info.rule.keyword}' has no containment that accepts "
                 f"{child_class}",
-                tok.span,
+                self.span(i),
             )
             self.parse_element(child_class)  # consume the whole subtree
             return
@@ -577,35 +648,33 @@ class _Parser:
             self.warning(
                 f"{child_class} fits several containments ({names}); "
                 f"using '{fitting[0].member}'",
-                tok.span,
+                self.span(i),
             )
         entry = fitting[0]
         body.present.add(entry.member)
         child = self.parse_element(child_class)
-        if self.bump(el, entry, counts, tok):
+        if self.bump(info, entry, counts, i):
             el.children.append((entry.member, child))
 
     # -- bookkeeping ----------------------------------------------------------
 
-    def check_lower_bounds(self, el: ModelElement, info: _RuleInfo) -> None:
-        present: dict[str, int] = {}
-        for member, _ in el.attributes:
-            present[member] = present.get(member, 0) + 1
-        for ref in el.cross_refs:
-            present[ref.member] = present.get(ref.member, 0) + 1
-        for member, _ in el.children:
-            present[member] = present.get(member, 0) + 1
-        if el.short_name is not None:
-            present["shortName"] = 1
+    def check_lower_bounds(
+        self, el: ModelElement, info: _RuleInfo, counts: dict[str, int],
+    ) -> None:
+        """Report every member occurring fewer times than its lower bound.
 
-        for entry in info.rule.entries:
-            member = self.mm.member_of(el.class_name, entry.member)
-            lower = member.lower if member is not None else (0 if entry.optional else 1)
-            if present.get(entry.member, 0) < lower:
+        ``counts`` counts occurrences, stored or not; since no upper bound
+        lies below its lower bound, it is short of a lower bound exactly
+        when the stored values are. The name counts once when set.
+        """
+        for member, lower in info.lower:
+            n = counts.get(member, 0)
+            if member == "shortName" and el.short_name is not None:
+                n = 1
+            if n < lower:
                 self.error(
-                    f"missing mandatory member '{entry.member}' "
-                    f"in '{info.rule.keyword}'",
-                    el.span or Span(1, 1, 1, 1),
+                    f"missing mandatory member '{member}' in '{info.rule.keyword}'",
+                    el.span,  # type: ignore[arg-type]
                 )
 
     def skip_construct(self, info: _RuleInfo | None = None) -> None:
@@ -616,45 +685,57 @@ class _Parser:
         rule, a class keyword, a comma, or the closing brace. A braced
         block on the way is swallowed whole.
         """
-        self.advance()
+        kinds, lexemes = self.kinds, self.lexemes
+        i = self.i + 1
         while True:
-            tok = self.peek()
-            if tok is None or tok.kind in ("}", ","):
-                return
-            if tok.kind == "{":
+            kind = kinds[i]
+            if kind == _END or kind == "}" or kind == ",":
+                break
+            if kind == "{":
                 depth = 0
-                while True:
-                    tok = self.peek()
-                    if tok is None:
-                        return
-                    self.advance()
-                    if tok.kind == "{":
+                while (kind := kinds[i]) != _END:
+                    i += 1
+                    if kind == "{":
                         depth += 1
-                    elif tok.kind == "}":
+                    elif kind == "}":
                         depth -= 1
                         if depth == 0:
-                            return
-            if tok.kind == "Identifier":
-                if info is not None and tok.lexeme in info.by_keyword:
-                    return
-                if tok.lexeme in self.class_keywords:
-                    return
-            self.advance()
+                            break
+                break
+            if kind == "Identifier":
+                lexeme = lexemes[i]
+                if info is not None and lexeme in info.by_keyword:
+                    break
+                if lexeme in self.class_keywords:
+                    break
+            i += 1
+        self.i = i
 
 
 def parse_document(text: str, g: Grammar, mm: Metamodel) -> Document:
-    """Lex and parse once, keeping what both checking and completion need."""
+    """Lex and parse once, keeping what both checking and completion need.
+
+    Nesting deeper than the interpreter's recursion limit allows ends the
+    parse with one error at the token reached; the root is then None and
+    the bodies opened so far are kept."""
     tokens, diagnostics = lex(text, g.terminal_patterns())
     parser = _Parser(tokens, g, mm)
-    root = parser.parse_root()
-    parser.parse_detached()
+    try:
+        root = parser.parse_root()
+        parser.parse_detached()
+    except RecursionError:
+        root = None
+        parser.error("elements nested too deeply", parser.span(parser.i))
     diagnostics.extend(parser.diagnostics)
     if root is not None:
         assign_preorder_ids(root)
     string = PrimitiveKind.STRING.value
-    strings = [(t.offset, t.offset + len(t.lexeme)) for t in tokens if t.kind == string]
-    lines = tokens[0].lines if tokens else LineIndex(text)
-    return Document(root, diagnostics, parser.bodies, strings, lines)
+    strings = [
+        (offset, offset + len(lexeme))
+        for kind, lexeme, offset in zip(tokens.kinds, tokens.lexemes, tokens.offsets)
+        if kind == string
+    ]
+    return Document(root, diagnostics, parser.bodies, strings, tokens.lines)
 
 
 def parse_model(

@@ -135,9 +135,13 @@ def _element_to_xml(el: ModelElement, names: XmlNameMap) -> ET.Element:
     return node
 
 
-def to_eaxml(root: ModelElement, mm: Metamodel) -> str:
-    """Serialize a model as an EAXML document (UTF-8 text, 2-space indent)."""
-    names = XmlNameMap(mm)
+def to_eaxml(root: ModelElement, mm: Metamodel, names: XmlNameMap | None = None) -> str:
+    """Serialize a model as an EAXML document (UTF-8 text, 2-space indent).
+
+    ``names`` are the metamodel's tag tables, built here when not given.
+    """
+    if names is None:
+        names = XmlNameMap(mm)
     doc = ET.Element("EAXML")
     doc.set("version", EAXML_VERSION)
     doc.append(_element_to_xml(root, names))
@@ -227,13 +231,14 @@ def _read_element(
 
 
 def from_eaxml(
-    text: str, mm: Metamodel,
+    text: str, mm: Metamodel, names: XmlNameMap | None = None,
 ) -> tuple[ModelElement | None, list[Diagnostic]]:
     """Read an EAXML document back into a model tree.
 
     Unknown tags produce warnings and are skipped; malformed XML and a
     missing root element are errors. The version attribute is checked but
-    only warned about.
+    only warned about. ``names`` are the metamodel's tag tables, built
+    here when not given.
     """
     diagnostics: list[Diagnostic] = []
     try:
@@ -271,7 +276,8 @@ def from_eaxml(
         ))
         return None, diagnostics
 
-    names = XmlNameMap(mm)
+    if names is None:
+        names = XmlNameMap(mm)
     top = children[0]
     class_name = names.class_by_tag.get(top.tag)
     if class_name is None or mm.classes[class_name].abstract:

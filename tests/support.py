@@ -2,12 +2,13 @@
 
 Holds the fixture paths, a reader that parses emitted grammar text back
 into the IR (round-reading check), a seeded random model generator used
-by the roundtrip and cache tests, a brute-force reference-cache oracle
-and a frozen reference lexer.
+by the roundtrip and cache tests, a brute-force reference-cache oracle,
+a frozen reference lexer and the recorder of damaged-document parses.
 """
 
 from __future__ import annotations
 
+import json
 import random
 import re
 from pathlib import Path
@@ -457,3 +458,99 @@ def reference_lex(
         tokens.append((kind.value, lexeme, pos, span(pos, pos + len(lexeme))))
         pos += len(lexeme)
     return tokens, diagnostics
+
+
+# ---------------------------------------------------------------------------
+# Recorded parses of damaged documents (regression oracle for the parser)
+# ---------------------------------------------------------------------------
+
+DAMAGED_PARSE = GOLDEN / "damaged_parse.json"
+_DAMAGE = ["}", "{", "\n}\n", "x", "Packge", ""]
+# Separators out of place, for the recovery at commas and dots.
+_PUNCT_DAMAGE = [",", ".", "x ,", ". .", "x.", "{ x , y }"]
+
+
+def damaged_documents(
+    texts: list[tuple[str, str]], count: int = 60, seed: int = 20261018,
+) -> list[tuple[str, str]]:
+    """The given ``(name, text)`` documents, then seeded variants of them:
+    ``count`` with one of ``_DAMAGE`` inserted at a random offset, cutting
+    0-3 characters there; ``count // 2`` the same with ``_PUNCT_DAMAGE``;
+    and ``count // 2`` cut off at a random offset, for the paths that meet
+    the end of the text."""
+    rng = random.Random(seed)
+    damaged = []
+    for n in range(count + count // 2):
+        name, text = rng.choice(texts)
+        at = rng.randrange(len(text) + 1)
+        insert = rng.choice(_DAMAGE if n < count else _PUNCT_DAMAGE)
+        damaged.append((f"{name}#{n}", text[:at] + insert + text[at + rng.randrange(4):]))
+    for n in range(count // 2):
+        name, text = rng.choice(texts)
+        damaged.append((f"{name}#end{n}", text[:rng.randrange(len(text) + 1)]))
+    return texts + damaged
+
+
+def damaged_corpus(g: Grammar, gen_g: Grammar, mm: Metamodel) -> dict[str, list[tuple[str, str]]]:
+    """The damaged documents of both syntaxes: the corpus as written
+    (adapted syntax, grammar ``g``) and reprinted in the generated syntax
+    (grammar ``gen_g``, wrapped ``member { ... }`` blocks)."""
+    from eatxt.textsyntax import format_model, parse_model
+
+    adapted = [(p.name, p.read_text(encoding="utf-8")) for p in MODELS]
+    generated = [
+        (name, format_model(parse_model(text, g, mm)[0], gen_g)) for name, text in adapted
+    ]
+    return {
+        "adapted": damaged_documents(adapted),
+        "generated": damaged_documents(generated),
+    }
+
+
+def _span_list(span: Span | None) -> list[int] | None:
+    return None if span is None else [span.line, span.col, span.end_line, span.end_col]
+
+
+def parse_record(text: str, g: Grammar, mm: Metamodel) -> dict:
+    """What ``parse_document`` yields for a text, in JSON form: the
+    diagnostics, the bodies, the string offsets and every element with
+    its id, span, values and cross-references."""
+    from eatxt.textsyntax import parse_document
+
+    doc = parse_document(text, g, mm)
+    elements = []
+    if doc.root is not None:
+        for el in doc.root.iter_preorder():
+            elements.append([
+                el.id, el.class_name, el.short_name, _span_list(el.span),
+                [list(a) for a in el.attributes],
+                [[r.member, r.target.dotted, _span_list(r.span)] for r in el.cross_refs],
+            ])
+    return {
+        "diagnostics": [
+            [d.severity, d.message, _span_list(d.span)] for d in doc.diagnostics
+        ],
+        "bodies": [
+            [b.open_offset, b.close_offset, b.class_name, b.element_id, b.member,
+             sorted(b.present)]
+            for b in doc.bodies
+        ],
+        "strings": [list(s) for s in doc.strings],
+        "elements": elements,
+    }
+
+
+def record_damaged_parse(g: Grammar, gen_g: Grammar, mm: Metamodel) -> None:
+    """Rewrite ``fixtures/golden/damaged_parse.json`` from the current
+    parser, one document per line. Only for a deliberate change of the
+    parser's output; the file pins what the parser produced so far."""
+    grammars = {"adapted": g, "generated": gen_g}
+    sections = []
+    for syntax, docs in damaged_corpus(g, gen_g, mm).items():
+        lines = [
+            json.dumps([name, parse_record(text, grammars[syntax], mm)],
+                       separators=(",", ":"))
+            for name, text in docs
+        ]
+        sections.append(json.dumps(syntax) + ": [\n" + ",\n".join(lines) + "\n]")
+    DAMAGED_PARSE.write_text("{\n" + ",\n".join(sections) + "\n}\n", encoding="utf-8")

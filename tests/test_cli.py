@@ -105,6 +105,23 @@ def test_ungeneratable_grammar_is_usage_error(capsys, tmp_path, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["to-xml", "to-text", "roundtrip-check"])
+def test_metamodel_without_xml_tags_is_usage_error(capsys, tmp_path, command):
+    # Text commands work with this metamodel; XML needs a tag per class.
+    source = METAMODEL.read_text(encoding="utf-8")
+    bad = tmp_path / "underscore.ecore"
+    bad.write_text(re.sub(r"\bEAPackage\b", "EA_Package", source), encoding="utf-8")
+    model = tmp_path / "m.eatxt"
+    model.write_text("EA_Package P\n", encoding="utf-8")
+    argv = ["--metamodel", bad, "--config", CONFIG]
+    assert run(capsys, "check", model, *argv) == (0, "", "")
+    code, out, err = run(capsys, command, model, *argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: {bad}: identifier 'EA_Package' cannot be mapped to an XML tag\n"
+    )
+
+
 def test_broken_config_is_usage_error(capsys, tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("frobnicate *\n", encoding="utf-8")
@@ -306,6 +323,19 @@ def test_grammar_cache_without_a_class_rule_is_usage_error(capsys, tmp_path):
     )
 
 
+def test_grammar_cache_rule_for_an_unknown_class_fails_only_when_used(capsys, tmp_path):
+    def add_ghost(data):
+        rule = next(r for r in data["rules"] if r["class"] == "EADatatype")
+        data["rules"].append(dict(rule, **{"class": "Ghost", "keyword": "Ghost"}))
+
+    cache = edited_cache(capsys, tmp_path, add_ghost)
+    assert run(capsys, *base_args(WIPER), "--grammar-cache", cache) == (0, "", "")
+    ghost = tmp_path / "ghost.eatxt"
+    ghost.write_text("EAPackage P\n{\n    Ghost G\n}\n", encoding="utf-8")
+    code, out, err = run(capsys, *base_args(ghost), "--grammar-cache", cache)
+    assert (code, out, err) == (2, "", "error: unknown class 'Ghost'\n")
+
+
 def test_grammar_cache_with_wrapper_flags_still_loads(capsys, tmp_path, mm, g, gen_g):
     # Caches used to store "braces" and "commas" on every wrapped entry;
     # loading ignores them. The generated grammar keeps its wrappers.
@@ -438,6 +468,24 @@ def test_complete_works_on_files_with_errors(capsys):
     code, out, _ = run(capsys, *complete_args(EXTRA / "broken_syntax.eatxt", 2, 2))
     assert code == 0
     assert any(l.startswith("KEYWORD\t") for l in out.splitlines())
+
+
+def test_deep_nesting_is_a_diagnostic_not_a_crash(capsys, tmp_path):
+    depth = 400
+    deep = tmp_path / "deep.eatxt"
+    deep.write_text(
+        "".join(f"EAPackage P{d}\n{{\n" for d in range(depth)) + "}\n" * depth,
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, *base_args(deep))
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert len(lines) == 1 and DIAG_LINE.match(lines[0])
+    assert lines[0].startswith(f"{deep}:")
+    assert lines[0].endswith(": error: elements nested too deeply")
+    code, out, err = run(capsys, *complete_args(deep, depth + 1, 1))
+    assert code in (0, 1)
+    assert "Traceback" not in out + err
 
 
 # --- roundtrip-check ---------------------------------------------------------

@@ -1,9 +1,12 @@
+import copy
+import json
+
 from eatxt.diagnostics import ERROR, WARNING
 from eatxt.grammar import generate_grammar
 from eatxt.metamodel import load_metamodel
 from eatxt.textsyntax import parse_model
 
-from support import MODELS, random_model
+from support import DAMAGED_PARSE, MODELS, damaged_corpus, parse_record, random_model
 from eatxt.textsyntax import format_model
 
 
@@ -87,6 +90,31 @@ def test_qualified_name_parsing(g, mm):
     root = parse_ok(text, g, mm)
     port = root.children[1][1].children[0][1]
     assert port.cross_refs[0].target.segments == ("P", "T")
+
+
+def test_qualified_name_cut_after_a_dot_points_at_its_last_segment(g, mm):
+    text = (
+        "EAPackage P\n{\n    DesignFunctionType F\n    {\n"
+        "        FunctionFlowPort p\n        {\n            type P.T."
+    )
+    diags = errors_of(text, g, mm)
+    assert ("qualified name ends with '.'", 7, 20) in [
+        (d.message, d.span.line, d.span.col) for d in diags
+    ]
+
+
+def test_inline_name_fills_a_kept_short_name_entry(g, gen_g, mm):
+    # A grammar (from a hand-edited cache, say) may hoist the name and
+    # still list the shortName entry; the inline name then counts for it.
+    grammar = copy.deepcopy(g)
+    grammar.rules["EADatatype"].entries.insert(
+        0, gen_g.rules["EADatatype"].entry_for("shortName"),
+    )
+    assert errors_of("EAPackage P\n{\n    EADatatype T\n}\n", grammar, mm) == []
+    diags = errors_of("EAPackage P\n{\n    EADatatype\n    {\n    }\n}\n", grammar, mm)
+    assert "missing mandatory member 'shortName' in 'EADatatype'" in [
+        d.message for d in diags
+    ]
 
 
 def test_missing_name_reported(g, mm):
@@ -278,3 +306,32 @@ def test_random_trees_reparse_to_same_structure(g, mm):
         root, diags = parse_model(text, g, mm)
         assert diags == [], (seed, [d.format("m") for d in diags])
         assert same_structure(tree, root)
+
+
+def test_parse_document_builds_no_token_objects(g, mm, monkeypatch):
+    import eatxt.textsyntax
+
+    built = []
+    token_init = eatxt.textsyntax.Token.__init__
+
+    def counting_token_init(self, *args):
+        built.append(args)
+        token_init(self, *args)
+
+    monkeypatch.setattr(eatxt.textsyntax.Token, "__init__", counting_token_init)
+    text = (MODELS[0].parent / "wiper_system.eatxt").read_text(encoding="utf-8")
+    doc = eatxt.textsyntax.parse_document(text, g, mm)
+    assert doc.root is not None and doc.diagnostics == []
+    assert built == []
+
+
+def test_damaged_documents_parse_as_recorded(g, gen_g, mm):
+    """Diagnostics, bodies, string offsets and elements of the corpus and
+    of seeded damaged variants, in both syntaxes, match the recording in
+    fixtures/golden/damaged_parse.json (see support.record_damaged_parse)."""
+    recorded = json.loads(DAMAGED_PARSE.read_text(encoding="utf-8"))
+    grammars = {"adapted": g, "generated": gen_g}
+    for syntax, docs in damaged_corpus(g, gen_g, mm).items():
+        assert [name for name, _ in docs] == [name for name, _ in recorded[syntax]]
+        for (name, text), (_, expected) in zip(docs, recorded[syntax]):
+            assert parse_record(text, grammars[syntax], mm) == expected, (syntax, name)
