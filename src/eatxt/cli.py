@@ -13,6 +13,14 @@ file (reads it as EAXML for to-text), prints the diagnostics on stderr and
 stops the command unless the tree is clean. ``check`` and ``complete`` go
 on past errors and parse the file themselves.
 
+:func:`main` pauses Python's cyclic garbage collector for the length of
+one command and restores the state it found, however the command ends.
+A command allocates model trees, token columns and diagnostics in bulk,
+and none of them holds a reference cycle: reference counting frees them
+all, so the collector would only rescan them, again and again as they
+grow. The few cycles a command leaves (argparse's parser, mostly) are
+the same for every input and are collected after the command returns.
+
 Exit codes: 0 for success; 1 when processing produced error diagnostics
 or the model cannot be rendered; 2 for every toolchain error, that is an
 unusable input such as a missing file, a bad metamodel, config or grammar
@@ -24,6 +32,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import difflib
+import gc
 import json
 import os
 import sys
@@ -117,8 +126,9 @@ def _build_grammar(args: argparse.Namespace, mm: Metamodel) -> Grammar:
 
     A --grammar-cache file is read when present and written when absent.
     The cache is not invalidated automatically; delete it after changing
-    the metamodel or the config. A cache without a rule for some concrete
-    class is rejected.
+    the metamodel or the config. A cache with a rule for a class the
+    metamodel lacks, or without a rule for some concrete class, is
+    rejected.
     """
     cache_path = args.grammar_cache
     if cache_path and os.path.exists(cache_path):
@@ -127,6 +137,12 @@ def _build_grammar(args: argparse.Namespace, mm: Metamodel) -> Grammar:
                 g = grammar_from_dict(json.load(fh))
         except (OSError, ValueError, KeyError, TypeError, GrammarError) as exc:
             raise _UsageError(f"unusable grammar cache {cache_path}: {exc}")
+        for name in g.rules:
+            if name not in mm.classes:
+                raise _UsageError(
+                    f"unusable grammar cache {cache_path}: "
+                    f"rule for class {name}, which the metamodel lacks"
+                )
         for name in mm.concrete_classes():
             if name not in g.rules:
                 raise _UsageError(
@@ -315,6 +331,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _run(argv: list[str] | None) -> int:
     args = build_parser().parse_args(argv)
     try:
         mm = _load_mm(args)

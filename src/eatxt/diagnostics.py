@@ -18,8 +18,8 @@ class Span:
     end_col: int
 
 
-# Fallback span for diagnostics that have no source position (e.g. produced
-# while reading an XML document, where the reader gives us no offsets).
+# Fallback span for diagnostics that have no source position (e.g. about a
+# tree built in memory rather than read from a file).
 NO_SPAN = Span(0, 0, 0, 0)
 
 

@@ -60,9 +60,13 @@ class ModelElement:
     span: Span | None = None
 
     def iter_preorder(self) -> Iterator["ModelElement"]:
-        yield self
-        for _, child in self.children:
-            yield from child.iter_preorder()
+        """This element and its descendants in document pre-order, walked
+        with an explicit stack: constant work per element at any depth."""
+        stack = [self]
+        while stack:
+            el = stack.pop()
+            yield el
+            stack.extend(child for _, child in reversed(el.children))
 
     def attribute_values(self, member: str) -> list[str]:
         return [v for (m, v) in self.attributes if m == member]

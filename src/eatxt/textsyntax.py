@@ -487,7 +487,6 @@ class _Parser:
         keyword = self.i
         self.i += 1
         form = entry.form
-        seen = entry.member in body.present
         body.present.add(entry.member)
 
         if isinstance(form, KeywordAttribute):
@@ -500,9 +499,8 @@ class _Parser:
                 el.cross_refs.append(CrossRef(entry.member, qn, span=span))
             return
 
-        # Wrapped containment: keyword { child ("," child)* }
-        if seen:
-            self.error(f"duplicate '{entry.member}' block", self.span(keyword))
+        # Wrapped containment: keyword { child ("," child)* }. A repeated
+        # block appends to the same member, in document order.
         kinds, lexemes = self.kinds, self.lexemes
         i = self.i
         if kinds[i] != "{":

@@ -15,12 +15,13 @@ are kept in XML but dropped when reading towards text.
 
 from __future__ import annotations
 
+import itertools
 import re
-import xml.etree.ElementTree as ET
+import xml.parsers.expat as expat
 
-from .diagnostics import Diagnostic, ERROR, SerializationError, Span, WARNING
+from .diagnostics import Diagnostic, ERROR, NO_SPAN, SerializationError, Span, WARNING
 from .metamodel import Attribute, Containment, CrossReference, Member, Metamodel, PrimitiveKind
-from .model import CrossRef, ModelElement, QualifiedName, assign_preorder_ids
+from .model import CrossRef, ModelElement, QualifiedName
 
 EAXML_VERSION = "2.1.12"
 
@@ -87,147 +88,134 @@ def _attr_text(member: Member, lexeme: str) -> str:
     return lexeme
 
 
-def _element_to_xml(el: ModelElement, names: XmlNameMap) -> ET.Element:
-    members = names.members_by_class.get(el.class_name)
-    if members is None:
-        raise SerializationError(f"unknown class '{el.class_name}'")
-    tag = names.tag_by_name
-    node = ET.Element(tag[el.class_name])
-    by_name = {m.name: m for m in members.values()}
+def _escape(text: str) -> str:
+    """Character data as ElementTree escapes it: ``&``, ``<`` and ``>``."""
+    if "&" in text:
+        text = text.replace("&", "&amp;")
+    if "<" in text:
+        text = text.replace("<", "&lt;")
+    if ">" in text:
+        text = text.replace(">", "&gt;")
+    return text
 
-    if el.short_name is not None:
-        short = ET.SubElement(node, "SHORT-NAME")
-        short.text = el.short_name
 
-    for member_name, lexeme in el.attributes:
-        member = by_name.get(member_name)
-        if member is None or not isinstance(member.kind, Attribute):
-            raise SerializationError(
-                f"'{el.class_name}' has no attribute '{member_name}'"
-            )
-        sub = ET.SubElement(node, tag[member_name])
-        sub.text = _attr_text(member, lexeme)
-
-    for ref in el.cross_refs:
-        member = by_name.get(ref.member)
-        if member is None or not isinstance(member.kind, CrossReference):
-            raise SerializationError(
-                f"'{el.class_name}' has no cross-reference '{ref.member}'"
-            )
-        sub = ET.SubElement(node, tag[ref.member])
-        sub.set("DEST", tag[member.kind.target])
-        sub.text = "/" + "/".join(ref.target.segments)
-
-    # One wrapper per run of consecutive same-member children keeps the
-    # document order of interleaved members intact.
-    wrapper: ET.Element | None = None
-    wrapper_member = ""
-    for member_name, child in el.children:
-        member = by_name.get(member_name)
-        if member is None or not isinstance(member.kind, Containment):
-            raise SerializationError(
-                f"'{el.class_name}' has no containment '{member_name}'"
-            )
-        if wrapper is None or member_name != wrapper_member:
-            wrapper = ET.SubElement(node, tag[member_name])
-            wrapper_member = member_name
-        wrapper.append(_element_to_xml(child, names))
-    return node
+def _leaf(pad: str, tag: str, text: str) -> str:
+    if text:
+        return f"{pad}<{tag}>{_escape(text)}</{tag}>"
+    return f"{pad}<{tag} />"
 
 
 def to_eaxml(root: ModelElement, mm: Metamodel, names: XmlNameMap | None = None) -> str:
     """Serialize a model as an EAXML document (UTF-8 text, 2-space indent).
 
     ``names`` are the metamodel's tag tables, built here when not given.
+    The tree is walked with an explicit stack, so nesting depth is not
+    bounded by the interpreter's recursion limit. The only XML attribute
+    values written are the version and ``DEST`` tags, which consist of
+    capitals, digits and hyphens and so need no escaping.
     """
     if names is None:
         names = XmlNameMap(mm)
-    doc = ET.Element("EAXML")
-    doc.set("version", EAXML_VERSION)
-    doc.append(_element_to_xml(root, names))
-    ET.indent(doc, space="  ")
-    body = ET.tostring(doc, encoding="unicode")
-    return '<?xml version="1.0" encoding="UTF-8"?>\n' + body + "\n"
+    tags = names.tag_by_name
+    by_class: dict[str, dict[str, Member]] = {}
+    lines = ['<?xml version="1.0" encoding="UTF-8"?>', f'<EAXML version="{EAXML_VERSION}">']
+    # Open elements with children, innermost last: the element, its
+    # members by name, its indent, the index of its next child and the
+    # member whose wrapper is open.
+    stack: list[list] = []
+    el, pad = root, "  "
+    while True:
+        by_name = by_class.get(el.class_name)
+        if by_name is None:
+            members = names.members_by_class.get(el.class_name)
+            if members is None:
+                raise SerializationError(f"unknown class '{el.class_name}'")
+            by_name = by_class[el.class_name] = {m.name: m for m in members.values()}
+        tag = tags[el.class_name]
+        inner = pad + "  "
+        head = len(lines)
+        lines.append(f"{pad}<{tag}>")
+        if el.short_name is not None:
+            lines.append(_leaf(inner, "SHORT-NAME", el.short_name))
+        for member_name, lexeme in el.attributes:
+            member = by_name.get(member_name)
+            if member is None or not isinstance(member.kind, Attribute):
+                raise SerializationError(
+                    f"'{el.class_name}' has no attribute '{member_name}'"
+                )
+            lines.append(_leaf(inner, tags[member_name], _attr_text(member, lexeme)))
+        for ref in el.cross_refs:
+            member = by_name.get(ref.member)
+            if member is None or not isinstance(member.kind, CrossReference):
+                raise SerializationError(
+                    f"'{el.class_name}' has no cross-reference '{ref.member}'"
+                )
+            ref_tag = tags[ref.member]
+            path = _escape("/" + "/".join(ref.target.segments))
+            lines.append(
+                f'{inner}<{ref_tag} DEST="{tags[member.kind.target]}">{path}</{ref_tag}>'
+            )
+        if el.children:
+            stack.append([el, by_name, pad, 0, None])
+        elif len(lines) == head + 1:  # nothing inside
+            lines[head] = f"{pad}<{tag} />"
+        else:
+            lines.append(f"{pad}</{tag}>")
+
+        # The next element to write: the next child of the innermost open
+        # element that has one left, closing the finished ones.
+        while stack:
+            frame = stack[-1]
+            parent, by_name, pad, index, wrapper = frame
+            if index == len(parent.children):
+                lines.append(f"{pad}  </{tags[wrapper]}>")
+                lines.append(f"{pad}</{tags[parent.class_name]}>")
+                stack.pop()
+                continue
+            member_name, el = parent.children[index]
+            frame[3] = index + 1
+            member = by_name.get(member_name)
+            if member is None or not isinstance(member.kind, Containment):
+                raise SerializationError(
+                    f"'{parent.class_name}' has no containment '{member_name}'"
+                )
+            # One wrapper per run of consecutive same-member children keeps
+            # the document order of interleaved members intact.
+            if member_name != wrapper:
+                if wrapper is not None:
+                    lines.append(f"{pad}  </{tags[wrapper]}>")
+                lines.append(f"{pad}  <{tags[member_name]}>")
+                frame[4] = member_name
+            pad += "    "
+            break
+        else:
+            break
+    lines.append("</EAXML>")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # Reading
 # ---------------------------------------------------------------------------
 
-def _read_element(
-    node: ET.Element,
-    class_name: str,
-    names: XmlNameMap,
-    mm: Metamodel,
-    diagnostics: list[Diagnostic],
-) -> ModelElement:
-    el = ModelElement(class_name=class_name)
-    members = names.members_by_class[class_name]
+class _Malformed(Exception):
+    """An entity reference that ElementTree reports as undefined but expat
+    passes over: with an external DTD subset, or to an external entity."""
 
-    for child in node:
-        tag = child.tag
-        if tag == "SHORT-NAME":
-            el.short_name = (child.text or "").strip()
-            continue
-        member = members.get(tag)
-        if member is None:
-            diagnostics.append(Diagnostic(
-                WARNING,
-                f"<{tag}> is not a member of {class_name}; skipped",
-            ))
-            continue
+    def __init__(self, reference: str, line: int, col: int):
+        super().__init__(f"undefined entity {reference[:100]}: line {line}, column {col}")
+        self.position = (line, col)
 
-        if isinstance(member.kind, Attribute):
-            if len(child):
-                diagnostics.append(Diagnostic(
-                    WARNING,
-                    f"attribute <{tag}> of {class_name} has child elements; skipped",
-                ))
-                continue
-            text = child.text or ""
-            if member.kind.kind is not PrimitiveKind.STRING:
-                text = text.strip()
-                if not text:
-                    continue  # empty attribute: dropped towards text
-                el.attributes.append((member.name, text))
-            else:
-                if not text:
-                    continue
-                el.attributes.append((member.name, f'"{text}"'))
 
-        elif isinstance(member.kind, CrossReference):
-            text = (child.text or "").strip().lstrip("/")
-            segments = tuple(s for s in text.split("/") if s)
-            if not segments:
-                diagnostics.append(Diagnostic(
-                    WARNING,
-                    f"cross-reference <{tag}> of {class_name} has no target path; skipped",
-                ))
-                continue
-            el.cross_refs.append(CrossRef(member.name, QualifiedName(segments)))
+# What a start tag opens, by the element it appears in. Frames of the
+# kinds from _NAME on collect their character data up to their first
+# child element, as ElementTree's ``text`` holds it.
+_SKIP, _TOP, _DOC, _ELEMENT, _WRAPPER, _NAME, _STRING, _VALUE, _REF = range(9)
+_SKIPPED = (_SKIP,)
 
-        else:  # containment wrapper
-            target = member.kind.target
-            for sub in child:
-                sub_class = names.class_by_tag.get(sub.tag)
-                if sub_class is None:
-                    diagnostics.append(Diagnostic(
-                        WARNING, f"unknown element tag <{sub.tag}>; subtree skipped",
-                    ))
-                    continue
-                cls = mm.classes[sub_class]
-                if cls.abstract or not mm.is_subtype(sub_class, target):
-                    diagnostics.append(Diagnostic(
-                        WARNING,
-                        f"<{sub.tag}> does not fit containment <{tag}> "
-                        f"(expects {target}); subtree skipped",
-                    ))
-                    continue
-                el.children.append((
-                    member.name,
-                    _read_element(sub, sub_class, names, mm, diagnostics),
-                ))
-    return el
+
+def _point(line: int, col: int) -> Span:
+    return Span(line, col, line, col)
 
 
 def from_eaxml(
@@ -237,55 +225,226 @@ def from_eaxml(
 
     Unknown tags produce warnings and are skipped; malformed XML and a
     missing root element are errors. The version attribute is checked but
-    only warned about. ``names`` are the metamodel's tag tables, built
+    only warned about. Every diagnostic carries the line and column of the
+    start tag it is about. ``names`` are the metamodel's tag tables, built
     here when not given.
+
+    The document is read in one pass of expat events; elements are built
+    on an explicit stack and numbered in document pre-order as they open.
     """
-    diagnostics: list[Diagnostic] = []
-    try:
-        doc = ET.fromstring(text)
-    except ET.ParseError as exc:
-        line, col = exc.position
-        diagnostics.append(Diagnostic(
-            ERROR,
-            f"malformed XML: {exc.msg}",
-            Span(line, max(col, 1), line, max(col, 1)),
-        ))
-        return None, diagnostics
-
-    if doc.tag != "EAXML":
-        diagnostics.append(Diagnostic(
-            ERROR, f"expected an <EAXML> document, got <{doc.tag}>",
-        ))
-        return None, diagnostics
-    version = doc.get("version")
-    if version != EAXML_VERSION:
-        got = f"'{version}'" if version else "none"
-        diagnostics.append(Diagnostic(
-            WARNING,
-            f"EAXML version mismatch: expected '{EAXML_VERSION}', got {got}",
-        ))
-
-    children = list(doc)
-    if not children:
-        diagnostics.append(Diagnostic(ERROR, "EAXML document has no root element"))
-        return None, diagnostics
-    if len(children) > 1:
-        diagnostics.append(Diagnostic(
-            ERROR,
-            f"EAXML document must hold exactly one root element, found {len(children)}",
-        ))
-        return None, diagnostics
-
     if names is None:
         names = XmlNameMap(mm)
-    top = children[0]
-    class_name = names.class_by_tag.get(top.tag)
-    if class_name is None or mm.classes[class_name].abstract:
-        diagnostics.append(Diagnostic(
-            ERROR, f"root tag <{top.tag}> is not a concrete metamodel class",
-        ))
-        return None, diagnostics
+    class_by_tag = names.class_by_tag
+    parser = expat.ParserCreate(namespace_separator="}")
+    parser.buffer_text = True
+    warnings: list[Diagnostic] = []
+    tables: dict[str, dict[str, tuple[int, Member | None]]] = {}
+    fits: dict[tuple[str, str], bool] = {}
+    ids = itertools.count(1)
+    stack: list[tuple] = [(_TOP,)]
+    push, pop = stack.append, stack.pop
+    # The document element's tag and position, its version warning, the
+    # number of elements inside it with the position of the second, the
+    # model root and the error about an unusable root tag.
+    doc_tag, doc_at = "", NO_SPAN
+    version_warning: list[Diagnostic] = []
+    roots, second_at = 0, NO_SPAN
+    root: ModelElement | None = None
+    problem: Diagnostic | None = None
 
-    root = _read_element(top, class_name, names, mm, diagnostics)
-    assign_preorder_ids(root)
-    return root, diagnostics
+    def table(class_name: str) -> dict[str, tuple[int, Member | None]]:
+        members = tables.get(class_name)
+        if members is None:
+            members = {}
+            for tag, member in names.members_by_class[class_name].items():
+                kind = member.kind
+                if isinstance(kind, Attribute):
+                    code = _STRING if kind.kind is PrimitiveKind.STRING else _VALUE
+                elif isinstance(kind, CrossReference):
+                    code = _REF
+                else:
+                    code = _WRAPPER
+                members[tag] = (code, member)
+            members["SHORT-NAME"] = (_NAME, None)
+            tables[class_name] = members
+        return members
+
+    def here() -> Span:
+        return _point(parser.CurrentLineNumber, parser.CurrentColumnNumber + 1)
+
+    def start(tag: str, attrs: dict[str, str]) -> None:
+        frame = stack[-1]
+        kind = frame[0]
+        if kind == _ELEMENT:
+            el = frame[1]
+            entry = frame[2].get(tag)
+            if entry is None:
+                warnings.append(Diagnostic(
+                    WARNING, f"<{_fixname(tag)}> is not a member of {el.class_name}; skipped",
+                    here(),
+                ))
+                push(_SKIPPED)
+                return
+            code, member = entry
+            if code == _WRAPPER:
+                push((_WRAPPER, el, member, tag))
+                return
+            parts: list[str] = []
+            parser.CharacterDataHandler = parts.append
+            if code == _NAME:
+                push((_NAME, el, parts))
+            else:
+                push((code, el, parts, member, tag,
+                      parser.CurrentLineNumber, parser.CurrentColumnNumber + 1))
+        elif kind == _WRAPPER:
+            parent, member, wrapper_tag = frame[1], frame[2], frame[3]
+            sub_class = class_by_tag.get(tag)
+            if sub_class is None:
+                warnings.append(Diagnostic(
+                    WARNING, f"unknown element tag <{_fixname(tag)}>; subtree skipped", here(),
+                ))
+                push(_SKIPPED)
+                return
+            target = member.kind.target
+            fit = fits.get((sub_class, target))
+            if fit is None:
+                fit = fits[sub_class, target] = (
+                    not mm.classes[sub_class].abstract and mm.is_subtype(sub_class, target)
+                )
+            if not fit:
+                warnings.append(Diagnostic(
+                    WARNING,
+                    f"<{tag}> does not fit containment <{wrapper_tag}> "
+                    f"(expects {target}); subtree skipped",
+                    here(),
+                ))
+                push(_SKIPPED)
+                return
+            child = ModelElement(sub_class, id=next(ids))
+            parent.children.append((member.name, child))
+            push((_ELEMENT, child, table(sub_class)))
+        elif kind == _SKIP:
+            push(_SKIPPED)
+        elif kind >= _NAME:
+            # Character data after a child element is its tail, not text.
+            parser.CharacterDataHandler = None
+            if kind == _STRING or kind == _VALUE:
+                el = frame[1]
+                warnings.append(Diagnostic(
+                    WARNING,
+                    f"attribute <{frame[4]}> of {el.class_name} has child elements; skipped",
+                    _point(frame[5], frame[6]),
+                ))
+                stack[-1] = _SKIPPED
+            push(_SKIPPED)
+        else:
+            document_level(tag, attrs, kind)
+
+    def document_level(tag: str, attrs: dict[str, str], kind: int) -> None:
+        nonlocal doc_tag, doc_at, roots, second_at, root, problem
+        if kind == _TOP:
+            doc_tag, doc_at = tag, here()
+            if tag != "EAXML":
+                push(_SKIPPED)
+                return
+            version = attrs.get("version")
+            if version != EAXML_VERSION:
+                got = f"'{version}'" if version else "none"
+                version_warning.append(Diagnostic(
+                    WARNING,
+                    f"EAXML version mismatch: expected '{EAXML_VERSION}', got {got}",
+                    doc_at,
+                ))
+            push((_DOC,))
+            return
+        roots += 1
+        push(_SKIPPED)
+        if roots == 2:
+            second_at = here()
+        elif roots == 1:
+            class_name = class_by_tag.get(tag)
+            if class_name is None or mm.classes[class_name].abstract:
+                problem = Diagnostic(
+                    ERROR, f"root tag <{_fixname(tag)}> is not a concrete metamodel class",
+                    here(),
+                )
+                return
+            root = ModelElement(class_name, id=next(ids))
+            stack[-1] = (_ELEMENT, root, table(class_name))
+
+    def end(tag: str) -> None:
+        frame = pop()
+        kind = frame[0]
+        if kind < _NAME:
+            return
+        parser.CharacterDataHandler = None
+        el, value = frame[1], "".join(frame[2])
+        if kind == _NAME:
+            el.short_name = value.strip()
+        elif kind == _STRING:
+            if value:
+                el.attributes.append((frame[3].name, f'"{value}"'))
+        elif kind == _VALUE:
+            value = value.strip()
+            if value:  # empty attribute: dropped towards text
+                el.attributes.append((frame[3].name, value))
+        else:
+            segments = tuple(s for s in value.strip().lstrip("/").split("/") if s)
+            if segments:
+                el.cross_refs.append(CrossRef(frame[3].name, QualifiedName(segments)))
+            else:
+                warnings.append(Diagnostic(
+                    WARNING,
+                    f"cross-reference <{frame[4]}> of {el.class_name} has no target path; skipped",
+                    _point(frame[5], frame[6]),
+                ))
+
+    def skipped_entity(name: str, is_parameter_entity: bool) -> None:
+        if not is_parameter_entity:
+            raise _Malformed(f"&{name};", parser.CurrentLineNumber, parser.CurrentColumnNumber)
+
+    def external_entity(context: str, base, system_id, public_id) -> None:
+        name = context.rpartition("\f")[2]
+        raise _Malformed(f"&{name};", parser.CurrentLineNumber, parser.CurrentColumnNumber)
+
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
+    parser.SkippedEntityHandler = skipped_entity
+    parser.ExternalEntityRefHandler = external_entity
+    try:
+        parser.Parse(text, True)
+    except expat.ExpatError as exc:
+        return None, [_malformed(str(exc), exc.lineno, exc.offset)]
+    except _Malformed as exc:
+        return None, [_malformed(str(exc), *exc.position)]
+    finally:
+        # The handlers refer to the parser: unset them, so that this cycle
+        # does not keep the tree alive until the next collection.
+        parser.StartElementHandler = parser.EndElementHandler = None
+        parser.SkippedEntityHandler = parser.ExternalEntityRefHandler = None
+        parser.CharacterDataHandler = None
+
+    if doc_tag != "EAXML":
+        return None, [Diagnostic(
+            ERROR, f"expected an <EAXML> document, got <{_fixname(doc_tag)}>", doc_at,
+        )]
+    if roots == 0:
+        problem = Diagnostic(ERROR, "EAXML document has no root element", doc_at)
+    elif roots > 1:
+        problem = Diagnostic(
+            ERROR, f"EAXML document must hold exactly one root element, found {roots}",
+            second_at,
+        )
+    if problem is not None:
+        return None, version_warning + [problem]
+    return root, version_warning + warnings
+
+
+def _malformed(message: str, line: int, col: int) -> Diagnostic:
+    at = _point(line, max(col, 1))
+    return Diagnostic(ERROR, f"malformed XML: {message}", at)
+
+
+def _fixname(name: str) -> str:
+    """A tag as ElementTree spells it: ``{uri}local`` for a namespaced one."""
+    return "{" + name if "}" in name else name

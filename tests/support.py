@@ -3,7 +3,8 @@
 Holds the fixture paths, a reader that parses emitted grammar text back
 into the IR (round-reading check), a seeded random model generator used
 by the roundtrip and cache tests, a brute-force reference-cache oracle,
-a frozen reference lexer and the recorder of damaged-document parses.
+a frozen reference lexer, the frozen ElementTree writer and reader of
+EAXML and the recorder of damaged-document parses.
 """
 
 from __future__ import annotations
@@ -11,9 +12,10 @@ from __future__ import annotations
 import json
 import random
 import re
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
-from eatxt.diagnostics import ERROR, ConfigError, Diagnostic, Span
+from eatxt.diagnostics import ERROR, WARNING, ConfigError, Diagnostic, SerializationError, Span
 from eatxt.grammar import (
     Grammar,
     InlineContainment,
@@ -29,10 +31,12 @@ from eatxt.metamodel import (
     Attribute,
     Containment,
     CrossReference,
+    Member,
     Metamodel,
     PrimitiveKind,
 )
 from eatxt.model import ModelElement, CrossRef, QualifiedName, assign_preorder_ids
+from eatxt.xmlio import EAXML_VERSION, XmlNameMap
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 METAMODEL = FIXTURES / "mini_eastadl.ecore"
@@ -226,6 +230,7 @@ def _build_element(
     budget: _Budget,
     depth: int,
     name: str | None,
+    fan_out: int,
 ) -> ModelElement:
     el = ModelElement(class_name=class_name)
     if name is not None:
@@ -246,7 +251,7 @@ def _build_element(
             fitting = mm.concrete_subclasses(m.kind.target)
             if not fitting:
                 continue
-            want = m.lower + (rng.randrange(3) if m.upper is None else 0)
+            want = m.lower + (rng.randrange(fan_out) if m.upper is None else 0)
             for _ in range(want):
                 child_slots.append((m.name, rng.choice(fitting)))
 
@@ -264,7 +269,7 @@ def _build_element(
                     break
         el.children.append((
             member_name,
-            _build_element(rng, mm, child_class, budget, depth + 1, child_name),
+            _build_element(rng, mm, child_class, budget, depth + 1, child_name, fan_out),
         ))
     return el
 
@@ -301,16 +306,21 @@ def _wire_cross_refs(rng: random.Random, root: ModelElement, mm: Metamodel) -> N
 
 
 def random_model(
-    seed: int, mm: Metamodel, max_elements: int = 60,
+    seed: int, mm: Metamodel, max_elements: int = 60, fan_out: int = 3,
 ) -> ModelElement:
     """Deterministic conforming model tree with at most max_elements nodes.
+
+    Each repeatable containment gets fewer than ``fan_out`` optional
+    children; raise it for trees of thousands of elements.
 
     Cross-references always point at an existing element; a datatype is
     seeded into the root when flow ports demand one.
     """
     rng = random.Random(seed)
     budget = _Budget(max_elements - 1)
-    root = _build_element(rng, mm, mm.root_class, budget, 0, "Root" + str(seed % 997))
+    root = _build_element(
+        rng, mm, mm.root_class, budget, 0, "Root" + str(seed % 997), fan_out,
+    )
 
     def needs(el: ModelElement, target: str) -> bool:
         for m in mm.flatten_members(el.class_name):
@@ -554,3 +564,209 @@ def record_damaged_parse(g: Grammar, gen_g: Grammar, mm: Metamodel) -> None:
         ]
         sections.append(json.dumps(syntax) + ": [\n" + ",\n".join(lines) + "\n]")
     DAMAGED_PARSE.write_text("{\n" + ",\n".join(sections) + "\n}\n", encoding="utf-8")
+
+
+# ---------------------------------------------------------------------------
+# Reference EAXML writer and reader (differential oracles for xmlio)
+# ---------------------------------------------------------------------------
+
+def _reference_attr_text(member: Member, lexeme: str) -> str:
+    assert isinstance(member.kind, Attribute)
+    if member.kind.kind is PrimitiveKind.STRING:
+        # Strip the quotes; the escaped body travels as-is.
+        return lexeme[1:-1] if len(lexeme) >= 2 else ""
+    return lexeme
+
+
+def _reference_element_to_xml(el: ModelElement, names: XmlNameMap) -> ET.Element:
+    members = names.members_by_class.get(el.class_name)
+    if members is None:
+        raise SerializationError(f"unknown class '{el.class_name}'")
+    tag = names.tag_by_name
+    node = ET.Element(tag[el.class_name])
+    by_name = {m.name: m for m in members.values()}
+
+    if el.short_name is not None:
+        short = ET.SubElement(node, "SHORT-NAME")
+        short.text = el.short_name
+
+    for member_name, lexeme in el.attributes:
+        member = by_name.get(member_name)
+        if member is None or not isinstance(member.kind, Attribute):
+            raise SerializationError(
+                f"'{el.class_name}' has no attribute '{member_name}'"
+            )
+        sub = ET.SubElement(node, tag[member_name])
+        sub.text = _reference_attr_text(member, lexeme)
+
+    for ref in el.cross_refs:
+        member = by_name.get(ref.member)
+        if member is None or not isinstance(member.kind, CrossReference):
+            raise SerializationError(
+                f"'{el.class_name}' has no cross-reference '{ref.member}'"
+            )
+        sub = ET.SubElement(node, tag[ref.member])
+        sub.set("DEST", tag[member.kind.target])
+        sub.text = "/" + "/".join(ref.target.segments)
+
+    # One wrapper per run of consecutive same-member children keeps the
+    # document order of interleaved members intact.
+    wrapper: ET.Element | None = None
+    wrapper_member = ""
+    for member_name, child in el.children:
+        member = by_name.get(member_name)
+        if member is None or not isinstance(member.kind, Containment):
+            raise SerializationError(
+                f"'{el.class_name}' has no containment '{member_name}'"
+            )
+        if wrapper is None or member_name != wrapper_member:
+            wrapper = ET.SubElement(node, tag[member_name])
+            wrapper_member = member_name
+        wrapper.append(_reference_element_to_xml(child, names))
+    return node
+
+
+def reference_to_eaxml(root: ModelElement, mm: Metamodel, names: XmlNameMap | None = None) -> str:
+    """``xmlio.to_eaxml`` as it was first written, on an ElementTree
+    tree: recursive, then ``ET.indent`` and ``ET.tostring``."""
+    if names is None:
+        names = XmlNameMap(mm)
+    doc = ET.Element("EAXML")
+    doc.set("version", EAXML_VERSION)
+    doc.append(_reference_element_to_xml(root, names))
+    ET.indent(doc, space="  ")
+    body = ET.tostring(doc, encoding="unicode")
+    return '<?xml version="1.0" encoding="UTF-8"?>\n' + body + "\n"
+
+
+def _reference_read_element(
+    node: ET.Element,
+    class_name: str,
+    names: XmlNameMap,
+    mm: Metamodel,
+    diagnostics: list[Diagnostic],
+) -> ModelElement:
+    el = ModelElement(class_name=class_name)
+    members = names.members_by_class[class_name]
+
+    for child in node:
+        tag = child.tag
+        if tag == "SHORT-NAME":
+            el.short_name = (child.text or "").strip()
+            continue
+        member = members.get(tag)
+        if member is None:
+            diagnostics.append(Diagnostic(
+                WARNING,
+                f"<{tag}> is not a member of {class_name}; skipped",
+            ))
+            continue
+
+        if isinstance(member.kind, Attribute):
+            if len(child):
+                diagnostics.append(Diagnostic(
+                    WARNING,
+                    f"attribute <{tag}> of {class_name} has child elements; skipped",
+                ))
+                continue
+            text = child.text or ""
+            if member.kind.kind is not PrimitiveKind.STRING:
+                text = text.strip()
+                if not text:
+                    continue  # empty attribute: dropped towards text
+                el.attributes.append((member.name, text))
+            else:
+                if not text:
+                    continue
+                el.attributes.append((member.name, f'"{text}"'))
+
+        elif isinstance(member.kind, CrossReference):
+            text = (child.text or "").strip().lstrip("/")
+            segments = tuple(s for s in text.split("/") if s)
+            if not segments:
+                diagnostics.append(Diagnostic(
+                    WARNING,
+                    f"cross-reference <{tag}> of {class_name} has no target path; skipped",
+                ))
+                continue
+            el.cross_refs.append(CrossRef(member.name, QualifiedName(segments)))
+
+        else:  # containment wrapper
+            target = member.kind.target
+            for sub in child:
+                sub_class = names.class_by_tag.get(sub.tag)
+                if sub_class is None:
+                    diagnostics.append(Diagnostic(
+                        WARNING, f"unknown element tag <{sub.tag}>; subtree skipped",
+                    ))
+                    continue
+                cls = mm.classes[sub_class]
+                if cls.abstract or not mm.is_subtype(sub_class, target):
+                    diagnostics.append(Diagnostic(
+                        WARNING,
+                        f"<{sub.tag}> does not fit containment <{tag}> "
+                        f"(expects {target}); subtree skipped",
+                    ))
+                    continue
+                el.children.append((
+                    member.name,
+                    _reference_read_element(sub, sub_class, names, mm, diagnostics),
+                ))
+    return el
+
+
+def reference_from_eaxml(
+    text: str, mm: Metamodel, names: XmlNameMap | None = None,
+) -> tuple[ModelElement | None, list[Diagnostic]]:
+    """``xmlio.from_eaxml`` as it was first written: ``ET.fromstring``,
+    then a recursive walk over the tree. Its diagnostics have no
+    position, except for malformed XML."""
+    diagnostics: list[Diagnostic] = []
+    try:
+        doc = ET.fromstring(text)
+    except ET.ParseError as exc:
+        line, col = exc.position
+        diagnostics.append(Diagnostic(
+            ERROR,
+            f"malformed XML: {exc.msg}",
+            Span(line, max(col, 1), line, max(col, 1)),
+        ))
+        return None, diagnostics
+
+    if doc.tag != "EAXML":
+        diagnostics.append(Diagnostic(
+            ERROR, f"expected an <EAXML> document, got <{doc.tag}>",
+        ))
+        return None, diagnostics
+    version = doc.get("version")
+    if version != EAXML_VERSION:
+        got = f"'{version}'" if version else "none"
+        diagnostics.append(Diagnostic(
+            WARNING,
+            f"EAXML version mismatch: expected '{EAXML_VERSION}', got {got}",
+        ))
+
+    children = list(doc)
+    if not children:
+        diagnostics.append(Diagnostic(ERROR, "EAXML document has no root element"))
+        return None, diagnostics
+    if len(children) > 1:
+        diagnostics.append(Diagnostic(
+            ERROR,
+            f"EAXML document must hold exactly one root element, found {len(children)}",
+        ))
+        return None, diagnostics
+
+    if names is None:
+        names = XmlNameMap(mm)
+    top = children[0]
+    class_name = names.class_by_tag.get(top.tag)
+    if class_name is None or mm.classes[class_name].abstract:
+        diagnostics.append(Diagnostic(
+            ERROR, f"root tag <{top.tag}> is not a concrete metamodel class",
+        ))
+        return None, diagnostics
+
+    root = _reference_read_element(top, class_name, names, mm, diagnostics)
+    assign_preorder_ids(root)
+    return root, diagnostics

@@ -4,6 +4,7 @@ Everything goes through main(argv) so the tests stay fast; one test execs
 the installed console script to prove the wiring.
 """
 
+import gc
 import json
 import re
 import subprocess
@@ -11,11 +12,13 @@ import sys
 
 import pytest
 
+import eatxt.cli
 from eatxt.cli import main
 from eatxt.grammar import grammar_to_dict
 from eatxt.textsyntax import format_model, parse_model
+from eatxt.xmlio import to_eaxml
 
-from support import CONFIG, EXTRA, GOLDEN, METAMODEL, MODELS
+from support import CONFIG, EXTRA, GOLDEN, METAMODEL, MODELS, random_model
 
 WIPER = MODELS[0].parent / "wiper_system.eatxt"
 
@@ -323,17 +326,22 @@ def test_grammar_cache_without_a_class_rule_is_usage_error(capsys, tmp_path):
     )
 
 
-def test_grammar_cache_rule_for_an_unknown_class_fails_only_when_used(capsys, tmp_path):
+def test_grammar_cache_rule_for_an_unknown_class_is_usage_error(capsys, tmp_path):
+    # Rejected when the cache loads, whether or not the text uses the rule.
     def add_ghost(data):
         rule = next(r for r in data["rules"] if r["class"] == "EADatatype")
         data["rules"].append(dict(rule, **{"class": "Ghost", "keyword": "Ghost"}))
 
     cache = edited_cache(capsys, tmp_path, add_ghost)
-    assert run(capsys, *base_args(WIPER), "--grammar-cache", cache) == (0, "", "")
     ghost = tmp_path / "ghost.eatxt"
     ghost.write_text("EAPackage P\n{\n    Ghost G\n}\n", encoding="utf-8")
-    code, out, err = run(capsys, *base_args(ghost), "--grammar-cache", cache)
-    assert (code, out, err) == (2, "", "error: unknown class 'Ghost'\n")
+    expected = (
+        2, "",
+        f"error: unusable grammar cache {cache}: "
+        "rule for class Ghost, which the metamodel lacks\n",
+    )
+    for model in (WIPER, ghost):
+        assert run(capsys, *base_args(model), "--grammar-cache", cache) == expected
 
 
 def test_grammar_cache_with_wrapper_flags_still_loads(capsys, tmp_path, mm, g, gen_g):
@@ -505,6 +513,20 @@ def test_roundtrip_check_passes_on_corpus(capsys):
         assert (code, out) == (0, ""), path.name
 
 
+@pytest.mark.parametrize("path", MODELS, ids=lambda p: p.stem)
+def test_generated_syntax_from_eaxml_checks_and_roundtrips(path, capsys, tmp_path):
+    # to-text without a config writes one wrapped block per run of
+    # same-member children; the parser accepts the repeated blocks.
+    xml, text = tmp_path / "m.eaxml", tmp_path / "m.eatxt"
+    argv = ["to-xml", path, "--metamodel", METAMODEL, "--config", CONFIG, "-o", xml]
+    assert run(capsys, *argv) == (0, "", "")
+    assert run(capsys, "to-text", xml, "--metamodel", METAMODEL, "-o", text) == (0, "", "")
+    for command in ("check", "roundtrip-check"):
+        assert run(capsys, command, text, "--metamodel", METAMODEL) == (0, "", ""), command
+    formatted = text.read_text(encoding="utf-8")
+    assert run(capsys, "format", text, "--metamodel", METAMODEL) == (0, formatted, "")
+
+
 def test_roundtrip_check_rejects_unparsable_input(capsys):
     code, _, err = run(
         capsys,
@@ -549,6 +571,121 @@ def test_closed_stdout_pipe_exits_without_traceback(tmp_path):
     proc.stderr.close()
     assert proc.wait() in (0, 1, 2)
     assert "Traceback" not in err
+
+
+# --- the collector pause ------------------------------------------------------
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone away."""
+
+    def __init__(self, fileno):
+        self._fileno = fileno
+
+    def write(self, data):
+        raise BrokenPipeError
+
+    flush = write
+
+    def fileno(self):
+        return self._fileno
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_main_leaves_the_collector_as_it_found_it(enabled, capsys, monkeypatch, tmp_path):
+    inside = []
+
+    def parse_and_record(*args):
+        inside.append(gc.isenabled())
+        return parse_model(*args)
+
+    monkeypatch.setattr(eatxt.cli, "parse_model", parse_and_record)
+
+    def outcome(argv, stdout=None):
+        with monkeypatch.context() as patch:
+            if stdout is not None:
+                patch.setattr(sys, "stdout", stdout)
+            try:
+                return main([str(a) for a in argv]), gc.isenabled()
+            except SystemExit as exc:
+                return f"exit {exc.code}", gc.isenabled()
+
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with open(tmp_path / "out", "w") as sink:
+            results = [
+                outcome(base_args(WIPER)),
+                outcome(base_args(EXTRA / "broken_syntax.eatxt")),
+                outcome(base_args(tmp_path / "missing.eatxt")),
+                outcome(["frobnicate"]),
+                outcome(["--help"]),
+                outcome(base_args(EXTRA / "broken_syntax.eatxt"), _ClosedPipe(sink.fileno())),
+            ]
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+    assert results == [
+        (0, enabled), (1, enabled), (2, enabled),
+        ("exit 2", enabled), ("exit 0", enabled), (2, enabled),
+    ]
+    assert inside == [False, False, False]
+
+
+def cyclic_garbage(argv):
+    """How many objects in reference cycles one run of ``main`` leaves."""
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        try:
+            main([str(a) for a in argv])
+        except SystemExit:
+            pass
+        gc.collect()
+        return len(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+
+
+def test_commands_leave_cyclic_garbage_independent_of_the_model(capsys, tmp_path, mm, g):
+    # The pause is safe only if trees, tokens and diagnostics form no
+    # reference cycles: then a 2,000-element model leaves no more cyclic
+    # garbage behind than a 10-element one.
+    def commands(size, root):
+        text, damaged = tmp_path / f"{size}.eatxt", tmp_path / f"{size}-damaged.eatxt"
+        xml, malformed = tmp_path / f"{size}.eaxml", tmp_path / f"{size}-malformed.eaxml"
+        canonical = format_model(root, g)
+        text.write_text(canonical, encoding="utf-8")
+        lines = canonical.split("\n")
+        lines[len(lines) // 2] += " } stray { Packge"
+        damaged.write_text("\n".join(lines), encoding="utf-8")
+        eaxml = to_eaxml(root, mm)
+        xml.write_text(eaxml, encoding="utf-8")
+        malformed.write_text(eaxml[: len(eaxml) // 2], encoding="utf-8")
+        common = ["--metamodel", METAMODEL]
+        runs = {
+            "gen-grammar": ["gen-grammar", *common],
+            "adapt": ["adapt", *common, "--config", CONFIG],
+            "to-text": ["to-text", xml, *common, "--config", CONFIG],
+            "to-text malformed": ["to-text", malformed, *common, "--config", CONFIG],
+        }
+        for model, label in ((text, ""), (damaged, " damaged")):
+            for command in ("check", "to-xml", "format", "roundtrip-check"):
+                runs[command + label] = [command, model, *common, "--config", CONFIG]
+            runs["complete" + label] = [
+                "complete", model, *common, "--config", CONFIG, "--line", "2", "--col", "1",
+            ]
+        return {name: cyclic_garbage(argv) for name, argv in runs.items()}
+
+    small = random_model(3, mm, max_elements=10)
+    large = random_model(1, mm, max_elements=2000, fan_out=8)
+    assert sum(1 for _ in large.iter_preorder()) == 2000
+    left_small = commands("small", small)
+    left_large = commands("large", large)
+    capsys.readouterr()
+    for name, count in left_small.items():
+        assert abs(left_large[name] - count) <= 40, (name, count, left_large[name])
 
 
 def test_console_script_is_wired():

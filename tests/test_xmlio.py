@@ -3,10 +3,11 @@
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from eatxt.diagnostics import ERROR, WARNING, SerializationError
+from eatxt.diagnostics import ERROR, NO_SPAN, WARNING, SerializationError
 from eatxt.metamodel import load_metamodel
-from eatxt.model import same_structure
+from eatxt.model import ModelElement, same_structure
 from eatxt.textsyntax import format_model, parse_model
 from eatxt.xmlio import (
     XmlNameMap,
@@ -15,7 +16,14 @@ from eatxt.xmlio import (
     to_tag,
 )
 
-from support import GOLDEN, MODELS, random_model
+from support import (
+    EXTRA,
+    GOLDEN,
+    MODELS,
+    random_model,
+    reference_from_eaxml,
+    reference_to_eaxml,
+)
 
 
 def parse_ok(text, g, mm):
@@ -326,3 +334,174 @@ def test_tag_splitting_keeps_digit_groups():
     for name in ("String0", "sha256Hash", "level2Cache"):
         words = pattern.findall(name)
         assert to_tag(name) == "-".join(w.upper() for w in words)
+
+
+# --- the frozen ElementTree writer and reader as oracles -----------------------
+
+
+def tree_record(root):
+    """Everything a tree holds, element by element in pre-order."""
+    rows, stack = [], [root]
+    while stack:
+        el = stack.pop()
+        rows.append((
+            el.id, el.class_name, el.short_name, el.span, list(el.attributes),
+            [(r.member, r.target, r.resolved_id, r.span) for r in el.cross_refs],
+            [(member, child.id) for member, child in el.children],
+        ))
+        stack.extend(child for _, child in reversed(el.children))
+    return rows
+
+
+def assert_reads_like_reference(xml, mm):
+    """Same tree and messages as the ElementTree reader. Positions may
+    differ only where the reader had none (0:0); there they are real."""
+    root, diags = from_eaxml(xml, mm)
+    ref_root, ref_diags = reference_from_eaxml(xml, mm)
+    assert (root is None) == (ref_root is None)
+    if ref_root is not None:
+        assert tree_record(root) == tree_record(ref_root)
+    assert [(d.severity, d.message) for d in diags] == [
+        (d.severity, d.message) for d in ref_diags
+    ]
+    lines = xml.count("\n") + 1
+    for got, ref in zip(diags, ref_diags):
+        if ref.span == NO_SPAN:
+            assert 1 <= got.span.line <= lines and got.span.col >= 1
+        else:
+            assert got.span == ref.span
+
+
+def fixture_trees(g, mm):
+    paths = MODELS + [EXTRA / "messy_but_valid.eatxt"]
+    return [parse_ok(p.read_text(encoding="utf-8"), g, mm) for p in paths]
+
+
+def test_writer_matches_the_reference_on_every_fixture(g, mm):
+    for root in fixture_trees(g, mm):
+        assert to_eaxml(root, mm) == reference_to_eaxml(root, mm)
+
+
+def test_writer_matches_the_reference_on_random_models(mm):
+    for seed in range(60):
+        root = random_model(seed, mm, max_elements=10 + 3 * seed)
+        assert to_eaxml(root, mm) == reference_to_eaxml(root, mm), seed
+
+
+def test_writer_matches_the_reference_on_empty_content(mm):
+    # Elements and values with nothing inside print as <TAG />.
+    root = ModelElement("EAPackage", attributes=[("name", '""'), ("category", "c")])
+    root.children.append(("element", ModelElement("EADatatype", short_name="")))
+    root.children.append(("element", ModelElement("EADatatype")))
+    root.children.append(("subPackage", ModelElement("EAPackage", short_name="<&>")))
+    produced = to_eaxml(root, mm)
+    assert produced == reference_to_eaxml(root, mm)
+    assert "<NAME />" in produced and "<EA-DATATYPE />" in produced
+    assert "<SHORT-NAME>&lt;&amp;&gt;</SHORT-NAME>" in produced
+    bare = ModelElement("EAPackage")
+    assert to_eaxml(bare, mm) == reference_to_eaxml(bare, mm)
+
+
+def test_reader_matches_the_reference_on_fixtures_and_random_models(g, mm):
+    documents = [(GOLDEN / "wiper_system.eaxml").read_text(encoding="utf-8")]
+    documents += [to_eaxml(root, mm) for root in fixture_trees(g, mm)]
+    documents += [random_model(seed, mm, max_elements=80) for seed in range(40)]
+    for doc in documents:
+        assert_reads_like_reference(doc if isinstance(doc, str) else to_eaxml(doc, mm), mm)
+
+
+# Damage for the reader: unknown tags, markup inside text, children that fit
+# no containment, entities, comments, a second root, stray characters.
+_XML_DAMAGE = [
+    "<NO-SUCH-TAG>x</NO-SUCH-TAG>", "<FOO-BAR/>", "<b/>", "x<i>y</i>z",
+    "<EA-PACKAGE><SHORT-NAME>Q</SHORT-NAME></EA-PACKAGE>",
+    "<EA-DATATYPE><SHORT-NAME>D</SHORT-NAME></EA-DATATYPE>",
+    "<FUNCTION-FLOW-PORT><SHORT-NAME>p</SHORT-NAME></FUNCTION-FLOW-PORT>",
+    "<EA-ELEMENT/>", "<FUNCTION-PORT/>", "<SHORT-NAME>N</SHORT-NAME>", "<TYPE DEST=\"EA-DATATYPE\"> / </TYPE>",
+    "<CATEGORY>  </CATEGORY>", "<NAME></NAME>", "<ELEMENT></ELEMENT>",
+    "&nope;", "&e;", "&v;", "&amp;", "&lt;x&gt;", "&#65;", "<!-- c -->", "<![CDATA[<x>&]]>", "<?pi x?>",
+    "<", ">", "&", "\"", "/", "</EA-PACKAGE>", "<EA-PACKAGE/>", "</EAXML>",
+    "<a:b/>", "<x xmlns=\"urn:u\"/>",
+]
+_PROLOGUES = [
+    "", "<!DOCTYPE EAXML SYSTEM \"eaxml.dtd\">\n",
+    "<!DOCTYPE EAXML [<!ENTITY e SYSTEM \"x\"><!ENTITY v \"value\">]>\n",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_reader_matches_the_reference_on_damaged_xml(data, g, mm):
+    seed = data.draw(st.integers(0, 30), label="seed")
+    xml = to_eaxml(random_model(seed, mm, max_elements=25), mm)
+    header, _, body = xml.partition("\n")
+    xml = header + "\n" + data.draw(st.sampled_from(_PROLOGUES), label="prologue") + body
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        action = data.draw(st.sampled_from(["insert", "insert", "cut", "truncate"]))
+        at = data.draw(st.integers(0, len(xml)), label="at")
+        if action == "insert":
+            xml = xml[:at] + data.draw(st.sampled_from(_XML_DAMAGE)) + xml[at:]
+        elif action == "cut":
+            xml = xml[:at] + xml[at + data.draw(st.integers(1, 12)):]
+        else:
+            xml = xml[:at]
+    assert_reads_like_reference(xml, mm)
+
+
+@pytest.mark.parametrize("prologue", _PROLOGUES, ids=["plain", "external-dtd", "entities"])
+@pytest.mark.parametrize("damage", [
+    "<NO-SUCH-TAG/>", "<EA-ELEMENT/>", "<EA-PACKAGEABLE-ELEMENT/>", "<FUNCTION-PORT/>",
+    "<EA-PACKAGE/>", "x<b/>", "&nope;", "&e;", "</EA-PACKAGE>",
+])
+def test_reader_matches_the_reference_after_every_tag(damage, prologue, mm):
+    # Seed 6 has packages, datatypes, functions, ports, types and comments.
+    xml = to_eaxml(random_model(6, mm, max_elements=20), mm).replace("\n", "\n" + prologue, 1)
+    for at in [m.end() for m in re.finditer(">", xml)]:
+        assert_reads_like_reference(xml[:at] + damage + xml[at:], mm)
+
+
+def test_unknown_tag_is_reported_at_its_own_line(mm):
+    source = """\
+<?xml version="1.0" encoding="UTF-8"?>
+<EAXML version="2.1.12">
+  <EA-PACKAGE>
+    <SHORT-NAME>P</SHORT-NAME>
+      <NO-SUCH-MEMBER>x</NO-SUCH-MEMBER>
+    <ELEMENT>
+      <NO-SUCH-CLASS/>
+    </ELEMENT>
+  </EA-PACKAGE>
+</EAXML>
+"""
+    root, diags = from_eaxml(source, mm)
+    assert root is not None
+    assert [d.format("m.eaxml") for d in diags] == [
+        "m.eaxml:5:7: warning: <NO-SUCH-MEMBER> is not a member of EAPackage; skipped",
+        "m.eaxml:7:7: warning: unknown element tag <NO-SUCH-CLASS>; subtree skipped",
+    ]
+
+
+def test_structural_errors_point_at_their_tags(mm):
+    two = '<EAXML version="2.1.12">\n<EA-PACKAGE/>\n  <EA-PACKAGE/>\n</EAXML>\n'
+    _, diags = from_eaxml(two, mm)
+    assert [(d.message, d.span.line, d.span.col) for d in diags] == [
+        ("EAXML document must hold exactly one root element, found 2", 3, 3),
+    ]
+    _, diags = from_eaxml('\n<EAXML version="1">\n <EA-ELEMENT/></EAXML>', mm)
+    assert [(d.span.line, d.span.col) for d in diags] == [(2, 1), (3, 2)]
+
+
+def test_nesting_depth_is_not_bounded_by_recursion(mm):
+    # 3000 nested packages: deeper than the interpreter's recursion limit.
+    root = node = ModelElement("EAPackage", short_name="P0")
+    for i in range(1, 3000):
+        child = ModelElement("EAPackage", short_name=f"P{i}")
+        node.children.append(("subPackage", child))
+        node = child
+    xml = to_eaxml(root, mm)
+    assert xml.count("<EA-PACKAGE>") == 3000
+    back, diags = from_eaxml(xml, mm)
+    assert diags == []
+    assert [el.short_name for el in back.iter_preorder()] == [f"P{i}" for i in range(3000)]
+    assert [el.id for el in back.iter_preorder()] == list(range(1, 3001))
+
