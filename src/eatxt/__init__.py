@@ -12,7 +12,6 @@ from .diagnostics import (
     Diagnostic,
     GrammarError,
     MetamodelError,
-    ModelError,
     SerializationError,
     Span,
     ToolchainError,
@@ -32,7 +31,6 @@ from .model import (
     QualifiedName,
     ReferenceCache,
     build_cache,
-    fqn_of,
     lookup_first_fitting,
     resolve,
 )
@@ -51,7 +49,6 @@ __all__ = [
     "Metamodel",
     "MetamodelError",
     "ModelElement",
-    "ModelError",
     "PrimitiveKind",
     "Proposal",
     "QualifiedName",
@@ -65,7 +62,6 @@ __all__ = [
     "complete",
     "emit_grammar",
     "format_model",
-    "fqn_of",
     "from_eaxml",
     "generate_grammar",
     "has_errors",

@@ -91,14 +91,6 @@ def context_at(doc: Document, offset: int) -> CursorContext | None:
     )
 
 
-def locate_context_at(
-    text: str, offset: int, g: Grammar, mm: Metamodel,
-) -> CursorContext | None:
-    """Context for a character offset; None when inside a string literal."""
-    offset = max(0, min(offset, len(text)))
-    return context_at(parse_document(text, g, mm), offset)
-
-
 def locate_context(
     text: str, line: int, column: int, g: Grammar, mm: Metamodel,
 ) -> CursorContext | None:

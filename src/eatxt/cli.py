@@ -127,8 +127,8 @@ def _build_grammar(args: argparse.Namespace, mm: Metamodel) -> Grammar:
     A --grammar-cache file is read when present and written when absent.
     The cache is not invalidated automatically; delete it after changing
     the metamodel or the config. A cache with a rule for a class the
-    metamodel lacks, or without a rule for some concrete class, is
-    rejected.
+    metamodel lacks or an entry for a member its class lacks, or without
+    a rule for some concrete class, is rejected.
     """
     cache_path = args.grammar_cache
     if cache_path and os.path.exists(cache_path):
@@ -137,12 +137,18 @@ def _build_grammar(args: argparse.Namespace, mm: Metamodel) -> Grammar:
                 g = grammar_from_dict(json.load(fh))
         except (OSError, ValueError, KeyError, TypeError, GrammarError) as exc:
             raise _UsageError(f"unusable grammar cache {cache_path}: {exc}")
-        for name in g.rules:
+        for name, rule in g.rules.items():
             if name not in mm.classes:
                 raise _UsageError(
                     f"unusable grammar cache {cache_path}: "
                     f"rule for class {name}, which the metamodel lacks"
                 )
+            for entry in rule.entries:
+                if mm.member_of(name, entry.member) is None:
+                    raise _UsageError(
+                        f"unusable grammar cache {cache_path}: rule for class {name} "
+                        f"has an entry for member {entry.member}, which the class lacks"
+                    )
         for name in mm.concrete_classes():
             if name not in g.rules:
                 raise _UsageError(

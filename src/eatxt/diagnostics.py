@@ -56,8 +56,3 @@ class ConfigError(ToolchainError):
 
 class SerializationError(ToolchainError):
     """Raised when a model cannot be rendered (text or XML)."""
-
-
-class ModelError(ToolchainError):
-    """Raised for model-level lookups that cannot be answered, e.g. the
-    qualified name of an element below an unnamed ancestor."""

@@ -60,12 +60,6 @@ DEFAULT_TERMINAL_PATTERNS: dict[PrimitiveKind, str] = {
 # IR types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TerminalRule:
-    kind: PrimitiveKind
-    pattern: str
-
-
 @dataclass
 class KeywordAttribute:
     """Primitive-valued member. keyword is None once it has been removed,
@@ -125,15 +119,12 @@ class ProductionRule:
 @dataclass
 class Grammar:
     rules: dict[str, ProductionRule]
-    terminals: list[TerminalRule]
+    terminals: dict[PrimitiveKind, str]  # explicit patterns, in definition order
     root_rule: str
 
     def terminal_patterns(self) -> dict[PrimitiveKind, str]:
         """Effective pattern per kind: explicit terminals over the builtins."""
-        patterns = dict(DEFAULT_TERMINAL_PATTERNS)
-        for t in self.terminals:
-            patterns[t.kind] = t.pattern
-        return patterns
+        return {**DEFAULT_TERMINAL_PATTERNS, **self.terminals}
 
     def used_kinds(self) -> set[PrimitiveKind]:
         used: set[PrimitiveKind] = set()
@@ -184,7 +175,7 @@ def generate_grammar(mm: Metamodel) -> Grammar:
             body_optional=False,
             entries=entries,
         )
-    return Grammar(rules=rules, terminals=[], root_rule=mm.root_class)
+    return Grammar(rules=rules, terminals={}, root_rule=mm.root_class)
 
 
 # ---------------------------------------------------------------------------
@@ -368,13 +359,8 @@ def adapt_grammar(g: Grammar, cfg: AdaptationConfig) -> tuple[Grammar, Adaptatio
     for d in cfg.directives:
         text = render_directive(d)
         if isinstance(d, DefineTerminal):
-            rule = TerminalRule(d.kind, d.pattern)
-            for i, t in enumerate(g.terminals):
-                if t.kind == d.kind:
-                    g.terminals[i] = rule
-                    break
-            else:
-                g.terminals.append(rule)
+            # A redefinition keeps the kind's first position.
+            g.terminals[d.kind] = d.pattern
             report.entries.append(ReportEntry(text, 1, "terminal defined"))
 
         elif isinstance(d, HoistShortName):
@@ -451,25 +437,18 @@ def adapt_grammar(g: Grammar, cfg: AdaptationConfig) -> tuple[Grammar, Adaptatio
 # Emission
 # ---------------------------------------------------------------------------
 
-def _type_name(kind: PrimitiveKind) -> str:
-    return GRAMMAR_TYPE_NAMES[kind]
-
-
 def _emit_entry(e: MemberEntry) -> str:
     form = e.form
+    op = "+=" if e.repeatable else "="
     if isinstance(form, KeywordAttribute):
-        op = "+=" if e.repeatable else "="
-        base = f"{e.member}{op}{_type_name(form.kind)}"
+        base = f"{e.member}{op}{GRAMMAR_TYPE_NAMES[form.kind]}"
         if form.keyword is not None:
             base = f"'{form.keyword}' {base}"
     elif isinstance(form, KeywordCrossRef):
-        op = "+=" if e.repeatable else "="
         base = f"'{form.keyword}' {e.member}{op}[{form.target}]"
     elif isinstance(form, InlineContainment):
-        op = "+=" if e.repeatable else "="
         base = f"{e.member}{op}{form.target}"
     else:
-        op = "+=" if e.repeatable else "="
         inner = f"{e.member}{op}{form.target}"
         if e.repeatable:
             core = f"""'{form.keyword}' '{{' {inner} ( "," {inner})* '}}'"""
@@ -509,15 +488,15 @@ def emit_grammar(g: Grammar) -> str:
     for name in order:
         blocks.append(_emit_rule(g.rules[name]))
 
-    terminal_lines: list[str] = []
-    for t in g.terminals:
-        terminal_lines.append(f"terminal {_type_name(t.kind)}: /{t.pattern}/;")
-    defined = {t.kind for t in g.terminals}
+    terminal_lines = [
+        f"terminal {GRAMMAR_TYPE_NAMES[kind]}: /{pattern}/;"
+        for kind, pattern in g.terminals.items()
+    ]
     used = g.used_kinds()
     for kind in PrimitiveKind:
-        if kind in used and kind not in defined:
+        if kind in used and kind not in g.terminals:
             terminal_lines.append(
-                f"// terminal {_type_name(kind)} not defined here; "
+                f"// terminal {GRAMMAR_TYPE_NAMES[kind]} not defined here; "
                 "the lexer uses the builtin default pattern"
             )
     if terminal_lines:
@@ -555,7 +534,9 @@ def grammar_to_dict(g: Grammar) -> dict:
 
     return {
         "root": g.root_rule,
-        "terminals": [{"kind": t.kind.value, "pattern": t.pattern} for t in g.terminals],
+        "terminals": [
+            {"kind": kind.value, "pattern": pattern} for kind, pattern in g.terminals.items()
+        ],
         "rules": [
             {
                 "class": r.class_name,
@@ -594,7 +575,5 @@ def grammar_from_dict(data: dict) -> Grammar:
         )
         for r in data["rules"]
     }
-    terminals = [
-        TerminalRule(PrimitiveKind(t["kind"]), t["pattern"]) for t in data["terminals"]
-    ]
+    terminals = {PrimitiveKind(t["kind"]): t["pattern"] for t in data["terminals"]}
     return Grammar(rules=rules, terminals=terminals, root_rule=data["root"])

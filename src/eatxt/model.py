@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .diagnostics import Diagnostic, ERROR, ModelError, NO_SPAN, Span
+from .diagnostics import Diagnostic, ERROR, NO_SPAN, Span
 from .metamodel import Metamodel
 
 
@@ -28,10 +28,6 @@ class QualifiedName:
     def __post_init__(self) -> None:
         if not self.segments:
             raise ValueError("qualified name needs at least one segment")
-
-    @classmethod
-    def parse(cls, dotted: str) -> "QualifiedName":
-        return cls(tuple(dotted.split(".")))
 
     @property
     def dotted(self) -> str:
@@ -72,64 +68,29 @@ class ModelElement:
         return [v for (m, v) in self.attributes if m == member]
 
 
-def assign_preorder_ids(root: ModelElement, start: int = 1) -> int:
-    """Number the tree in document pre-order. Returns the next free id."""
-    next_id = start
-    for el in root.iter_preorder():
-        el.id = next_id
-        next_id += 1
-    return next_id
+def assign_preorder_ids(root: ModelElement) -> None:
+    """Number the tree in document pre-order, from 1."""
+    for number, el in enumerate(root.iter_preorder(), start=1):
+        el.id = number
 
 
 # ---------------------------------------------------------------------------
 # Qualified names
 # ---------------------------------------------------------------------------
 
-def _path_to(root: ModelElement, element_id: int) -> list[ModelElement] | None:
-    if root.id == element_id:
-        return [root]
-    for _, child in root.children:
-        path = _path_to(child, element_id)
-        if path is not None:
-            return [root] + path
-    return None
-
-
-def fqn_of(root: ModelElement, element_id: int) -> QualifiedName:
-    """Dot path of shortNames from the root down to the element, inclusive.
-
-    Raises ModelError if the element is unknown or any element on the path
-    has no shortName; the message names the nearest named ancestor.
-    """
-    path = _path_to(root, element_id)
-    if path is None:
-        raise ModelError(f"no element with id {element_id}")
-    segments: list[str] = []
-    for el in path:
-        if not el.short_name:
-            where = f"below '{'.'.join(segments)}'" if segments else "at the root"
-            raise ModelError(
-                f"element {el.id} ({el.class_name}) {where} has no shortName, "
-                "so no qualified name reaches it"
-            )
-        segments.append(el.short_name)
-    return QualifiedName(tuple(segments))
-
-
 def _named_elements(root: ModelElement) -> Iterator[tuple[QualifiedName, ModelElement]]:
     """Pre-order walk yielding (fqn, element) for addressable elements.
     Subtrees below an unnamed element are skipped: nothing inside them can
-    be reached by a qualified name."""
-
-    def walk(el: ModelElement, prefix: tuple[str, ...]) -> Iterator[tuple[QualifiedName, ModelElement]]:
+    be reached by a qualified name. The walk keeps an explicit stack of
+    (element, parent path) pairs, so it has no depth limit."""
+    stack: list[tuple[ModelElement, tuple[str, ...]]] = [(root, ())]
+    while stack:
+        el, prefix = stack.pop()
         if not el.short_name:
-            return
+            continue
         segments = prefix + (el.short_name,)
         yield QualifiedName(segments), el
-        for _, child in el.children:
-            yield from walk(child, segments)
-
-    yield from walk(root, ())
+        stack.extend((child, segments) for _, child in reversed(el.children))
 
 
 # ---------------------------------------------------------------------------
@@ -234,38 +195,3 @@ def lookup_first_fitting(cache: ReferenceCache, class_name: str) -> QualifiedNam
     if not entries:
         return None
     return entries[0][0]
-
-
-# ---------------------------------------------------------------------------
-# Structural comparison (spans, ids and resolution state ignored)
-# ---------------------------------------------------------------------------
-
-def same_structure(a: ModelElement, b: ModelElement) -> bool:
-    """Compare trees by content.
-
-    Attribute and cross-reference values are grouped per member (their
-    relative order within one member matters, the interleaving across
-    members does not, since the formatter canonicalizes it). Children are
-    compared pairwise in document order.
-    """
-    if a.class_name != b.class_name or a.short_name != b.short_name:
-        return False
-
-    def grouped(pairs: list[tuple[str, str]]) -> dict[str, list[str]]:
-        out: dict[str, list[str]] = {}
-        for member, value in pairs:
-            out.setdefault(member, []).append(value)
-        return out
-
-    if grouped(a.attributes) != grouped(b.attributes):
-        return False
-    refs_a = grouped([(r.member, r.target.dotted) for r in a.cross_refs])
-    refs_b = grouped([(r.member, r.target.dotted) for r in b.cross_refs])
-    if refs_a != refs_b:
-        return False
-    if len(a.children) != len(b.children):
-        return False
-    for (ma, ca), (mb, cb) in zip(a.children, b.children):
-        if ma != mb or not same_structure(ca, cb):
-            return False
-    return True

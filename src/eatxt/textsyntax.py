@@ -5,11 +5,9 @@ comments. Keywords are not a lexical category: every word comes out as an
 Identifier token and the parser promotes it by context, so member names
 never clash with class names. :func:`lex` returns :class:`Tokens`: the
 kinds, lexemes and start offsets of the tokens in three parallel lists,
-plus the line index of the text. Indexing or iterating it builds
-:class:`Token` views for callers that want one object per token; the
-parser reads the lists by index and builds none. Line:col spans are
-computed from offsets only when needed: for element and cross-reference
-positions and for diagnostics.
+plus the line index of the text; the parser reads the lists by index.
+Line:col spans are computed from offsets only when needed: for element
+and cross-reference positions and for diagnostics.
 
 The parser is a recursive-descent interpreter over the grammar IR. It is
 deliberately forgiving: every problem becomes a diagnostic with a span,
@@ -87,29 +85,10 @@ class LineIndex:
         return self.starts[line - 1] + col - 1
 
 
-class Token:
-    """A view of one token of :class:`Tokens`: its kind (a PrimitiveKind
-    value name, or one of ``{`` ``}`` ``,`` ``.``), lexeme and start
-    offset. Its :class:`Span` is built only when read."""
-
-    __slots__ = ("kind", "lexeme", "offset", "lines")
-
-    def __init__(self, kind: str, lexeme: str, offset: int, lines: LineIndex):
-        self.kind = kind
-        self.lexeme = lexeme
-        self.offset = offset
-        self.lines = lines
-
-    @property
-    def span(self) -> Span:
-        return self.lines.span(self.offset, self.offset + len(self.lexeme))
-
-
 class Tokens:
-    """The tokens of one text, column by column: three parallel lists
-    (kind, lexeme and start offset of each token) and the text's line
-    index. Indexing builds a :class:`Token` view (and so does iteration,
-    which indexes until ``IndexError``); the parser reads the lists."""
+    """The tokens of one text, column by column: three parallel lists and
+    the text's line index. A token's kind is a PrimitiveKind value name or
+    one of ``{`` ``}`` ``,`` ``.``; its offset is where its lexeme starts."""
 
     __slots__ = ("kinds", "lexemes", "offsets", "lines")
 
@@ -123,9 +102,6 @@ class Tokens:
 
     def __len__(self) -> int:
         return len(self.kinds)
-
-    def __getitem__(self, i: int) -> Token:
-        return Token(self.kinds[i], self.lexemes[i], self.offsets[i], self.lines)
 
 
 def lex(

@@ -3,7 +3,7 @@
 Holds the fixture paths, a reader that parses emitted grammar text back
 into the IR (round-reading check), a seeded random model generator used
 by the roundtrip and cache tests, a brute-force reference-cache oracle,
-a frozen reference lexer, the frozen ElementTree writer and reader of
+a structural tree comparison, a frozen reference lexer, the frozen ElementTree writer and reader of
 EAXML and the recorder of damaged-document parses.
 """
 
@@ -23,7 +23,6 @@ from eatxt.grammar import (
     KeywordCrossRef,
     MemberEntry,
     ProductionRule,
-    TerminalRule,
     WrappedContainment,
     GRAMMAR_TYPE_NAMES,
 )
@@ -121,7 +120,7 @@ def _parse_entry(line: str) -> MemberEntry:
 def read_grammar_text(text: str) -> Grammar:
     """Parse emitted grammar text back into the IR."""
     rules: dict[str, ProductionRule] = {}
-    terminals: list[TerminalRule] = []
+    terminals: dict[PrimitiveKind, str] = {}
     root = ""
 
     for block in (b for b in text.split("\n\n") if b.strip()):
@@ -135,7 +134,7 @@ def read_grammar_text(text: str) -> Grammar:
                 tm = _TERMINAL.fullmatch(line)
                 if tm is None:
                     raise ValueError(f"unrecognized grammar line: {line!r}")
-                terminals.append(TerminalRule(_TYPE_BY_NAME[tm[1]], tm[2]))
+                terminals[_TYPE_BY_NAME[tm[1]]] = tm[2]
             continue
 
         class_name = head[1]
@@ -350,24 +349,62 @@ def random_model(
 # ---------------------------------------------------------------------------
 
 def naive_cache(root: ModelElement, mm: Metamodel) -> dict[str, list[tuple[QualifiedName, int]]]:
-    """Reference implementation: one full traversal per class."""
+    """Reference implementation: list the named elements reachable by a
+    qualified name in pre-order (a walk by an explicit stack, so deep
+    chains can be checked), then filter that list once per class."""
+    named: list[tuple[tuple[str, ...], ModelElement]] = []
+    stack: list[tuple[ModelElement, tuple[str, ...]]] = [(root, ())]
+    while stack:
+        el, path = stack.pop()
+        if el.short_name is None:
+            continue
+        here = path + (el.short_name,)
+        named.append((here, el))
+        stack.extend((child, here) for _, child in reversed(el.children))
     table: dict[str, list[tuple[QualifiedName, int]]] = {}
     for cls in mm.classes:
-        rows: list[tuple[QualifiedName, int]] = []
-
-        def walk(el: ModelElement, path: tuple[str, ...]) -> None:
-            if el.short_name is None:
-                return
-            here = path + (el.short_name,)
-            if mm.is_subtype(el.class_name, cls):
-                rows.append((QualifiedName(here), el.id))
-            for _, child in el.children:
-                walk(child, here)
-
-        walk(root, ())
+        rows = [
+            (QualifiedName(here), el.id)
+            for here, el in named if mm.is_subtype(el.class_name, cls)
+        ]
         if rows:
             table[cls] = rows
     return table
+
+
+# ---------------------------------------------------------------------------
+# Structural comparison (spans, ids and resolution state ignored)
+# ---------------------------------------------------------------------------
+
+def same_structure(a: ModelElement, b: ModelElement) -> bool:
+    """Compare trees by content.
+
+    Attribute and cross-reference values are grouped per member (their
+    relative order within one member matters, the interleaving across
+    members does not, since the formatter canonicalizes it). Children are
+    compared pairwise in document order.
+    """
+    if a.class_name != b.class_name or a.short_name != b.short_name:
+        return False
+
+    def grouped(pairs: list[tuple[str, str]]) -> dict[str, list[str]]:
+        out: dict[str, list[str]] = {}
+        for member, value in pairs:
+            out.setdefault(member, []).append(value)
+        return out
+
+    if grouped(a.attributes) != grouped(b.attributes):
+        return False
+    refs_a = grouped([(r.member, r.target.dotted) for r in a.cross_refs])
+    refs_b = grouped([(r.member, r.target.dotted) for r in b.cross_refs])
+    if refs_a != refs_b:
+        return False
+    if len(a.children) != len(b.children):
+        return False
+    for (ma, ca), (mb, cb) in zip(a.children, b.children):
+        if ma != mb or not same_structure(ca, cb):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -16,14 +16,14 @@ from eatxt.assist import (
     TEMPLATE,
     build_template,
     complete,
+    context_at,
     locate_context,
-    locate_context_at,
 )
 from eatxt.cli import main
 from eatxt.diagnostics import ERROR
 from eatxt.grammar import emit_grammar, generate_grammar
 from eatxt.model import ModelElement, assign_preorder_ids, build_cache
-from eatxt.textsyntax import format_model, lex, parse_model
+from eatxt.textsyntax import format_model, lex, parse_document, parse_model
 from eatxt.xmlio import XmlNameMap, from_eaxml, to_eaxml, to_tag
 
 from support import (
@@ -119,13 +119,13 @@ def test_criterion_3_terminal_suite(g):
             assert NUMERICAL_ORACLE.fullmatch(sample), sample
             tokens, diags = lex(sample, g.terminal_patterns())
             assert diags == [] and len(tokens) == 1, sample
-            assert tokens[0].kind == "Numerical", sample
+            assert tokens.kinds[0] == "Numerical", sample
 
         for sample in ("0b2", "--1"):
             assert not NUMERICAL_ORACLE.fullmatch(sample), sample
             tokens, diags = lex(sample, g.terminal_patterns())
             single = len(tokens) == 1 and not diags
-            assert not (single and tokens[0].kind == "Numerical"), sample
+            assert not (single and tokens.kinds[0] == "Numerical"), sample
 
         uuid = "123e4567-e89b-12d3-a456-426614174000"
         digit_uuid = "12345678-1234-1234-1234-123456789012"
@@ -133,7 +133,7 @@ def test_criterion_3_terminal_suite(g):
             assert UUID_ORACLE.fullmatch(sample), sample
             tokens, diags = lex(sample, g.terminal_patterns())
             assert diags == [] and len(tokens) == 1, sample
-            assert tokens[0].kind == "UUID", sample
+            assert tokens.kinds[0] == "UUID", sample
 
 
 # -- 4. text -> model -> XML -> model -> text is the identity -----------------
@@ -240,9 +240,10 @@ def test_criterion_5_empty_attributes_are_dropped(g, mm):
 
 
 def contexts_of(text, g, mm):
+    doc = parse_document(text, g, mm)
     seen = {}
     for offset in range(len(text) + 1):
-        ctx = locate_context_at(text, offset, g, mm)
+        ctx = context_at(doc, offset)
         if ctx is not None and ctx not in seen:
             seen[ctx] = offset
     return seen

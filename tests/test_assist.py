@@ -7,12 +7,12 @@ from eatxt.assist import (
     TEMPLATE,
     build_template,
     complete,
+    context_at,
     locate_context,
-    locate_context_at,
 )
 from eatxt.diagnostics import ERROR
 from eatxt.model import build_cache
-from eatxt.textsyntax import parse_model
+from eatxt.textsyntax import parse_document, parse_model
 
 from support import MODELS, fill_placeholders
 
@@ -47,8 +47,8 @@ def test_line_and_column_clamp_like_a_split_of_the_text(g, mm, line, column):
     if line >= 1:
         before = text.split("\n")[: line - 1]
         offset = sum(len(s) + 1 for s in before) + max(column - 1, 0)
-    assert locate_context(text, line, column, g, mm) == locate_context_at(
-        text, offset, g, mm,
+    assert locate_context(text, line, column, g, mm) == context_at(
+        parse_document(text, g, mm), min(offset, len(text)),
     )
 
 
@@ -78,7 +78,7 @@ def test_context_just_after_string_is_element(g, mm):
 
 def test_context_in_unclosed_body(g, mm):
     text = "EAPackage P\n{\n    EADatatype T\n"
-    ctx = locate_context_at(text, len(text), g, mm)
+    ctx = context_at(parse_document(text, g, mm), len(text))
     assert ctx.kind == "element" and ctx.class_name == "EAPackage"
 
 
@@ -287,9 +287,10 @@ def test_templates_parse_after_placeholder_substitution(g, mm):
 
 
 def contexts_of(text, g, mm):
+    doc = parse_document(text, g, mm)
     seen = {}
     for offset in range(len(text) + 1):
-        ctx = locate_context_at(text, offset, g, mm)
+        ctx = context_at(doc, offset)
         if ctx is not None and ctx not in seen:
             seen[ctx] = offset
     return seen

@@ -280,12 +280,16 @@ def test_grammar_cache_is_written_then_reused(capsys, tmp_path):
 
 def test_stale_grammar_cache_content_wins(capsys, tmp_path):
     # The cache is trusted blindly once present; a cache for a different
-    # grammar changes what parses.
+    # grammar changes what parses. Here the member keeps its name and only
+    # its keyword changes, so the cache still fits the metamodel.
     cache = tmp_path / "grammar.json"
     run(capsys, *base_args(WIPER), "--grammar-cache", cache)
     mangled = json.loads(cache.read_text(encoding="utf-8"))
-    data = json.dumps(mangled).replace("isElementary", "isAtomic")
-    cache.write_text(data, encoding="utf-8")
+    for rule in mangled["rules"]:
+        for entry in rule["entries"]:
+            if entry.get("keyword") == "isElementary":
+                entry["keyword"] = "isAtomic"
+    cache.write_text(json.dumps(mangled), encoding="utf-8")
     code, out, _ = run(capsys, *base_args(WIPER), "--grammar-cache", cache)
     assert code == 1
     assert "isElementary" in out
@@ -342,6 +346,35 @@ def test_grammar_cache_rule_for_an_unknown_class_is_usage_error(capsys, tmp_path
     )
     for model in (WIPER, ghost):
         assert run(capsys, *base_args(model), "--grammar-cache", cache) == expected
+
+
+def test_grammar_cache_entry_for_a_member_the_class_lacks_is_usage_error(capsys, tmp_path):
+    # Rejected when the cache loads, by every command, whether or not the
+    # text uses the entry.
+    def add_ghost_member(data):
+        rule = next(r for r in data["rules"] if r["class"] == "EADatatype")
+        rule["entries"].append({
+            "member": "ghostMember", "optional": True, "repeatable": False,
+            "form": "attribute", "keyword": "ghostMember", "kind": "Identifier",
+        })
+
+    cache = edited_cache(capsys, tmp_path, add_ghost_member)
+    ghost = tmp_path / "ghost.eatxt"
+    ghost.write_text(
+        "EAPackage P\n{\n    EADatatype T\n    {\n        ghostMember x\n    }\n}\n",
+        encoding="utf-8",
+    )
+    expected = (
+        2, "",
+        f"error: unusable grammar cache {cache}: rule for class EADatatype "
+        "has an entry for member ghostMember, which the class lacks\n",
+    )
+    for command in ("check", "format", "to-xml", "roundtrip-check"):
+        for model in (WIPER, ghost):
+            argv = [command, model, "--metamodel", METAMODEL, "--config", CONFIG]
+            assert run(capsys, *argv, "--grammar-cache", cache) == expected, (
+                command, model.name,
+            )
 
 
 def test_grammar_cache_with_wrapper_flags_still_loads(capsys, tmp_path, mm, g, gen_g):

@@ -99,7 +99,8 @@ def test_unknown_class_raises(g):
         format_model(ModelElement(class_name="Mystery"), g)
 
 
-def test_random_trees_format_to_fixpoints(g, mm):
-    for seed in range(40):
-        text = format_model(random_model(seed, mm, max_elements=50), g)
-        assert reformat(text, g, mm) == text, f"seed {seed}"
+def test_random_trees_format_to_fixpoints(g, gen_g, mm):
+    for syntax, grammar in (("adapted", g), ("generated", gen_g)):
+        for seed in range(40):
+            text = format_model(random_model(seed, mm, max_elements=50), grammar)
+            assert reformat(text, grammar, mm) == text, f"{syntax} seed {seed}"

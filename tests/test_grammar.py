@@ -153,13 +153,25 @@ def test_optional_body_flag(gen_g):
 
 
 def test_define_terminal_replaces_existing(gen_g):
+    # A redefinition keeps the kind's first position in the emitted
+    # grammar and in the cache dump.
     cfg = AdaptationConfig((
         DefineTerminal(PrimitiveKind.NUMERICAL, "[0-9]+"),
+        DefineTerminal(PrimitiveKind.UUID, "[0-9a-f-]+"),
         DefineTerminal(PrimitiveKind.NUMERICAL, "[0-9a-f]+"),
     ))
     adapted, _ = adapt_grammar(gen_g, cfg)
-    patterns = [t.pattern for t in adapted.terminals if t.kind is PrimitiveKind.NUMERICAL]
-    assert patterns == ["[0-9a-f]+"]
+    assert adapted.terminals[PrimitiveKind.NUMERICAL] == "[0-9a-f]+"
+    terminal_lines = [
+        line for line in emit_grammar(adapted).splitlines() if line.startswith("terminal ")
+    ]
+    assert terminal_lines == [
+        "terminal Numerical: /[0-9a-f]+/;", "terminal UUID: /[0-9a-f-]+/;",
+    ]
+    assert grammar_to_dict(adapted)["terminals"] == [
+        {"kind": "Numerical", "pattern": "[0-9a-f]+"},
+        {"kind": "UUID", "pattern": "[0-9a-f-]+"},
+    ]
 
 
 def test_remove_attribute_keyword(gen_g):
@@ -230,7 +242,7 @@ def test_container_braces_survive_every_directive(mm, gen_g):
 def test_emit_empty_grammar():
     from eatxt.grammar import Grammar
 
-    assert emit_grammar(Grammar(rules={}, terminals=[], root_rule="")) == ""
+    assert emit_grammar(Grammar(rules={}, terminals={}, root_rule="")) == ""
 
 
 def test_emit_changes_when_config_matches(gen_g):

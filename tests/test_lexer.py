@@ -13,10 +13,18 @@ from support import FIXTURES, reference_lex
 PATTERNS = {k: re.compile(p) for k, p in DEFAULT_TERMINAL_PATTERNS.items()}
 
 
+def rows(tokens):
+    """(kind, lexeme, offset, span) of each token, read from the columns."""
+    return [
+        (kind, lexeme, offset, tokens.lines.span(offset, offset + len(lexeme)))
+        for kind, lexeme, offset in zip(tokens.kinds, tokens.lexemes, tokens.offsets)
+    ]
+
+
 def kinds_of(text, terminals=DEFAULT_TERMINAL_PATTERNS):
     tokens, diags = lex(text, terminals)
     assert diags == []
-    return [(t.kind, t.lexeme) for t in tokens]
+    return list(zip(tokens.kinds, tokens.lexemes))
 
 
 def single(text):
@@ -48,7 +56,7 @@ def test_numerical_accepts(lexeme):
 def test_numerical_rejects(lexeme):
     assert PATTERNS[PrimitiveKind.NUMERICAL].fullmatch(lexeme) is None
     tokens, diags = lex(lexeme, DEFAULT_TERMINAL_PATTERNS)
-    assert not any(t.kind == "Numerical" and t.lexeme == lexeme for t in tokens)
+    assert ("Numerical", lexeme) not in zip(tokens.kinds, tokens.lexemes)
 
 
 def test_uuid_accepted_and_beats_numerical():
@@ -89,24 +97,26 @@ def test_unlexable_character_reported_and_skipped():
     tokens, diags = lex("foo § bar", DEFAULT_TERMINAL_PATTERNS)
     assert len(diags) == 1
     assert diags[0].severity == "error"
-    assert [t.lexeme for t in tokens] == ["foo", "bar"]
+    assert tokens.lexemes == ["foo", "bar"]
 
 
 def test_spans_are_one_based():
     tokens, _ = lex("a\n  b", DEFAULT_TERMINAL_PATTERNS)
-    assert (tokens[0].span.line, tokens[0].span.col) == (1, 1)
-    assert (tokens[1].span.line, tokens[1].span.col) == (2, 3)
+    spans = [span for _, _, _, span in rows(tokens)]
+    assert (spans[0].line, spans[0].col) == (1, 1)
+    assert (spans[1].line, spans[1].col) == (2, 3)
 
 
 def test_span_of_token_across_a_newline():
     terminals = {**DEFAULT_TERMINAL_PATTERNS, PrimitiveKind.STRING: r'"[^"]*"'}
     tokens, diags = lex('a "x\ny" b', terminals)
     assert diags == []
-    assert [(t.kind, t.lexeme, t.offset) for t in tokens] == [
+    assert list(zip(tokens.kinds, tokens.lexemes, tokens.offsets)) == [
         ("Identifier", "a", 0), ("String", '"x\ny"', 2), ("Identifier", "b", 8),
     ]
-    assert tokens[1].span == Span(1, 3, 2, 3)
-    assert tokens[2].span == Span(2, 4, 2, 5)
+    spans = [span for _, _, _, span in rows(tokens)]
+    assert spans[1] == Span(1, 3, 2, 3)
+    assert spans[2] == Span(2, 4, 2, 5)
 
 
 def test_longest_match_wins():
@@ -146,7 +156,7 @@ def test_numerical_shaped_input_never_splits(s):
     tokens, diags = lex(s, DEFAULT_TERMINAL_PATTERNS)
     assert diags == []
     assert len(tokens) == 1
-    assert tokens[0].kind in ("Numerical", "UUID")
+    assert tokens.kinds[0] in ("Numerical", "UUID")
 
 
 # -- differential against the reference lexer ------------------------------
@@ -177,7 +187,7 @@ FRAGMENTS = [
 def assert_same_as_reference(text, terminals):
     tokens, diags = lex(text, terminals)
     expected_tokens, expected_diags = reference_lex(text, terminals)
-    assert [(t.kind, t.lexeme, t.offset, t.span) for t in tokens] == expected_tokens
+    assert rows(tokens) == expected_tokens
     assert diags == expected_diags
 
 

@@ -1,17 +1,16 @@
-import pytest
-
-from eatxt.diagnostics import ERROR, ModelError
+from eatxt.diagnostics import ERROR
 from eatxt.model import (
+    CrossRef,
+    ModelElement,
     QualifiedName,
+    assign_preorder_ids,
     build_cache,
-    fqn_of,
     lookup_first_fitting,
     resolve,
-    same_structure,
 )
 from eatxt.textsyntax import parse_model
 
-from support import MODELS, naive_cache, random_model
+from support import MODELS, naive_cache, random_model, same_structure
 
 
 def load(text, g, mm):
@@ -46,25 +45,10 @@ EAPackage P
 
 
 def test_qualified_name_parse_and_print():
-    qn = QualifiedName.parse("A.B.C")
+    qn = QualifiedName(tuple("A.B.C".split(".")))
     assert qn.segments == ("A", "B", "C")
     assert qn.dotted == "A.B.C"
     assert str(qn) == "A.B.C"
-
-
-def test_fqn_of_nested_element(g, mm):
-    root = load(WIRED, g, mm)
-    ids = {el.short_name: el.id for el in root.iter_preorder() if el.short_name}
-    assert fqn_of(root, ids["U"]).dotted == "P.Sub.U"
-    assert fqn_of(root, ids["P"]).dotted == "P"
-
-
-def test_fqn_below_anonymous_element_raises(g, mm):
-    text = "EAPackage P\n{\n    Comment\n    {\n        text \"x\"\n    }\n}\n"
-    root = load(text, g, mm)
-    comment_id = root.children[0][1].id
-    with pytest.raises(ModelError, match="no shortName"):
-        fqn_of(root, comment_id)
 
 
 def test_resolve_links_references(g, mm):
@@ -175,3 +159,31 @@ def test_same_structure_detects_reordered_children(g, mm):
     a = load("EAPackage P\n{\n    EADatatype A\n    EADatatype B\n}\n", g, mm)
     b = load("EAPackage P\n{\n    EADatatype B\n    EADatatype A\n}\n", g, mm)
     assert not same_structure(a, b)
+
+
+def deep_chain(depth):
+    """A chain of packages ``depth`` elements deep, built without the
+    parser, whose innermost port references a datatype in the root."""
+    root = ModelElement("EAPackage", "P1")
+    root.children.append(("element", ModelElement("EADatatype", "T")))
+    node = root
+    for i in range(2, depth - 1):
+        child = ModelElement("EAPackage", f"P{i}")
+        node.children.append(("subPackage", child))
+        node = child
+    function = ModelElement("DesignFunctionType", "F")
+    node.children.append(("element", function))
+    port = ModelElement(
+        "FunctionFlowPort", "x", attributes=[("direction", "in")],
+        cross_refs=[CrossRef("type", QualifiedName(("P1", "T")))],
+    )
+    function.children.append(("port", port))
+    assign_preorder_ids(root)
+    return root, port
+
+
+def test_resolve_and_cache_have_no_depth_limit(mm):
+    root, port = deep_chain(5000)
+    assert resolve(root, mm) == []
+    assert port.cross_refs[0].resolved_id == 2
+    assert build_cache(root, mm).by_class == naive_cache(root, mm)

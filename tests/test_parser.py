@@ -6,7 +6,9 @@ from eatxt.grammar import generate_grammar
 from eatxt.metamodel import load_metamodel
 from eatxt.textsyntax import parse_model
 
-from support import DAMAGED_PARSE, MODELS, damaged_corpus, parse_record, random_model
+from support import (
+    DAMAGED_PARSE, MODELS, damaged_corpus, parse_record, random_model, same_structure,
+)
 from eatxt.textsyntax import format_model
 
 
@@ -297,32 +299,14 @@ def test_wrapped_containment_accepts_commas(gen_g, mm):
     assert [c.short_name for _, c in root.children] == ["A", "B"]
 
 
-def test_random_trees_reparse_to_same_structure(g, mm):
-    from eatxt.model import same_structure
-
-    for seed in range(25):
-        tree = random_model(seed, mm, max_elements=40)
-        text = format_model(tree, g)
-        root, diags = parse_model(text, g, mm)
-        assert diags == [], (seed, [d.format("m") for d in diags])
-        assert same_structure(tree, root)
-
-
-def test_parse_document_builds_no_token_objects(g, mm, monkeypatch):
-    import eatxt.textsyntax
-
-    built = []
-    token_init = eatxt.textsyntax.Token.__init__
-
-    def counting_token_init(self, *args):
-        built.append(args)
-        token_init(self, *args)
-
-    monkeypatch.setattr(eatxt.textsyntax.Token, "__init__", counting_token_init)
-    text = (MODELS[0].parent / "wiper_system.eatxt").read_text(encoding="utf-8")
-    doc = eatxt.textsyntax.parse_document(text, g, mm)
-    assert doc.root is not None and doc.diagnostics == []
-    assert built == []
+def test_random_trees_reparse_to_same_structure(g, gen_g, mm):
+    for syntax, grammar in (("adapted", g), ("generated", gen_g)):
+        for seed in range(25):
+            tree = random_model(seed, mm, max_elements=40)
+            text = format_model(tree, grammar)
+            root, diags = parse_model(text, grammar, mm)
+            assert diags == [], (syntax, seed, [d.format("m") for d in diags])
+            assert same_structure(tree, root), (syntax, seed)
 
 
 def test_damaged_documents_parse_as_recorded(g, gen_g, mm):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from eatxt.diagnostics import ERROR, NO_SPAN, WARNING, SerializationError
 from eatxt.metamodel import load_metamodel
-from eatxt.model import ModelElement, same_structure
+from eatxt.model import ModelElement
 from eatxt.textsyntax import format_model, parse_model
 from eatxt.xmlio import (
     XmlNameMap,
@@ -23,6 +23,7 @@ from support import (
     random_model,
     reference_from_eaxml,
     reference_to_eaxml,
+    same_structure,
 )
 
 
