@@ -116,9 +116,10 @@ class Metamodel:
 
     classes: dict[str, MetaClass]
     root_class: str
-    _flattened: dict[str, tuple[Member, ...]] = field(default_factory=dict, repr=False)
     _members: dict[str, dict[str, Member]] = field(default_factory=dict, repr=False)
-    _ancestors: dict[str, frozenset[str]] = field(default_factory=dict, repr=False)
+    # Each class's proper ancestors as a bit mask over the ``_bit`` of each class.
+    _ancestors: dict[str, int] = field(default_factory=dict, repr=False)
+    _bit: dict[str, int] = field(default_factory=dict, repr=False)
 
     # -- queries ------------------------------------------------------------
 
@@ -126,7 +127,7 @@ class Metamodel:
         """Reflexive, transitive subtype check over declared supertypes."""
         if sub == sup:
             return sub in self.classes
-        return sup in self._ancestors.get(sub, frozenset())
+        return self._ancestors.get(sub, 0) & self._bit.get(sup, 0) != 0
 
     def flatten_members(self, class_name: str) -> tuple[Member, ...]:
         """All members of a class: inherited first, then its own.
@@ -135,7 +136,7 @@ class Metamodel:
         A member reachable along several inheritance paths appears once.
         """
         try:
-            return self._flattened[class_name]
+            return tuple(self._members[class_name].values())
         except KeyError:
             raise MetamodelError(f"unknown class '{class_name}'") from None
 
@@ -325,7 +326,13 @@ def _validate_and_index(mm: Metamodel) -> None:
                 raise MetamodelError(
                     f"class '{cls.name}' inherits from unknown class '{sup}'"
                 )
+        declared: set[str] = set()
         for m in cls.members:
+            if m.name in declared:
+                raise MetamodelError(
+                    f"class '{cls.name}' declares two members named '{m.name}'"
+                )
+            declared.add(m.name)
             if isinstance(m.kind, (Containment, CrossReference)):
                 if m.kind.target not in classes:
                     kind = "containment" if isinstance(m.kind, Containment) else "cross-reference"
@@ -334,79 +341,55 @@ def _validate_and_index(mm: Metamodel) -> None:
                         f"'{m.kind.target}'"
                     )
 
-    # Supertype cycles. DFS with an explicit path so the error can show it.
-    state: dict[str, int] = {}  # 1 = on stack, 2 = done
+    # One depth-first pass over the supertypes, with an explicit stack of
+    # the classes on the current path and their unvisited supertypes. A
+    # supertype already on the path closes a cycle; a class is finished,
+    # and listed in ``order``, after all of its supertypes.
+    order: list[str] = []
+    state: dict[str, int] = {}  # 1 = on the path, 2 = finished
+    for start in classes:
+        if start in state:
+            continue
+        state[start] = 1
+        path = [start]
+        pending = [iter(classes[start].supertypes)]
+        while pending:
+            sup = next(pending[-1], None)
+            if sup is None:
+                pending.pop()
+                state[path[-1]] = 2
+                order.append(path.pop())
+            elif (mark := state.get(sup)) == 1:
+                cycle = path[path.index(sup):] + [sup]
+                raise MetamodelError("inheritance cycle: " + " -> ".join(cycle))
+            elif mark is None:
+                state[sup] = 1
+                path.append(sup)
+                pending.append(iter(classes[sup].supertypes))
 
-    def visit(name: str, path: list[str]) -> None:
-        mark = state.get(name)
-        if mark == 2:
-            return
-        if mark == 1:
-            cycle = path[path.index(name):] + [name]
-            raise MetamodelError("inheritance cycle: " + " -> ".join(cycle))
-        state[name] = 1
-        for sup in classes[name].supertypes:
-            visit(sup, path + [name])
-        state[name] = 2
-
-    for name in classes:
-        visit(name, [])
-
-    # Transitive ancestor sets (exclusive of the class itself).
-    ancestors: dict[str, frozenset[str]] = {}
-
-    def collect(name: str) -> frozenset[str]:
-        if name in ancestors:
-            return ancestors[name]
-        acc: set[str] = set()
-        for sup in classes[name].supertypes:
-            acc.add(sup)
-            acc.update(collect(sup))
-        result = frozenset(acc)
-        ancestors[name] = result
-        return result
-
-    for name in classes:
-        collect(name)
-    mm._ancestors.update(ancestors)
-
-    # Flattened member lists, depth-first over supertypes, own members last.
-    # The same member inherited along two paths (diamond) appears once;
-    # distinct declarations sharing a name are an error.
-    flattened: dict[str, tuple[Member, ...]] = {}
-
-    def flatten(name: str) -> tuple[Member, ...]:
-        if name in flattened:
-            return flattened[name]
-        out: list[Member] = []
-        owner: dict[str, str] = {}
-
-        def add(member: Member, declared_by: str) -> None:
-            prev = owner.get(member.name)
-            if prev is None:
-                owner[member.name] = declared_by
-                out.append(member)
-            elif prev != declared_by:
+    # Each class's tables from its supertypes' finished ones. Ancestor sets
+    # are bit masks, one bit per class, so a deep chain costs depth² bits
+    # rather than depth² set entries. Flattened members: the supertypes'
+    # lists in declaration order, own members last; the same member
+    # inherited along two paths (diamond) appears once, distinct
+    # declarations sharing a name are an error.
+    bit = {name: 1 << index for index, name in enumerate(classes)}
+    ancestors = mm._ancestors
+    for name in order:
+        cls = classes[name]
+        mask = 0
+        flat: dict[str, Member] = {}
+        inherited = [m for sup in cls.supertypes for m in mm._members[sup].values()]
+        for member in inherited + cls.members:
+            prev = flat.setdefault(member.name, member)
+            if prev is not member:
+                declarer = {id(m): c.name for c in classes.values() for m in c.members}
                 raise MetamodelError(
                     f"class '{name}' inherits two members named '{member.name}' "
-                    f"(declared by '{prev}' and '{declared_by}')"
+                    f"(declared by '{declarer[id(prev)]}' and '{declarer[id(member)]}')"
                 )
-
-        def walk(cls_name: str) -> None:
-            cls = classes[cls_name]
-            for sup in cls.supertypes:
-                walk(sup)
-            for member in cls.members:
-                add(member, cls_name)
-
-        walk(name)
-        result = tuple(out)
-        flattened[name] = result
-        return result
-
-    for name in classes:
-        flatten(name)
-    mm._flattened.update(flattened)
-    mm._members.update(
-        (name, {m.name: m for m in members}) for name, members in flattened.items()
-    )
+        for sup in cls.supertypes:
+            mask |= bit[sup] | ancestors[sup]
+        ancestors[name] = mask
+        mm._members[name] = flat
+    mm._bit.update(bit)

@@ -9,15 +9,15 @@ plus the line index of the text; the parser reads the lists by index.
 Line:col spans are computed from offsets only when needed: for element
 and cross-reference positions and for diagnostics.
 
-The parser is a recursive-descent interpreter over the grammar IR. It is
-deliberately forgiving: every problem becomes a diagnostic with a span,
-and an unparseable construct is skipped as a whole so that one typo does
-not cascade. It builds the tables of a class's rule (member keywords,
-bounds, accepted child classes) when it first meets the class. Besides
-the tree it records one :class:`Body` per brace pair it opens, with the
-members present in it, so that completion reads the cursor's container
-from the same parse. Nesting deeper than the interpreter's recursion
-limit allows becomes one error diagnostic instead of a crash.
+The parser interprets the grammar IR in one loop over the tokens and an
+explicit stack of the elements whose body is open, so nesting depth has
+no bound but memory. It is deliberately forgiving: every problem becomes
+a diagnostic with a span, and an unparseable construct is skipped as a
+whole so that one typo does not cascade. It builds the tables of a
+class's rule (member keywords, bounds, accepted child classes) when it
+first meets the class. Besides the tree it records one :class:`Body` per
+brace pair it opens, with the members present in it, so that completion
+reads the cursor's container from the same parse.
 
 The formatter is the inverse direction and defines the canonical layout:
 four-space indents, braces on their own lines, one construct per line.
@@ -246,9 +246,15 @@ class Document:
 
 
 class _Parser:
-    """Recursive descent over the token columns. ``i`` indexes the next
-    token; the lists end with an ``_END`` sentinel, so reading past the
-    last token needs no bounds check."""
+    """A loop over the token columns and a stack of open brace pairs,
+    innermost last. The frame of an element whose body is open is the
+    tuple ``(element, rule tables, member counts, Body, parent frame,
+    containment entry, token)``: when the element ends, it is counted
+    against that entry of its parent at that token, or dropped when it has
+    no parent frame. Above it, ``(entry, Body)`` is the wrapped block open
+    in its body, if any. ``i`` indexes the next token; the lists end with
+    an ``_END`` sentinel, so reading past the last token needs no bounds
+    check."""
 
     def __init__(self, tokens: Tokens, g: Grammar, mm: Metamodel):
         self.kinds = tokens.kinds + [_END]
@@ -264,6 +270,7 @@ class _Parser:
         self.elements = 0
         self.rules: dict[str, _RuleInfo] = {}
         self.class_keywords = {rule.keyword: name for name, rule in g.rules.items()}
+        self.stack: list = []
 
     # -- positions ------------------------------------------------------------
 
@@ -279,9 +286,6 @@ class _Parser:
 
     def error(self, message: str, span: Span) -> None:
         self.diagnostics.append(Diagnostic(ERROR, message, span))
-
-    def warning(self, message: str, span: Span) -> None:
-        self.diagnostics.append(Diagnostic(WARNING, message, span))
 
     # -- document -----------------------------------------------------------
 
@@ -312,20 +316,72 @@ class _Parser:
         """
         kinds, lexemes, class_keywords = self.kinds, self.lexemes, self.class_keywords
         reported = len(self.diagnostics)
-        try:
-            while (kind := kinds[self.i]) != _END:
-                class_name = class_keywords.get(lexemes[self.i])
-                if kind == "Identifier" and class_name is not None:
-                    self.parse_element(class_name)
-                else:
-                    self.i += 1
-        finally:
-            del self.diagnostics[reported:]
+        while (kind := kinds[self.i]) != _END:
+            class_name = class_keywords.get(lexemes[self.i])
+            if kind == "Identifier" and class_name is not None:
+                self.parse_element(class_name)
+            else:
+                self.i += 1
+        del self.diagnostics[reported:]
 
     # -- elements -----------------------------------------------------------
 
     def parse_element(self, class_name: str) -> ModelElement:
-        """Parse the element whose class keyword is the next token."""
+        """Parse the element whose class keyword is the next token, and
+        everything nested in it. Each turn of the loop reads one construct
+        of the innermost open body or wrapped block: a child whose body
+        opens is pushed, a closing brace or the end of the text pops."""
+        kinds, lexemes, offsets, stack = self.kinds, self.lexemes, self.offsets, self.stack
+        root = self.open_element(class_name, None, None, 0)
+        while stack:
+            frame = stack[-1]
+            i = self.i
+            kind = kinds[i]
+            if len(frame) == 2:
+                # A wrapped block: keyword { child ("," child)* }.
+                entry, block = frame
+                if kind == _END:
+                    self.error(
+                        f"unexpected end of file inside '{entry.member}' block", self.span(i),
+                    )
+                    stack.pop()
+                elif kind == "}":
+                    self.i = i + 1
+                    block.close_offset = offsets[i]
+                    stack.pop()
+                elif kind == ",":
+                    self.i = i + 1
+                else:
+                    owner = stack[-2]
+                    child_class = (
+                        self.class_keywords.get(lexemes[i]) if kind == "Identifier" else None
+                    )
+                    if child_class is None or child_class not in owner[1].accepted[entry.member]:
+                        self.error(
+                            f"'{entry.member}' accepts {block.class_name} elements, "
+                            f"got '{lexemes[i]}'",
+                            self.span(i),
+                        )
+                        self.skip_construct()
+                    else:
+                        self.open_element(child_class, owner, entry, i)
+            elif kind == "}":
+                frame[3].close_offset = offsets[i]
+                self.i = i + 1
+                self.close_element(stack.pop())
+            elif kind == _END:
+                self.error(f"unexpected end of file inside '{frame[1].rule.keyword}'", self.span(i))
+                self.close_element(stack.pop())
+            else:
+                el, info, counts, body, _, _, _ = frame
+                self.parse_member_line(el, info, counts, body)
+        return root
+
+    def open_element(
+        self, class_name: str, parent: tuple | None, entry: MemberEntry | None, at: int,
+    ) -> ModelElement:
+        """Read an element's class keyword, inline name and opening brace.
+        An element whose body opens is pushed; any other ends at once."""
         info = self.rules.get(class_name)
         if info is None:
             info = self.rules[class_name] = _RuleInfo(
@@ -338,7 +394,6 @@ class _Parser:
         span = self.lines.span(start, start + len(self.lexemes[i]))
         el = ModelElement(class_name=class_name, span=span)
         self.elements += 1
-        element_id = self.elements
         i += 1
 
         if rule.name_inline:
@@ -348,36 +403,41 @@ class _Parser:
             else:
                 self.error(f"expected a name after '{rule.keyword}'", self.span(i))
 
-        counts: dict[str, int] = {}
         if kinds[i] == "{":
             self.i = i + 1
-            body = Body(self.offsets[i], None, class_name, element_id)
+            body = Body(self.offsets[i], None, class_name, self.elements)
             self.bodies.append(body)
-            # Members up to the closing brace, or to the end of the text.
-            while True:
-                kind = kinds[self.i]
-                if kind == "}":
-                    body.close_offset = self.offsets[self.i]
-                    self.i += 1
-                    break
-                if kind == _END:
-                    self.error(
-                        f"unexpected end of file inside '{rule.keyword}'",
-                        self.span(self.i),
-                    )
-                    break
-                self.parse_member_line(el, info, counts, body)
-        else:
-            self.i = i
-            if not rule.body_optional:
-                self.error(
-                    f"expected '{{' to open the body of '{rule.keyword}'",
-                    span if kinds[i] == _END else self.span(i),
-                )
-
-        if info.lower:
-            self.check_lower_bounds(el, info, counts)
+            self.stack.append((el, info, {}, body, parent, entry, at))
+            return el
+        self.i = i
+        if not rule.body_optional:
+            self.error(
+                f"expected '{{' to open the body of '{rule.keyword}'",
+                span if kinds[i] == _END else self.span(i),
+            )
+        self.close_element((el, info, {}, None, parent, entry, at))  # type: ignore[arg-type]
         return el
+
+    def close_element(self, frame: tuple) -> None:
+        """Report every member of an ended element that occurs fewer times
+        than its lower bound, then attach the element to its parent.
+
+        ``counts`` counts occurrences, stored or not; since no upper bound
+        lies below its lower bound, it is short of a lower bound exactly
+        when the stored values are. The name counts once when set.
+        """
+        el, info, counts, _, parent, entry, at = frame
+        for member, lower in info.lower:
+            n = counts.get(member, 0)
+            if member == "shortName" and el.short_name is not None:
+                n = 1
+            if n < lower:
+                self.error(
+                    f"missing mandatory member '{member}' in '{info.rule.keyword}'",
+                    el.span,  # type: ignore[arg-type]
+                )
+        if parent is not None and self.bump(parent[1], entry, parent[2], at):
+            parent[0].children.append((entry.member, el))  # type: ignore[union-attr]
 
     def parse_member_line(
         self,
@@ -398,13 +458,14 @@ class _Parser:
                 return
             child_class = self.class_keywords.get(lexeme)
             if child_class is not None:
-                self.parse_inline_child(el, info, child_class, counts, body)
+                self.parse_inline_child(info, child_class, body)
                 return
             if (
                 info.positional is not None
                 and info.positional.form.kind is PrimitiveKind.IDENTIFIER  # type: ignore[union-attr]
             ):
-                self.take_positional(el, info, info.positional, counts, body)
+                body.present.add(info.positional.member)
+                self.take_value(el, info, info.positional, counts)
                 return
             expected = list(info.by_keyword)
             for entry in info.inline:
@@ -424,7 +485,8 @@ class _Parser:
         if kind in ("String", "Boolean", "Numerical", "UUID"):
             pos = info.positional
             if pos is not None and info.value_kind[pos.member] == kind:
-                self.take_positional(el, info, pos, counts, body)
+                body.present.add(pos.member)
+                self.take_value(el, info, pos, counts)
             else:
                 self.error(f"unexpected value '{lexeme}' in '{rule.keyword}'", self.span(i))
                 self.i = i + 1
@@ -466,7 +528,7 @@ class _Parser:
         body.present.add(entry.member)
 
         if isinstance(form, KeywordAttribute):
-            self.parse_attribute_value(el, info, entry, keyword, counts)
+            self.parse_attribute_value(el, info, entry, counts)
             return
 
         if isinstance(form, KeywordCrossRef):
@@ -475,95 +537,51 @@ class _Parser:
                 el.cross_refs.append(CrossRef(entry.member, qn, span=span))
             return
 
-        # Wrapped containment: keyword { child ("," child)* }. A repeated
-        # block appends to the same member, in document order.
-        kinds, lexemes = self.kinds, self.lexemes
+        # Wrapped containment: its block is pushed and stays open until its
+        # closing brace. A repeated block appends to the same member, in
+        # document order.
         i = self.i
-        if kinds[i] != "{":
+        if self.kinds[i] != "{":
             self.error(f"expected '{{' after '{entry.member}'", self.span(i))
             return
         self.i = i + 1
         block = Body(self.offsets[i], None, form.target, body.element_id, entry.member)
         self.bodies.append(block)
-        accepted = info.accepted[entry.member]
-        while True:
-            i = self.i
-            kind = kinds[i]
-            if kind == _END:
-                self.error(
-                    f"unexpected end of file inside '{entry.member}' block", self.span(i),
-                )
-                return
-            if kind == "}":
-                self.i = i + 1
-                block.close_offset = self.offsets[i]
-                return
-            if kind == ",":
-                self.i = i + 1
-                continue
-            child_class = (
-                self.class_keywords.get(lexemes[i]) if kind == "Identifier" else None
-            )
-            if child_class is None or child_class not in accepted:
-                self.error(
-                    f"'{entry.member}' accepts {form.target} elements, "
-                    f"got '{lexemes[i]}'",
-                    self.span(i),
-                )
-                self.skip_construct()
-                continue
-            child = self.parse_element(child_class)
-            if self.bump(info, entry, counts, i):
-                el.children.append((entry.member, child))
+        self.stack.append((entry, block))
 
     def parse_attribute_value(
-        self,
-        el: ModelElement,
-        info: _RuleInfo,
-        entry: MemberEntry,
-        keyword: int,
-        counts: dict[str, int],
+        self, el: ModelElement, info: _RuleInfo, entry: MemberEntry, counts: dict[str, int],
     ) -> None:
         kind = info.value_kind[entry.member]
         i = self.i
         got = self.kinds[i]
-        if got != kind:
-            article = "an" if kind == "Identifier" else "a"
-            if got == _END or got in PUNCT:
-                self.error(
-                    f"expected {article} {kind} value for '{entry.member}'", self.span(i),
-                )
-                return
-            self.i = i + 1
-            self.error(
-                f"expected {article} {kind} value for '{entry.member}', "
-                f"got {got} '{self.lexemes[i]}'",
-                self.span(i),
-            )
+        if got == kind:
+            self.take_value(el, info, entry, counts)
+            return
+        article = "an" if kind == "Identifier" else "a"
+        if got == _END or got in PUNCT:
+            self.error(f"expected {article} {kind} value for '{entry.member}'", self.span(i))
             return
         self.i = i + 1
-        if self.bump(info, entry, counts, i):
-            self.store_attribute(el, entry, self.lexemes[i])
+        self.error(
+            f"expected {article} {kind} value for '{entry.member}', "
+            f"got {got} '{self.lexemes[i]}'",
+            self.span(i),
+        )
 
-    def take_positional(
-        self,
-        el: ModelElement,
-        info: _RuleInfo,
-        entry: MemberEntry,
-        counts: dict[str, int],
-        body: Body,
+    def take_value(
+        self, el: ModelElement, info: _RuleInfo, entry: MemberEntry, counts: dict[str, int],
     ) -> None:
-        body.present.add(entry.member)
+        """Store the next token as a value of ``entry``, unless that
+        exceeds its upper bound."""
         i = self.i
         self.i = i + 1
-        if self.bump(info, entry, counts, i):
-            self.store_attribute(el, entry, self.lexemes[i])
-
-    def store_attribute(self, el: ModelElement, entry: MemberEntry, lexeme: str) -> None:
+        if not self.bump(info, entry, counts, i):
+            return
         if _is_name_slot_entry(entry):
-            el.short_name = lexeme
+            el.short_name = self.lexemes[i]
         else:
-            el.attributes.append((entry.member, lexeme))
+            el.attributes.append((entry.member, self.lexemes[i]))
 
     def parse_qualified_name(
         self, keyword: int,
@@ -594,14 +612,7 @@ class _Parser:
         end = self.offsets[last] + len(lexemes[last])
         return QualifiedName(tuple(segments)), self.lines.span(start, end)
 
-    def parse_inline_child(
-        self,
-        el: ModelElement,
-        info: _RuleInfo,
-        child_class: str,
-        counts: dict[str, int],
-        body: Body,
-    ) -> None:
+    def parse_inline_child(self, info: _RuleInfo, child_class: str, body: Body) -> None:
         i = self.i
         fitting = info.fitting.get(child_class)
         if fitting is None:
@@ -615,41 +626,21 @@ class _Parser:
                 f"{child_class}",
                 self.span(i),
             )
-            self.parse_element(child_class)  # consume the whole subtree
+            self.open_element(child_class, None, None, i)  # consume the whole subtree
             return
         if len(fitting) > 1:
             names = ", ".join(e.member for e in fitting)
-            self.warning(
+            self.diagnostics.append(Diagnostic(
+                WARNING,
                 f"{child_class} fits several containments ({names}); "
                 f"using '{fitting[0].member}'",
                 self.span(i),
-            )
+            ))
         entry = fitting[0]
         body.present.add(entry.member)
-        child = self.parse_element(child_class)
-        if self.bump(info, entry, counts, i):
-            el.children.append((entry.member, child))
+        self.open_element(child_class, self.stack[-1], entry, i)
 
     # -- bookkeeping ----------------------------------------------------------
-
-    def check_lower_bounds(
-        self, el: ModelElement, info: _RuleInfo, counts: dict[str, int],
-    ) -> None:
-        """Report every member occurring fewer times than its lower bound.
-
-        ``counts`` counts occurrences, stored or not; since no upper bound
-        lies below its lower bound, it is short of a lower bound exactly
-        when the stored values are. The name counts once when set.
-        """
-        for member, lower in info.lower:
-            n = counts.get(member, 0)
-            if member == "shortName" and el.short_name is not None:
-                n = 1
-            if n < lower:
-                self.error(
-                    f"missing mandatory member '{member}' in '{info.rule.keyword}'",
-                    el.span,  # type: ignore[arg-type]
-                )
 
     def skip_construct(self, info: _RuleInfo | None = None) -> None:
         """Drop an unrecognized construct without flooding diagnostics.
@@ -688,18 +679,12 @@ class _Parser:
 
 def parse_document(text: str, g: Grammar, mm: Metamodel) -> Document:
     """Lex and parse once, keeping what both checking and completion need.
-
-    Nesting deeper than the interpreter's recursion limit allows ends the
-    parse with one error at the token reached; the root is then None and
-    the bodies opened so far are kept."""
+    The parser keeps its open elements on an explicit stack, so nesting
+    depth is bounded only by memory."""
     tokens, diagnostics = lex(text, g.terminal_patterns())
     parser = _Parser(tokens, g, mm)
-    try:
-        root = parser.parse_root()
-        parser.parse_detached()
-    except RecursionError:
-        root = None
-        parser.error("elements nested too deeply", parser.span(parser.i))
+    root = parser.parse_root()
+    parser.parse_detached()
     diagnostics.extend(parser.diagnostics)
     if root is not None:
         assign_preorder_ids(root)
@@ -749,58 +734,59 @@ def _attribute_lines(el: ModelElement, rule: ProductionRule) -> list[str]:
     return lines
 
 
-def _format_element(el: ModelElement, g: Grammar, indent: int, out: list[str]) -> None:
-    rule = g.rules.get(el.class_name)
-    if rule is None:
-        raise SerializationError(f"no production rule for class '{el.class_name}'")
-    pad = INDENT * indent
-
-    header = rule.keyword
-    if rule.name_inline and el.short_name:
-        header += f" {el.short_name}"
-
-    body: list[str] = [pad + INDENT + line for line in _attribute_lines(el, rule)]
-
-    # Children in document order. Consecutive children of one wrapped member
-    # share a single keyword block; inline children print directly.
-    runs: list[tuple[str, list[ModelElement]]] = []
-    for member, child in el.children:
-        if runs and runs[-1][0] == member:
-            runs[-1][1].append(child)
-        else:
-            runs.append((member, [child]))
-    for member, children in runs:
-        entry = rule.entry_for(member)
-        if entry is None:
-            raise SerializationError(
-                f"class '{el.class_name}' has no grammar entry for "
-                f"containment '{member}'"
-            )
-        if isinstance(entry.form, InlineContainment):
-            for child in children:
-                _format_element(child, g, indent + 1, body)
-        else:
-            form = entry.form
-            assert isinstance(form, WrappedContainment)
-            body.append(pad + INDENT + form.keyword)
-            body.append(pad + INDENT + "{")
-            for pos, child in enumerate(children):
-                if pos:
-                    body.append(pad + INDENT * 2 + ",")
-                _format_element(child, g, indent + 2, body)
-            body.append(pad + INDENT + "}")
-
-    if not body and rule.body_optional:
-        out.append(pad + header)
-        return
-    out.append(pad + header)
-    out.append(pad + "{")
-    out.extend(body)
-    out.append(pad + "}")
-
-
 def format_model(root: ModelElement, g: Grammar) -> str:
-    """Canonical text for a model tree. Ends with a newline."""
+    """Canonical text for a model tree. Ends with a newline.
+
+    The tree is walked with an explicit stack of pending lines and
+    (element, indent) pairs, so nesting depth is not bounded. An element
+    expands into its own lines, with its children left pending in place."""
     out: list[str] = []
-    _format_element(root, g, 0, out)
+    stack: list = [(root, 0)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        el, indent = item
+        rule = g.rules.get(el.class_name)
+        if rule is None:
+            raise SerializationError(f"no production rule for class '{el.class_name}'")
+        pad = INDENT * indent
+        header = pad + rule.keyword
+        if rule.name_inline and el.short_name:
+            header += f" {el.short_name}"
+        attributes = _attribute_lines(el, rule)
+        out.append(header)
+        if not attributes and not el.children and rule.body_optional:
+            continue
+        out.append(pad + "{")
+        inner = pad + INDENT
+        out.extend(inner + line for line in attributes)
+
+        # Children in document order. Consecutive children of one wrapped
+        # member share a single keyword block; inline children print
+        # directly.
+        pending: list = []
+        member = wrapped = None  # the member of the current run, and its form
+        for name, child in el.children:
+            if name != member:
+                if wrapped is not None:
+                    pending.append(inner + "}")
+                entry = rule.entry_for(name)
+                if entry is None:
+                    raise SerializationError(
+                        f"class '{el.class_name}' has no grammar entry for "
+                        f"containment '{name}'"
+                    )
+                member = name
+                wrapped = None if isinstance(entry.form, InlineContainment) else entry.form
+                if wrapped is not None:
+                    pending += (inner + wrapped.keyword, inner + "{")  # type: ignore[union-attr]
+            elif wrapped is not None:
+                pending.append(inner + INDENT + ",")
+            pending.append((child, indent + (1 if wrapped is None else 2)))
+        if wrapped is not None:
+            pending.append(inner + "}")
+        pending.append(pad + "}")
+        stack.extend(reversed(pending))
     return "\n".join(out) + "\n"

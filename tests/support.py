@@ -4,7 +4,8 @@ Holds the fixture paths, a reader that parses emitted grammar text back
 into the IR (round-reading check), a seeded random model generator used
 by the roundtrip and cache tests, a brute-force reference-cache oracle,
 a structural tree comparison, a frozen reference lexer, the frozen ElementTree writer and reader of
-EAXML and the recorder of damaged-document parses.
+EAXML, the recorder of damaged-document parses and the frozen recursive
+metamodel index.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
-from eatxt.diagnostics import ERROR, WARNING, ConfigError, Diagnostic, SerializationError, Span
+from eatxt.diagnostics import (
+    ERROR, WARNING, ConfigError, Diagnostic, MetamodelError, SerializationError, Span,
+)
 from eatxt.grammar import (
     Grammar,
     InlineContainment,
@@ -31,6 +34,7 @@ from eatxt.metamodel import (
     Containment,
     CrossReference,
     Member,
+    MetaClass,
     Metamodel,
     PrimitiveKind,
 )
@@ -807,3 +811,88 @@ def reference_from_eaxml(
     root = _reference_read_element(top, class_name, names, mm, diagnostics)
     assign_preorder_ids(root)
     return root, diagnostics
+
+
+# ---------------------------------------------------------------------------
+# Reference metamodel index (differential oracle for metamodel loading)
+# ---------------------------------------------------------------------------
+
+def reference_index(
+    classes: dict[str, MetaClass],
+) -> tuple[dict[str, frozenset[str]], dict[str, tuple[Member, ...]]]:
+    """``metamodel._validate_and_index`` as it was first written, in three
+    recursive passes: cycles, ancestor sets, flattened members (walked
+    afresh for every class). Returns the ancestor sets and the flattened
+    member lists, or raises MetamodelError. It does not check for a class
+    declaring two members of one name. Recursion bounds the depth of the
+    inheritance it handles, so it is for small metamodels."""
+    for cls in classes.values():
+        for sup in cls.supertypes:
+            if sup not in classes:
+                raise MetamodelError(
+                    f"class '{cls.name}' inherits from unknown class '{sup}'"
+                )
+        for m in cls.members:
+            if isinstance(m.kind, (Containment, CrossReference)):
+                if m.kind.target not in classes:
+                    kind = "containment" if isinstance(m.kind, Containment) else "cross-reference"
+                    raise MetamodelError(
+                        f"{kind} '{cls.name}.{m.name}' targets unknown class "
+                        f"'{m.kind.target}'"
+                    )
+
+    state: dict[str, int] = {}  # 1 = on stack, 2 = done
+
+    def visit(name: str, path: list[str]) -> None:
+        mark = state.get(name)
+        if mark == 2:
+            return
+        if mark == 1:
+            cycle = path[path.index(name):] + [name]
+            raise MetamodelError("inheritance cycle: " + " -> ".join(cycle))
+        state[name] = 1
+        for sup in classes[name].supertypes:
+            visit(sup, path + [name])
+        state[name] = 2
+
+    for name in classes:
+        visit(name, [])
+
+    ancestors: dict[str, frozenset[str]] = {}
+
+    def collect(name: str) -> frozenset[str]:
+        if name in ancestors:
+            return ancestors[name]
+        acc: set[str] = set()
+        for sup in classes[name].supertypes:
+            acc.add(sup)
+            acc.update(collect(sup))
+        ancestors[name] = frozenset(acc)
+        return ancestors[name]
+
+    for name in classes:
+        collect(name)
+
+    flattened: dict[str, tuple[Member, ...]] = {}
+    for name in classes:
+        out: list[Member] = []
+        owner: dict[str, str] = {}
+
+        def walk(cls_name: str) -> None:
+            cls = classes[cls_name]
+            for sup in cls.supertypes:
+                walk(sup)
+            for member in cls.members:
+                prev = owner.get(member.name)
+                if prev is None:
+                    owner[member.name] = cls_name
+                    out.append(member)
+                elif prev != cls_name:
+                    raise MetamodelError(
+                        f"class '{name}' inherits two members named '{member.name}' "
+                        f"(declared by '{prev}' and '{cls_name}')"
+                    )
+
+        walk(name)
+        flattened[name] = tuple(out)
+    return ancestors, flattened

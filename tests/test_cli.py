@@ -4,13 +4,16 @@ Everything goes through main(argv) so the tests stay fast; one test execs
 the installed console script to prove the wiring.
 """
 
+import contextlib
 import gc
+import io
 import json
 import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import eatxt.cli
 from eatxt.cli import main
@@ -511,22 +514,81 @@ def test_complete_works_on_files_with_errors(capsys):
     assert any(l.startswith("KEYWORD\t") for l in out.splitlines())
 
 
-def test_deep_nesting_is_a_diagnostic_not_a_crash(capsys, tmp_path):
-    depth = 400
+def nested_packages(depth):
+    """``depth`` packages, each in the body of the one before: the text as
+    typed, with every body braced, and its canonical form."""
+    typed = "".join(f"EAPackage P{d}\n{{\n" for d in range(depth)) + "}\n" * depth
+    lines = []
+    for d in range(depth - 1):
+        lines += ["    " * d + f"EAPackage P{d}", "    " * d + "{"]
+    lines.append("    " * (depth - 1) + f"EAPackage P{depth - 1}")
+    lines += ["    " * d + "}" for d in reversed(range(depth - 1))]
+    return typed, "\n".join(lines) + "\n"
+
+
+def test_deep_nesting_runs_every_command(capsys, tmp_path):
     deep = tmp_path / "deep.eatxt"
-    deep.write_text(
-        "".join(f"EAPackage P{d}\n{{\n" for d in range(depth)) + "}\n" * depth,
-        encoding="utf-8",
-    )
-    code, out, err = run(capsys, *base_args(deep))
-    assert code == 1 and err == ""
-    lines = out.splitlines()
-    assert len(lines) == 1 and DIAG_LINE.match(lines[0])
-    assert lines[0].startswith(f"{deep}:")
-    assert lines[0].endswith(": error: elements nested too deeply")
-    code, out, err = run(capsys, *complete_args(deep, depth + 1, 1))
-    assert code in (0, 1)
-    assert "Traceback" not in out + err
+    for depth in (400, 2000, 5000):
+        typed, canonical = nested_packages(depth)
+        deep.write_text(typed, encoding="utf-8")
+        assert run(capsys, *base_args(deep)) == (0, "", ""), depth
+        code, out, err = run(capsys, *complete_args(deep, depth + 1, 1))
+        assert (code, err) == (0, "") and out.startswith("KEYWORD\t"), depth
+        if depth > 2000:
+            continue  # canonical text grows with depth squared: 150 MB at 5000
+        tool = ["--metamodel", METAMODEL, "--config", CONFIG]
+        assert run(capsys, "format", deep, *tool) == (0, canonical, ""), depth
+        code, out, err = run(capsys, "to-xml", deep, *tool)
+        assert (code, err) == (0, "") and out.count("<EA-PACKAGE>") == depth, depth
+        assert run(capsys, "roundtrip-check", deep, *tool) == (0, "", ""), depth
+
+
+FIXTURE_TEXTS = [path.read_text(encoding="utf-8") for path in MODELS]
+
+
+@st.composite
+def mutated_models(draw):
+    """A fixture model, often nested 300 or 1200 packages deep, after up to
+    three edits: a brace inserted or deleted, or the text cut short.
+    Hypothesis allows about 2000 more frames of recursion while it runs a
+    test, so only the deeper nesting would show a recursive walk."""
+    text = draw(st.sampled_from(FIXTURE_TEXTS))
+    depth = draw(st.sampled_from([0, 300, 1200]))
+    text = "EAPackage Deep\n{\n" * depth + text + "}\n" * depth
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["insert", "delete", "truncate"]))
+        if edit == "insert":
+            at = draw(st.integers(0, len(text)))
+            text = text[:at] + draw(st.sampled_from("{}")) + text[at:]
+        elif edit == "delete":
+            braces = [at for at, ch in enumerate(text) if ch in "{}"]
+            if braces:
+                at = draw(st.sampled_from(braces))
+                text = text[:at] + text[at + 1:]
+        else:
+            text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+@settings(max_examples=40, deadline=None)
+@given(text=mutated_models(), data=st.data())
+def test_mutated_models_keep_the_exit_code_contract(tmp_path_factory, text, data):
+    model = tmp_path_factory.getbasetemp() / "fuzzed.eatxt"
+    model.write_text(text, encoding="utf-8")
+    line = data.draw(st.integers(1, text.count("\n") + 1), label="line")
+    tool = ["--metamodel", METAMODEL, "--config", CONFIG]
+    for argv in (
+        ["check", model, *tool],
+        ["format", model, *tool],
+        ["to-xml", model, *tool],
+        ["roundtrip-check", model, *tool],
+        ["complete", model, *tool, "--line", line, "--col", 1],
+    ):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([str(a) for a in argv])
+        assert code in (0, 1, 2), argv[0]
+        assert "Traceback" not in err.getvalue(), argv[0]
 
 
 # --- roundtrip-check ---------------------------------------------------------

@@ -1,15 +1,24 @@
-import pytest
+import re
+import time
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from eatxt.cli import main
 from eatxt.diagnostics import MetamodelError
 from eatxt.metamodel import (
     Attribute,
     Containment,
     CrossReference,
+    Member,
+    MetaClass,
+    Metamodel,
     PrimitiveKind,
+    _validate_and_index,
     load_metamodel,
 )
 
-from support import METAMODEL
+from support import METAMODEL, reference_index
 
 
 def mini_package(body: str) -> str:
@@ -19,6 +28,29 @@ def mini_package(body: str) -> str:
         ' xmlns:ecore="http://www.eclipse.org/emf/2002/Ecore" name="p">'
         f"{body}</ecore:EPackage>"
     )
+
+
+def eclass(name, supertypes=(), features="", abstract=False):
+    supers = " ".join(f"#//{s}" for s in supertypes)
+    return (
+        f'<eClassifiers xsi:type="ecore:EClass" name="{name}"'
+        + (' abstract="true"' if abstract else "")
+        + (f' eSuperTypes="{supers}"' if supers else "")
+        + f">{features}</eClassifiers>"
+    )
+
+
+def attribute(name):
+    return (
+        f'<eStructuralFeatures xsi:type="ecore:EAttribute" name="{name}"'
+        ' eType="#//Identifier"/>'
+    )
+
+
+NAME_SLOT = (
+    '<eStructuralFeatures xsi:type="ecore:EAttribute" name="shortName"'
+    ' eType="#//Identifier" lowerBound="1"/>'
+)
 
 
 CLASS_A = (
@@ -186,3 +218,164 @@ def test_datatype_aliases_accepted():
 def test_loading_from_path_object():
     mm = load_metamodel(METAMODEL)
     assert "EAPackage" in mm.classes
+
+
+def test_class_declaring_two_members_of_one_name_rejected(tmp_path, capsys):
+    text = mini_package(eclass(
+        "Pkg", features=attribute("item")
+        + '<eStructuralFeatures xsi:type="ecore:EReference" name="item"'
+        ' eType="#//Pkg" containment="true"/>',
+    ))
+    message = "class 'Pkg' declares two members named 'item'"
+    with pytest.raises(MetamodelError, match=message):
+        load_metamodel(text)
+    ecore, model = tmp_path / "mm.ecore", tmp_path / "m.eatxt"
+    ecore.write_text(text, encoding="utf-8")
+    model.write_text("Pkg\n", encoding="utf-8")
+    assert main(["check", str(model), "--metamodel", str(ecore)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_diamond_inherits_its_top_member_once():
+    mm = load_metamodel(mini_package(
+        eclass("A", features=NAME_SLOT, abstract=True)
+        + eclass("B", ["A"], attribute("x"), abstract=True)
+        + eclass("C", ["A"], attribute("y"), abstract=True)
+        + eclass("D", ["B", "C"], attribute("z"))
+    ))
+    assert [m.name for m in mm.flatten_members("D")] == ["shortName", "x", "y", "z"]
+    assert mm.flatten_members("D")[0] is mm.classes["A"].members[0]
+    assert all(mm.is_subtype("D", c) for c in "ABCD")
+    assert not mm.is_subtype("B", "C") and not mm.is_subtype("A", "D")
+
+
+def test_two_inherited_declarations_of_one_name_rejected():
+    text = mini_package(
+        eclass("B", features=attribute("item"), abstract=True)
+        + eclass("C", features=attribute("item"), abstract=True)
+        + eclass("D", ["B", "C"])
+    )
+    message = "class 'D' inherits two members named 'item' (declared by 'B' and 'C')"
+    with pytest.raises(MetamodelError, match=re.escape(message)):
+        load_metamodel(text)
+
+
+def test_deep_supertype_chain_runs_through_the_cli(tmp_path, capsys):
+    depth = 5000
+    classes = [eclass("K0", features=NAME_SLOT, abstract=True)]
+    classes += [
+        eclass(f"K{i}", [f"K{i - 1}"], abstract=i < depth - 1) for i in range(1, depth)
+    ]
+    ecore, model = tmp_path / "chain.ecore", tmp_path / "m.eatxt"
+    ecore.write_text(mini_package("".join(classes)), encoding="utf-8")
+    model.write_text(f"K{depth - 1} {{ shortName bottom }}\n", encoding="utf-8")
+    assert main(["check", str(model), "--metamodel", str(ecore)]) == 0
+    assert capsys.readouterr().err == ""
+    mm = load_metamodel(ecore)
+    assert mm.is_subtype(f"K{depth - 1}", "K0") and not mm.is_subtype("K0", "K1")
+    assert [m.name for m in mm.flatten_members(f"K{depth - 1}")] == ["shortName"]
+
+
+def test_stacked_diamonds_load_in_linear_time():
+    levels = 30
+    classes = [eclass("D0", features=NAME_SLOT, abstract=True)]
+    for level in range(1, levels + 1):
+        below = f"D{level - 1}"
+        classes += [
+            eclass(f"L{level}", [below], attribute(f"l{level}"), abstract=True),
+            eclass(f"R{level}", [below], attribute(f"r{level}"), abstract=True),
+            eclass(f"D{level}", [f"L{level}", f"R{level}"]),
+        ]
+    start = time.perf_counter()
+    mm = load_metamodel(mini_package("".join(classes)))
+    assert time.perf_counter() - start < 1.0
+    names = [m.name for m in mm.flatten_members(f"D{levels}")]
+    assert names[0] == "shortName" and len(names) == 1 + 2 * levels
+
+
+# --- the index against its recursive reference -------------------------------
+
+CLASS_NAMES = [f"C{i}" for i in range(8)]
+
+
+@st.composite
+def class_tables(draw):
+    """Up to 8 classes with random supertypes (cycles and an unknown name
+    included, rarely) and members named from a small pool, so that
+    inherited names overlap. Names are unique within each class."""
+    names = CLASS_NAMES[: draw(st.integers(1, len(CLASS_NAMES)))]
+    classes = {}
+    for index, name in enumerate(names):
+        # Earlier classes only, so that most tables have no cycle; rarely
+        # any class or the unknown name.
+        wide = names + ["Ghost"] if draw(st.integers(0, 9)) == 0 else []
+        pool = names[:index] + wide
+        supertypes = draw(st.lists(st.sampled_from(pool), max_size=3)) if pool else []
+        members = []
+        for member in draw(st.lists(st.sampled_from("abcd"), unique=True, max_size=3)):
+            target = draw(st.sampled_from(wide or names))
+            kind = draw(st.sampled_from([
+                Attribute(PrimitiveKind.IDENTIFIER), Containment(target), CrossReference(target),
+            ]))
+            members.append(Member(member, kind))
+        classes[name] = MetaClass(name, supertypes=supertypes, members=members)
+    return classes
+
+
+def closure(classes, name):
+    """``name`` and every class it inherits from."""
+    seen, todo = {name}, [name]
+    while todo:
+        for sup in classes[todo.pop()].supertypes:
+            if sup not in seen:
+                seen.add(sup)
+                todo.append(sup)
+    return seen
+
+
+INHERITS_TWO = re.compile(
+    r"class '(\w+)' inherits two members named '(\w+)' "
+    r"\(declared by '(\w+)' and '(\w+)'\)"
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(classes=class_tables())
+def test_index_matches_the_recursive_reference(classes):
+    try:
+        ancestors, flattened = reference_index(classes)
+        expected = None
+    except MetamodelError as exc:
+        expected = str(exc)
+    mm = Metamodel(classes, root_class="")
+    try:
+        _validate_and_index(mm)
+        got = None
+    except MetamodelError as exc:
+        got = str(exc)
+
+    if expected is not None and INHERITS_TWO.match(expected):
+        # The index may meet the clash in another class that inherits
+        # both declarations.
+        m = INHERITS_TWO.match(got or "")
+        assert m is not None, (expected, got)
+        cls, member, first, second = m.groups()
+        assert first != second
+        assert {first, second} <= closure(classes, cls)
+        for owner in (first, second):
+            assert member in [x.name for x in classes[owner].members]
+        return
+    assert got == expected
+    if got is not None:
+        return
+    everything = [*classes, "Ghost"]
+    for sub in everything:
+        for sup in everything:
+            reflexive = sub == sup and sub in classes
+            assert mm.is_subtype(sub, sup) == (reflexive or sup in ancestors.get(sub, ())), (sub, sup)
+    for name, members in flattened.items():
+        assert len(mm.flatten_members(name)) == len(members)
+        assert all(a is b for a, b in zip(mm.flatten_members(name), members))
+        by_name = {m.name: m for m in members}
+        for member in "abcdx":
+            assert mm.member_of(name, member) is by_name.get(member)
