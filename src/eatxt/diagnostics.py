@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 ERROR = "error"
 WARNING = "warning"
 
 
-@dataclass(frozen=True)
-class Span:
-    """1-based position range in a source text. End columns are exclusive."""
+class Span(NamedTuple):
+    """1-based position range in a source text. End columns are exclusive.
+    A named tuple, since one is built per element, cross-reference and
+    diagnostic."""
 
     line: int
     col: int

@@ -3,11 +3,19 @@
 The lexer knows five value terminals plus four punctuation marks and line
 comments. Keywords are not a lexical category: every word comes out as an
 Identifier token and the parser promotes it by context, so member names
-never clash with class names. :func:`lex` returns :class:`Tokens`: the
-kinds, lexemes and start offsets of the tokens in three parallel lists,
-plus the line index of the text; the parser reads the lists by index.
-Line:col spans are computed from offsets only when needed: for element
-and cross-reference positions and for diagnostics.
+never clash with class names. It scans with one regex built from the
+grammar's terminals: skip whitespace and comments, then take the first
+of punctuation, each terminal in tie-break order, or an unlexable run.
+So most tokens cost one regex step; a token that a later kind could
+still outbid with a longer match is checked against that kind's own
+pattern. A terminal pattern that would mean something else as a branch
+of that regex (a numbered backreference or conditional, a named group,
+an inline flag) is kept out of it and tried on its own at every token.
+:func:`lex` returns :class:`Tokens`: the kinds, lexemes and start
+offsets of the tokens in three parallel lists, plus the line index of
+the text; the parser reads the lists by index. Line:col spans are
+computed from offsets only when needed: for element and cross-reference
+positions and for diagnostics.
 
 The parser interprets the grammar IR in one loop over the tokens and an
 explicit stack of the elements whose body is open, so nesting depth has
@@ -57,9 +65,15 @@ _PRIORITY = [
 
 _NEWLINE = re.compile("\n")
 # Whitespace and ``//`` comments between tokens, in one match.
-_SKIP = re.compile(r"(?:[ \t\r\n]+|//[^\n]*\n?)*")
+_SKIP = r"(?:[ \t\r\n]+|//[^\n]*\n?)*"
 # An unlexable run: scanning resumes at the next whitespace.
-_UNLEXABLE = re.compile(r"[^ \t\r\n]*")
+_UNLEXABLE = r"[^ \t\r\n]*"
+# Terminal patterns that would change meaning as a branch of the scanner:
+# numbered backreferences and conditionals (group numbers shift), named
+# groups (names may collide) and inline flags, which are global unless
+# scoped. The text is read rather than the compiled flags, which do not
+# show ``(?u)``; scoped flags and octal escapes are kept out too.
+_KEPT_OUT = r"\\[0-9]|\(\?[(P]|\(\?[aiLmsux]"
 
 
 class LineIndex:
@@ -104,10 +118,63 @@ class Tokens:
         return len(self.kinds)
 
 
+def _scanner(terminals: dict[PrimitiveKind, str]) -> tuple:
+    """The scanner regex of one set of terminals and what its groups mean.
+
+    Returns the scanner's ``finditer`` and two lists indexed by group.
+    ``sure`` holds the kind of a token that no other kind can outbid (""
+    for punctuation, whose lexeme is its kind). ``rivals`` holds, for any
+    other group that ends a match, the kinds to try there in priority
+    order, as (kind, match) pairs in which None stands for the scanner's
+    own match. The last group is the unlexable run; its rivals are the
+    kinds kept out of the alternation.
+    """
+    source = [f"(?>{_SKIP})(?:([{re.escape(PUNCT)}])"]
+    sure: list[str | None] = [None, ""]
+    contenders = []  # (kind, match, its group, or None when kept out)
+    for kind in _PRIORITY:
+        pattern = terminals[kind]
+        compiled = re.compile(pattern)
+        group = None
+        if not re.search(_KEPT_OUT, pattern):
+            group = len(sure)
+            source.append(f"|({pattern})")
+            sure += [None] * (compiled.groups + 1)
+        contenders.append((kind.value, compiled.match, group))
+    source.append(f"|({_UNLEXABLE}))")
+    sure.append(None)
+    rivals: list[list | None] = [None] * len(sure)
+    rivals[-1] = [(value, match) for value, match, group in contenders if group is None]
+    for rank, (value, _, group) in enumerate(contenders):
+        if group is None:
+            continue
+        tried = [
+            (other, None if at == rank else match)
+            for at, (other, match, other_group) in enumerate(contenders)
+            if at >= rank or other_group is None
+        ]
+        if len(tried) == 1:
+            sure[group] = value
+        else:
+            rivals[group] = tried
+    return re.compile("".join(source)).finditer, sure, rivals
+
+
 def lex(
     text: str, terminals: dict[PrimitiveKind, str],
 ) -> tuple[Tokens, list[Diagnostic]]:
     """Tokenize with longest-match semantics, one pattern per terminal kind.
+
+    One scanner regex, compiled once per grammar by ``re``'s cache, skips
+    whitespace and comments and takes the first of: punctuation, each
+    terminal in ``_PRIORITY`` order, an unlexable run. An alternation
+    takes its first branch that matches, with that branch's own match, so
+    no kind before it matches here. Only a later kind can still win, by
+    matching strictly longer, and only those are tried with their own
+    pattern: none for an Identifier, the last kind. A pattern in which a
+    group number, a group name or an inline flag would change meaning is
+    kept out of the alternation and tried with its own pattern at every
+    token. A match of no characters never counts.
 
     An unlexable character yields one error diagnostic; scanning resumes
     at the next whitespace. ``//`` comments are dropped.
@@ -118,41 +185,57 @@ def lex(
             "lexer needs a pattern for every terminal kind; missing: "
             + ", ".join(missing)
         )
-    matchers = [(kind.value, re.compile(terminals[kind]).match) for kind in _PRIORITY]
+    finditer, sure, rivals = _scanner(terminals)
     lines = LineIndex(text)
     kinds: list[str] = []
     lexemes: list[str] = []
     offsets: list[int] = []
     diagnostics: list[Diagnostic] = []
     add_kind, add_lexeme, add_offset = kinds.append, lexemes.append, offsets.append
-    skip = _SKIP.match
 
+    # The scanner matches at every position, its last branch possibly
+    # empty, so ``finditer`` never skips text. A pass ends at the end of
+    # the text, or where a token ends elsewhere than the scanner's match.
     n = len(text)
-    pos = skip(text, 0).end()
+    pos = 0
     while pos < n:
-        ch = text[pos]
-        if ch in PUNCT:
-            add_kind(ch)
-            add_lexeme(ch)
-            add_offset(pos)
-            pos = skip(text, pos + 1).end()
-            continue
-        best_kind = None
-        best_end = pos
-        for kind, match in matchers:
-            m = match(text, pos)
-            if m is not None and (end := m.end()) > best_end:
-                best_kind, best_end = kind, end
-        if best_kind is None:
-            diagnostics.append(Diagnostic(
-                ERROR, f"cannot read character {ch!r}", lines.span(pos, pos + 1),
-            ))
-            best_end = _UNLEXABLE.match(text, pos).end()
-        else:
-            add_kind(best_kind)
-            add_lexeme(text[pos:best_end])
-            add_offset(pos)
-        pos = skip(text, best_end).end()
+        resume, pos = pos, n
+        for m in finditer(text, resume):
+            g = m.lastindex
+            start, end = m.span(g)
+            kind = sure[g]
+            if kind is not None and start < end:
+                lexeme = text[start:end]
+                add_kind(kind or lexeme)
+                add_lexeme(lexeme)
+                add_offset(start)
+                continue
+            # An empty match, a kind that may be outbid, or no kind at all.
+            best_kind = None
+            best_end = start
+            for other, match in rivals[g] or ():
+                if match is None:
+                    other_end = end
+                elif (other_match := match(text, start)) is None:
+                    continue
+                else:
+                    other_end = other_match.end()
+                if other_end > best_end:
+                    best_kind, best_end = other, other_end
+            if best_kind is not None:
+                add_kind(best_kind)
+                add_lexeme(text[start:best_end])
+                add_offset(start)
+            elif start == n:
+                break
+            else:
+                diagnostics.append(Diagnostic(
+                    ERROR, f"cannot read character {text[start]!r}", lines.span(start, start + 1),
+                ))
+                best_end = re.compile(_UNLEXABLE).match(text, start).end()
+            if best_end != end:
+                pos = best_end  # the token ends elsewhere: rescan from there
+                break
 
     return Tokens(kinds, lexemes, offsets, lines), diagnostics
 
@@ -246,15 +329,14 @@ class Document:
 
 
 class _Parser:
-    """A loop over the token columns and a stack of open brace pairs,
-    innermost last. The frame of an element whose body is open is the
-    tuple ``(element, rule tables, member counts, Body, parent frame,
-    containment entry, token)``: when the element ends, it is counted
-    against that entry of its parent at that token, or dropped when it has
-    no parent frame. Above it, ``(entry, Body)`` is the wrapped block open
-    in its body, if any. ``i`` indexes the next token; the lists end with
-    an ``_END`` sentinel, so reading past the last token needs no bounds
-    check."""
+    """A loop over the token columns. The innermost element whose body is
+    open is held in the loop's locals: the element, its rule tables, its
+    member counts, its ``Body``, the wrapped block open in its body if
+    any, and the member and token by which it is counted against its
+    parent when it ends (no member: it is dropped). A child whose body
+    opens saves these on a stack, and they come back when it ends. ``i``
+    indexes the next token; the lists end with an ``_END`` sentinel, so
+    reading past the last token needs no bounds check."""
 
     def __init__(self, tokens: Tokens, g: Grammar, mm: Metamodel):
         self.kinds = tokens.kinds + [_END]
@@ -270,7 +352,6 @@ class _Parser:
         self.elements = 0
         self.rules: dict[str, _RuleInfo] = {}
         self.class_keywords = {rule.keyword: name for name, rule in g.rules.items()}
-        self.stack: list = []
 
     # -- positions ------------------------------------------------------------
 
@@ -329,59 +410,85 @@ class _Parser:
     def parse_element(self, class_name: str) -> ModelElement:
         """Parse the element whose class keyword is the next token, and
         everything nested in it. Each turn of the loop reads one construct
-        of the innermost open body or wrapped block: a child whose body
-        opens is pushed, a closing brace or the end of the text pops."""
-        kinds, lexemes, offsets, stack = self.kinds, self.lexemes, self.offsets, self.stack
-        root = self.open_element(class_name, None, None, 0)
-        while stack:
-            frame = stack[-1]
+        of the innermost open body or wrapped block; a turn that meets a
+        child element ends by opening it."""
+        kinds, lexemes, offsets = self.kinds, self.lexemes, self.offsets
+        class_keywords = self.class_keywords
+        stack: list[tuple] = []
+        root, info, body = self.open_element(class_name)
+        if body is None:
+            self.close_element(root, info, {})
+            return root
+        el, counts, block, member, at = root, {}, None, None, 0
+        while True:
             i = self.i
             kind = kinds[i]
-            if len(frame) == 2:
+            if block is not None:
                 # A wrapped block: keyword { child ("," child)* }.
-                entry, block = frame
                 if kind == _END:
                     self.error(
-                        f"unexpected end of file inside '{entry.member}' block", self.span(i),
+                        f"unexpected end of file inside '{block.member}' block", self.span(i),
                     )
-                    stack.pop()
-                elif kind == "}":
+                    block = None
+                    continue
+                if kind == "}":
                     self.i = i + 1
                     block.close_offset = offsets[i]
-                    stack.pop()
-                elif kind == ",":
+                    block = None
+                    continue
+                if kind == ",":
+                    self.i = i + 1
+                    continue
+                child_class = class_keywords.get(lexemes[i]) if kind == "Identifier" else None
+                if child_class is None or child_class not in info.accepted[block.member]:
+                    self.error(
+                        f"'{block.member}' accepts {block.class_name} elements, "
+                        f"got '{lexemes[i]}'",
+                        self.span(i),
+                    )
+                    self.skip_construct()
+                    continue
+                child_member = block.member
+            elif kind == "}" or kind == _END:
+                if kind == "}":
+                    body.close_offset = offsets[i]
                     self.i = i + 1
                 else:
-                    owner = stack[-2]
-                    child_class = (
-                        self.class_keywords.get(lexemes[i]) if kind == "Identifier" else None
+                    self.error(
+                        f"unexpected end of file inside '{info.rule.keyword}'", self.span(i),
                     )
-                    if child_class is None or child_class not in owner[1].accepted[entry.member]:
-                        self.error(
-                            f"'{entry.member}' accepts {block.class_name} elements, "
-                            f"got '{lexemes[i]}'",
-                            self.span(i),
-                        )
-                        self.skip_construct()
-                    else:
-                        self.open_element(child_class, owner, entry, i)
-            elif kind == "}":
-                frame[3].close_offset = offsets[i]
-                self.i = i + 1
-                self.close_element(stack.pop())
-            elif kind == _END:
-                self.error(f"unexpected end of file inside '{frame[1].rule.keyword}'", self.span(i))
-                self.close_element(stack.pop())
+                self.close_element(el, info, counts)
+                if not stack:
+                    return root
+                parent = stack.pop()
+                if member is not None and self.bump(parent[1], member, parent[2], at):
+                    parent[0].children.append((member, el))
+                el, info, counts, body, block, member, at = parent
+                continue
             else:
-                el, info, counts, body, _, _, _ = frame
-                self.parse_member_line(el, info, counts, body)
-        return root
+                child_class = class_keywords.get(lexemes[i]) if kind == "Identifier" else None
+                if child_class is None or lexemes[i] in info.by_keyword:
+                    block = self.parse_member_line(el, info, counts, body)
+                    continue
+                child_member = self.inline_member(info, child_class, body)
 
-    def open_element(
-        self, class_name: str, parent: tuple | None, entry: MemberEntry | None, at: int,
-    ) -> ModelElement:
+            # The turn met a child: an element without a body ends at once,
+            # one whose body opens becomes the innermost.
+            child, child_info, child_body = self.open_element(child_class)
+            if child_body is None:
+                self.close_element(child, child_info, {})
+                if child_member is not None and self.bump(info, child_member, counts, i):
+                    el.children.append((child_member, child))
+            else:
+                stack.append((el, info, counts, body, block, member, at))
+                el, info, counts, body, block, member, at = (
+                    child, child_info, {}, child_body, None, child_member, i
+                )
+
+    def open_element(self, class_name: str) -> tuple[ModelElement, _RuleInfo, Body | None]:
         """Read an element's class keyword, inline name and opening brace.
-        An element whose body opens is pushed; any other ends at once."""
+        Returns the element, its rule tables and its body, or None for a
+        body that does not open."""
         info = self.rules.get(class_name)
         if info is None:
             info = self.rules[class_name] = _RuleInfo(
@@ -407,26 +514,23 @@ class _Parser:
             self.i = i + 1
             body = Body(self.offsets[i], None, class_name, self.elements)
             self.bodies.append(body)
-            self.stack.append((el, info, {}, body, parent, entry, at))
-            return el
+            return el, info, body
         self.i = i
         if not rule.body_optional:
             self.error(
                 f"expected '{{' to open the body of '{rule.keyword}'",
                 span if kinds[i] == _END else self.span(i),
             )
-        self.close_element((el, info, {}, None, parent, entry, at))  # type: ignore[arg-type]
-        return el
+        return el, info, None
 
-    def close_element(self, frame: tuple) -> None:
+    def close_element(self, el: ModelElement, info: _RuleInfo, counts: dict[str, int]) -> None:
         """Report every member of an ended element that occurs fewer times
-        than its lower bound, then attach the element to its parent.
+        than its lower bound.
 
         ``counts`` counts occurrences, stored or not; since no upper bound
         lies below its lower bound, it is short of a lower bound exactly
         when the stored values are. The name counts once when set.
         """
-        el, info, counts, _, parent, entry, at = frame
         for member, lower in info.lower:
             n = counts.get(member, 0)
             if member == "shortName" and el.short_name is not None:
@@ -436,8 +540,6 @@ class _Parser:
                     f"missing mandatory member '{member}' in '{info.rule.keyword}'",
                     el.span,  # type: ignore[arg-type]
                 )
-        if parent is not None and self.bump(parent[1], entry, parent[2], at):
-            parent[0].children.append((entry.member, el))  # type: ignore[union-attr]
 
     def parse_member_line(
         self,
@@ -445,7 +547,9 @@ class _Parser:
         info: _RuleInfo,
         counts: dict[str, int],
         body: Body,
-    ) -> None:
+    ) -> Body | None:
+        """Read one construct of an element body other than a child
+        element. Returns the wrapped block it opens, if any."""
         i = self.i
         kind = self.kinds[i]
         lexeme = self.lexemes[i]
@@ -454,19 +558,14 @@ class _Parser:
         if kind == "Identifier":
             entry = info.by_keyword.get(lexeme)
             if entry is not None:
-                self.parse_keyworded_member(el, info, entry, counts, body)
-                return
-            child_class = self.class_keywords.get(lexeme)
-            if child_class is not None:
-                self.parse_inline_child(info, child_class, body)
-                return
+                return self.parse_keyworded_member(el, info, entry, counts, body)
             if (
                 info.positional is not None
                 and info.positional.form.kind is PrimitiveKind.IDENTIFIER  # type: ignore[union-attr]
             ):
                 body.present.add(info.positional.member)
                 self.take_value(el, info, info.positional, counts)
-                return
+                return None
             expected = list(info.by_keyword)
             for entry in info.inline:
                 expected.extend(sorted(
@@ -480,7 +579,7 @@ class _Parser:
                 self.span(i),
             )
             self.skip_construct(info)
-            return
+            return None
 
         if kind in ("String", "Boolean", "Numerical", "UUID"):
             pos = info.positional
@@ -490,19 +589,17 @@ class _Parser:
             else:
                 self.error(f"unexpected value '{lexeme}' in '{rule.keyword}'", self.span(i))
                 self.i = i + 1
-            return
+            return None
 
         # Stray punctuation at body level.
         self.error(f"unexpected '{lexeme}' in '{rule.keyword}'", self.span(i))
         self.i = i + 1
+        return None
 
     # -- member forms ---------------------------------------------------------
 
-    def bump(
-        self, info: _RuleInfo, entry: MemberEntry, counts: dict[str, int], i: int,
-    ) -> bool:
+    def bump(self, info: _RuleInfo, member: str, counts: dict[str, int], i: int) -> bool:
         """Count one occurrence; report a violated upper bound at token ``i``."""
-        member = entry.member
         n = counts.get(member, 0) + 1
         counts[member] = n
         upper = info.upper[member]
@@ -521,7 +618,7 @@ class _Parser:
         entry: MemberEntry,
         counts: dict[str, int],
         body: Body,
-    ) -> None:
+    ) -> Body | None:
         keyword = self.i
         self.i += 1
         form = entry.form
@@ -529,26 +626,25 @@ class _Parser:
 
         if isinstance(form, KeywordAttribute):
             self.parse_attribute_value(el, info, entry, counts)
-            return
+            return None
 
         if isinstance(form, KeywordCrossRef):
             qn, span = self.parse_qualified_name(keyword)
-            if qn is not None and self.bump(info, entry, counts, keyword):
+            if qn is not None and self.bump(info, entry.member, counts, keyword):
                 el.cross_refs.append(CrossRef(entry.member, qn, span=span))
-            return
+            return None
 
-        # Wrapped containment: its block is pushed and stays open until its
-        # closing brace. A repeated block appends to the same member, in
-        # document order.
+        # Wrapped containment: its block stays open until its closing
+        # brace. A repeated block appends to the same member, in document
+        # order.
         i = self.i
         if self.kinds[i] != "{":
             self.error(f"expected '{{' after '{entry.member}'", self.span(i))
-            return
+            return None
         self.i = i + 1
         block = Body(self.offsets[i], None, form.target, body.element_id, entry.member)
         self.bodies.append(block)
-        self.stack.append((entry, block))
-
+        return block
     def parse_attribute_value(
         self, el: ModelElement, info: _RuleInfo, entry: MemberEntry, counts: dict[str, int],
     ) -> None:
@@ -576,7 +672,7 @@ class _Parser:
         exceeds its upper bound."""
         i = self.i
         self.i = i + 1
-        if not self.bump(info, entry, counts, i):
+        if not self.bump(info, entry.member, counts, i):
             return
         if _is_name_slot_entry(entry):
             el.short_name = self.lexemes[i]
@@ -612,7 +708,10 @@ class _Parser:
         end = self.offsets[last] + len(lexemes[last])
         return QualifiedName(tuple(segments)), self.lines.span(start, end)
 
-    def parse_inline_child(self, info: _RuleInfo, child_class: str, body: Body) -> None:
+    def inline_member(self, info: _RuleInfo, child_class: str, body: Body) -> str | None:
+        """The member by which a child element written in ``info``'s body
+        is contained, or None, reported, when no containment accepts it
+        (the child is then read and dropped)."""
         i = self.i
         fitting = info.fitting.get(child_class)
         if fitting is None:
@@ -626,8 +725,7 @@ class _Parser:
                 f"{child_class}",
                 self.span(i),
             )
-            self.open_element(child_class, None, None, i)  # consume the whole subtree
-            return
+            return None
         if len(fitting) > 1:
             names = ", ".join(e.member for e in fitting)
             self.diagnostics.append(Diagnostic(
@@ -636,9 +734,9 @@ class _Parser:
                 f"using '{fitting[0].member}'",
                 self.span(i),
             ))
-        entry = fitting[0]
-        body.present.add(entry.member)
-        self.open_element(child_class, self.stack[-1], entry, i)
+        member = fitting[0].member
+        body.present.add(member)
+        return member
 
     # -- bookkeeping ----------------------------------------------------------
 

@@ -380,6 +380,34 @@ def test_grammar_cache_entry_for_a_member_the_class_lacks_is_usage_error(capsys,
             )
 
 
+def test_grammar_cache_with_a_bad_terminal_pattern_is_usage_error(capsys, tmp_path):
+    # Rejected when the cache loads, not with a traceback from the lexer.
+    def break_numerical(data):
+        data["terminals"] = [
+            t for t in data["terminals"] if t["kind"] != "Numerical"
+        ] + [{"kind": "Numerical", "pattern": "(unclosed"}]
+
+    cache = edited_cache(capsys, tmp_path, break_numerical)
+    expected = (
+        2, "",
+        f"error: unusable grammar cache {cache}: bad pattern for Numerical: "
+        "missing ), unterminated subpattern at position 0\n",
+    )
+    for command in ("check", "format"):
+        argv = [command, WIPER, "--metamodel", METAMODEL, "--config", CONFIG]
+        assert run(capsys, *argv, "--grammar-cache", cache) == expected, command
+    assert run(capsys, *complete_args(WIPER, 4, 5), "--grammar-cache", cache) == expected
+
+    def number_pattern(data):
+        data["terminals"] = [{"kind": "Boolean", "pattern": 5}]
+
+    (tmp_path / "number").mkdir()
+    cache = edited_cache(capsys, tmp_path / "number", number_pattern)
+    code, out, err = run(capsys, *base_args(WIPER), "--grammar-cache", cache)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: unusable grammar cache {cache}: bad pattern for Boolean: ")
+
+
 def test_grammar_cache_with_wrapper_flags_still_loads(capsys, tmp_path, mm, g, gen_g):
     # Caches used to store "braces" and "commas" on every wrapped entry;
     # loading ignores them. The generated grammar keeps its wrappers.

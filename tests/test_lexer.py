@@ -170,6 +170,19 @@ TERMINAL_SETS = {
         **DEFAULT_TERMINAL_PATTERNS,
         PrimitiveKind.IDENTIFIER: r"([A-Za-z_])([A-Za-z0-9_]|-(?=[a-z]))*",
     },
+    # Patterns that would change meaning as a branch of one big regex: a
+    # numbered backreference, a global inline flag, a named group.
+    "backreference": {
+        **DEFAULT_TERMINAL_PATTERNS, PrimitiveKind.STRING: r"""(["'])(?:\\.|(?!\1).)*\1""",
+    },
+    "inline-flag": {**DEFAULT_TERMINAL_PATTERNS, PrimitiveKind.BOOLEAN: r"(?i)true|false"},
+    "named-group": {**DEFAULT_TERMINAL_PATTERNS, PrimitiveKind.BOOLEAN: r"(?P<b>true|false)"},
+    # The last kind matching the empty string, where nothing else does.
+    "empty-identifier": {**DEFAULT_TERMINAL_PATTERNS, PrimitiveKind.IDENTIFIER: r"[A-Za-z_]*"},
+    # A lookbehind that reads the text before the token.
+    "lookbehind": {**DEFAULT_TERMINAL_PATTERNS, PrimitiveKind.NUMERICAL: r"(?<![.0-9])[0-9]+"},
+    # Punctuation wins even where a terminal matches longer.
+    "punctuation-first": {**DEFAULT_TERMINAL_PATTERNS, PrimitiveKind.NUMERICAL: r"\.[0-9]+"},
 }
 
 FIXTURE_FILES = sorted(p for p in FIXTURES.rglob("*") if p.is_file())
@@ -178,7 +191,7 @@ FIXTURE_FILES = sorted(p for p in FIXTURES.rglob("*") if p.is_file())
 # comments, unterminated and escaped strings, signs and exponents,
 # UUID prefixes, punctuation and characters no terminal accepts.
 FRAGMENTS = [
-    " ", "   ", "\t", "\n", "\r\n", "//", "/", '"', "\\", "0", "7", "42", "-",
+    " ", "   ", "\t", "\n", "\r\n", "//", "/", '"', "'", "\\", "0", "7", "42", "-",
     "+", ".", "e", "x", "b", "0x", "{", "}", ",", "\u00a7", "\u00e9", "\u65e5",
     "a", "Z", "_", "true", "false", "deadbeef-", "cafe-",
 ]
