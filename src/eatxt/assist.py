@@ -14,7 +14,7 @@ cross-references with the first fitting target found in the document.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .grammar import (
     Grammar,
@@ -30,8 +30,7 @@ KEYWORD = "Keyword"
 TEMPLATE = "Template"
 
 
-@dataclass(frozen=True)
-class Proposal:
+class Proposal(NamedTuple):
     """One completion item: a keyword or a template snippet."""
 
     kind: str  # KEYWORD or TEMPLATE
@@ -39,8 +38,7 @@ class Proposal:
     insert_text: str
 
 
-@dataclass(frozen=True)
-class CursorContext:
+class CursorContext(NamedTuple):
     """Where the cursor sits: the innermost container and what it holds.
 
     ``kind`` is one of:

@@ -13,6 +13,14 @@ file (reads it as EAXML for to-text), prints the diagnostics on stderr and
 stops the command unless the tree is clean. ``check`` and ``complete`` go
 on past errors and parse the file themselves.
 
+A call does only the work its command needs, since an editor may run
+one per keystroke. :func:`build_parser` adds only the invoked
+subcommand's subparser (all eight for help or a missing or unknown
+subcommand, with the same output either way). ``json``, ``difflib`` and
+``tempfile`` are imported by the functions that use them, so importing
+this module does not load them. Adapting a grammar copies its rules and
+entry lists, not its entries, which never change.
+
 :func:`main` pauses Python's cyclic garbage collector for the length of
 one command and restores the state it found, however the command ends.
 A command allocates model trees, token columns and diagnostics in bulk,
@@ -31,17 +39,15 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import difflib
 import gc
-import json
 import os
 import re
 import sys
-import tempfile
 
 from .assist import complete as compute_proposals
 from .assist import context_at
 from .diagnostics import (
+    ConfigError,
     Diagnostic,
     GrammarError,
     MetamodelError,
@@ -50,6 +56,7 @@ from .diagnostics import (
     has_errors,
 )
 from .grammar import (
+    AdaptationReport,
     Grammar,
     adapt_grammar,
     emit_grammar,
@@ -85,6 +92,8 @@ def _read_text(path: str) -> str:
 
 def _atomic_write(path: str, data: str) -> None:
     """Write via a sibling temp file and rename, so readers never see halves."""
+    import tempfile
+
     directory = os.path.dirname(os.path.abspath(path)) or "."
     tmp = None
     try:
@@ -134,6 +143,8 @@ def _build_grammar(args: argparse.Namespace, mm: Metamodel) -> Grammar:
     """
     cache_path = args.grammar_cache
     if cache_path and os.path.exists(cache_path):
+        import json
+
         try:
             with open(cache_path, "r", encoding="utf-8") as fh:
                 g = grammar_from_dict(json.load(fh))
@@ -168,12 +179,22 @@ def _build_grammar(args: argparse.Namespace, mm: Metamodel) -> Grammar:
 
     g = generate_grammar(mm)
     if args.config:
-        g, _ = adapt_grammar(g, parse_config(_read_text(args.config)))
+        g, _ = _adapt(args, g)
     if cache_path:
+        import json
+
         _atomic_write(
             cache_path, json.dumps(grammar_to_dict(g), indent=2) + "\n"
         )
     return g
+
+
+def _adapt(args: argparse.Namespace, g: Grammar) -> tuple[Grammar, AdaptationReport]:
+    """``g`` adapted by the --config file; an error in the config names it."""
+    try:
+        return adapt_grammar(g, parse_config(_read_text(args.config)))
+    except ConfigError as exc:
+        raise _UsageError(f"{args.config}: {exc}") from None
 
 
 def _print_diags(path: str, diags: list[Diagnostic], stream) -> None:
@@ -208,8 +229,7 @@ def cmd_gen_grammar(args: argparse.Namespace, mm: Metamodel, g: None) -> int:
 
 
 def cmd_adapt(args: argparse.Namespace, mm: Metamodel, g: None) -> int:
-    cfg = parse_config(_read_text(args.config))
-    adapted, report = adapt_grammar(generate_grammar(mm), cfg)
+    adapted, report = _adapt(args, generate_grammar(mm))
     rendered = report.render()
     if rendered:
         print(rendered)
@@ -285,6 +305,8 @@ def cmd_roundtrip_check(args: argparse.Namespace, mm: Metamodel, g: Grammar) -> 
 
     if recovered == canonical:
         return OK
+    import difflib
+
     diff = difflib.unified_diff(
         canonical.splitlines(keepends=True),
         recovered.splitlines(keepends=True),
@@ -313,16 +335,27 @@ _COMMANDS = [
     ("roundtrip-check", cmd_roundtrip_check,
      "verify text -> XML -> text reproduces the canonical form", True, False),
 ]
+_COMMAND_NAMES = {spec[0] for spec in _COMMANDS}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser, with only ``command``'s subparser when that
+    names a subcommand and with all of them otherwise (help, a missing or
+    unknown subcommand). Either way it prints the same usage, help and
+    errors."""
     parser = argparse.ArgumentParser(
         prog="eatxt",
         description="Textual modeling toolchain: grammar generation, parsing, "
         "formatting, completion, and XML exchange.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    single = command in _COMMAND_NAMES
+    if single:
+        # The usage line lists every subcommand, as when all are built.
+        sub.metavar = "{" + ",".join(spec[0] for spec in _COMMANDS) + "}"
     for name, func, help_text, model, out in _COMMANDS:
+        if single and name != command:
+            continue
         sp = sub.add_parser(name, help=help_text)
         if model:
             sp.add_argument("model", help="input file")
@@ -335,14 +368,12 @@ def build_parser() -> argparse.ArgumentParser:
             )
         if out:
             sp.add_argument("-o", "--out", help="output file (default: stdout)")
+        if name == "adapt":
+            sp.add_argument("--config", required=True, help="grammar adaptation config")
+        elif name == "complete":
+            sp.add_argument("--line", type=int, required=True, help="1-based line")
+            sp.add_argument("--col", type=int, required=True, help="1-based column")
         sp.set_defaults(func=func)
-
-    sub.choices["adapt"].add_argument(
-        "--config", required=True, help="grammar adaptation config"
-    )
-    complete = sub.choices["complete"]
-    complete.add_argument("--line", type=int, required=True, help="1-based line")
-    complete.add_argument("--col", type=int, required=True, help="1-based column")
     return parser
 
 
@@ -357,7 +388,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(argv: list[str] | None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         mm = _load_mm(args)
         g = _build_grammar(args, mm) if "model" in args else None

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 ERROR = "error"
@@ -25,8 +24,10 @@ class Span(NamedTuple):
 NO_SPAN = Span(0, 0, 0, 0)
 
 
-@dataclass
-class Diagnostic:
+class Diagnostic(NamedTuple):
+    """One finding about an input. A named tuple, like ``Span``: diagnostics
+    compare by value and are never changed once made."""
+
     severity: str  # ERROR or WARNING
     message: str
     span: Span = NO_SPAN

@@ -15,9 +15,8 @@ language. The emitted grammar text marks such terminals with a comment.
 
 from __future__ import annotations
 
-import copy
 import re
-from dataclasses import dataclass, field, fields
+from typing import NamedTuple, Sequence
 
 from .diagnostics import ConfigError, GrammarError
 from .metamodel import (
@@ -59,9 +58,11 @@ DEFAULT_TERMINAL_PATTERNS: dict[PrimitiveKind, str] = {
 # ---------------------------------------------------------------------------
 # IR types
 # ---------------------------------------------------------------------------
+# Entries and their forms are named tuples and never change: an adaptation
+# replaces an entry in its rule's list. Rules and grammars are plain
+# classes, and an adaptation changes only its own copies of them.
 
-@dataclass
-class KeywordAttribute:
+class KeywordAttribute(NamedTuple):
     """Primitive-valued member. keyword is None once it has been removed,
     which makes the value positional."""
 
@@ -69,22 +70,19 @@ class KeywordAttribute:
     kind: PrimitiveKind
 
 
-@dataclass
-class KeywordCrossRef:
+class KeywordCrossRef(NamedTuple):
     keyword: str
     target: str
 
 
-@dataclass
-class WrappedContainment:
+class WrappedContainment(NamedTuple):
     """Containment written as ``keyword { child, child }``."""
 
     keyword: str
     target: str
 
 
-@dataclass
-class InlineContainment:
+class InlineContainment(NamedTuple):
     """Containment written directly as child elements in the parent body."""
 
     target: str
@@ -93,21 +91,25 @@ class InlineContainment:
 EntryForm = KeywordAttribute | KeywordCrossRef | WrappedContainment | InlineContainment
 
 
-@dataclass
-class MemberEntry:
+class MemberEntry(NamedTuple):
     member: str
     form: EntryForm
     optional: bool
     repeatable: bool
 
 
-@dataclass
 class ProductionRule:
-    class_name: str
-    keyword: str
-    name_inline: bool
-    body_optional: bool
-    entries: list[MemberEntry]
+    __slots__ = ("class_name", "keyword", "name_inline", "body_optional", "entries")
+
+    def __init__(
+        self, class_name: str, keyword: str, name_inline: bool, body_optional: bool,
+        entries: list[MemberEntry],
+    ):
+        self.class_name = class_name
+        self.keyword = keyword
+        self.name_inline = name_inline
+        self.body_optional = body_optional
+        self.entries = entries
 
     def entry_for(self, member: str) -> MemberEntry | None:
         for e in self.entries:
@@ -116,11 +118,28 @@ class ProductionRule:
         return None
 
 
-@dataclass
 class Grammar:
-    rules: dict[str, ProductionRule]
-    terminals: dict[PrimitiveKind, str]  # explicit patterns, in definition order
-    root_rule: str
+    __slots__ = ("rules", "terminals", "root_rule")
+
+    def __init__(
+        self, rules: dict[str, ProductionRule], terminals: dict[PrimitiveKind, str],
+        root_rule: str,
+    ):
+        self.rules = rules
+        self.terminals = terminals  # explicit patterns, in definition order
+        self.root_rule = root_rule
+
+    def __eq__(self, other: object) -> bool:
+        """Same root, terminals and rules, down to the class of each form:
+        a cross-reference and a wrapped containment with the same keyword
+        and target are equal as tuples."""
+        if not isinstance(other, Grammar):
+            return NotImplemented
+        return (
+            self.root_rule == other.root_rule
+            and self.terminals == other.terminals
+            and _rule_values(self) == _rule_values(other)
+        )
 
     def terminal_patterns(self) -> dict[PrimitiveKind, str]:
         """Effective pattern per kind: explicit terminals over the builtins."""
@@ -135,6 +154,16 @@ class Grammar:
                 if isinstance(entry.form, KeywordAttribute):
                     used.add(entry.form.kind)
         return used
+
+
+def _rule_values(g: Grammar) -> dict[str, tuple]:
+    return {
+        name: (
+            r.class_name, r.keyword, r.name_inline, r.body_optional,
+            [(e, type(e.form)) for e in r.entries],
+        )
+        for name, r in g.rules.items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -181,31 +210,27 @@ def generate_grammar(mm: Metamodel) -> Grammar:
 # ---------------------------------------------------------------------------
 # Adaptation directives
 # ---------------------------------------------------------------------------
+# One named tuple per directive, one field per config argument.
 
-@dataclass(frozen=True)
-class DefineTerminal:
+class DefineTerminal(NamedTuple):
     kind: PrimitiveKind
     pattern: str
 
 
-@dataclass(frozen=True)
-class HoistShortName:
+class HoistShortName(NamedTuple):
     class_glob: str
 
 
-@dataclass(frozen=True)
-class UnfoldContainment:
+class UnfoldContainment(NamedTuple):
     class_glob: str
     member_glob: str
 
 
-@dataclass(frozen=True)
-class OptionalBody:
+class OptionalBody(NamedTuple):
     class_glob: str
 
 
-@dataclass(frozen=True)
-class RemoveAttributeKeyword:
+class RemoveAttributeKeyword(NamedTuple):
     class_glob: str
     member_glob: str
 
@@ -216,9 +241,11 @@ Directive = (
 )
 
 
-@dataclass
 class AdaptationConfig:
-    directives: list[Directive] = field(default_factory=list)
+    __slots__ = ("directives",)
+
+    def __init__(self, directives: Sequence[Directive] = ()):
+        self.directives = directives
 
 
 # Config-file name of each directive. Every directive but define-terminal
@@ -237,8 +264,7 @@ def render_directive(d: Directive) -> str:
     """Config-file spelling of a directive, used in reports and errors."""
     if isinstance(d, DefineTerminal):
         return f"define-terminal {d.kind.value} /{d.pattern}/"
-    globs = " ".join(getattr(d, f.name) for f in fields(d))
-    return f"{_DIRECTIVE_NAMES[type(d)]} {globs}"
+    return f"{_DIRECTIVE_NAMES[type(d)]} {' '.join(d)}"
 
 
 def _compile_glob(glob: str) -> re.Pattern[str]:
@@ -307,7 +333,7 @@ def parse_config(text: str) -> AdaptationConfig:
         cls = _DIRECTIVES.get(name)
         if cls is None:
             raise ConfigError(f"line {line_no}: unknown directive '{name}'")
-        arity = len(fields(cls))
+        arity = len(cls._fields)
         if len(words) != 1 + arity:
             raise ConfigError(
                 f"line {line_no}: {name} takes {arity} argument(s), "
@@ -321,8 +347,7 @@ def parse_config(text: str) -> AdaptationConfig:
 # Applying a config
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ReportEntry:
+class ReportEntry(NamedTuple):
     directive: str
     matches: int
     unit: str
@@ -337,9 +362,11 @@ class ReportEntry:
         return f"{self.directive}: {self.matches} {self.unit}"
 
 
-@dataclass
 class AdaptationReport:
-    entries: list[ReportEntry] = field(default_factory=list)
+    __slots__ = ("entries",)
+
+    def __init__(self) -> None:
+        self.entries: list[ReportEntry] = []
 
     def render(self) -> str:
         return "\n".join(e.render() for e in self.entries)
@@ -348,12 +375,22 @@ class AdaptationReport:
 def adapt_grammar(g: Grammar, cfg: AdaptationConfig) -> tuple[Grammar, AdaptationReport]:
     """Apply directives in config order to a copy of ``g``.
 
-    Returns the adapted grammar and a report with one entry per directive.
+    The copy has its own rules, entry lists and terminals; the entries,
+    which never change, are shared, and ``g`` is left as it was. Returns the adapted grammar and a report with one entry per directive.
     A directive whose globs match nothing produces a report warning, never
     an error. Container braces are never removed: no directive touches the
     body braces of a rule.
     """
-    g = copy.deepcopy(g)
+    g = Grammar(
+        {
+            name: ProductionRule(
+                r.class_name, r.keyword, r.name_inline, r.body_optional, list(r.entries)
+            )
+            for name, r in g.rules.items()
+        },
+        dict(g.terminals),
+        g.root_rule,
+    )
     report = AdaptationReport()
 
     for d in cfg.directives:
@@ -386,11 +423,14 @@ def adapt_grammar(g: Grammar, cfg: AdaptationConfig) -> tuple[Grammar, Adaptatio
             for rule in g.rules.values():
                 if not cpat.match(rule.class_name):
                     continue
-                for entry in rule.entries:
+                entries = rule.entries
+                for index, entry in enumerate(entries):
                     if not mpat.match(entry.member):
                         continue
                     if isinstance(entry.form, WrappedContainment):
-                        entry.form = InlineContainment(entry.form.target)
+                        entries[index] = entry._replace(
+                            form=InlineContainment(entry.form.target)
+                        )
                         count += 1
             report.entries.append(ReportEntry(text, count, "containment(s) unfolded"))
 
@@ -410,15 +450,16 @@ def adapt_grammar(g: Grammar, cfg: AdaptationConfig) -> tuple[Grammar, Adaptatio
             for rule in g.rules.values():
                 if not cpat.match(rule.class_name):
                     continue
-                for entry in rule.entries:
+                entries = rule.entries
+                for index, entry in enumerate(entries):
                     if not mpat.match(entry.member):
                         continue
                     form = entry.form
                     if isinstance(form, KeywordAttribute) and form.keyword is not None:
-                        form.keyword = None
+                        entries[index] = entry._replace(form=form._replace(keyword=None))
                         count += 1
                 positional = [
-                    e for e in rule.entries
+                    e for e in entries
                     if isinstance(e.form, KeywordAttribute) and e.form.keyword is None
                 ]
                 if len(positional) > 1:

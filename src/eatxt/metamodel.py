@@ -15,9 +15,9 @@ prefix.
 from __future__ import annotations
 
 import enum
+import os
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
-from pathlib import Path
+from typing import NamedTuple
 
 from .diagnostics import MetamodelError
 
@@ -55,26 +55,24 @@ NAME_SLOT = "shortName"
 # Data model
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Attribute:
+# Member kinds and members never change once read: named tuples.
+
+class Attribute(NamedTuple):
     kind: PrimitiveKind
 
 
-@dataclass(frozen=True)
-class Containment:
+class Containment(NamedTuple):
     target: str
 
 
-@dataclass(frozen=True)
-class CrossReference:
+class CrossReference(NamedTuple):
     target: str
 
 
 MemberKind = Attribute | Containment | CrossReference
 
 
-@dataclass(frozen=True)
-class Member:
+class Member(NamedTuple):
     """One named feature of a class. ``upper`` is None when unbounded."""
 
     name: str
@@ -98,15 +96,19 @@ class Member:
         )
 
 
-@dataclass
 class MetaClass:
-    name: str
-    abstract: bool = False
-    supertypes: list[str] = field(default_factory=list)
-    members: list[Member] = field(default_factory=list)
+    __slots__ = ("name", "abstract", "supertypes", "members")
+
+    def __init__(
+        self, name: str, abstract: bool = False, supertypes: list[str] | None = None,
+        members: list[Member] | None = None,
+    ):
+        self.name = name
+        self.abstract = abstract
+        self.supertypes = [] if supertypes is None else supertypes
+        self.members = [] if members is None else members
 
 
-@dataclass
 class Metamodel:
     """A validated set of classes plus the designated root class.
 
@@ -114,12 +116,15 @@ class Metamodel:
     afterwards; the derived tables below are filled in once at load time.
     """
 
-    classes: dict[str, MetaClass]
-    root_class: str
-    _members: dict[str, dict[str, Member]] = field(default_factory=dict, repr=False)
-    # Each class's proper ancestors as a bit mask over the ``_bit`` of each class.
-    _ancestors: dict[str, int] = field(default_factory=dict, repr=False)
-    _bit: dict[str, int] = field(default_factory=dict, repr=False)
+    __slots__ = ("classes", "root_class", "_members", "_ancestors", "_bit")
+
+    def __init__(self, classes: dict[str, MetaClass], root_class: str):
+        self.classes = classes
+        self.root_class = root_class
+        self._members: dict[str, dict[str, Member]] = {}
+        # Each class's proper ancestors as a bit mask over the ``_bit`` of each class.
+        self._ancestors: dict[str, int] = {}
+        self._bit: dict[str, int] = {}
 
     # -- queries ------------------------------------------------------------
 
@@ -240,15 +245,16 @@ def _parse_feature(elem: ET.Element, class_name: str) -> Member:
     )
 
 
-def load_metamodel(source: str | Path) -> Metamodel:
-    """Read and validate a metamodel file (or XML text).
+def load_metamodel(source: str | os.PathLike[str]) -> Metamodel:
+    """Read and validate a metamodel file (a path) or XML text (a string).
 
     Raises MetamodelError with a position for malformed XML, and with the
     offending name for dangling references, unknown datatypes, inheritance
     cycles and duplicate or clashing declarations.
     """
-    if isinstance(source, Path):
-        text = source.read_text(encoding="utf-8")
+    if isinstance(source, os.PathLike):
+        with open(source, encoding="utf-8") as fh:
+            text = fh.read()
     else:
         text = source
     try:

@@ -12,22 +12,17 @@ assist uses so that a completion query never has to walk the model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .diagnostics import Diagnostic, ERROR, NO_SPAN, Span
 from .metamodel import Metamodel
 
 
-@dataclass(frozen=True)
-class QualifiedName:
-    """Nonempty path of shortNames, rendered with dots."""
+class QualifiedName(NamedTuple):
+    """Nonempty path of shortNames, rendered with dots. A named tuple, since
+    resolve and build_cache make one per named element."""
 
     segments: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if not self.segments:
-            raise ValueError("qualified name needs at least one segment")
 
     @property
     def dotted(self) -> str:
@@ -37,23 +32,39 @@ class QualifiedName:
         return self.dotted
 
 
-@dataclass
 class CrossRef:
-    member: str
-    target: QualifiedName
-    resolved_id: int | None = None
-    span: Span | None = None
+    __slots__ = ("member", "target", "resolved_id", "span")
+
+    def __init__(
+        self, member: str, target: QualifiedName, resolved_id: int | None = None,
+        span: Span | None = None,
+    ):
+        self.member = member
+        self.target = target
+        self.resolved_id = resolved_id
+        self.span = span
 
 
-@dataclass
 class ModelElement:
-    class_name: str
-    short_name: str | None = None
-    attributes: list[tuple[str, str]] = field(default_factory=list)
-    cross_refs: list[CrossRef] = field(default_factory=list)
-    children: list[tuple[str, "ModelElement"]] = field(default_factory=list)
-    id: int = 0
-    span: Span | None = None
+    __slots__ = ("class_name", "short_name", "attributes", "cross_refs", "children", "id", "span")
+
+    def __init__(
+        self,
+        class_name: str,
+        short_name: str | None = None,
+        attributes: list[tuple[str, str]] | None = None,
+        cross_refs: list[CrossRef] | None = None,
+        children: list[tuple[str, ModelElement]] | None = None,
+        id: int = 0,
+        span: Span | None = None,
+    ):
+        self.class_name = class_name
+        self.short_name = short_name
+        self.attributes = [] if attributes is None else attributes
+        self.cross_refs = [] if cross_refs is None else cross_refs
+        self.children = [] if children is None else children
+        self.id = id
+        self.span = span
 
     def iter_preorder(self) -> Iterator["ModelElement"]:
         """This element and its descendants in document pre-order, walked
@@ -164,7 +175,6 @@ def resolve(root: ModelElement, mm: Metamodel) -> list[Diagnostic]:
 # Reference cache
 # ---------------------------------------------------------------------------
 
-@dataclass
 class ReferenceCache:
     """Per-class table of addressable elements, in document pre-order.
 
@@ -172,7 +182,10 @@ class ReferenceCache:
     a lookup for an abstract class finds concrete instances directly.
     """
 
-    by_class: dict[str, list[tuple[QualifiedName, int]]] = field(default_factory=dict)
+    __slots__ = ("by_class",)
+
+    def __init__(self) -> None:
+        self.by_class: dict[str, list[tuple[QualifiedName, int]]] = {}
 
 
 def build_cache(root: ModelElement, mm: Metamodel) -> ReferenceCache:

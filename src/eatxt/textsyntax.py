@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .diagnostics import ConfigError, Diagnostic, ERROR, SerializationError, Span, WARNING
 from .grammar import (
@@ -297,7 +297,6 @@ class _RuleInfo:
                 self.lower.append((entry.member, lower))
 
 
-@dataclass(slots=True)
 class Body:
     """One brace pair the parser opened: an element body, or a wrapped
     ``member { ... }`` block (then ``class_name`` is the block's target
@@ -307,16 +306,21 @@ class Body:
     element body, even a keyword still lacking its value.
     ``close_offset`` is None for a brace never closed."""
 
-    open_offset: int
-    close_offset: int | None
-    class_name: str
-    element_id: int
-    member: str | None = None
-    present: set[str] = field(default_factory=set)
+    __slots__ = ("open_offset", "close_offset", "class_name", "element_id", "member", "present")
+
+    def __init__(
+        self, open_offset: int, close_offset: int | None, class_name: str,
+        element_id: int, member: str | None = None,
+    ):
+        self.open_offset = open_offset
+        self.close_offset = close_offset
+        self.class_name = class_name
+        self.element_id = element_id
+        self.member = member
+        self.present: set[str] = set()
 
 
-@dataclass
-class Document:
+class Document(NamedTuple):
     """One parse of a text: the tree and its diagnostics, plus what
     completion needs from it. The tokens themselves are not kept; only
     the offsets of string literals and the line index survive."""

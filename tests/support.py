@@ -4,12 +4,14 @@ Holds the fixture paths, a reader that parses emitted grammar text back
 into the IR (round-reading check), a seeded random model generator used
 by the roundtrip and cache tests, a brute-force reference-cache oracle,
 a structural tree comparison, a frozen reference lexer, the frozen ElementTree writer and reader of
-EAXML, the recorder of damaged-document parses and the frozen recursive
-metamodel index.
+EAXML, the recorder of damaged-document parses, the frozen recursive
+metamodel index and the frozen command-line parser that builds every
+subcommand.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import random
 import re
@@ -896,3 +898,52 @@ def reference_index(
         walk(name)
         flattened[name] = tuple(out)
     return ancestors, flattened
+
+
+# ---------------------------------------------------------------------------
+# Frozen command-line parser: every subcommand, always
+# ---------------------------------------------------------------------------
+
+# name, help, whether it takes a model file, whether it writes an output.
+_REFERENCE_COMMANDS = [
+    ("gen-grammar", "emit the grammar generated from a metamodel", False, True),
+    ("adapt", "emit the grammar after applying a config", False, True),
+    ("check", "parse and resolve a model, printing diagnostics", True, False),
+    ("to-xml", "convert textual model to XML", True, True),
+    ("to-text", "convert XML model to canonical text", True, True),
+    ("complete", "print completion proposals for a position", True, False),
+    ("format", "rewrite a model in canonical form", True, True),
+    ("roundtrip-check", "verify text -> XML -> text reproduces the canonical form", True, False),
+]
+
+
+def reference_build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser as it was when it built all eight
+    subparsers for every call. Namespaces carry no ``func``."""
+    parser = argparse.ArgumentParser(
+        prog="eatxt",
+        description="Textual modeling toolchain: grammar generation, parsing, "
+        "formatting, completion, and XML exchange.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, model, out in _REFERENCE_COMMANDS:
+        sp = sub.add_parser(name, help=help_text)
+        if model:
+            sp.add_argument("model", help="input file")
+        sp.add_argument("--metamodel", required=True, help="metamodel XMI file")
+        if model:
+            sp.add_argument("--config", help="grammar adaptation config")
+            sp.add_argument(
+                "--grammar-cache",
+                help="JSON file caching the adapted grammar (read if present, written if not)",
+            )
+        if out:
+            sp.add_argument("-o", "--out", help="output file (default: stdout)")
+
+    sub.choices["adapt"].add_argument(
+        "--config", required=True, help="grammar adaptation config"
+    )
+    complete = sub.choices["complete"]
+    complete.add_argument("--line", type=int, required=True, help="1-based line")
+    complete.add_argument("--col", type=int, required=True, help="1-based column")
+    return parser

@@ -8,6 +8,8 @@ import contextlib
 import gc
 import io
 import json
+import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -21,7 +23,9 @@ from eatxt.grammar import grammar_to_dict
 from eatxt.textsyntax import format_model, parse_model
 from eatxt.xmlio import to_eaxml
 
-from support import CONFIG, EXTRA, GOLDEN, METAMODEL, MODELS, random_model
+from support import (
+    CONFIG, EXTRA, GOLDEN, METAMODEL, MODELS, random_model, reference_build_parser,
+)
 
 WIPER = MODELS[0].parent / "wiper_system.eatxt"
 
@@ -135,7 +139,22 @@ def test_broken_config_is_usage_error(capsys, tmp_path):
         capsys, "adapt", "--metamodel", METAMODEL, "--config", bad
     )
     assert code == 2
-    assert "line 1" in err
+    assert err == f"error: {bad}: line 1: unknown directive 'frobnicate'\n"
+
+
+def test_rejected_config_names_its_file_for_model_commands(capsys, tmp_path):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(
+        "remove-attribute-keyword FunctionFlowPort *\n", encoding="utf-8"
+    )
+    code, out, err = run(
+        capsys, "check", WIPER, "--metamodel", METAMODEL, "--config", bad
+    )
+    assert code == 2 and out == ""
+    assert err.startswith(
+        f"error: {bad}: remove-attribute-keyword FunctionFlowPort *: "
+        "rule 'FunctionFlowPort' would have 2 positional attributes"
+    )
 
 
 # --- check -------------------------------------------------------------------
@@ -670,6 +689,77 @@ def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def parse_outcome(capsys, parse, argv):
+    """Exit code (None when parsing succeeds), stdout and stderr."""
+    try:
+        parse(argv)
+        code = None
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+COMMANDS = [
+    "gen-grammar", "adapt", "check", "to-xml", "to-text", "complete", "format",
+    "roundtrip-check",
+]
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["--help"],
+    ["-h"],
+    *([command, "--help"] for command in COMMANDS),
+    ["frobnicate"],
+    ["frobnicate", "m.eatxt", "--metamodel", "mm.ecore"],
+    ["--metamodel", "mm.ecore", "check", "m.eatxt"],
+    ["check", "m.eatxt"],
+    ["gen-grammar"],
+    ["adapt", "--metamodel", "mm.ecore"],
+    ["complete", "m.eatxt", "--metamodel", "mm.ecore", "--line", "x", "--col", "1"],
+    ["check", "m.eatxt", "--metamodel", "mm.ecore", "--bogus"],
+    ["gen-grammar", "--metamodel", "mm.ecore", "stray"],
+], ids=lambda argv: " ".join(argv) or "no arguments")
+def test_usage_help_and_errors_match_the_parser_with_every_subcommand(capsys, argv):
+    expected = parse_outcome(capsys, reference_build_parser().parse_args, argv)
+    assert expected[0] is not None
+    assert parse_outcome(capsys, main, argv) == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-grammar", "--metamodel", "mm.ecore", "-o", "out.gtext"],
+    ["adapt", "--metamodel", "mm.ecore", "--config", "c.cfg"],
+    ["check", "m.eatxt", "--metamodel", "mm.ecore", "--config", "c.cfg",
+     "--grammar-cache", "g.json"],
+    ["to-text", "m.eaxml", "--metamodel", "mm.ecore", "-o", "out.eatxt"],
+    ["complete", "m.eatxt", "--metamodel", "mm.ecore", "--line", "3", "--col", "4"],
+], ids=lambda argv: argv[0])
+def test_one_subcommand_parser_reads_arguments_as_before(argv):
+    expected = vars(reference_build_parser().parse_args(argv))
+    got = vars(eatxt.cli.build_parser(argv[0]).parse_args(argv))
+    del got["func"]
+    assert got == expected
+
+
+def test_importing_the_cli_leaves_unused_modules_unloaded():
+    src = str(pathlib.Path(eatxt.cli.__file__).resolve().parents[1])
+    # Modules that the interpreter's own start-up loaded do not count.
+    probe = (
+        "import sys; before = set(sys.modules); import eatxt.cli; "
+        "print(sorted({'dataclasses', 'difflib', 'tempfile', 'json', 'pathlib'} "
+        "& set(sys.modules) - before))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_runs_are_deterministic(capsys):

@@ -1,6 +1,8 @@
+import contextlib
 import copy
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eatxt.diagnostics import ConfigError, GrammarError
 from eatxt.grammar import (
@@ -23,7 +25,7 @@ from eatxt.grammar import (
 )
 from eatxt.metamodel import PrimitiveKind, load_metamodel
 
-from support import CONFIG, read_grammar_text
+from support import CONFIG, GOLDEN, read_grammar_text
 
 
 def test_rule_per_concrete_class(mm, gen_g):
@@ -197,10 +199,64 @@ def test_zero_match_glob_warns_in_report(gen_g):
     assert "no matches" in report.render()
 
 
+EVERY_DIRECTIVE_KIND = (
+    DefineTerminal(PrimitiveKind.IDENTIFIER, "[a-z]+"),
+    HoistShortName("*"),
+    UnfoldContainment("*", "*"),
+    OptionalBody("*"),
+    RemoveAttributeKeyword("FunctionFlowPort", "direction"),
+)
+
+
 def test_adaptation_leaves_input_grammar_alone(gen_g):
     before = copy.deepcopy(gen_g)
-    adapt_grammar(gen_g, AdaptationConfig((HoistShortName("*"), OptionalBody("*"))))
+    adapted, report = adapt_grammar(gen_g, AdaptationConfig(EVERY_DIRECTIVE_KIND))
+    assert all(entry.matches for entry in report.entries)
     assert gen_g == before
+    assert emit_grammar(gen_g) == (GOLDEN / "generated.gtext").read_text(encoding="utf-8")
+    # Nor does adapting the result again change the first result.
+    again = copy.deepcopy(adapted)
+    adapt_grammar(adapted, AdaptationConfig(EVERY_DIRECTIVE_KIND))
+    assert adapted == again
+
+
+GLOBS = st.sampled_from(
+    ["*", "EA*", "Function*", "*Port", "FunctionFlowPort", "DesignFunctionType",
+     "EAPackage", "Nope"]
+)
+MEMBER_GLOBS = st.sampled_from(
+    ["*", "sub*", "element", "port", "direction", "category", "name", "shortName", "Nope"]
+)
+DIRECTIVES = st.one_of(
+    st.builds(DefineTerminal, st.sampled_from(list(PrimitiveKind)),
+              st.sampled_from(["[a-z]+", "x|y", "[0-9]+"])),
+    st.builds(HoistShortName, GLOBS),
+    st.builds(UnfoldContainment, GLOBS, MEMBER_GLOBS),
+    st.builds(OptionalBody, GLOBS),
+    st.builds(RemoveAttributeKeyword, GLOBS, MEMBER_GLOBS),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(directives=st.lists(DIRECTIVES, max_size=6))
+def test_random_adaptations_leave_their_input_alone(gen_g, directives):
+    before = copy.deepcopy(gen_g)
+    try:
+        adapted, _ = adapt_grammar(gen_g, AdaptationConfig(directives))
+    except ConfigError:  # two positional attributes in one rule
+        adapted = None
+    assert gen_g == before
+    if adapted is not None:
+        snapshot = copy.deepcopy(adapted)
+        with contextlib.suppress(ConfigError):
+            adapt_grammar(adapted, AdaptationConfig(directives))
+        assert adapted == snapshot
+    # The untouched input still adapts to the goldens.
+    cfg = parse_config(CONFIG.read_text(encoding="utf-8"))
+    assert emit_grammar(gen_g) == (GOLDEN / "generated.gtext").read_text(encoding="utf-8")
+    assert emit_grammar(adapt_grammar(gen_g, cfg)[0]) == (
+        GOLDEN / "adapted.gtext"
+    ).read_text(encoding="utf-8")
 
 
 def test_empty_config_is_identity(gen_g):
@@ -272,6 +328,18 @@ def test_round_reading_partial_adaptations(gen_g):
     ):
         adapted, _ = adapt_grammar(gen_g, AdaptationConfig(directives))
         assert read_grammar_text(emit_grammar(adapted)) == adapted
+
+
+def test_grammar_equality_tells_form_classes_apart(gen_g):
+    # A cross-reference and a wrapped containment with the same keyword
+    # and target are equal as tuples; the grammars must not be.
+    swapped = copy.deepcopy(gen_g)
+    entries = swapped.rules["FunctionFlowPort"].entries
+    index = next(i for i, e in enumerate(entries) if e.member == "type")
+    form = entries[index].form
+    entries[index] = entries[index]._replace(form=WrappedContainment(*form))
+    assert form == entries[index].form
+    assert swapped != gen_g
 
 
 def test_grammar_dict_roundtrip(g, gen_g):

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 from eatxt.diagnostics import ERROR
 from eatxt.model import (
     CrossRef,
@@ -8,7 +11,8 @@ from eatxt.model import (
     lookup_first_fitting,
     resolve,
 )
-from eatxt.textsyntax import parse_model
+from eatxt.textsyntax import format_model, parse_model
+from eatxt.xmlio import to_eaxml
 
 from support import MODELS, naive_cache, random_model, same_structure
 
@@ -187,3 +191,24 @@ def test_resolve_and_cache_have_no_depth_limit(mm):
     assert resolve(root, mm) == []
     assert port.cross_refs[0].resolved_id == 2
     assert build_cache(root, mm).by_class == naive_cache(root, mm)
+
+
+def test_model_constructors_the_depth_sweep_uses(g, mm):
+    """perfbench/depth.py builds its trees with ModelElement(cls, name,
+    attributes=..., cross_refs=...), CrossRef(member, QualifiedName(...))
+    and reads .segments and .dotted; its checks hold on a short chain."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "depth.py"
+    spec = importlib.util.spec_from_file_location("perfbench_depth", path)
+    depth = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(depth)
+
+    qn = QualifiedName(("P1", "T"))
+    assert qn.segments == ("P1", "T") and qn.dotted == "P1.T" and str(qn) == "P1.T"
+    root, port = depth.chain_tree(50)
+    assert port.attributes == [("direction", "in")]
+    assert port.cross_refs[0].member == "type" and port.cross_refs[0].target == qn
+    assert resolve(root, mm) == [] and port.cross_refs[0].resolved_id == 2
+    found = lookup_first_fitting(build_cache(root, mm), "FunctionFlowPort")
+    assert found.segments[-1] == "x" and len(found.segments) == 50
+    assert format_model(root, g) == depth.chain_text(50)
+    assert to_eaxml(root, mm) == depth.chain_xml(50)
