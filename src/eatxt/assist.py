@@ -44,7 +44,8 @@ class CursorContext(NamedTuple):
     ``kind`` is one of:
 
     - ``"element"``: inside the braces of an element body; ``class_name``
-      is the element's class and ``element_id`` its pre-order number.
+      is the element's class and ``element_id`` the parser's count of the
+      elements started up to it, dropped ones included (see ``Body``).
     - ``"wrapper"``: inside the braces of a wrapped containment member;
       ``class_name`` is the member's target class.
     - ``"top"``: outside every element; ``has_root`` says whether the

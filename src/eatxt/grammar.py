@@ -616,5 +616,7 @@ def grammar_from_dict(data: dict) -> Grammar:
         )
         for r in data["rules"]
     }
+    if data["root"] not in rules:
+        raise GrammarError(f"no rule for root class {data['root']}")
     terminals = {PrimitiveKind(t["kind"]): t["pattern"] for t in data["terminals"]}
     return Grammar(rules=rules, terminals=terminals, root_rule=data["root"])

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import os
-import xml.etree.ElementTree as ET
+import xml.parsers.expat as expat
 from typing import NamedTuple
 
 from .diagnostics import MetamodelError
@@ -183,14 +183,37 @@ class Metamodel:
 # Loading
 # ---------------------------------------------------------------------------
 
-def _local(tag: str) -> str:
-    """Tag name without its namespace part."""
-    return tag.rsplit("}", 1)[-1]
+def read_xml(parser: expat.XMLParserType, text: str) -> tuple[str, int, int] | None:
+    """Parse ``text`` with an expat ``parser`` whose content handlers are set.
+
+    Returns None for well-formed XML, else the first error's message, line
+    and column. A general entity that expat skips (with an external DTD
+    subset) or an external one is undefined, as ElementTree reports it.
+    The handlers are unset afterwards: they refer to the parser, and that
+    cycle would keep what they built alive until the next collection.
+    """
+    def undefined(name: str) -> None:
+        line, col = parser.CurrentLineNumber, parser.CurrentColumnNumber
+        exc = expat.ExpatError(f"undefined entity {f'&{name};'[:100]}: line {line}, column {col}")
+        exc.lineno, exc.offset = line, col
+        raise exc
+
+    parser.SkippedEntityHandler = lambda name, is_parameter: is_parameter or undefined(name)
+    parser.ExternalEntityRefHandler = lambda context, *_: undefined(context.rpartition("\f")[2])
+    try:
+        parser.Parse(text, True)
+    except expat.ExpatError as exc:
+        return str(exc), exc.lineno, exc.offset
+    finally:
+        parser.StartElementHandler = parser.EndElementHandler = None
+        parser.CharacterDataHandler = parser.SkippedEntityHandler = None
+        parser.ExternalEntityRefHandler = None
+    return None
 
 
-def _xsi_type(elem: ET.Element) -> str:
-    for key, value in elem.attrib.items():
-        if _local(key) == "type":
+def _xsi_type(attrs: dict[str, str]) -> str:
+    for key, value in attrs.items():
+        if key.rpartition("}")[2] == "type":
             return value.rsplit(":", 1)[-1]
     return ""
 
@@ -202,8 +225,8 @@ def _ref_name(token: str) -> str:
     return token.strip()
 
 
-def _parse_bound(elem: ET.Element, attr: str, default: int) -> int:
-    raw = elem.get(attr)
+def _parse_bound(attrs: dict[str, str], attr: str, default: int) -> int:
+    raw = attrs.get(attr)
     if raw is None:
         return default
     try:
@@ -212,14 +235,14 @@ def _parse_bound(elem: ET.Element, attr: str, default: int) -> int:
         raise MetamodelError(f"{attr} must be an integer, got '{raw}'") from None
 
 
-def _parse_feature(elem: ET.Element, class_name: str) -> Member:
-    name = elem.get("name")
+def _parse_feature(attrs: dict[str, str], class_name: str) -> Member:
+    name = attrs.get("name")
     if not name:
         raise MetamodelError(f"feature of class '{class_name}' has no name")
-    marker = _xsi_type(elem)
-    etype = _ref_name(elem.get("eType", ""))
-    lower = _parse_bound(elem, "lowerBound", 0)
-    upper: int | None = _parse_bound(elem, "upperBound", 1)
+    marker = _xsi_type(attrs)
+    etype = _ref_name(attrs.get("eType", ""))
+    lower = _parse_bound(attrs, "lowerBound", 0)
+    upper: int | None = _parse_bound(attrs, "upperBound", 1)
     if upper == -1:
         upper = None
     if lower < 0 or (upper is not None and upper < lower):
@@ -237,7 +260,7 @@ def _parse_feature(elem: ET.Element, class_name: str) -> Member:
     if marker == "EReference":
         if not etype:
             raise MetamodelError(f"reference '{class_name}.{name}' has no eType")
-        if elem.get("containment") == "true":
+        if attrs.get("containment") == "true":
             return Member(name, Containment(etype), lower, upper)
         return Member(name, CrossReference(etype), lower, upper)
     raise MetamodelError(
@@ -257,57 +280,61 @@ def load_metamodel(source: str | os.PathLike[str]) -> Metamodel:
             text = fh.read()
     else:
         text = source
-    try:
-        root = ET.fromstring(text)
-    except ET.ParseError as exc:
-        line, col = exc.position
-        raise MetamodelError(
-            f"metamodel XML parse error at line {line}, column {col}: {exc.msg}"
-        ) from None
+    # The document as (local tag, attributes, children) nodes. Its content
+    # is checked only once all of it has parsed as XML.
+    top: list[tuple[str, dict[str, str], list]] = []
+    stack = [top]
 
-    if _local(root.tag) != "EPackage":
-        raise MetamodelError(f"expected an EPackage document, got <{_local(root.tag)}>")
+    def start(tag: str, attrs: dict[str, str]) -> None:
+        children: list = []
+        stack[-1].append((tag.rpartition("}")[2], attrs, children))
+        stack.append(children)
+
+    parser = expat.ParserCreate(namespace_separator="}")
+    parser.StartElementHandler = start
+    parser.EndElementHandler = lambda tag: stack.pop()
+    error = read_xml(parser, text)
+    if error is not None:
+        message, line, col = error
+        raise MetamodelError(
+            f"metamodel XML parse error at line {line}, column {col}: {message}"
+        )
+    tag, package, children = top[0]
+    if tag != "EPackage":
+        raise MetamodelError(f"expected an EPackage document, got <{tag}>")
 
     classes: dict[str, MetaClass] = {}
-    for child in root:
-        tag = _local(child.tag)
+    for tag, attrs, features in children:
         if tag in ("EPackage", "eSubpackages"):
             raise MetamodelError(
                 "nested packages are not supported; provide one flat package"
             )
         if tag != "eClassifiers":
             raise MetamodelError(f"unexpected element <{tag}> inside EPackage")
-        marker = _xsi_type(child)
+        marker = _xsi_type(attrs)
         if marker and marker != "EClass":
             # Datatype declarations are tolerated: attribute types are
             # matched by name against the builtin table anyway.
             if marker == "EDataType":
                 continue
             raise MetamodelError(f"unsupported classifier kind '{marker}'")
-        name = child.get("name")
+        name = attrs.get("name")
         if not name:
             raise MetamodelError("class without a name")
         if name in classes:
             raise MetamodelError(f"duplicate class name '{name}'")
         supertypes = [
-            _ref_name(tok) for tok in child.get("eSuperTypes", "").split() if tok
+            _ref_name(tok) for tok in attrs.get("eSuperTypes", "").split() if tok
         ]
         members = [
-            _parse_feature(feat, name)
-            for feat in child
-            if _local(feat.tag) == "eStructuralFeatures"
+            _parse_feature(feature, name) for tag, feature, _ in features if tag == "eStructuralFeatures"
         ]
-        classes[name] = MetaClass(
-            name=name,
-            abstract=child.get("abstract") == "true",
-            supertypes=supertypes,
-            members=members,
-        )
+        classes[name] = MetaClass(name, attrs.get("abstract") == "true", supertypes, members)
 
     mm = Metamodel(classes=classes, root_class="")
     _validate_and_index(mm)
 
-    root_class = root.get("rootClass", "")
+    root_class = package.get("rootClass", "")
     if root_class:
         cls = classes.get(root_class)
         if cls is None:

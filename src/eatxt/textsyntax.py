@@ -300,11 +300,13 @@ class _RuleInfo:
 class Body:
     """One brace pair the parser opened: an element body, or a wrapped
     ``member { ... }`` block (then ``class_name`` is the block's target
-    and ``element_id`` its owner's). Elements are numbered in textual
-    start order, the pre-order id for a clean document. ``present`` holds
-    the members whose keyword, child or positional value appeared in an
-    element body, even a keyword still lacking its value.
-    ``close_offset`` is None for a brace never closed."""
+    and ``element_id`` its owner's). ``element_id`` counts the elements
+    the parser started, in textual order, up to this one, dropped ones
+    included: it is the tree's pre-order id only when no element started
+    before it was dropped. ``present`` holds the members whose keyword,
+    child or positional value appeared in an element body, even a keyword
+    still lacking its value. ``close_offset`` is None for a brace never
+    closed."""
 
     __slots__ = ("open_offset", "close_offset", "class_name", "element_id", "member", "present")
 

@@ -20,7 +20,7 @@ import re
 import xml.parsers.expat as expat
 
 from .diagnostics import Diagnostic, ERROR, NO_SPAN, SerializationError, Span, WARNING
-from .metamodel import Attribute, Containment, CrossReference, Member, Metamodel, PrimitiveKind
+from .metamodel import Attribute, Containment, CrossReference, Member, Metamodel, PrimitiveKind, read_xml
 from .model import CrossRef, ModelElement, QualifiedName
 
 EAXML_VERSION = "2.1.12"
@@ -198,15 +198,6 @@ def to_eaxml(root: ModelElement, mm: Metamodel, names: XmlNameMap | None = None)
 # Reading
 # ---------------------------------------------------------------------------
 
-class _Malformed(Exception):
-    """An entity reference that ElementTree reports as undefined but expat
-    passes over: with an external DTD subset, or to an external entity."""
-
-    def __init__(self, reference: str, line: int, col: int):
-        super().__init__(f"undefined entity {reference[:100]}: line {line}, column {col}")
-        self.position = (line, col)
-
-
 # What a start tag opens, by the element it appears in. Frames of the
 # kinds from _NAME on collect their character data up to their first
 # child element, as ElementTree's ``text`` holds it.
@@ -265,7 +256,10 @@ def from_eaxml(
                 else:
                     code = _WRAPPER
                 members[tag] = (code, member)
-            members["SHORT-NAME"] = (_NAME, None)
+            # <SHORT-NAME> is the element name unless a member that is not
+            # the name slot, such as a String shortName, owns the tag.
+            if "SHORT-NAME" not in members or members["SHORT-NAME"][1].is_name_slot():
+                members["SHORT-NAME"] = (_NAME, None)
             tables[class_name] = members
         return members
 
@@ -399,30 +393,11 @@ def from_eaxml(
                     _point(frame[5], frame[6]),
                 ))
 
-    def skipped_entity(name: str, is_parameter_entity: bool) -> None:
-        if not is_parameter_entity:
-            raise _Malformed(f"&{name};", parser.CurrentLineNumber, parser.CurrentColumnNumber)
-
-    def external_entity(context: str, base, system_id, public_id) -> None:
-        name = context.rpartition("\f")[2]
-        raise _Malformed(f"&{name};", parser.CurrentLineNumber, parser.CurrentColumnNumber)
-
     parser.StartElementHandler = start
     parser.EndElementHandler = end
-    parser.SkippedEntityHandler = skipped_entity
-    parser.ExternalEntityRefHandler = external_entity
-    try:
-        parser.Parse(text, True)
-    except expat.ExpatError as exc:
-        return None, [_malformed(str(exc), exc.lineno, exc.offset)]
-    except _Malformed as exc:
-        return None, [_malformed(str(exc), *exc.position)]
-    finally:
-        # The handlers refer to the parser: unset them, so that this cycle
-        # does not keep the tree alive until the next collection.
-        parser.StartElementHandler = parser.EndElementHandler = None
-        parser.SkippedEntityHandler = parser.ExternalEntityRefHandler = None
-        parser.CharacterDataHandler = None
+    error = read_xml(parser, text)
+    if error is not None:
+        return None, [_malformed(*error)]
 
     if doc_tag != "EAXML":
         return None, [Diagnostic(

@@ -5,8 +5,8 @@ into the IR (round-reading check), a seeded random model generator used
 by the roundtrip and cache tests, a brute-force reference-cache oracle,
 a structural tree comparison, a frozen reference lexer, the frozen ElementTree writer and reader of
 EAXML, the recorder of damaged-document parses, the frozen recursive
-metamodel index and the frozen command-line parser that builds every
-subcommand.
+metamodel index, the frozen ElementTree metamodel reader and the frozen
+command-line parser that builds every subcommand.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ import random
 import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
+
+from hypothesis import strategies as st
 
 from eatxt.diagnostics import (
     ERROR, WARNING, ConfigError, Diagnostic, MetamodelError, SerializationError, Span,
@@ -39,6 +41,9 @@ from eatxt.metamodel import (
     MetaClass,
     Metamodel,
     PrimitiveKind,
+    _DATATYPE_NAMES,
+    _ref_name,
+    _validate_and_index,
 )
 from eatxt.model import ModelElement, CrossRef, QualifiedName, assign_preorder_ids
 from eatxt.xmlio import EAXML_VERSION, XmlNameMap
@@ -898,6 +903,178 @@ def reference_index(
         walk(name)
         flattened[name] = tuple(out)
     return ancestors, flattened
+
+
+# ---------------------------------------------------------------------------
+# Reference metamodel reader (differential oracle for the expat reader)
+# ---------------------------------------------------------------------------
+
+def _reference_local(tag: str) -> str:
+    return tag.rsplit("}", 1)[-1]
+
+
+def _reference_xsi_type(elem: ET.Element) -> str:
+    for key, value in elem.attrib.items():
+        if _reference_local(key) == "type":
+            return value.rsplit(":", 1)[-1]
+    return ""
+
+
+def _reference_bound(elem: ET.Element, attr: str, default: int) -> int:
+    raw = elem.get(attr)
+    if raw is None:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise MetamodelError(f"{attr} must be an integer, got '{raw}'") from None
+
+
+def _reference_feature(elem: ET.Element, class_name: str) -> Member:
+    name = elem.get("name")
+    if not name:
+        raise MetamodelError(f"feature of class '{class_name}' has no name")
+    marker = _reference_xsi_type(elem)
+    etype = _ref_name(elem.get("eType", ""))
+    lower = _reference_bound(elem, "lowerBound", 0)
+    upper: int | None = _reference_bound(elem, "upperBound", 1)
+    if upper == -1:
+        upper = None
+    if lower < 0 or (upper is not None and upper < lower):
+        raise MetamodelError(
+            f"member '{class_name}.{name}' has invalid bounds {lower}..{upper}"
+        )
+    if marker == "EAttribute":
+        kind = _DATATYPE_NAMES.get(etype.lower())
+        if kind is None:
+            raise MetamodelError(
+                f"unknown attribute datatype '{etype}' on '{class_name}.{name}'"
+            )
+        return Member(name, Attribute(kind), lower, upper)
+    if marker == "EReference":
+        if not etype:
+            raise MetamodelError(f"reference '{class_name}.{name}' has no eType")
+        if elem.get("containment") == "true":
+            return Member(name, Containment(etype), lower, upper)
+        return Member(name, CrossReference(etype), lower, upper)
+    raise MetamodelError(
+        f"feature '{class_name}.{name}' has unrecognized kind marker '{marker}'"
+    )
+
+
+# Prologues and damage for metamodel text: an external DTD subset, an
+# internal entity and an external entity; references to each and to an
+# undeclared one; markup and attributes that break the content checks, and
+# stray characters that break the XML.
+ECORE_PROLOGUES = [
+    "", '<!DOCTYPE ecore:EPackage SYSTEM "ecore.dtd">\n',
+    '<!DOCTYPE ecore:EPackage [<!ENTITY v "value">]>\n',
+    '<!DOCTYPE ecore:EPackage [<!ENTITY e SYSTEM "x">]>\n',
+]
+_ECORE_MARKUP = [
+    "&x;", "&v;", "&e;", "&amp;", "&#65;", "<!-- c -->", "<![CDATA[&x;]]>", "<?pi x?>",
+    '<eClassifiers xsi:type="ecore:EClass" name="X"/>', "<eClassifiers/>",
+    '<eClassifiers xsi:type="ecore:EDataType" name="T"/>', '<eSubpackages name="s"/>',
+    '<eStructuralFeatures xsi:type="ecore:EAttribute" name="n" eType="#//EString"/>',
+    "</eClassifiers>", "<a:b/>", '<x xmlns="urn:u"/>',
+]
+_ECORE_ATTRIBUTES = [
+    ' abstract="true"', ' lowerBound="2"', ' upperBound="-1"', ' upperBound="x"',
+    ' eType="#//Ghost"', ' containment="true"', ' rootClass="Ghost"', ' name="&v;"',
+    ' name="&x;"', ' xsi:type="ecore:EDataType"', ' type="EClass"', ' eSuperTypes="#//EAPackage"',
+]
+
+
+@st.composite
+def mutated_ecores(draw) -> str:
+    """The fixture metamodel with one of ``ECORE_PROLOGUES`` after its XML
+    declaration, then up to three edits: markup inserted after a tag, an
+    attribute at the end of a tag, a stray character anywhere, a few
+    characters cut, or the text cut short."""
+    header, _, body = METAMODEL.read_text(encoding="utf-8").partition("\n")
+    text = header + "\n" + draw(st.sampled_from(ECORE_PROLOGUES)) + body
+    for _ in range(draw(st.integers(0, 3))):
+        action = draw(st.sampled_from(
+            ["markup", "markup", "attribute", "attribute", "char", "cut", "truncate"]
+        ))
+        tag_end = draw(st.sampled_from(list(re.finditer("/?>", text)) or [None]))
+        at = draw(st.integers(0, len(text)))
+        if action == "markup" and tag_end:
+            text = text[:tag_end.end()] + draw(st.sampled_from(_ECORE_MARKUP)) + text[tag_end.end():]
+        elif action == "attribute" and tag_end:
+            text = text[:tag_end.start()] + draw(st.sampled_from(_ECORE_ATTRIBUTES)) + text[tag_end.start():]
+        elif action == "char":
+            text = text[:at] + draw(st.sampled_from("<>&\"/=")) + text[at:]
+        elif action == "cut":
+            text = text[:at] + text[at + draw(st.integers(1, 12)):]
+        elif action == "truncate":
+            text = text[:at]
+    return text
+
+
+def reference_load_metamodel(text: str) -> Metamodel:
+    """``metamodel.load_metamodel`` on XML text as it was when it read an
+    ElementTree tree: the same checks in the same order, with
+    ElementTree's own rules for malformed XML and entities. The index is
+    ``_validate_and_index``, which ``reference_index`` checks."""
+    try:
+        root = ET.fromstring(text)
+    except ET.ParseError as exc:
+        line, col = exc.position
+        raise MetamodelError(
+            f"metamodel XML parse error at line {line}, column {col}: {exc.msg}"
+        ) from None
+    if _reference_local(root.tag) != "EPackage":
+        raise MetamodelError(
+            f"expected an EPackage document, got <{_reference_local(root.tag)}>"
+        )
+    classes: dict[str, MetaClass] = {}
+    for child in root:
+        tag = _reference_local(child.tag)
+        if tag in ("EPackage", "eSubpackages"):
+            raise MetamodelError(
+                "nested packages are not supported; provide one flat package"
+            )
+        if tag != "eClassifiers":
+            raise MetamodelError(f"unexpected element <{tag}> inside EPackage")
+        marker = _reference_xsi_type(child)
+        if marker and marker != "EClass":
+            if marker == "EDataType":
+                continue
+            raise MetamodelError(f"unsupported classifier kind '{marker}'")
+        name = child.get("name")
+        if not name:
+            raise MetamodelError("class without a name")
+        if name in classes:
+            raise MetamodelError(f"duplicate class name '{name}'")
+        supertypes = [
+            _ref_name(tok) for tok in child.get("eSuperTypes", "").split() if tok
+        ]
+        members = [
+            _reference_feature(feat, name)
+            for feat in child
+            if _reference_local(feat.tag) == "eStructuralFeatures"
+        ]
+        classes[name] = MetaClass(
+            name, abstract=child.get("abstract") == "true",
+            supertypes=supertypes, members=members,
+        )
+    mm = Metamodel(classes=classes, root_class="")
+    _validate_and_index(mm)
+    root_class = root.get("rootClass", "")
+    if root_class:
+        cls = classes.get(root_class)
+        if cls is None:
+            raise MetamodelError(f"rootClass '{root_class}' is not a declared class")
+        if cls.abstract:
+            raise MetamodelError(f"rootClass '{root_class}' must be concrete")
+    else:
+        concrete = mm.concrete_classes()
+        if not concrete:
+            raise MetamodelError("metamodel declares no concrete class")
+        root_class = concrete[0]
+    mm.root_class = root_class
+    return mm
 
 
 # ---------------------------------------------------------------------------

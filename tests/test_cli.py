@@ -19,12 +19,14 @@ from hypothesis import given, settings, strategies as st
 
 import eatxt.cli
 from eatxt.cli import main
+from eatxt.diagnostics import MetamodelError
 from eatxt.grammar import grammar_to_dict
 from eatxt.textsyntax import format_model, parse_model
 from eatxt.xmlio import to_eaxml
 
 from support import (
-    CONFIG, EXTRA, GOLDEN, METAMODEL, MODELS, random_model, reference_build_parser,
+    CONFIG, EXTRA, GOLDEN, METAMODEL, MODELS, mutated_ecores, random_model,
+    reference_build_parser, reference_load_metamodel,
 )
 
 WIPER = MODELS[0].parent / "wiper_system.eatxt"
@@ -352,6 +354,25 @@ def test_grammar_cache_without_a_class_rule_is_usage_error(capsys, tmp_path):
     )
 
 
+def test_grammar_cache_whose_root_names_no_rule_is_usage_error(capsys, tmp_path):
+    # An empty document would otherwise complete to nothing and exit 0.
+    empty = tmp_path / "empty.eatxt"
+    empty.write_text("", encoding="utf-8")
+    for root, reason in (("Ghost", "no rule for root class Ghost"),
+                         (["EAPackage"], "unhashable type: 'list'")):
+        def set_root(data):
+            data["root"] = root
+
+        cache = edited_cache(capsys, tmp_path, set_root)
+        for model, args in ((empty, ["--line", 1, "--col", 1]), (WIPER, [])):
+            command = "complete" if args else "check"
+            code, out, err = run(
+                capsys, command, model, "--metamodel", METAMODEL, *args, "--grammar-cache", cache
+            )
+            assert (code, out) == (2, ""), (root, command)
+            assert err == f"error: unusable grammar cache {cache}: {reason}\n", (root, command)
+
+
 def test_grammar_cache_rule_for_an_unknown_class_is_usage_error(capsys, tmp_path):
     # Rejected when the cache loads, whether or not the text uses the rule.
     def add_ghost(data):
@@ -638,6 +659,36 @@ def test_mutated_models_keep_the_exit_code_contract(tmp_path_factory, text, data
         assert "Traceback" not in err.getvalue(), argv[0]
 
 
+@settings(max_examples=40, deadline=None)
+@given(text=mutated_ecores(), data=st.data())
+def test_mutated_metamodels_keep_the_exit_code_contract(tmp_path_factory, text, data):
+    # A mutated metamodel that still loads is cut short before its root's
+    # end tag, so that every run meets an unusable one.
+    try:
+        reference_load_metamodel(text)
+        end = text.rfind("</ecore:EPackage") + 1
+        text = text[: data.draw(st.integers(0, end), label="cut")]
+    except MetamodelError:
+        pass
+    with pytest.raises(MetamodelError) as expected:
+        reference_load_metamodel(text)
+    ecore = tmp_path_factory.getbasetemp() / "fuzzed.ecore"
+    ecore.write_text(text, encoding="utf-8")
+    xml = GOLDEN / "wiper_system.eaxml"
+    for argv in (
+        ["gen-grammar", "--metamodel", ecore],
+        ["adapt", "--metamodel", ecore, "--config", CONFIG],
+        ["check", WIPER, "--metamodel", ecore, "--config", CONFIG],
+        ["to-text", xml, "--metamodel", ecore],
+        ["complete", WIPER, "--metamodel", ecore, "--line", 1, "--col", 1],
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([str(a) for a in argv])
+        assert (code, out.getvalue()) == (2, ""), argv[0]
+        assert err.getvalue() == f"error: {ecore}: {expected.value}\n", argv[0]
+
+
 # --- roundtrip-check ---------------------------------------------------------
 
 
@@ -749,7 +800,8 @@ def test_importing_the_cli_leaves_unused_modules_unloaded():
     # Modules that the interpreter's own start-up loaded do not count.
     probe = (
         "import sys; before = set(sys.modules); import eatxt.cli; "
-        "print(sorted({'dataclasses', 'difflib', 'tempfile', 'json', 'pathlib'} "
+        "print(sorted({'dataclasses', 'difflib', 'tempfile', 'json', 'pathlib', "
+        "'xml.etree.ElementTree', 'copy'} "
         "& set(sys.modules) - before))"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

@@ -18,7 +18,9 @@ from eatxt.metamodel import (
     load_metamodel,
 )
 
-from support import METAMODEL, reference_index
+from support import (
+    ECORE_PROLOGUES, METAMODEL, mutated_ecores, reference_index, reference_load_metamodel,
+)
 
 
 def mini_package(body: str) -> str:
@@ -184,8 +186,11 @@ def test_nested_packages_rejected():
 
 
 def test_malformed_xml_reports_position():
-    with pytest.raises(MetamodelError, match="line"):
+    with pytest.raises(MetamodelError) as info:
         load_metamodel("<ecore:EPackage")
+    assert str(info.value) == (
+        "metamodel XML parse error at line 1, column 0: unclosed token: line 1, column 0"
+    )
 
 
 def test_missing_root_class_defaults_to_first_concrete():
@@ -379,3 +384,111 @@ def test_index_matches_the_recursive_reference(classes):
         by_name = {m.name: m for m in members}
         for member in "abcdx":
             assert mm.member_of(name, member) is by_name.get(member)
+
+
+# --- the expat reader against the frozen ElementTree reader -------------------
+
+
+def load_result(load, text):
+    """The class tables and root class that ``load`` reads, or its error."""
+    try:
+        mm = load(text)
+    except MetamodelError as exc:
+        return str(exc)
+    tables = [(c.name, c.abstract, c.supertypes, c.members) for c in mm.classes.values()]
+    return mm.root_class, tables
+
+
+def assert_loads_like_reference(text):
+    assert load_result(load_metamodel, text) == load_result(reference_load_metamodel, text)
+
+
+def feature(attrs):
+    return f"<eStructuralFeatures {attrs}/>"
+
+
+# The inputs of the tests above, then one for each content check they
+# leave out and for XML that only a reader's rules decide.
+READER_INPUTS = [
+    METAMODEL.read_text(encoding="utf-8"),
+    mini_package(CLASS_A + CLASS_A),
+    mini_package('<eClassifiers xsi:type="ecore:EClass" name="A" eSuperTypes="#//Ghost"/>'),
+    mini_package(eclass("A", features=feature(
+        'xsi:type="ecore:EReference" name="kids" eType="#//Ghost" containment="true"'
+    ))),
+    mini_package(eclass("A", ["B"]) + eclass("B", ["A"])),
+    mini_package(eclass("A", features=feature(
+        'xsi:type="ecore:EAttribute" name="x" eType="#//Blob"'
+    ))),
+    mini_package('<eSubpackages name="inner"/>'),
+    "<ecore:EPackage",
+    mini_package(eclass("Abs", abstract=True) + CLASS_A),
+    mini_package(eclass("A", features="".join(
+        feature(f'xsi:type="ecore:EAttribute" name="{n}" eType="#//{t}"')
+        for n, t in zip("abcd", ["EString", "EBoolean", "EInt", "EFloat"])
+    ))),
+    mini_package(eclass("Pkg", features=attribute("item") + feature(
+        'xsi:type="ecore:EReference" name="item" eType="#//Pkg" containment="true"'
+    ))),
+    mini_package(
+        eclass("A", features=NAME_SLOT, abstract=True)
+        + eclass("B", ["A"], attribute("x"), abstract=True)
+        + eclass("C", ["A"], attribute("y"), abstract=True)
+        + eclass("D", ["B", "C"], attribute("z"))
+    ),
+    mini_package(
+        eclass("B", features=attribute("item"), abstract=True)
+        + eclass("C", features=attribute("item"), abstract=True)
+        + eclass("D", ["B", "C"])
+    ),
+    mini_package("".join(
+        [eclass("K0", features=NAME_SLOT, abstract=True)]
+        + [eclass(f"K{i}", [f"K{i - 1}"], abstract=i < 299) for i in range(1, 300)]
+    )),
+    mini_package(eclass("A", features=feature('xsi:type="ecore:EAttribute"'))),
+    mini_package(eclass("A", features=feature('xsi:type="ecore:EAttribute" name="x" lowerBound="2"'))),
+    mini_package(eclass("A", features=feature('xsi:type="ecore:EAttribute" name="x" upperBound="y"'))),
+    mini_package(eclass("A", features=feature('xsi:type="ecore:EOperation" name="x"'))),
+    mini_package(eclass("A", features=feature('xsi:type="ecore:EReference" name="x"'))),
+    mini_package(eclass("A", features=feature('name="x" eType="#//EString"'))),
+    mini_package('<eClassifiers xsi:type="ecore:EEnum" name="E"/>'),
+    mini_package('<eClassifiers xsi:type="ecore:EDataType" name="T"/>' + CLASS_A),
+    mini_package('<eClassifiers xsi:type="ecore:EClass"/>'),
+    mini_package("<eAnnotations/>"),
+    mini_package(eclass("Abs", abstract=True)),
+    mini_package(CLASS_A).replace('name="p"', 'name="p" rootClass="Ghost"'),
+    mini_package(eclass("A", abstract=True)).replace('name="p"', 'name="p" rootClass="A"'),
+    mini_package(CLASS_A).replace('name="p"', 'name="p" rootClass="A"'),
+    '<EClass name="A"/>',
+    '<e:EPackage xmlns:e="urn:e"><eClassifiers name="A" type="EClass"/></e:EPackage>',
+    '<EPackage xmlns="urn:x"><eClassifiers name="A" abstract="true"/><eClassifiers name="B"/></EPackage>',
+    '<EPackage><eClassifiers t:type="EDataType" xmlns:t="urn:t" name="A"/></EPackage>',
+    '<!DOCTYPE EPackage [<!ATTLIST eClassifiers abstract CDATA "true">]>'
+    '<EPackage><eClassifiers name="A"/><eClassifiers name="B" abstract="false"/></EPackage>',
+    '<!DOCTYPE EPackage [<!ENTITY v "B">]><EPackage><eClassifiers name="&v;"/></EPackage>',
+    '<!DOCTYPE EPackage SYSTEM "x"><EPackage><eClassifiers name="A&x;"/></EPackage>',
+    '<!DOCTYPE EPackage [<!ENTITY e SYSTEM "x">]><EPackage><eClassifiers name="&e;"/></EPackage>',
+    "\ufeff<EPackage><!-- c --><?pi?><eClassifiers name='A'><![CDATA[x]]></eClassifiers></EPackage>",
+    "<EPackage><eClassifiers name='A'/></EPackage><EPackage/>",
+    "<EPackage/>junk", "", "<EPackage><x:y/></EPackage>",
+]
+
+
+def test_reader_matches_the_reference_on_fixed_inputs():
+    for text in READER_INPUTS:
+        assert_loads_like_reference(text)
+
+
+@pytest.mark.parametrize("prologue", ECORE_PROLOGUES, ids=["plain", "external-dtd", "internal-entity", "external-entity"])
+@pytest.mark.parametrize("reference", ["&x;", "&v;", "&e;"])
+def test_reader_matches_the_reference_on_entities_after_every_tag(prologue, reference):
+    header, _, body = METAMODEL.read_text(encoding="utf-8").partition("\n")
+    text = header + "\n" + prologue + body
+    for at in [m.end() for m in re.finditer(">", text)]:
+        assert_loads_like_reference(text[:at] + reference + text[at:])
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=mutated_ecores())
+def test_reader_matches_the_reference_on_mutated_metamodels(text):
+    assert_loads_like_reference(text)

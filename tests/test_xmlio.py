@@ -5,7 +5,9 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eatxt.cli import main
 from eatxt.diagnostics import ERROR, NO_SPAN, WARNING, SerializationError
+from eatxt.grammar import generate_grammar
 from eatxt.metamodel import load_metamodel
 from eatxt.model import ModelElement
 from eatxt.textsyntax import format_model, parse_model
@@ -84,6 +86,43 @@ def test_colliding_class_names_rejected():
     mm = load_metamodel(source)
     with pytest.raises(SerializationError, match="AB-CAR"):
         to_eaxml(random_model(0, mm, max_elements=1), mm)
+
+
+STRING_SHORT_NAME = """\
+<?xml version="1.0" encoding="UTF-8"?>
+<ecore:EPackage xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance"
+    xmlns:ecore="http://www.eclipse.org/emf/2002/Ecore" name="p">
+  <eClassifiers xsi:type="ecore:EClass" name="Pkg">
+    <eStructuralFeatures xsi:type="ecore:EAttribute" name="shortName" eType="#//EString"/>
+    <eStructuralFeatures xsi:type="ecore:EReference" name="item" eType="#//Item"
+        containment="true" upperBound="-1"/>
+  </eClassifiers>
+  <eClassifiers xsi:type="ecore:EClass" name="Item">
+    <eStructuralFeatures xsi:type="ecore:EAttribute" name="shortName"
+        eType="#//Identifier" lowerBound="1"/>
+  </eClassifiers>
+</ecore:EPackage>
+"""
+
+
+def test_string_short_name_survives_the_round_trip(tmp_path, capsys):
+    # A String shortName is a member, not the name slot: <SHORT-NAME> of
+    # Pkg reads back as that member, while Item's stays the element name.
+    mm = load_metamodel(STRING_SHORT_NAME)
+    text = 'Pkg\n{\n    shortName "hello world"\n    item { Item { shortName I } }\n}\n'
+    g = generate_grammar(mm)
+    root = parse_ok(text, g, mm)
+    xml = to_eaxml(root, mm)
+    assert "<SHORT-NAME>hello world</SHORT-NAME>" in xml and "<SHORT-NAME>I</SHORT-NAME>" in xml
+    back, diags = from_eaxml(xml, mm)
+    assert diags == [] and same_structure(root, back)
+    assert back.short_name is None and back.attributes == [("shortName", '"hello world"')]
+    assert format_model(back, g) == format_model(root, g)
+    ecore, model = tmp_path / "mm.ecore", tmp_path / "m.eatxt"
+    ecore.write_text(STRING_SHORT_NAME, encoding="utf-8")
+    model.write_text(text, encoding="utf-8")
+    assert main(["roundtrip-check", str(model), "--metamodel", str(ecore)]) == 0
+    assert capsys.readouterr() == ("", "")
 
 
 def test_golden_xml_is_stable(g, mm):
