@@ -6,10 +6,12 @@ the enclosing container? The container comes from the parse itself: the
 forgiving parser records every element body and wrapped block it opens,
 with the members already present, and keeps going after damage, so the
 lookup stays usable while the line under the cursor is half-typed. One
-parse serves both the lookup and the reference cache. Proposals come in
-two flavours, plain keywords first and whole-element templates second;
+parse serves both the lookup and the pre-fill. Proposals come in two
+flavours, plain keywords first and whole-element templates second;
 templates carry ``${n:hint}`` blanks and pre-fill mandatory
-cross-references with the first fitting target found in the document.
+cross-references with the first fitting target found in the document,
+read from a ``ReferenceCache``: a full one from ``build_cache``, or one
+from ``lazy_cache`` that walks the tree only as far as its lookups need.
 """
 
 from __future__ import annotations

@@ -11,7 +11,10 @@ once: generated and adapted, or read from a grammar cache. Commands that
 need a clean tree get it from :func:`_clean_tree`, which parses the model
 file (reads it as EAXML for to-text), prints the diagnostics on stderr and
 stops the command unless the tree is clean. ``check`` and ``complete`` go
-on past errors and parse the file themselves.
+on past errors and parse the file themselves. ``complete`` pre-fills its
+templates from a walk over the tree that stops at the first fitting
+target of each class it looks up (:func:`eatxt.model.lazy_cache`), not
+from a reference cache of the whole model.
 
 A call does only the work its command needs, since an editor may run
 one per keystroke. :func:`build_parser` adds only the invoked
@@ -66,7 +69,7 @@ from .grammar import (
     parse_config,
 )
 from .metamodel import Metamodel, load_metamodel
-from .model import ModelElement, ReferenceCache, build_cache, resolve
+from .model import ModelElement, lazy_cache, resolve
 from .textsyntax import LineIndex, format_model, parse_document, parse_model
 from .xmlio import XmlNameMap, from_eaxml, to_eaxml
 
@@ -280,8 +283,7 @@ def cmd_complete(args: argparse.Namespace, mm: Metamodel, g: Grammar) -> int:
     text = _read_text(args.model)
     doc = parse_document(text, g, mm)
     ctx = context_at(doc, _cursor_offset(doc.lines, len(text), args.line, args.col))
-    cache = build_cache(doc.root, mm) if doc.root is not None else ReferenceCache()
-    for p in compute_proposals(ctx, g, mm, cache):
+    for p in compute_proposals(ctx, g, mm, lazy_cache(doc.root, mm)):
         body = (
             p.insert_text.replace("\\", "\\\\")
             .replace("\t", "\\t")

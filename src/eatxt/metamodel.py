@@ -211,11 +211,14 @@ def read_xml(parser: expat.XMLParserType, text: str) -> tuple[str, int, int] | N
     return None
 
 
+# The kind marker ``xsi:type`` as expat names it with namespace processing.
+_XSI_TYPE = "http://www.w3.org/2001/XMLSchema-instance}type"
+
+
 def _xsi_type(attrs: dict[str, str]) -> str:
-    for key, value in attrs.items():
-        if key.rpartition("}")[2] == "type":
-            return value.rsplit(":", 1)[-1]
-    return ""
+    """The kind marker without its prefix, or "" when there is none. A
+    ``type`` attribute outside the XMLSchema-instance namespace is not one."""
+    return attrs.get(_XSI_TYPE, "").rsplit(":", 1)[-1]
 
 
 def _ref_name(token: str) -> str:
@@ -263,6 +266,8 @@ def _parse_feature(attrs: dict[str, str], class_name: str) -> Member:
         if attrs.get("containment") == "true":
             return Member(name, Containment(etype), lower, upper)
         return Member(name, CrossReference(etype), lower, upper)
+    if not marker:
+        raise MetamodelError(f"feature '{class_name}.{name}' has no xsi:type")
     raise MetamodelError(
         f"feature '{class_name}.{name}' has unrecognized kind marker '{marker}'"
     )

@@ -7,7 +7,9 @@ list is the document order that every transformation must preserve.
 Cross references are stored as unresolved qualified names (dot-joined
 shortName paths from the root). :func:`resolve` binds them to element ids;
 :func:`build_cache` precomputes the class-indexed name table that content
-assist uses so that a completion query never has to walk the model.
+assist reads, so that a lookup never has to walk the model. A single
+completion request reads only the first fitting target of a few classes;
+:func:`lazy_cache` fills the same table by walking just far enough.
 """
 
 from __future__ import annotations
@@ -77,12 +79,6 @@ class ModelElement:
 
     def attribute_values(self, member: str) -> list[str]:
         return [v for (m, v) in self.attributes if m == member]
-
-
-def assign_preorder_ids(root: ModelElement) -> None:
-    """Number the tree in document pre-order, from 1."""
-    for number, el in enumerate(root.iter_preorder(), start=1):
-        el.id = number
 
 
 # ---------------------------------------------------------------------------
@@ -179,32 +175,63 @@ class ReferenceCache:
     """Per-class table of addressable elements, in document pre-order.
 
     Every element is listed under its own class and all its supertypes, so
-    a lookup for an abstract class finds concrete instances directly.
+    a lookup for an abstract class finds concrete instances directly. A
+    cache from :func:`lazy_cache` lists only the elements its lookups
+    walked past so far, the rest of its walk waiting in ``pending``.
     """
 
-    __slots__ = ("by_class",)
+    __slots__ = ("by_class", "pending")
 
     def __init__(self) -> None:
         self.by_class: dict[str, list[tuple[QualifiedName, int]]] = {}
+        self.pending: Iterator[list[str]] | None = None
+
+
+def _filing(
+    root: ModelElement, mm: Metamodel, by_class: dict[str, list[tuple[QualifiedName, int]]],
+) -> Iterator[list[str]]:
+    """List the named elements in ``by_class``, in pre-order, yielding the
+    classes each one was listed under."""
+    supers: dict[str, list[str]] = {}
+    for fqn, el in _named_elements(root):
+        fan_out = supers.get(el.class_name)
+        if fan_out is None:
+            fan_out = supers[el.class_name] = [
+                c for c in mm.classes if mm.is_subtype(el.class_name, c)
+            ]
+        entry = (fqn, el.id)
+        for cls in fan_out:
+            by_class.setdefault(cls, []).append(entry)
+        yield fan_out
 
 
 def build_cache(root: ModelElement, mm: Metamodel) -> ReferenceCache:
     """One pre-order pass over the model. Unnamed elements are absent."""
     cache = ReferenceCache()
-    supers: dict[str, list[str]] = {}
-    for fqn, el in _named_elements(root):
-        fan_out = supers.get(el.class_name)
-        if fan_out is None:
-            fan_out = [c for c in mm.classes if mm.is_subtype(el.class_name, c)]
-            supers[el.class_name] = fan_out
-        for cls in fan_out:
-            cache.by_class.setdefault(cls, []).append((fqn, el.id))
+    for _ in _filing(root, mm, cache.by_class):
+        pass
+    return cache
+
+
+def lazy_cache(root: ModelElement | None, mm: Metamodel) -> ReferenceCache:
+    """A cache that walks the model only as far as its lookups need: a
+    lookup of a class goes on with the walk until it meets the first
+    element of the class, and one that finds none walks to the end. It
+    pays for one request; :func:`build_cache` pays for many lookups."""
+    cache = ReferenceCache()
+    if root is not None:
+        cache.pending = _filing(root, mm, cache.by_class)
     return cache
 
 
 def lookup_first_fitting(cache: ReferenceCache, class_name: str) -> QualifiedName | None:
     """First element (document order) assignable to the class, if any."""
     entries = cache.by_class.get(class_name)
+    if not entries and cache.pending is not None:
+        for fan_out in cache.pending:
+            if class_name in fan_out:
+                entries = cache.by_class[class_name]
+                break
     if not entries:
         return None
     return entries[0][0]

@@ -13,7 +13,8 @@ of that regex (a numbered backreference or conditional, a named group,
 an inline flag) is kept out of it and tried on its own at every token.
 :func:`lex` returns :class:`Tokens`: the kinds, lexemes and start
 offsets of the tokens in three parallel lists, plus the line index of
-the text; the parser reads the lists by index. Line:col spans are
+the text and the offsets of its string literals; the parser reads the
+lists by index. Line:col spans are
 computed from offsets only when needed: for element and cross-reference
 positions and for diagnostics.
 
@@ -22,10 +23,11 @@ explicit stack of the elements whose body is open, so nesting depth has
 no bound but memory. It is deliberately forgiving: every problem becomes
 a diagnostic with a span, and an unparseable construct is skipped as a
 whole so that one typo does not cascade. It builds the tables of a
-class's rule (member keywords, bounds, accepted child classes) when it
-first meets the class. Besides the tree it records one :class:`Body` per
-brace pair it opens, with the members present in it, so that completion
-reads the cursor's container from the same parse.
+class's rule (how each member keyword's value is read, bounds, accepted
+child classes) when it first meets the class, and numbers the elements
+it keeps in pre-order as it opens them. Besides the tree it records one
+:class:`Body` per brace pair it opens, with the members present in it,
+so that completion reads the cursor's container from the same parse.
 
 The formatter is the inverse direction and defines the canonical layout:
 four-space indents, braces on their own lines, one construct per line.
@@ -35,6 +37,7 @@ Formatting canonical text is the identity.
 from __future__ import annotations
 
 import re
+import sys
 from bisect import bisect_right
 from typing import NamedTuple
 
@@ -49,7 +52,7 @@ from .grammar import (
     WrappedContainment,
 )
 from .metamodel import Metamodel, PrimitiveKind
-from .model import CrossRef, ModelElement, QualifiedName, assign_preorder_ids
+from .model import CrossRef, ModelElement, QualifiedName
 
 INDENT = "    "
 PUNCT = "{},."
@@ -64,6 +67,9 @@ _PRIORITY = [
 ]
 
 _NEWLINE = re.compile("\n")
+# Builds a named tuple without its Python-level ``__new__``: the parser
+# makes a Span per element and a Span and QualifiedName per reference.
+_new_tuple = tuple.__new__
 # Whitespace and ``//`` comments between tokens, in one match.
 _SKIP = r"(?:[ \t\r\n]+|//[^\n]*\n?)*"
 # An unlexable run: scanning resumes at the next whitespace.
@@ -90,9 +96,9 @@ class LineIndex:
         starts = self.starts
         line = bisect_right(starts, start)
         end_line = bisect_right(starts, end)
-        return Span(
+        return _new_tuple(Span, (
             line, start - starts[line - 1] + 1, end_line, end - starts[end_line - 1] + 1,
-        )
+        ))
 
     def offset(self, line: int, col: int) -> int:
         """Offset of a 1-based position; the caller checks the range."""
@@ -102,17 +108,20 @@ class LineIndex:
 class Tokens:
     """The tokens of one text, column by column: three parallel lists and
     the text's line index. A token's kind is a PrimitiveKind value name or
-    one of ``{`` ``}`` ``,`` ``.``; its offset is where its lexeme starts."""
+    one of ``{`` ``}`` ``,`` ``.``; its offset is where its lexeme starts.
+    ``strings`` holds the start and end offsets of the String tokens."""
 
-    __slots__ = ("kinds", "lexemes", "offsets", "lines")
+    __slots__ = ("kinds", "lexemes", "offsets", "lines", "strings")
 
     def __init__(
         self, kinds: list[str], lexemes: list[str], offsets: list[int], lines: LineIndex,
+        strings: list[tuple[int, int]],
     ):
         self.kinds = kinds
         self.lexemes = lexemes
         self.offsets = offsets
         self.lines = lines
+        self.strings = strings
 
     def __len__(self) -> int:
         return len(self.kinds)
@@ -123,11 +132,12 @@ def _scanner(terminals: dict[PrimitiveKind, str]) -> tuple:
 
     Returns the scanner's ``finditer`` and two lists indexed by group.
     ``sure`` holds the kind of a token that no other kind can outbid (""
-    for punctuation, whose lexeme is its kind). ``rivals`` holds, for any
-    other group that ends a match, the kinds to try there in priority
-    order, as (kind, match) pairs in which None stands for the scanner's
-    own match. The last group is the unlexable run; its rivals are the
-    kinds kept out of the alternation.
+    for punctuation, whose lexeme is its kind); every kind but the last
+    has a later rival, so only an Identifier can be sure. ``rivals``
+    holds, for any other group that ends a match, the kinds to try there
+    in priority order, as (kind, match) pairs in which None stands for
+    the scanner's own match. The last group is the unlexable run; its
+    rivals are the kinds kept out of the alternation.
     """
     source = [f"(?>{_SKIP})(?:([{re.escape(PUNCT)}])"]
     sure: list[str | None] = [None, ""]
@@ -190,8 +200,10 @@ def lex(
     kinds: list[str] = []
     lexemes: list[str] = []
     offsets: list[int] = []
+    strings: list[tuple[int, int]] = []
     diagnostics: list[Diagnostic] = []
     add_kind, add_lexeme, add_offset = kinds.append, lexemes.append, offsets.append
+    string = PrimitiveKind.STRING.value
 
     # The scanner matches at every position, its last branch possibly
     # empty, so ``finditer`` never skips text. A pass ends at the end of
@@ -202,15 +214,16 @@ def lex(
         resume, pos = pos, n
         for m in finditer(text, resume):
             g = m.lastindex
-            start, end = m.span(g)
             kind = sure[g]
-            if kind is not None and start < end:
-                lexeme = text[start:end]
-                add_kind(kind or lexeme)
-                add_lexeme(lexeme)
-                add_offset(start)
-                continue
+            if kind is not None:
+                lexeme = m[g]
+                if lexeme:
+                    add_kind(kind or lexeme)
+                    add_lexeme(lexeme)
+                    add_offset(m.start(g))
+                    continue
             # An empty match, a kind that may be outbid, or no kind at all.
+            start, end = m.span(g)
             best_kind = None
             best_end = start
             for other, match in rivals[g] or ():
@@ -226,6 +239,8 @@ def lex(
                 add_kind(best_kind)
                 add_lexeme(text[start:best_end])
                 add_offset(start)
+                if best_kind == string:  # never a sure kind
+                    strings.append((start, best_end))
             elif start == n:
                 break
             else:
@@ -237,7 +252,7 @@ def lex(
                 pos = best_end  # the token ends elsewhere: rescan from there
                 break
 
-    return Tokens(kinds, lexemes, offsets, lines), diagnostics
+    return Tokens(kinds, lexemes, offsets, lines, strings), diagnostics
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +261,12 @@ def lex(
 
 # The kind of the sentinel the parser reads after the last token.
 _END = "<end>"
+# How the parser reads the value of a member keyword (``_RuleInfo``).
+_VALUE, _NAME, _REFERENCE, _BLOCK = "value", "name", "reference", "block"
+# The upper bound of a repeatable member, above every count.
+_UNBOUNDED = sys.maxsize
+# Value kinds that a stray token at body level may have.
+_LITERALS = ("String", "Boolean", "Numerical", "UUID")
 
 
 def _is_name_slot_entry(entry: MemberEntry) -> bool:
@@ -258,43 +279,59 @@ def _is_name_slot_entry(entry: MemberEntry) -> bool:
 
 class _RuleInfo:
     """The tables of one class's rule, built when the parser first meets
-    the class: dispatch by member keyword, the value kind and bounds of
-    each member, the classes each wrapped block accepts and, filled per
-    child class, the inline containments a child fits.
+    the class.
+
+    ``by_keyword`` maps each member keyword to how its value is read, as
+    ``(form, member, upper bound, kind or target class)``. A ``_VALUE``
+    is a token of the kind, and so is a ``_NAME``, which is stored as the
+    short name; a ``_REFERENCE`` is a qualified name; a ``_BLOCK`` opens a
+    wrapped block of target elements. ``positional`` is the value written
+    without a keyword, if any, in the same form. Then come the upper bound
+    of each member (``_UNBOUNDED`` for none), the lower bounds above zero,
+    the classes each wrapped block accepts and, filled per child class,
+    the inline containments a child fits.
 
     A rule whose class the metamodel lacks raises MetamodelError here,
     unless the rule has no entries."""
 
+    __slots__ = (
+        "rule", "by_keyword", "positional", "inline", "upper", "lower", "accepted", "fitting",
+    )
+
     def __init__(self, class_name: str, rule: ProductionRule, mm: Metamodel):
         self.rule = rule
-        self.by_keyword: dict[str, MemberEntry] = {}
+        self.by_keyword: dict[str, tuple] = {}
+        self.positional: tuple | None = None
         self.inline: list[MemberEntry] = []
-        self.positional: MemberEntry | None = None
-        self.upper: dict[str, int | None] = {}
+        self.upper: dict[str, int] = {}
         self.lower: list[tuple[str, int]] = []
         self.accepted: dict[str, set[str]] = {}
-        self.fitting: dict[str, list[MemberEntry]] = {}
-        self.value_kind: dict[str, str] = {}
+        self.fitting: dict[str, list[str]] = {}
         for entry in rule.entries:
-            form = entry.form
-            if isinstance(form, InlineContainment):
-                self.inline.append(entry)
-            elif isinstance(form, KeywordAttribute) and form.keyword is None:
-                self.positional = entry
-            else:
-                self.by_keyword[form.keyword] = entry  # type: ignore[union-attr]
-            if isinstance(form, KeywordAttribute):
-                self.value_kind[entry.member] = form.kind.value
-            elif isinstance(form, WrappedContainment):
-                self.accepted[entry.member] = set(mm.concrete_subclasses(form.target))
             member = mm.member_of(class_name, entry.member)
             if member is None:
                 upper, lower = None, (0 if entry.optional else 1)
             else:
                 upper, lower = member.upper, member.lower
+            upper = _UNBOUNDED if upper is None else upper
             self.upper[entry.member] = upper
             if lower > 0:
                 self.lower.append((entry.member, lower))
+            form = entry.form
+            if isinstance(form, InlineContainment):
+                self.inline.append(entry)
+            elif isinstance(form, KeywordAttribute):
+                read = _NAME if _is_name_slot_entry(entry) else _VALUE
+                action = (read, entry.member, upper, form.kind.value)
+                if form.keyword is None:
+                    self.positional = action
+                else:
+                    self.by_keyword[form.keyword] = action
+            elif isinstance(form, KeywordCrossRef):
+                self.by_keyword[form.keyword] = (_REFERENCE, entry.member, upper, form.target)
+            else:
+                self.accepted[entry.member] = set(mm.concrete_subclasses(form.target))
+                self.by_keyword[form.keyword] = (_BLOCK, entry.member, upper, form.target)
 
 
 class Body:
@@ -340,9 +377,13 @@ class _Parser:
     member counts, its ``Body``, the wrapped block open in its body if
     any, and the member and token by which it is counted against its
     parent when it ends (no member: it is dropped). A child whose body
-    opens saves these on a stack, and they come back when it ends. ``i``
-    indexes the next token; the lists end with an ``_END`` sentinel, so
-    reading past the last token needs no bounds check."""
+    opens saves these on a stack, and they come back when it ends. The
+    lists end with an ``_END`` sentinel, so reading past the last token
+    needs no bounds check.
+
+    Elements are numbered in pre-order as they open. A dropped element
+    was the last one opened before its subtree, so dropping it sets the
+    count back to the number before its own."""
 
     def __init__(self, tokens: Tokens, g: Grammar, mm: Metamodel):
         self.kinds = tokens.kinds + [_END]
@@ -350,7 +391,7 @@ class _Parser:
         self.offsets = tokens.offsets
         self.lines = tokens.lines
         self.n = len(tokens)
-        self.i = 0
+        self.i = 0  # the next token, between calls of parse_element
         self.g = g
         self.mm = mm
         self.diagnostics: list[Diagnostic] = []
@@ -359,7 +400,7 @@ class _Parser:
         self.rules: dict[str, _RuleInfo] = {}
         self.class_keywords = {rule.keyword: name for name, rule in g.rules.items()}
 
-    # -- positions ------------------------------------------------------------
+    # -- positions and reports ------------------------------------------------
 
     def span(self, i: int) -> Span:
         """Span of token ``i``, or of the last token for the sentinel:
@@ -373,6 +414,80 @@ class _Parser:
 
     def error(self, message: str, span: Span) -> None:
         self.diagnostics.append(Diagnostic(ERROR, message, span))
+
+    def too_many(self, member: str, upper: int, i: int) -> None:
+        """Report a value of ``member`` beyond its upper bound at token ``i``."""
+        if upper == 1:
+            self.error(f"duplicate member '{member}'", self.span(i))
+        else:
+            self.error(f"member '{member}' allows at most {upper} values", self.span(i))
+
+    def bad_value(self, action: tuple, i: int) -> int:
+        """Report token ``i``, which is not a value of the keyword before
+        it. Returns the token to go on from: the next one after a stray
+        value, this one at punctuation or the end."""
+        member, kind = action[1], action[3]
+        got = self.kinds[i]
+        article = "an" if kind == "Identifier" else "a"
+        if got == _END or got in PUNCT:
+            self.error(f"expected {article} {kind} value for '{member}'", self.span(i))
+            return i
+        self.error(
+            f"expected {article} {kind} value for '{member}', got {got} '{self.lexemes[i]}'",
+            self.span(i),
+        )
+        return i + 1
+
+    def unknown_keyword(self, info: _RuleInfo, i: int) -> int:
+        """Report token ``i``, a word that starts nothing in ``info``'s
+        body, and skip its construct; returns the token to go on from."""
+        expected = list(info.by_keyword)
+        for entry in info.inline:
+            expected.extend(sorted(
+                self.g.rules[c].keyword
+                for c in self.mm.concrete_subclasses(entry.form.target)  # type: ignore[union-attr]
+                if c in self.g.rules
+            ))
+        self.error(
+            f"unknown keyword '{self.lexemes[i]}' in '{info.rule.keyword}'; "
+            "expected one of: " + ", ".join(expected),
+            self.span(i),
+        )
+        return self.skip_construct(i, info)
+
+    def skip_construct(self, i: int, info: _RuleInfo | None = None) -> int:
+        """Drop the unrecognized construct at token ``i`` without flooding
+        diagnostics; returns the token to go on from.
+
+        Consumes the offending token and everything up to the next point
+        where a construct can start: a member keyword of the enclosing
+        rule, a class keyword, a comma, or the closing brace. A braced
+        block on the way is swallowed whole.
+        """
+        kinds, lexemes = self.kinds, self.lexemes
+        i += 1
+        while True:
+            kind = kinds[i]
+            if kind == _END or kind == "}" or kind == ",":
+                return i
+            if kind == "{":
+                depth = 0
+                while (kind := kinds[i]) != _END:
+                    i += 1
+                    if kind == "{":
+                        depth += 1
+                    elif kind == "}":
+                        depth -= 1
+                        if depth == 0:
+                            break
+                return i
+            if kind == "Identifier":
+                lexeme = lexemes[i]
+                if info is not None and lexeme in info.by_keyword:
+                    return i
+                if lexeme in self.class_keywords:
+                    return i
+            i += 1
 
     # -- document -----------------------------------------------------------
 
@@ -415,391 +530,255 @@ class _Parser:
 
     def parse_element(self, class_name: str) -> ModelElement:
         """Parse the element whose class keyword is the next token, and
-        everything nested in it. Each turn of the loop reads one construct
-        of the innermost open body or wrapped block; a turn that meets a
-        child element ends by opening it."""
+        everything nested in it. Each turn of the loop opens the child the
+        turn before met, or reads one construct of the innermost open body
+        or wrapped block. A turn in which an element ends, at its closing
+        brace or at once for one without a body, checks it and counts it
+        against its parent; the element that has no parent is returned."""
         kinds, lexemes, offsets = self.kinds, self.lexemes, self.offsets
-        class_keywords = self.class_keywords
+        span_of = self.lines.span
+        class_keywords, rules, bodies = self.class_keywords, self.rules, self.bodies
+        i, started, last_id = self.i, self.elements, 0
         stack: list[tuple] = []
-        root, info, body = self.open_element(class_name)
-        if body is None:
-            self.close_element(root, info, {})
-            return root
-        el, counts, block, member, at = root, {}, None, None, 0
+        el = info = counts = body = block = link = None
+        link_at = 0
+        child_class: str | None = class_name
+        child_link = None
         while True:
-            i = self.i
-            kind = kinds[i]
-            if block is not None:
-                # A wrapped block: keyword { child ("," child)* }.
-                if kind == _END:
-                    self.error(
-                        f"unexpected end of file inside '{block.member}' block", self.span(i),
+            if child_class is not None:
+                # Token i is the child's class keyword; its inline name
+                # and its opening brace may follow.
+                ci = rules.get(child_class)
+                if ci is None:
+                    ci = rules[child_class] = _RuleInfo(
+                        child_class, self.g.rules[child_class], self.mm,
                     )
-                    block = None
-                    continue
-                if kind == "}":
-                    self.i = i + 1
-                    block.close_offset = offsets[i]
-                    block = None
-                    continue
-                if kind == ",":
-                    self.i = i + 1
-                    continue
-                child_class = class_keywords.get(lexemes[i]) if kind == "Identifier" else None
-                if child_class is None or child_class not in info.accepted[block.member]:
-                    self.error(
-                        f"'{block.member}' accepts {block.class_name} elements, "
-                        f"got '{lexemes[i]}'",
-                        self.span(i),
-                    )
-                    self.skip_construct()
-                    continue
-                child_member = block.member
-            elif kind == "}" or kind == _END:
-                if kind == "}":
-                    body.close_offset = offsets[i]
-                    self.i = i + 1
-                else:
-                    self.error(
-                        f"unexpected end of file inside '{info.rule.keyword}'", self.span(i),
-                    )
-                self.close_element(el, info, counts)
-                if not stack:
-                    return root
-                parent = stack.pop()
-                if member is not None and self.bump(parent[1], member, parent[2], at):
-                    parent[0].children.append((member, el))
-                el, info, counts, body, block, member, at = parent
-                continue
-            else:
-                child_class = class_keywords.get(lexemes[i]) if kind == "Identifier" else None
-                if child_class is None or lexemes[i] in info.by_keyword:
-                    block = self.parse_member_line(el, info, counts, body)
-                    continue
-                child_member = self.inline_member(info, child_class, body)
-
-            # The turn met a child: an element without a body ends at once,
-            # one whose body opens becomes the innermost.
-            child, child_info, child_body = self.open_element(child_class)
-            if child_body is None:
-                self.close_element(child, child_info, {})
-                if child_member is not None and self.bump(info, child_member, counts, i):
-                    el.children.append((child_member, child))
-            else:
-                stack.append((el, info, counts, body, block, member, at))
-                el, info, counts, body, block, member, at = (
-                    child, child_info, {}, child_body, None, child_member, i
+                rule = ci.rule
+                start = offsets[i]
+                last_id += 1
+                started += 1
+                c = ModelElement(
+                    child_class, id=last_id, span=span_of(start, start + len(lexemes[i])),
                 )
-
-    def open_element(self, class_name: str) -> tuple[ModelElement, _RuleInfo, Body | None]:
-        """Read an element's class keyword, inline name and opening brace.
-        Returns the element, its rule tables and its body, or None for a
-        body that does not open."""
-        info = self.rules.get(class_name)
-        if info is None:
-            info = self.rules[class_name] = _RuleInfo(
-                class_name, self.g.rules[class_name], self.mm,
-            )
-        rule = info.rule
-        kinds = self.kinds
-        i = self.i
-        start = self.offsets[i]
-        span = self.lines.span(start, start + len(self.lexemes[i]))
-        el = ModelElement(class_name=class_name, span=span)
-        self.elements += 1
-        i += 1
-
-        if rule.name_inline:
-            if kinds[i] == "Identifier":
-                el.short_name = self.lexemes[i]
+                c_at = i
                 i += 1
-            else:
-                self.error(f"expected a name after '{rule.keyword}'", self.span(i))
-
-        if kinds[i] == "{":
-            self.i = i + 1
-            body = Body(self.offsets[i], None, class_name, self.elements)
-            self.bodies.append(body)
-            return el, info, body
-        self.i = i
-        if not rule.body_optional:
-            self.error(
-                f"expected '{{' to open the body of '{rule.keyword}'",
-                span if kinds[i] == _END else self.span(i),
-            )
-        return el, info, None
-
-    def close_element(self, el: ModelElement, info: _RuleInfo, counts: dict[str, int]) -> None:
-        """Report every member of an ended element that occurs fewer times
-        than its lower bound.
-
-        ``counts`` counts occurrences, stored or not; since no upper bound
-        lies below its lower bound, it is short of a lower bound exactly
-        when the stored values are. The name counts once when set.
-        """
-        for member, lower in info.lower:
-            n = counts.get(member, 0)
-            if member == "shortName" and el.short_name is not None:
-                n = 1
-            if n < lower:
-                self.error(
-                    f"missing mandatory member '{member}' in '{info.rule.keyword}'",
-                    el.span,  # type: ignore[arg-type]
-                )
-
-    def parse_member_line(
-        self,
-        el: ModelElement,
-        info: _RuleInfo,
-        counts: dict[str, int],
-        body: Body,
-    ) -> Body | None:
-        """Read one construct of an element body other than a child
-        element. Returns the wrapped block it opens, if any."""
-        i = self.i
-        kind = self.kinds[i]
-        lexeme = self.lexemes[i]
-        rule = info.rule
-
-        if kind == "Identifier":
-            entry = info.by_keyword.get(lexeme)
-            if entry is not None:
-                return self.parse_keyworded_member(el, info, entry, counts, body)
-            if (
-                info.positional is not None
-                and info.positional.form.kind is PrimitiveKind.IDENTIFIER  # type: ignore[union-attr]
-            ):
-                body.present.add(info.positional.member)
-                self.take_value(el, info, info.positional, counts)
-                return None
-            expected = list(info.by_keyword)
-            for entry in info.inline:
-                expected.extend(sorted(
-                    self.g.rules[c].keyword
-                    for c in self.mm.concrete_subclasses(entry.form.target)  # type: ignore[union-attr]
-                    if c in self.g.rules
-                ))
-            self.error(
-                f"unknown keyword '{lexeme}' in '{rule.keyword}'; "
-                "expected one of: " + ", ".join(expected),
-                self.span(i),
-            )
-            self.skip_construct(info)
-            return None
-
-        if kind in ("String", "Boolean", "Numerical", "UUID"):
-            pos = info.positional
-            if pos is not None and info.value_kind[pos.member] == kind:
-                body.present.add(pos.member)
-                self.take_value(el, info, pos, counts)
-            else:
-                self.error(f"unexpected value '{lexeme}' in '{rule.keyword}'", self.span(i))
-                self.i = i + 1
-            return None
-
-        # Stray punctuation at body level.
-        self.error(f"unexpected '{lexeme}' in '{rule.keyword}'", self.span(i))
-        self.i = i + 1
-        return None
-
-    # -- member forms ---------------------------------------------------------
-
-    def bump(self, info: _RuleInfo, member: str, counts: dict[str, int], i: int) -> bool:
-        """Count one occurrence; report a violated upper bound at token ``i``."""
-        n = counts.get(member, 0) + 1
-        counts[member] = n
-        upper = info.upper[member]
-        if upper is not None and n > upper:
-            if upper == 1:
-                self.error(f"duplicate member '{member}'", self.span(i))
-            else:
-                self.error(f"member '{member}' allows at most {upper} values", self.span(i))
-            return False
-        return True
-
-    def parse_keyworded_member(
-        self,
-        el: ModelElement,
-        info: _RuleInfo,
-        entry: MemberEntry,
-        counts: dict[str, int],
-        body: Body,
-    ) -> Body | None:
-        keyword = self.i
-        self.i += 1
-        form = entry.form
-        body.present.add(entry.member)
-
-        if isinstance(form, KeywordAttribute):
-            self.parse_attribute_value(el, info, entry, counts)
-            return None
-
-        if isinstance(form, KeywordCrossRef):
-            qn, span = self.parse_qualified_name(keyword)
-            if qn is not None and self.bump(info, entry.member, counts, keyword):
-                el.cross_refs.append(CrossRef(entry.member, qn, span=span))
-            return None
-
-        # Wrapped containment: its block stays open until its closing
-        # brace. A repeated block appends to the same member, in document
-        # order.
-        i = self.i
-        if self.kinds[i] != "{":
-            self.error(f"expected '{{' after '{entry.member}'", self.span(i))
-            return None
-        self.i = i + 1
-        block = Body(self.offsets[i], None, form.target, body.element_id, entry.member)
-        self.bodies.append(block)
-        return block
-    def parse_attribute_value(
-        self, el: ModelElement, info: _RuleInfo, entry: MemberEntry, counts: dict[str, int],
-    ) -> None:
-        kind = info.value_kind[entry.member]
-        i = self.i
-        got = self.kinds[i]
-        if got == kind:
-            self.take_value(el, info, entry, counts)
-            return
-        article = "an" if kind == "Identifier" else "a"
-        if got == _END or got in PUNCT:
-            self.error(f"expected {article} {kind} value for '{entry.member}'", self.span(i))
-            return
-        self.i = i + 1
-        self.error(
-            f"expected {article} {kind} value for '{entry.member}', "
-            f"got {got} '{self.lexemes[i]}'",
-            self.span(i),
-        )
-
-    def take_value(
-        self, el: ModelElement, info: _RuleInfo, entry: MemberEntry, counts: dict[str, int],
-    ) -> None:
-        """Store the next token as a value of ``entry``, unless that
-        exceeds its upper bound."""
-        i = self.i
-        self.i = i + 1
-        if not self.bump(info, entry.member, counts, i):
-            return
-        if _is_name_slot_entry(entry):
-            el.short_name = self.lexemes[i]
-        else:
-            el.attributes.append((entry.member, self.lexemes[i]))
-
-    def parse_qualified_name(
-        self, keyword: int,
-    ) -> tuple[QualifiedName | None, Span | None]:
-        kinds, lexemes = self.kinds, self.lexemes
-        i = self.i
-        if kinds[i] != "Identifier":
-            self.error(
-                f"expected a qualified name after '{lexemes[keyword]}'", self.span(i),
-            )
-            return None, None
-        first = last = i
-        segments = [lexemes[i]]
-        i += 1
-        while kinds[i] == ".":
-            i += 1
-            if kinds[i] != "Identifier":
-                self.error(
-                    "qualified name ends with '.'",
-                    self.span(last if kinds[i] == _END else i),
-                )
-                break
-            last = i
-            segments.append(lexemes[i])
-            i += 1
-        self.i = i
-        start = self.offsets[first]
-        end = self.offsets[last] + len(lexemes[last])
-        return QualifiedName(tuple(segments)), self.lines.span(start, end)
-
-    def inline_member(self, info: _RuleInfo, child_class: str, body: Body) -> str | None:
-        """The member by which a child element written in ``info``'s body
-        is contained, or None, reported, when no containment accepts it
-        (the child is then read and dropped)."""
-        i = self.i
-        fitting = info.fitting.get(child_class)
-        if fitting is None:
-            fitting = info.fitting[child_class] = [
-                e for e in info.inline
-                if self.mm.is_subtype(child_class, e.form.target)  # type: ignore[union-attr]
-            ]
-        if not fitting:
-            self.error(
-                f"'{info.rule.keyword}' has no containment that accepts "
-                f"{child_class}",
-                self.span(i),
-            )
-            return None
-        if len(fitting) > 1:
-            names = ", ".join(e.member for e in fitting)
-            self.diagnostics.append(Diagnostic(
-                WARNING,
-                f"{child_class} fits several containments ({names}); "
-                f"using '{fitting[0].member}'",
-                self.span(i),
-            ))
-        member = fitting[0].member
-        body.present.add(member)
-        return member
-
-    # -- bookkeeping ----------------------------------------------------------
-
-    def skip_construct(self, info: _RuleInfo | None = None) -> None:
-        """Drop an unrecognized construct without flooding diagnostics.
-
-        Consumes the offending token and everything up to the next point
-        where a construct can start: a member keyword of the enclosing
-        rule, a class keyword, a comma, or the closing brace. A braced
-        block on the way is swallowed whole.
-        """
-        kinds, lexemes = self.kinds, self.lexemes
-        i = self.i + 1
-        while True:
-            kind = kinds[i]
-            if kind == _END or kind == "}" or kind == ",":
-                break
-            if kind == "{":
-                depth = 0
-                while (kind := kinds[i]) != _END:
+                if rule.name_inline:
+                    if kinds[i] == "Identifier":
+                        c.short_name = lexemes[i]
+                        i += 1
+                    else:
+                        self.error(f"expected a name after '{rule.keyword}'", self.span(i))
+                if kinds[i] == "{":
+                    b = Body(offsets[i], None, child_class, started)
+                    bodies.append(b)
                     i += 1
-                    if kind == "{":
-                        depth += 1
-                    elif kind == "}":
-                        depth -= 1
-                        if depth == 0:
-                            break
-                break
-            if kind == "Identifier":
-                lexeme = lexemes[i]
-                if info is not None and lexeme in info.by_keyword:
-                    break
-                if lexeme in self.class_keywords:
-                    break
-            i += 1
-        self.i = i
+                    stack.append((el, info, counts, body, block, link, link_at))
+                    el, info, counts, body, block, link, link_at = (
+                        c, ci, {}, b, None, child_link, c_at
+                    )
+                    child_class = None
+                    continue
+                if not rule.body_optional:
+                    self.error(
+                        f"expected '{{' to open the body of '{rule.keyword}'",
+                        c.span if kinds[i] == _END else self.span(i),  # type: ignore[arg-type]
+                    )
+                cc, c_link = {}, child_link
+                child_class = None
+            else:
+                kind = kinds[i]
+                if block is not None:
+                    # A wrapped block: keyword { child ("," child)* }.
+                    if kind == "}":
+                        block.close_offset = offsets[i]
+                        block = None
+                        i += 1
+                    elif kind == ",":
+                        i += 1
+                    elif kind == _END:
+                        self.error(
+                            f"unexpected end of file inside '{block.member}' block",
+                            self.span(i),
+                        )
+                        block = None
+                    elif (
+                        kind == "Identifier"
+                        and class_keywords.get(lexemes[i]) in info.accepted[block.member]
+                    ):
+                        child_class, child_link = class_keywords[lexemes[i]], block.member
+                    else:
+                        self.error(
+                            f"'{block.member}' accepts {block.class_name} elements, "
+                            f"got '{lexemes[i]}'",
+                            self.span(i),
+                        )
+                        i = self.skip_construct(i)
+                    continue
+                if kind == "}" or kind == _END:
+                    if kind == "}":
+                        body.close_offset = offsets[i]
+                        i += 1
+                    else:
+                        self.error(
+                            f"unexpected end of file inside '{info.rule.keyword}'",
+                            self.span(i),
+                        )
+                    c, ci, cc, c_link, c_at = el, info, counts, link, link_at
+                    el, info, counts, body, block, link, link_at = stack.pop()
+                else:
+                    if kind == "Identifier":
+                        lexeme = lexemes[i]
+                        action = info.by_keyword.get(lexeme)
+                        if action is not None:
+                            body.present.add(action[1])
+                            i += 1
+                            form = action[0]
+                            if form is _REFERENCE:
+                                if kinds[i] != "Identifier":
+                                    self.error(
+                                        f"expected a qualified name after '{lexeme}'",
+                                        self.span(i),
+                                    )
+                                    continue
+                                first = i
+                                i += 1
+                                while kinds[i] == "." and kinds[i + 1] == "Identifier":
+                                    i += 2
+                                last = i - 1
+                                if kinds[i] == ".":
+                                    i += 1
+                                    self.error(
+                                        "qualified name ends with '.'",
+                                        self.span(last if kinds[i] == _END else i),
+                                    )
+                                member = action[1]
+                                n = counts.get(member, 0) + 1
+                                counts[member] = n
+                                if n > action[2]:
+                                    self.too_many(member, action[2], first - 1)
+                                    continue
+                                target = _new_tuple(
+                                    QualifiedName, (tuple(lexemes[first:last + 1:2]),),
+                                )
+                                end = offsets[last] + len(lexemes[last])
+                                el.cross_refs.append(CrossRef(
+                                    member, target, None, span_of(offsets[first], end),
+                                ))
+                                continue
+                            if form is _BLOCK:
+                                # The block stays open until its closing brace.
+                                # A repeated block appends to the same member, in
+                                # document order.
+                                if kinds[i] != "{":
+                                    self.error(
+                                        f"expected '{{' after '{action[1]}'", self.span(i),
+                                    )
+                                    continue
+                                block = Body(
+                                    offsets[i], None, action[3], body.element_id, action[1],
+                                )
+                                bodies.append(block)
+                                i += 1
+                                continue
+                            if kinds[i] != action[3]:
+                                i = self.bad_value(action, i)
+                                continue
+                        else:
+                            child_class = class_keywords.get(lexeme)
+                            if child_class is not None:
+                                # A child written in the body: the first inline
+                                # containment it fits holds it.
+                                fit = info.fitting.get(child_class)
+                                if fit is None:
+                                    fit = info.fitting[child_class] = [
+                                        e.member for e in info.inline
+                                        if self.mm.is_subtype(child_class, e.form.target)  # type: ignore[union-attr]
+                                    ]
+                                if not fit:
+                                    self.error(
+                                        f"'{info.rule.keyword}' has no containment that "
+                                        f"accepts {child_class}",
+                                        self.span(i),
+                                    )
+                                    child_link = None
+                                    continue
+                                if len(fit) > 1:
+                                    self.diagnostics.append(Diagnostic(
+                                        WARNING,
+                                        f"{child_class} fits several containments "
+                                        f"({', '.join(fit)}); using '{fit[0]}'",
+                                        self.span(i),
+                                    ))
+                                child_link = fit[0]
+                                body.present.add(child_link)
+                                continue
+                            action = info.positional
+                            if action is None or action[3] != kind:
+                                i = self.unknown_keyword(info, i)
+                                continue
+                            body.present.add(action[1])
+                    else:
+                        action = info.positional
+                        if action is None or action[3] != kind:
+                            what = "value " if kind in _LITERALS else ""
+                            self.error(
+                                f"unexpected {what}'{lexemes[i]}' in '{info.rule.keyword}'",
+                                self.span(i),
+                            )
+                            i += 1
+                            continue
+                        body.present.add(action[1])
+                    # Token i is a value of the action's member.
+                    member = action[1]
+                    n = counts.get(member, 0) + 1
+                    counts[member] = n
+                    if n > action[2]:
+                        self.too_many(member, action[2], i)
+                    elif action[0] is _NAME:
+                        el.short_name = lexemes[i]
+                    else:
+                        el.attributes.append((member, lexemes[i]))
+                    i += 1
+                    continue
+
+            # Element ``c`` ended. Report every member that occurs fewer
+            # times than its lower bound. ``cc`` counts occurrences, stored
+            # or not; since no upper bound lies below its lower bound, it is
+            # short of a lower bound exactly when the stored values are. The
+            # name counts once when set.
+            for member, lower in ci.lower:
+                n = 1 if member == "shortName" and c.short_name is not None else cc.get(member, 0)
+                if n < lower:
+                    self.error(
+                        f"missing mandatory member '{member}' in '{ci.rule.keyword}'",
+                        c.span,  # type: ignore[arg-type]
+                    )
+            if el is None:
+                self.i, self.elements = i, started
+                return c
+            # Count it against its parent, and keep it or drop it with its
+            # subtree, the elements numbered since it.
+            if c_link is not None:
+                n = counts.get(c_link, 0) + 1
+                counts[c_link] = n
+                upper = info.upper[c_link]
+                if n <= upper:
+                    el.children.append((c_link, c))
+                    continue
+                self.too_many(c_link, upper, c_at)
+            last_id = c.id - 1
 
 
 def parse_document(text: str, g: Grammar, mm: Metamodel) -> Document:
     """Lex and parse once, keeping what both checking and completion need.
     The parser keeps its open elements on an explicit stack, so nesting
-    depth is bounded only by memory."""
+    depth is bounded only by memory, and numbers the tree as it goes."""
     tokens, diagnostics = lex(text, g.terminal_patterns())
     parser = _Parser(tokens, g, mm)
     root = parser.parse_root()
     parser.parse_detached()
     diagnostics.extend(parser.diagnostics)
-    if root is not None:
-        assign_preorder_ids(root)
-    string = PrimitiveKind.STRING.value
-    strings = [
-        (offset, offset + len(lexeme))
-        for kind, lexeme, offset in zip(tokens.kinds, tokens.lexemes, tokens.offsets)
-        if kind == string
-    ]
-    return Document(root, diagnostics, parser.bodies, strings, tokens.lines)
-
+    return Document(root, diagnostics, parser.bodies, tokens.strings, tokens.lines)
 
 def parse_model(
     text: str, g: Grammar, mm: Metamodel,

@@ -3,8 +3,9 @@
 Holds the fixture paths, a reader that parses emitted grammar text back
 into the IR (round-reading check), a seeded random model generator used
 by the roundtrip and cache tests, a brute-force reference-cache oracle,
-a structural tree comparison, a frozen reference lexer, the frozen ElementTree writer and reader of
-EAXML, the recorder of damaged-document parses, the frozen recursive
+a structural tree comparison, the pre-order numbering that the parser
+must reproduce, a frozen reference lexer, the frozen ElementTree writer
+and reader of EAXML, the recorder of damaged-document parses, the frozen recursive
 metamodel index, the frozen ElementTree metamodel reader and the frozen
 command-line parser that builds every subcommand.
 """
@@ -45,7 +46,7 @@ from eatxt.metamodel import (
     _ref_name,
     _validate_and_index,
 )
-from eatxt.model import ModelElement, CrossRef, QualifiedName, assign_preorder_ids
+from eatxt.model import ModelElement, CrossRef, QualifiedName
 from eatxt.xmlio import EAXML_VERSION, XmlNameMap
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -173,6 +174,13 @@ def read_grammar_text(text: str) -> Grammar:
 # ---------------------------------------------------------------------------
 # Random conforming models
 # ---------------------------------------------------------------------------
+
+def assign_preorder_ids(root: ModelElement) -> None:
+    """Number the tree in document pre-order, from 1: the ids the parser
+    gives the elements it keeps, and the oracle for them."""
+    for number, el in enumerate(root.iter_preorder(), start=1):
+        el.id = number
+
 
 _WORDS = [
     "alpha", "beta", "gamma", "delta", "motor", "sensor", "relay", "gain",
@@ -914,10 +922,8 @@ def _reference_local(tag: str) -> str:
 
 
 def _reference_xsi_type(elem: ET.Element) -> str:
-    for key, value in elem.attrib.items():
-        if _reference_local(key) == "type":
-            return value.rsplit(":", 1)[-1]
-    return ""
+    value = elem.get("{http://www.w3.org/2001/XMLSchema-instance}type", "")
+    return value.rsplit(":", 1)[-1]
 
 
 def _reference_bound(elem: ET.Element, attr: str, default: int) -> int:
@@ -957,6 +963,8 @@ def _reference_feature(elem: ET.Element, class_name: str) -> Member:
         if elem.get("containment") == "true":
             return Member(name, Containment(etype), lower, upper)
         return Member(name, CrossReference(etype), lower, upper)
+    if not marker:
+        raise MetamodelError(f"feature '{class_name}.{name}' has no xsi:type")
     raise MetamodelError(
         f"feature '{class_name}.{name}' has unrecognized kind marker '{marker}'"
     )

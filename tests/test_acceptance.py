@@ -22,7 +22,7 @@ from eatxt.assist import (
 from eatxt.cli import main
 from eatxt.diagnostics import ERROR
 from eatxt.grammar import emit_grammar, generate_grammar
-from eatxt.model import ModelElement, assign_preorder_ids, build_cache
+from eatxt.model import ModelElement, build_cache
 from eatxt.textsyntax import format_model, lex, parse_document, parse_model
 from eatxt.xmlio import XmlNameMap, from_eaxml, to_eaxml, to_tag
 
@@ -30,6 +30,7 @@ from support import (
     CONFIG,
     METAMODEL,
     MODELS,
+    assign_preorder_ids,
     fill_placeholders,
     naive_cache,
     random_model,

@@ -21,7 +21,9 @@ import eatxt.cli
 from eatxt.cli import main
 from eatxt.diagnostics import MetamodelError
 from eatxt.grammar import grammar_to_dict
-from eatxt.textsyntax import format_model, parse_model
+from eatxt.assist import complete, context_at
+from eatxt.model import build_cache
+from eatxt.textsyntax import format_model, parse_document, parse_model
 from eatxt.xmlio import to_eaxml
 
 from support import (
@@ -527,33 +529,49 @@ def test_complete_inside_string_prints_nothing(capsys, tmp_path):
 
 
 def test_complete_lexes_the_document_once(capsys, monkeypatch):
+    """One lexer pass and one line index; no reference cache over the
+    whole model and no numbering walk over the tree."""
+    import eatxt.model
     import eatxt.textsyntax
 
-    original = eatxt.textsyntax.lex
-    calls = []
+    calls = {"lex": [], "build_cache": []}
     indexes = []
+    walks = []
     index_init = eatxt.textsyntax.LineIndex.__init__
+    iter_preorder = eatxt.model.ModelElement.iter_preorder
 
     def counting_index_init(self, text):
         indexes.append(text)
         index_init(self, text)
 
+    def counting_iter_preorder(self):
+        walks.append(self)
+        return iter_preorder(self)
+
     monkeypatch.setattr(eatxt.textsyntax.LineIndex, "__init__", counting_index_init)
+    monkeypatch.setattr(eatxt.model.ModelElement, "iter_preorder", counting_iter_preorder)
 
-    def counting_lex(*args, **kwargs):
-        calls.append(args[0])
-        return original(*args, **kwargs)
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name].append(args[0])
+            return original(*args, **kwargs)
+        return wrapper
 
-    # Patch every module's binding, as a caller importing lex by name sees it.
-    for name, module in list(sys.modules.items()):
-        if name == "eatxt" or name.startswith("eatxt."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counting_lex)
+    # Patch every module's binding, as a caller importing by name sees it.
+    for original in (eatxt.textsyntax.lex, eatxt.model.build_cache):
+        wrapper = counting(original.__name__, original)
+        for name, module in list(sys.modules.items()):
+            if name == "eatxt" or name.startswith("eatxt."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, wrapper)
     code, out, _ = run(capsys, *complete_args(WIPER, 17, 13))
-    assert code == 0 and out
-    assert len(calls) == 1
+    assert code == 0 and "TEMPLATE\tFunctionFlowPort" in out
+    assert len(calls["lex"]) == 1
     assert len(indexes) == 1
+    assert calls["build_cache"] == []
+    assert walks == []
+    assert not hasattr(eatxt.model, "assign_preorder_ids")
 
 
 def test_complete_position_out_of_range_is_usage_error(capsys, tmp_path):
@@ -657,6 +675,49 @@ def test_mutated_models_keep_the_exit_code_contract(tmp_path_factory, text, data
             code = main([str(a) for a in argv])
         assert code in (0, 1, 2), argv[0]
         assert "Traceback" not in err.getvalue(), argv[0]
+
+
+def library_reply(text, line, col, g, mm):
+    """What ``complete`` prints for a cursor inside ``text``, computed with
+    the library calls and a full reference cache."""
+    doc = parse_document(text, g, mm)
+    offset = sum(len(row) + 1 for row in text.split("\n")[: line - 1]) + col - 1
+    cache = build_cache(doc.root, mm) if doc.root is not None else None
+    return "".join(
+        f"{p.kind.upper()}\t"
+        + p.insert_text.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n")
+        + "\n"
+        for p in complete(context_at(doc, offset), g, mm, cache)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=mutated_models(), data=st.data())
+def test_complete_cursor_fuzz_matches_the_library(tmp_path_factory, g, mm, text, data):
+    model = tmp_path_factory.getbasetemp() / "cursor.eatxt"
+    model.write_text(text, encoding="utf-8")
+    rows = text.split("\n")
+    # Each example places one cursor on an indented line, which lies inside
+    # the fixture's bodies where templates get pre-filled references (the
+    # deep wrapper's lines are not indented), and one anywhere, the column
+    # too in range or just out of it.
+    inner = [n for n, row in enumerate(rows, start=1) if row.startswith(" ")] or [1]
+    lines = [
+        data.draw(st.sampled_from(inner), label="inner line"),
+        data.draw(st.integers(-2, len(rows) + 2), label="line"),
+    ]
+    for line in lines:
+        width = len(rows[line - 1]) + 1 if 1 <= line <= len(rows) else 1
+        col = data.draw(st.integers(-2, width + 2), label="col")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([str(a) for a in complete_args(model, line, col)])
+        if 1 <= line <= len(rows) and 1 <= col <= width:
+            assert (code, err.getvalue()) == (0, "")
+            assert out.getvalue() == library_reply(text, line, col, g, mm)
+        else:
+            assert code == 2 and out.getvalue() == ""
+            assert "out of range" in err.getvalue()
 
 
 @settings(max_examples=40, deadline=None)

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from eatxt.diagnostics import ConfigError, Span
 from eatxt.grammar import DEFAULT_TERMINAL_PATTERNS
 from eatxt.metamodel import PrimitiveKind
-from eatxt.textsyntax import lex
+from eatxt.textsyntax import LineIndex, lex
 
 from support import FIXTURES, reference_lex
 
@@ -215,3 +215,23 @@ def test_lex_matches_reference_on_fixtures(name):
 @given(text=st.lists(st.sampled_from(FRAGMENTS), max_size=40).map("".join))
 def test_lex_matches_reference_on_generated_text(name, text):
     assert_same_as_reference(text, TERMINAL_SETS[name])
+
+
+@pytest.mark.parametrize("name", sorted(TERMINAL_SETS))
+@given(text=st.lists(st.sampled_from(FRAGMENTS), max_size=40).map("".join))
+def test_string_offsets_are_those_of_the_reference_strings(name, text):
+    tokens, _ = lex(text, TERMINAL_SETS[name])
+    expected, _ = reference_lex(text, TERMINAL_SETS[name])
+    assert tokens.strings == [
+        (offset, offset + len(lexeme)) for kind, lexeme, offset, _ in expected if kind == "String"
+    ]
+
+
+# Characters that other line-breaking rules (``str.splitlines``, Unicode)
+# count as line ends; only ``\n`` does here, as in the reference lexer.
+LINE_BREAK_LOOKALIKES = ["a", " ", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x85", "\u2028", "\u2029"]
+
+
+@given(text=st.lists(st.sampled_from(LINE_BREAK_LOOKALIKES), max_size=60).map("".join))
+def test_line_starts_follow_newlines_only(text):
+    assert LineIndex(text).starts == [0] + [at + 1 for at, ch in enumerate(text) if ch == "\n"]

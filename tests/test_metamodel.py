@@ -220,6 +220,22 @@ def test_datatype_aliases_accepted():
     ]
 
 
+def test_only_xsi_type_is_a_kind_marker():
+    # An unprefixed ``type`` is an ordinary attribute, not a kind marker.
+    mm = load_metamodel(mini_package(
+        '<eClassifiers name="A" type="EDataType">' + NAME_SLOT + "</eClassifiers>"
+    ))
+    assert list(mm.classes) == ["A"] and mm.root_class == "A"
+    mm = load_metamodel(mini_package(
+        '<eClassifiers name="T" type="EClass" xsi:type="ecore:EDataType"/>' + CLASS_A
+    ))
+    assert list(mm.classes) == ["A"]
+    with pytest.raises(MetamodelError, match=r"^feature 'A\.x' has no xsi:type$"):
+        load_metamodel(mini_package(eclass("A", features=feature(
+            'type="ecore:EAttribute" name="x" eType="#//EString"'
+        ))))
+
+
 def test_loading_from_path_object():
     mm = load_metamodel(METAMODEL)
     assert "EAPackage" in mm.classes

@@ -6,15 +6,15 @@ from eatxt.model import (
     CrossRef,
     ModelElement,
     QualifiedName,
-    assign_preorder_ids,
     build_cache,
+    lazy_cache,
     lookup_first_fitting,
     resolve,
 )
 from eatxt.textsyntax import format_model, parse_model
 from eatxt.xmlio import to_eaxml
 
-from support import MODELS, naive_cache, random_model, same_structure
+from support import MODELS, assign_preorder_ids, naive_cache, random_model, same_structure
 
 
 def load(text, g, mm):
@@ -145,6 +145,21 @@ def test_lookup_first_fitting(g, mm):
     cache = build_cache(root, mm)
     assert lookup_first_fitting(cache, "EADatatype").dotted == "P.T"
     assert lookup_first_fitting(cache, "FunctionConnector") is None
+
+
+def test_lazy_cache_finds_what_the_full_cache_finds(g, mm):
+    """Lookups in any order, including a class the metamodel lacks, give
+    the full cache's first entry; the walk resumes where it stopped."""
+    roots = [load(path.read_text(encoding="utf-8"), g, mm) for path in MODELS]
+    roots += [random_model(seed, mm, max_elements=45) for seed in range(30)]
+    classes = list(mm.classes) + ["Ghost"]
+    for n, root in enumerate(roots):
+        full = build_cache(root, mm)
+        lazy = lazy_cache(root, mm)
+        for cls in classes[n % len(classes):] + classes[: n % len(classes)]:
+            assert lookup_first_fitting(lazy, cls) == lookup_first_fitting(full, cls), (n, cls)
+        assert lazy.by_class == full.by_class
+    assert lookup_first_fitting(lazy_cache(None, mm), "EADatatype") is None
 
 
 def test_same_structure_ignores_ids_and_spans(g, mm):

@@ -2,12 +2,13 @@ import copy
 import json
 
 from eatxt.diagnostics import ERROR, WARNING
-from eatxt.grammar import generate_grammar
+from eatxt.grammar import adapt_grammar, generate_grammar, parse_config
 from eatxt.metamodel import load_metamodel
 from eatxt.textsyntax import parse_model
 
 from support import (
-    DAMAGED_PARSE, MODELS, damaged_corpus, parse_record, random_model, same_structure,
+    CONFIG, DAMAGED_PARSE, MODELS, assign_preorder_ids, damaged_corpus, parse_record,
+    random_model, same_structure,
 )
 from eatxt.textsyntax import format_model
 
@@ -319,3 +320,86 @@ def test_damaged_documents_parse_as_recorded(g, gen_g, mm):
         assert [name for name, _ in docs] == [name for name, _ in recorded[syntax]]
         for (name, text), (_, expected) in zip(docs, recorded[syntax]):
             assert parse_record(text, grammars[syntax], mm) == expected, (syntax, name)
+
+
+# -- element ids ---------------------------------------------------------------
+
+
+def ids_and_preorder(root):
+    """The ids the parser gave, and those of the pre-order numbering."""
+    given = [el.id for el in root.iter_preorder()]
+    assign_preorder_ids(root)
+    return given, [el.id for el in root.iter_preorder()]
+
+
+def test_ids_are_the_preorder_numbering_on_random_trees(g, gen_g, mm):
+    for grammar in (g, gen_g):
+        for seed in range(25):
+            text = format_model(random_model(seed, mm, max_elements=80), grammar)
+            given, preorder = ids_and_preorder(parse_model(text, grammar, mm)[0])
+            assert given == preorder, seed
+
+
+def test_ids_are_the_preorder_numbering_on_damaged_documents(g, gen_g, mm):
+    grammars = {"adapted": g, "generated": gen_g}
+    for syntax, docs in damaged_corpus(g, gen_g, mm).items():
+        for name, text in docs:
+            root, _ = parse_model(text, grammars[syntax], mm)
+            if root is not None:
+                given, preorder = ids_and_preorder(root)
+                assert given == preorder, (syntax, name)
+
+
+# A class ``A`` with at most one ``B`` and any number of ``C``; a ``B``
+# holds ``C``s, and nothing holds an ``A``.
+BOUNDED = load_metamodel(
+    '<ecore:EPackage xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance"'
+    ' xmlns:ecore="http://www.eclipse.org/emf/2002/Ecore" name="p">'
+    + "".join(
+        f'<eClassifiers xsi:type="ecore:EClass" name="{name}">'
+        '<eStructuralFeatures xsi:type="ecore:EAttribute" name="shortName"'
+        ' eType="#//Identifier" lowerBound="1"/>'
+        + "".join(
+            f'<eStructuralFeatures xsi:type="ecore:EReference" name="{member}"'
+            f' eType="#//{target}" containment="true" upperBound="{upper}"/>'
+            for member, target, upper in members
+        )
+        + "</eClassifiers>"
+        for name, members in (
+            ("A", [("b", "B", 1), ("c", "C", -1)]),
+            ("B", [("c", "C", -1)]),
+            ("C", []),
+        )
+    )
+    + "</ecore:EPackage>"
+)
+
+
+def parse_bounded(text):
+    cfg = parse_config(CONFIG.read_text(encoding="utf-8"))
+    g, _ = adapt_grammar(generate_grammar(BOUNDED), cfg)
+    return parse_model(text, g, BOUNDED)
+
+
+def test_ids_skip_every_dropped_subtree():
+    text = (
+        "A a\n{\n"
+        "    B b1\n    {\n        C c1\n"
+        "        A stray\n        {\n            C lost1\n        }\n"  # no containment
+        "        C c2\n    }\n"
+        "    B extra\n"  # over the bound, without a body
+        "    B more\n    {\n        C lost2\n        C lost3\n    }\n"  # over it, with one
+        "    C c3\n"
+        "}\n"
+    )
+    root, diags = parse_bounded(text)
+    assert [d.message for d in diags] == [
+        "'B' has no containment that accepts A",
+        "duplicate member 'b'",
+        "duplicate member 'b'",
+    ]
+    assert [(el.id, el.short_name) for el in root.iter_preorder()] == [
+        (1, "a"), (2, "b1"), (3, "c1"), (4, "c2"), (5, "c3"),
+    ]
+    given, preorder = ids_and_preorder(root)
+    assert given == preorder
