@@ -44,7 +44,6 @@ import argparse
 import contextlib
 import gc
 import os
-import re
 import sys
 
 from .assist import complete as compute_proposals
@@ -139,10 +138,10 @@ def _build_grammar(args: argparse.Namespace, mm: Metamodel) -> Grammar:
 
     A --grammar-cache file is read when present and written when absent.
     The cache is not invalidated automatically; delete it after changing
-    the metamodel or the config. A cache with a rule for a class the
-    metamodel lacks or an entry for a member its class lacks, without a
-    rule for some concrete class, or with a terminal pattern that does
-    not compile, is rejected.
+    the metamodel or the config. A cache that :func:`grammar_from_dict`
+    rejects, or with a rule for a class the metamodel lacks or an entry
+    for a member its class lacks, or without a rule for some concrete
+    class, is rejected.
     """
     cache_path = args.grammar_cache
     if cache_path and os.path.exists(cache_path):
@@ -169,14 +168,6 @@ def _build_grammar(args: argparse.Namespace, mm: Metamodel) -> Grammar:
             if name not in g.rules:
                 raise _UsageError(
                     f"unusable grammar cache {cache_path}: no rule for class {name}"
-                )
-        for kind, pattern in g.terminals.items():
-            try:
-                re.compile(pattern)
-            except (re.error, TypeError) as exc:
-                raise _UsageError(
-                    f"unusable grammar cache {cache_path}: "
-                    f"bad pattern for {kind.value}: {exc}"
                 )
         return g
 

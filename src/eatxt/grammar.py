@@ -19,13 +19,7 @@ import re
 from typing import NamedTuple, Sequence
 
 from .diagnostics import ConfigError, GrammarError
-from .metamodel import (
-    Attribute,
-    Containment,
-    CrossReference,
-    Metamodel,
-    PrimitiveKind,
-)
+from .metamodel import NAME_SLOT, Attribute, CrossReference, Metamodel, PrimitiveKind
 
 # Type names as they appear in emitted grammar text. Strings use the
 # "String0" spelling common in grammars derived from EMF models, where the
@@ -96,6 +90,14 @@ class MemberEntry(NamedTuple):
     form: EntryForm
     optional: bool
     repeatable: bool
+
+    def is_name_slot(self) -> bool:
+        """An Identifier ``shortName`` attribute, read as the element name."""
+        return (
+            self.member == NAME_SLOT
+            and isinstance(self.form, KeywordAttribute)
+            and self.form.kind is PrimitiveKind.IDENTIFIER
+        )
 
 
 class ProductionRule:
@@ -406,10 +408,8 @@ def adapt_grammar(g: Grammar, cfg: AdaptationConfig) -> tuple[Grammar, Adaptatio
             for rule in g.rules.values():
                 if not pat.match(rule.class_name):
                     continue
-                entry = rule.entry_for("shortName")
-                if entry is None or not isinstance(entry.form, KeywordAttribute):
-                    continue
-                if entry.form.kind is not PrimitiveKind.IDENTIFIER:
+                entry = rule.entry_for(NAME_SLOT)
+                if entry is None or not entry.is_name_slot():
                     continue
                 rule.entries.remove(entry)
                 rule.name_inline = True
@@ -551,26 +551,24 @@ def emit_grammar(g: Grammar) -> str:
 # ---------------------------------------------------------------------------
 # Plain-dict serialization (used by the CLI grammar cache)
 # ---------------------------------------------------------------------------
+# Each entry form's name in the cache and the JSON key of each of its
+# fields, in field order. A ``kind`` holds a PrimitiveKind's value; every
+# other field is a string, but an attribute's keyword may be null.
+
+_CACHE_FORMS: dict[type, tuple[str, tuple[str, ...]]] = {
+    KeywordAttribute: ("attribute", ("keyword", "kind")),
+    KeywordCrossRef: ("crossref", ("keyword", "class")),
+    WrappedContainment: ("wrapped", ("keyword", "class")),
+    InlineContainment: ("inline", ("class",)),
+}
+
 
 def grammar_to_dict(g: Grammar) -> dict:
     def entry(e: MemberEntry) -> dict:
-        form = e.form
-        d: dict = {"member": e.member, "optional": e.optional, "repeatable": e.repeatable}
-        if isinstance(form, KeywordAttribute):
-            d["form"] = "attribute"
-            d["keyword"] = form.keyword
-            d["kind"] = form.kind.value
-        elif isinstance(form, KeywordCrossRef):
-            d["form"] = "crossref"
-            d["keyword"] = form.keyword
-            d["class"] = form.target
-        elif isinstance(form, WrappedContainment):
-            d["form"] = "wrapped"
-            d["keyword"] = form.keyword
-            d["class"] = form.target
-        else:
-            d["form"] = "inline"
-            d["class"] = form.target
+        name, keys = _CACHE_FORMS[type(e.form)]
+        d = {"member": e.member, "optional": e.optional, "repeatable": e.repeatable, "form": name}
+        for key, value in zip(keys, e.form):
+            d[key] = value.value if key == "kind" else value
         return d
 
     return {
@@ -591,32 +589,44 @@ def grammar_to_dict(g: Grammar) -> dict:
     }
 
 
+def _typed(d: dict, key: str, want: type, nullable: bool = False):
+    """``d[key]`` when it is a ``want`` (str or bool), or null if allowed."""
+    value = d[key]
+    if type(value) is not want and not (nullable and value is None):
+        import json
+
+        kind = "string" if want is str else "boolean"
+        raise GrammarError(f"bad grammar cache: '{key}' must be a {kind}, got {json.dumps(value)}")
+    return value
+
+
 def grammar_from_dict(data: dict) -> Grammar:
+    """The grammar a cache holds. GrammarError for a field of the wrong JSON
+    type, an unknown form, a root without a rule or a bad pattern."""
     def entry(d: dict) -> MemberEntry:
-        form: EntryForm
-        if d["form"] == "attribute":
-            form = KeywordAttribute(d["keyword"], PrimitiveKind(d["kind"]))
-        elif d["form"] == "crossref":
-            form = KeywordCrossRef(d["keyword"], d["class"])
-        elif d["form"] == "wrapped":
-            form = WrappedContainment(d["keyword"], d["class"])
-        elif d["form"] == "inline":
-            form = InlineContainment(d["class"])
+        for cls, (name, keys) in _CACHE_FORMS.items():
+            if d["form"] == name:
+                break
         else:
             raise GrammarError(f"bad grammar cache: unknown entry form '{d['form']}'")
-        return MemberEntry(d["member"], form, d["optional"], d["repeatable"])
+        nullable = cls is KeywordAttribute
+        form = cls(*(PrimitiveKind(d[k]) if k == "kind" else _typed(d, k, str, nullable) for k in keys))
+        flags = _typed(d, "optional", bool), _typed(d, "repeatable", bool)
+        return MemberEntry(_typed(d, "member", str), form, *flags)
 
-    rules = {
-        r["class"]: ProductionRule(
-            class_name=r["class"],
-            keyword=r["keyword"],
-            name_inline=r["nameInline"],
-            body_optional=r["bodyOptional"],
-            entries=[entry(e) for e in r["entries"]],
+    rules = {}
+    for r in data["rules"]:
+        name = _typed(r, "class", str)
+        rules[name] = ProductionRule(
+            name, _typed(r, "keyword", str), _typed(r, "nameInline", bool),
+            _typed(r, "bodyOptional", bool), [entry(e) for e in r["entries"]],
         )
-        for r in data["rules"]
-    }
     if data["root"] not in rules:
         raise GrammarError(f"no rule for root class {data['root']}")
     terminals = {PrimitiveKind(t["kind"]): t["pattern"] for t in data["terminals"]}
+    for kind, pattern in terminals.items():
+        try:
+            re.compile(pattern)
+        except (re.error, TypeError) as exc:
+            raise GrammarError(f"bad pattern for {kind.value}: {exc}") from None
     return Grammar(rules=rules, terminals=terminals, root_rule=data["root"])

@@ -156,6 +156,11 @@ class Metamodel:
             if m.mandatory and not m.is_name_slot()
         )
 
+    def member_tables(self) -> dict[str, dict[str, Member]]:
+        """Each class's flattened members by name, supertypes before their
+        subclasses: the metamodel's own tables, which callers must not change."""
+        return self._members
+
     def member_of(self, class_name: str, member_name: str) -> Member | None:
         try:
             return self._members[class_name].get(member_name)

@@ -269,14 +269,6 @@ _UNBOUNDED = sys.maxsize
 _LITERALS = ("String", "Boolean", "Numerical", "UUID")
 
 
-def _is_name_slot_entry(entry: MemberEntry) -> bool:
-    return (
-        entry.member == "shortName"
-        and isinstance(entry.form, KeywordAttribute)
-        and entry.form.kind is PrimitiveKind.IDENTIFIER
-    )
-
-
 class _RuleInfo:
     """The tables of one class's rule, built when the parser first meets
     the class.
@@ -321,7 +313,7 @@ class _RuleInfo:
             if isinstance(form, InlineContainment):
                 self.inline.append(entry)
             elif isinstance(form, KeywordAttribute):
-                read = _NAME if _is_name_slot_entry(entry) else _VALUE
+                read = _NAME if entry.is_name_slot() else _VALUE
                 action = (read, entry.member, upper, form.kind.value)
                 if form.keyword is None:
                     self.positional = action
@@ -799,7 +791,7 @@ def _attribute_lines(el: ModelElement, rule: ProductionRule) -> list[str]:
     for entry in rule.entries:
         form = entry.form
         if isinstance(form, KeywordAttribute):
-            if _is_name_slot_entry(entry):
+            if entry.is_name_slot():
                 if el.short_name is not None:
                     lines.append(f"shortName {el.short_name}")
                 continue

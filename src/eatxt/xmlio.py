@@ -43,37 +43,37 @@ def to_tag(name: str) -> str:
 
 
 class XmlNameMap:
-    """Tag tables for one metamodel, checked for collisions once."""
+    """Tag tables for one metamodel, checked for collisions once.
+
+    A name has one tag wherever it appears. Members are walked as each
+    class declares them, supertypes first, which meets every member name
+    in the order of a walk over each class's flattened members."""
 
     def __init__(self, mm: Metamodel):
         self.class_by_tag: dict[str, str] = {}
         self.tag_by_name: dict[str, str] = {}
+        tags = self.tag_by_name
 
         for name in mm.classes:
             tag = to_tag(name)
-            other = self.class_by_tag.get(tag)
-            if other is not None and other != name:
+            other = self.class_by_tag.setdefault(tag, name)
+            if other != name:
                 raise SerializationError(
                     f"classes '{other}' and '{name}' map to the same tag {tag}"
                 )
-            self.class_by_tag[tag] = name
-            self.tag_by_name[name] = tag
+            tags[name] = tag
 
-        member_owner: dict[str, str] = {}
-        self.members_by_class: dict[str, dict[str, Member]] = {}
-        for cls in mm.classes:
-            table: dict[str, Member] = {}
-            for m in mm.flatten_members(cls):
-                tag = to_tag(m.name)
-                owner = member_owner.get(tag)
-                if owner is not None and owner != m.name:
+        member_by_tag: dict[str, str] = {}
+        for cls in mm.member_tables():
+            for m in mm.classes[cls].members:
+                tag = tags.get(m.name)
+                if tag is None:
+                    tag = tags[m.name] = to_tag(m.name)
+                owner = member_by_tag.setdefault(tag, m.name)
+                if owner != m.name:
                     raise SerializationError(
                         f"members '{owner}' and '{m.name}' map to the same tag {tag}"
                     )
-                member_owner[tag] = m.name
-                self.tag_by_name.setdefault(m.name, to_tag(m.name))
-                table[tag] = m
-            self.members_by_class[cls] = table
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +117,7 @@ def to_eaxml(root: ModelElement, mm: Metamodel, names: XmlNameMap | None = None)
     if names is None:
         names = XmlNameMap(mm)
     tags = names.tag_by_name
-    by_class: dict[str, dict[str, Member]] = {}
+    member_tables = mm.member_tables()
     lines = ['<?xml version="1.0" encoding="UTF-8"?>', f'<EAXML version="{EAXML_VERSION}">']
     # Open elements with children, innermost last: the element, its
     # members by name, its indent, the index of its next child and the
@@ -125,12 +125,9 @@ def to_eaxml(root: ModelElement, mm: Metamodel, names: XmlNameMap | None = None)
     stack: list[list] = []
     el, pad = root, "  "
     while True:
-        by_name = by_class.get(el.class_name)
+        by_name = member_tables.get(el.class_name)
         if by_name is None:
-            members = names.members_by_class.get(el.class_name)
-            if members is None:
-                raise SerializationError(f"unknown class '{el.class_name}'")
-            by_name = by_class[el.class_name] = {m.name: m for m in members.values()}
+            raise SerializationError(f"unknown class '{el.class_name}'")
         tag = tags[el.class_name]
         inner = pad + "  "
         head = len(lines)
@@ -225,7 +222,7 @@ def from_eaxml(
     """
     if names is None:
         names = XmlNameMap(mm)
-    class_by_tag = names.class_by_tag
+    class_by_tag, tags = names.class_by_tag, names.tag_by_name
     parser = expat.ParserCreate(namespace_separator="}")
     parser.buffer_text = True
     warnings: list[Diagnostic] = []
@@ -247,7 +244,7 @@ def from_eaxml(
         members = tables.get(class_name)
         if members is None:
             members = {}
-            for tag, member in names.members_by_class[class_name].items():
+            for member in mm.flatten_members(class_name):
                 kind = member.kind
                 if isinstance(kind, Attribute):
                     code = _STRING if kind.kind is PrimitiveKind.STRING else _VALUE
@@ -255,7 +252,7 @@ def from_eaxml(
                     code = _REF
                 else:
                     code = _WRAPPER
-                members[tag] = (code, member)
+                members[tags[member.name]] = (code, member)
             # <SHORT-NAME> is the element name unless a member that is not
             # the name slot, such as a String shortName, owns the tag.
             if "SHORT-NAME" not in members or members["SHORT-NAME"][1].is_name_slot():

@@ -4,9 +4,10 @@ Holds the fixture paths, a reader that parses emitted grammar text back
 into the IR (round-reading check), a seeded random model generator used
 by the roundtrip and cache tests, a brute-force reference-cache oracle,
 a structural tree comparison, the pre-order numbering that the parser
-must reproduce, a frozen reference lexer, the frozen ElementTree writer
-and reader of EAXML, the recorder of damaged-document parses, the frozen recursive
-metamodel index, the frozen ElementTree metamodel reader and the frozen
+must reproduce, a frozen reference lexer, the frozen EAXML tag tables
+with the frozen ElementTree writer and reader of EAXML that use them,
+the recorder of damaged-document parses, the frozen recursive metamodel
+index, the frozen ElementTree metamodel reader and the frozen
 command-line parser that builds every subcommand.
 """
 
@@ -47,7 +48,7 @@ from eatxt.metamodel import (
     _validate_and_index,
 )
 from eatxt.model import ModelElement, CrossRef, QualifiedName
-from eatxt.xmlio import EAXML_VERSION, XmlNameMap
+from eatxt.xmlio import EAXML_VERSION, to_tag
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 METAMODEL = FIXTURES / "mini_eastadl.ecore"
@@ -634,11 +635,50 @@ def _reference_attr_text(member: Member, lexeme: str) -> str:
     return lexeme
 
 
-def _reference_element_to_xml(el: ModelElement, names: XmlNameMap) -> ET.Element:
-    members = names.members_by_class.get(el.class_name)
+def reference_xml_names(
+    mm: Metamodel,
+) -> tuple[dict[str, str], dict[str, str], dict[str, dict[str, Member]]]:
+    """``xmlio.XmlNameMap``'s constructor as it was when it kept a table
+    per class: each class's flattened members are walked in declaration
+    order of the classes, with ``to_tag`` called afresh for each. Returns
+    ``class_by_tag``, ``tag_by_name`` and each class's members by tag, or
+    raises the same SerializationError."""
+    class_by_tag: dict[str, str] = {}
+    tag_by_name: dict[str, str] = {}
+    for name in mm.classes:
+        tag = to_tag(name)
+        other = class_by_tag.get(tag)
+        if other is not None and other != name:
+            raise SerializationError(
+                f"classes '{other}' and '{name}' map to the same tag {tag}"
+            )
+        class_by_tag[tag] = name
+        tag_by_name[name] = tag
+
+    member_owner: dict[str, str] = {}
+    members_by_class: dict[str, dict[str, Member]] = {}
+    for cls in mm.classes:
+        table: dict[str, Member] = {}
+        for m in mm.flatten_members(cls):
+            tag = to_tag(m.name)
+            owner = member_owner.get(tag)
+            if owner is not None and owner != m.name:
+                raise SerializationError(
+                    f"members '{owner}' and '{m.name}' map to the same tag {tag}"
+                )
+            member_owner[tag] = m.name
+            tag_by_name.setdefault(m.name, to_tag(m.name))
+            table[tag] = m
+        members_by_class[cls] = table
+    return class_by_tag, tag_by_name, members_by_class
+
+
+def _reference_element_to_xml(
+    el: ModelElement, tag: dict[str, str], members_by_class: dict[str, dict[str, Member]],
+) -> ET.Element:
+    members = members_by_class.get(el.class_name)
     if members is None:
         raise SerializationError(f"unknown class '{el.class_name}'")
-    tag = names.tag_by_name
     node = ET.Element(tag[el.class_name])
     by_name = {m.name: m for m in members.values()}
 
@@ -678,18 +718,18 @@ def _reference_element_to_xml(el: ModelElement, names: XmlNameMap) -> ET.Element
         if wrapper is None or member_name != wrapper_member:
             wrapper = ET.SubElement(node, tag[member_name])
             wrapper_member = member_name
-        wrapper.append(_reference_element_to_xml(child, names))
+        wrapper.append(_reference_element_to_xml(child, tag, members_by_class))
     return node
 
 
-def reference_to_eaxml(root: ModelElement, mm: Metamodel, names: XmlNameMap | None = None) -> str:
+def reference_to_eaxml(root: ModelElement, mm: Metamodel) -> str:
     """``xmlio.to_eaxml`` as it was first written, on an ElementTree
-    tree: recursive, then ``ET.indent`` and ``ET.tostring``."""
-    if names is None:
-        names = XmlNameMap(mm)
+    tree: recursive, then ``ET.indent`` and ``ET.tostring``, with the tag
+    tables of ``reference_xml_names``."""
+    _, tag_by_name, members_by_class = reference_xml_names(mm)
     doc = ET.Element("EAXML")
     doc.set("version", EAXML_VERSION)
-    doc.append(_reference_element_to_xml(root, names))
+    doc.append(_reference_element_to_xml(root, tag_by_name, members_by_class))
     ET.indent(doc, space="  ")
     body = ET.tostring(doc, encoding="unicode")
     return '<?xml version="1.0" encoding="UTF-8"?>\n' + body + "\n"
@@ -698,12 +738,13 @@ def reference_to_eaxml(root: ModelElement, mm: Metamodel, names: XmlNameMap | No
 def _reference_read_element(
     node: ET.Element,
     class_name: str,
-    names: XmlNameMap,
+    names: tuple[dict[str, str], dict[str, str], dict[str, dict[str, Member]]],
     mm: Metamodel,
     diagnostics: list[Diagnostic],
 ) -> ModelElement:
     el = ModelElement(class_name=class_name)
-    members = names.members_by_class[class_name]
+    class_by_tag, _, members_by_class = names
+    members = members_by_class[class_name]
 
     for child in node:
         tag = child.tag
@@ -750,7 +791,7 @@ def _reference_read_element(
         else:  # containment wrapper
             target = member.kind.target
             for sub in child:
-                sub_class = names.class_by_tag.get(sub.tag)
+                sub_class = class_by_tag.get(sub.tag)
                 if sub_class is None:
                     diagnostics.append(Diagnostic(
                         WARNING, f"unknown element tag <{sub.tag}>; subtree skipped",
@@ -772,11 +813,12 @@ def _reference_read_element(
 
 
 def reference_from_eaxml(
-    text: str, mm: Metamodel, names: XmlNameMap | None = None,
+    text: str, mm: Metamodel,
 ) -> tuple[ModelElement | None, list[Diagnostic]]:
     """``xmlio.from_eaxml`` as it was first written: ``ET.fromstring``,
-    then a recursive walk over the tree. Its diagnostics have no
-    position, except for malformed XML."""
+    then a recursive walk over the tree, with the tag tables of
+    ``reference_xml_names``. Its diagnostics have no position, except for
+    malformed XML."""
     diagnostics: list[Diagnostic] = []
     try:
         doc = ET.fromstring(text)
@@ -813,10 +855,9 @@ def reference_from_eaxml(
         ))
         return None, diagnostics
 
-    if names is None:
-        names = XmlNameMap(mm)
+    names = reference_xml_names(mm)
     top = children[0]
-    class_name = names.class_by_tag.get(top.tag)
+    class_name = names[0].get(top.tag)
     if class_name is None or mm.classes[class_name].abstract:
         diagnostics.append(Diagnostic(
             ERROR, f"root tag <{top.tag}> is not a concrete metamodel class",

@@ -136,6 +136,26 @@ def test_metamodel_without_xml_tags_is_usage_error(capsys, tmp_path, command):
     )
 
 
+@pytest.mark.parametrize("command", ["to-xml", "to-text", "roundtrip-check"])
+def test_members_sharing_a_tag_are_a_usage_error(capsys, tmp_path, command):
+    # Comment.IsElementary and DesignFunctionType.isElementary are both
+    # <IS-ELEMENTARY>; text commands do not care.
+    source = METAMODEL.read_text(encoding="utf-8")
+    bad = tmp_path / "clash.ecore"
+    bad.write_text(source.replace(
+        '<eStructuralFeatures xsi:type="ecore:EAttribute" name="text" eType="#//String0"/>',
+        '<eStructuralFeatures xsi:type="ecore:EAttribute" name="text" eType="#//String0"/>'
+        '<eStructuralFeatures xsi:type="ecore:EAttribute" name="IsElementary" eType="#//Boolean"/>',
+    ), encoding="utf-8")
+    argv = ["--metamodel", bad, "--config", CONFIG]
+    assert run(capsys, "check", WIPER, *argv) == (0, "", "")
+    assert run(capsys, command, WIPER, *argv) == (
+        2, "",
+        f"error: {bad}: members 'IsElementary' and 'isElementary' map to the same tag "
+        "IS-ELEMENTARY\n",
+    )
+
+
 def test_broken_config_is_usage_error(capsys, tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("frobnicate *\n", encoding="utf-8")
@@ -450,6 +470,43 @@ def test_grammar_cache_with_a_bad_terminal_pattern_is_usage_error(capsys, tmp_pa
     assert err.startswith(f"error: unusable grammar cache {cache}: bad pattern for Boolean: ")
 
 
+def test_grammar_cache_with_a_null_cross_reference_keyword_is_usage_error(capsys, tmp_path):
+    # Only an attribute may lack its keyword; the parser used to crash
+    # listing the expected keywords.
+    def drop_keywords(data):
+        for rule in data["rules"]:
+            for entry in rule["entries"]:
+                if entry["form"] == "crossref":
+                    entry["keyword"] = None
+
+    cache = edited_cache(capsys, tmp_path, drop_keywords)
+    expected = (
+        2, "",
+        f"error: unusable grammar cache {cache}: "
+        "bad grammar cache: 'keyword' must be a string, got null\n",
+    )
+    for command in ("check", "format"):
+        argv = [command, WIPER, "--metamodel", METAMODEL, "--config", CONFIG]
+        assert run(capsys, *argv, "--grammar-cache", cache) == expected, command
+    assert run(capsys, *complete_args(WIPER, 1, 1), "--grammar-cache", cache) == expected
+
+
+@pytest.mark.parametrize("keyword,got", [(None, "null"), (7, "7")])
+def test_grammar_cache_with_a_rule_keyword_that_is_no_string_is_usage_error(
+    capsys, tmp_path, keyword, got,
+):
+    # complete used to crash building the rule's template.
+    def set_keyword(data):
+        data["rules"][0]["keyword"] = keyword
+
+    cache = edited_cache(capsys, tmp_path, set_keyword)
+    assert run(capsys, *complete_args(WIPER, 1, 1), "--grammar-cache", cache) == (
+        2, "",
+        f"error: unusable grammar cache {cache}: "
+        f"bad grammar cache: 'keyword' must be a string, got {got}\n",
+    )
+
+
 def test_grammar_cache_with_wrapper_flags_still_loads(capsys, tmp_path, mm, g, gen_g):
     # Caches used to store "braces" and "commas" on every wrapped entry;
     # loading ignores them. The generated grammar keeps its wrappers.
@@ -748,6 +805,100 @@ def test_mutated_metamodels_keep_the_exit_code_contract(tmp_path_factory, text, 
             code = main([str(a) for a in argv])
         assert (code, out.getvalue()) == (2, ""), argv[0]
         assert err.getvalue() == f"error: {ecore}: {expected.value}\n", argv[0]
+
+
+def json_paths(value, path=()):
+    """The path of every value inside a JSON document, the document's own
+    first."""
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, inner in items:
+        yield from json_paths(inner, path + (key,))
+
+
+def exit_code_and_stderr(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="session")
+def adapted_cache(g):
+    return grammar_to_dict(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mutated_grammar_caches_keep_the_exit_code_contract(tmp_path_factory, adapted_cache, data):
+    mutated = json.loads(json.dumps(adapted_cache))
+    path = data.draw(st.sampled_from(list(json_paths(mutated))[1:]), label="path")
+    value = data.draw(st.sampled_from([None, 0, 1.5, True, "", [], {}, "<delete>"]), label="value")
+    parent = mutated
+    for key in path[:-1]:
+        parent = parent[key]
+    if value == "<delete>":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    cache = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    cache.write_text(json.dumps(mutated), encoding="utf-8")
+    tool = ["--metamodel", METAMODEL, "--config", CONFIG, "--grammar-cache", cache]
+    for argv in (
+        ["check", WIPER, *tool],
+        ["format", WIPER, *tool],
+        ["to-xml", WIPER, *tool],
+        ["complete", WIPER, *tool, "--line", 1, "--col", 1],
+    ):
+        code, err = exit_code_and_stderr(argv)
+        assert code in (0, 1, 2), argv[0]
+        assert "Traceback" not in err, argv[0]
+
+
+_CONFIG_LINES = CONFIG.read_text(encoding="utf-8").splitlines()
+_CONFIG_DAMAGE = [
+    "frobnicate *", "hoist-short-name", "optional-body * *", "unfold-containment a-b *",
+    "optional-body ?", "hoist-short-name **x", "define-terminal Numerical /[0-9]+",
+    "define-terminal UUID [0-9]+/", "define-terminal Boolean /true/false/ x",
+    "define-terminal String //", "define-terminal Identifier /(unclosed/",
+    "define-terminal Identifier /[/", "define-terminal Identifier /a{2,1}/",
+    "define-terminal Whatever /x/", "define-terminal", "remove-attribute-keyword * *",
+]
+
+
+@st.composite
+def mutated_configs(draw):
+    """``fixtures/default.cfg`` with up to three edits: a word dropped or
+    doubled in a line, or a damaged line inserted."""
+    lines = list(_CONFIG_LINES)
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["drop", "double", "insert"]))
+        words = lines[at].split(" ")
+        if edit == "insert":
+            lines.insert(at, draw(st.sampled_from(_CONFIG_DAMAGE)))
+        elif edit == "drop":
+            del words[draw(st.integers(0, len(words) - 1))]
+            lines[at] = " ".join(words)
+        else:
+            word = draw(st.integers(0, len(words) - 1))
+            words.insert(word, words[word])
+            lines[at] = " ".join(words)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=mutated_configs())
+def test_mutated_configs_keep_the_exit_code_contract(tmp_path_factory, text):
+    config = tmp_path_factory.getbasetemp() / "fuzzed.cfg"
+    config.write_text(text, encoding="utf-8")
+    for argv in (
+        ["adapt", "--metamodel", METAMODEL, "--config", config],
+        ["check", WIPER, "--metamodel", METAMODEL, "--config", config],
+    ):
+        code, err = exit_code_and_stderr(argv)
+        assert code in (0, 1, 2), argv[0]
+        assert "Traceback" not in err, argv[0]
 
 
 # --- roundtrip-check ---------------------------------------------------------

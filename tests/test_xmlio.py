@@ -3,12 +3,16 @@
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
+
+import eatxt.xmlio
 
 from eatxt.cli import main
-from eatxt.diagnostics import ERROR, NO_SPAN, WARNING, SerializationError
+from eatxt.diagnostics import ERROR, NO_SPAN, WARNING, MetamodelError, SerializationError
 from eatxt.grammar import generate_grammar
-from eatxt.metamodel import load_metamodel
+from eatxt.metamodel import (
+    Attribute, Member, MetaClass, Metamodel, PrimitiveKind, _validate_and_index, load_metamodel,
+)
 from eatxt.model import ModelElement
 from eatxt.textsyntax import format_model, parse_model
 from eatxt.xmlio import (
@@ -25,6 +29,7 @@ from support import (
     random_model,
     reference_from_eaxml,
     reference_to_eaxml,
+    reference_xml_names,
     same_structure,
 )
 
@@ -55,6 +60,107 @@ def test_name_map_round_trips_every_metamodel_class(mm):
     names = XmlNameMap(mm)
     for cls in mm.classes.values():
         assert names.class_by_tag[to_tag(cls.name)] == cls.name
+
+
+def name_tables(mm):
+    """The tag tables of ``XmlNameMap`` and of its frozen constructor, in
+    insertion order, or the message of the error each raises."""
+    def current():
+        names = XmlNameMap(mm)
+        return names.class_by_tag, names.tag_by_name
+
+    tables = []
+    for build in (current, lambda: reference_xml_names(mm)[:2]):
+        try:
+            tables.append([list(table.items()) for table in build()])
+        except SerializationError as exc:
+            tables.append(str(exc))
+    return tables
+
+
+def test_name_map_matches_the_frozen_constructor_on_the_fixture(mm):
+    names, expected = name_tables(mm)
+    assert names == expected and isinstance(names, list)
+
+
+# Names that share a tag (FooBar, UUID, AB-CAR), that have none (x_y) or
+# that are also a class name.
+_CLASS_POOL = ["Alpha", "Beta", "Gamma", "Delta", "FooBar", "Uuid", "UUID", "x_y"]
+_MEMBER_POOL = ["fooBar", "FooBar", "uuid", "UUID", "x_y", "shortName", "ABCar", "AbCar", "gamma"]
+
+
+@st.composite
+def tag_metamodels(draw):
+    """Metamodels of up to six classes, whose supertypes may be declared
+    before or after them, each declaring members named from
+    ``_MEMBER_POOL``. A class never redeclares a name it inherits."""
+    # Mostly plain class names, so that members get to collide too.
+    names = draw(st.lists(
+        st.sampled_from(_CLASS_POOL[:4]) | st.sampled_from(_CLASS_POOL),
+        min_size=1, max_size=6, unique=True,
+    ))
+    # Supertypes come earlier in a random order, not in declaration order.
+    order = draw(st.permutations(names))
+    inherited: dict[str, set[str]] = {}
+    classes = {}
+    for rank, name in enumerate(order):
+        supertypes = draw(st.lists(st.sampled_from(order[:rank]), max_size=2, unique=True)
+                          if rank else st.just([]))
+        seen = set().union(*(inherited[s] for s in supertypes))
+        free = [m for m in _MEMBER_POOL if m not in seen]
+        own = draw(st.lists(st.sampled_from(free), max_size=3, unique=True)) if free else []
+        inherited[name] = seen | set(own)
+        classes[name] = MetaClass(
+            name, supertypes=supertypes,
+            members=[Member(m, Attribute(PrimitiveKind.IDENTIFIER)) for m in own],
+        )
+    mm = Metamodel({name: classes[name] for name in names}, names[0])
+    try:
+        _validate_and_index(mm)
+    except MetamodelError:
+        reject()  # a diamond that inherits two declarations of one name
+    return mm
+
+
+@settings(max_examples=300, deadline=None)
+@given(mm=tag_metamodels())
+def test_name_map_matches_the_frozen_constructor_on_colliding_names(mm):
+    names, expected = name_tables(mm)
+    assert names == expected
+
+
+def abstract_chain(depth):
+    """A chain of abstract classes, each declaring one attribute, ending
+    in one concrete leaf."""
+    classes = {
+        f"C{i}": MetaClass(
+            f"C{i}", abstract=True, supertypes=[f"C{i - 1}"] if i else [],
+            members=[Member(f"attr{i}", Attribute(PrimitiveKind.STRING))],
+        )
+        for i in range(depth)
+    }
+    classes["Leaf"] = MetaClass("Leaf", supertypes=[f"C{depth - 1}"])
+    mm = Metamodel(classes, "Leaf")
+    _validate_and_index(mm)
+    return mm
+
+
+def test_name_map_tags_each_name_once(mm, monkeypatch):
+    calls = {}
+    real = eatxt.xmlio.to_tag
+
+    def counting(name):
+        calls[name] = calls.get(name, 0) + 1
+        return real(name)
+
+    monkeypatch.setattr(eatxt.xmlio, "to_tag", counting)
+    for metamodel in (mm, abstract_chain(1000)):
+        calls.clear()
+        names = XmlNameMap(metamodel)
+        declared = set(metamodel.classes)
+        declared.update(m.name for c in metamodel.classes.values() for m in c.members)
+        assert set(calls) == declared == set(names.tag_by_name)
+        assert max(calls.values()) == 1
 
 
 def test_tag_rejects_non_identifier():
