@@ -26,7 +26,7 @@ from .grammar import (
 )
 from .metamodel import Metamodel
 from .model import ReferenceCache, lookup_first_fitting
-from .textsyntax import Document, parse_document
+from .textsyntax import Body, Document, Parser
 
 KEYWORD = "Keyword"
 TEMPLATE = "Template"
@@ -62,20 +62,25 @@ class CursorContext(NamedTuple):
     has_root: bool = False
 
 
+def _innermost(bodies: list[Body], offset: int) -> Body | None:
+    """The innermost body around an offset. Bodies are recorded in
+    textual order, so it is the last one around the offset."""
+    for body in reversed(bodies):
+        if body.open_offset < offset and (
+            body.close_offset is None or offset <= body.close_offset
+        ):
+            return body
+    return None
+
+
 def context_at(doc: Document, offset: int) -> CursorContext | None:
     """Context for a character offset in a parsed document; None when the
     offset lies inside a string literal."""
     for start, end in doc.strings:
         if start < offset < end:
             return None
-    # Bodies are recorded in textual order, so the last one around the
-    # offset is the innermost.
-    for body in reversed(doc.bodies):
-        if body.open_offset < offset and (
-            body.close_offset is None or offset <= body.close_offset
-        ):
-            break
-    else:
+    body = _innermost(doc.bodies, offset)
+    if body is None:
         return CursorContext(kind="top", has_root=doc.root is not None)
     if body.member is not None:
         return CursorContext(
@@ -92,18 +97,36 @@ def context_at(doc: Document, offset: int) -> CursorContext | None:
     )
 
 
+def pull_context(parse: Parser, offset: int) -> CursorContext | None:
+    """:func:`context_at` for an offset, with ``parse`` pulled only as far
+    as the answer needs. Once the parse has read past the offset, every
+    string and body that starts before it is recorded, and so is the
+    root, if any. The innermost body around the offset then lists its
+    members for good only when it closes, so the parse goes on until it
+    does; a wrapped block lists none, and the parse stops at once."""
+    more = parse.step()
+    while more and parse.reached() < offset:
+        more = parse.step()
+    doc = parse.document()
+    body = _innermost(doc.bodies, offset)
+    while more and body is not None and body.member is None and body.close_offset is None:
+        more = parse.step()
+    return context_at(doc, offset)
+
+
 def locate_context(
     text: str, line: int, column: int, g: Grammar, mm: Metamodel,
 ) -> CursorContext | None:
-    """Context for a 1-based line/column position, clamped to the text."""
-    doc = parse_document(text, g, mm)
+    """Context for a 1-based line/column position, clamped to the text.
+    The text is parsed only as far as the context needs."""
+    parse = Parser(text, g, mm)
     if line < 1:
         offset = 0
-    elif line > len(doc.lines.starts):
+    elif line > len(parse.lines.starts):
         offset = len(text)
     else:
-        offset = min(doc.lines.offset(line, max(column, 1)), len(text))
-    return context_at(doc, offset)
+        offset = min(parse.lines.offset(line, max(column, 1)), len(text))
+    return pull_context(parse, offset)
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ import os
 import sys
 
 from .assist import complete as compute_proposals
-from .assist import context_at
+from .assist import pull_context
 from .diagnostics import (
     ConfigError,
     Diagnostic,
@@ -59,7 +59,10 @@ from .diagnostics import (
 )
 from .grammar import (
     AdaptationReport,
+    EntryForm,
     Grammar,
+    KeywordAttribute,
+    KeywordCrossRef,
     adapt_grammar,
     emit_grammar,
     generate_grammar,
@@ -67,9 +70,9 @@ from .grammar import (
     grammar_to_dict,
     parse_config,
 )
-from .metamodel import Metamodel, load_metamodel
-from .model import ModelElement, lazy_cache, resolve
-from .textsyntax import LineIndex, format_model, parse_document, parse_model
+from .metamodel import Attribute, CrossReference, MemberKind, Metamodel, load_metamodel
+from .model import ModelElement, parse_cache, resolve
+from .textsyntax import LineIndex, Parser, format_model, parse_model
 from .xmlio import XmlNameMap, from_eaxml, to_eaxml
 
 OK = 0
@@ -139,9 +142,10 @@ def _build_grammar(args: argparse.Namespace, mm: Metamodel) -> Grammar:
     A --grammar-cache file is read when present and written when absent.
     The cache is not invalidated automatically; delete it after changing
     the metamodel or the config. A cache that :func:`grammar_from_dict`
-    rejects, or with a rule for a class the metamodel lacks or an entry
-    for a member its class lacks, or without a rule for some concrete
-    class, is rejected.
+    rejects is rejected, and so is one with a rule for a class the
+    metamodel lacks, an entry for a member its class lacks or that reads
+    it in another shape (:func:`_shape`), or without a rule for some
+    concrete class.
     """
     cache_path = args.grammar_cache
     if cache_path and os.path.exists(cache_path):
@@ -159,10 +163,17 @@ def _build_grammar(args: argparse.Namespace, mm: Metamodel) -> Grammar:
                     f"rule for class {name}, which the metamodel lacks"
                 )
             for entry in rule.entries:
-                if mm.member_of(name, entry.member) is None:
+                member = mm.member_of(name, entry.member)
+                if member is None:
                     raise _UsageError(
                         f"unusable grammar cache {cache_path}: rule for class {name} "
                         f"has an entry for member {entry.member}, which the class lacks"
+                    )
+                reads, kind = _shape(entry.form), _shape(member.kind)
+                if reads != kind:
+                    raise _UsageError(
+                        f"unusable grammar cache {cache_path}: rule for class {name} "
+                        f"reads member {entry.member} as {reads}, but it is {kind}"
                     )
         for name in mm.concrete_classes():
             if name not in g.rules:
@@ -181,6 +192,18 @@ def _build_grammar(args: argparse.Namespace, mm: Metamodel) -> Grammar:
             cache_path, json.dumps(grammar_to_dict(g), indent=2) + "\n"
         )
     return g
+
+
+def _shape(kind: MemberKind | EntryForm) -> str:
+    """What a member kind holds, or what a grammar entry form reads: an
+    attribute of one primitive kind, or a cross-reference or containment
+    of one class. An entry fits its member when both give the same."""
+    if isinstance(kind, (Attribute, KeywordAttribute)):
+        value = kind.kind.value
+        return f"{'an' if value == 'Identifier' else 'a'} {value} attribute"
+    if isinstance(kind, (CrossReference, KeywordCrossRef)):
+        return f"a cross-reference to {kind.target}"
+    return f"a containment of {kind.target}"
 
 
 def _adapt(args: argparse.Namespace, g: Grammar) -> tuple[Grammar, AdaptationReport]:
@@ -272,9 +295,9 @@ def _cursor_offset(lines: LineIndex, size: int, line: int, col: int) -> int:
 
 def cmd_complete(args: argparse.Namespace, mm: Metamodel, g: Grammar) -> int:
     text = _read_text(args.model)
-    doc = parse_document(text, g, mm)
-    ctx = context_at(doc, _cursor_offset(doc.lines, len(text), args.line, args.col))
-    for p in compute_proposals(ctx, g, mm, lazy_cache(doc.root, mm)):
+    parse = Parser(text, g, mm)
+    ctx = pull_context(parse, _cursor_offset(parse.lines, len(text), args.line, args.col))
+    for p in compute_proposals(ctx, g, mm, parse_cache(parse, mm)):
         body = (
             p.insert_text.replace("\\", "\\\\")
             .replace("\t", "\\t")

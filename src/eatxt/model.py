@@ -85,19 +85,43 @@ class ModelElement:
 # Qualified names
 # ---------------------------------------------------------------------------
 
-def _named_elements(root: ModelElement) -> Iterator[tuple[QualifiedName, ModelElement]]:
+def _named_elements(
+    root: ModelElement, parse=None,
+) -> Iterator[tuple[QualifiedName, ModelElement]]:
     """Pre-order walk yielding (fqn, element) for addressable elements.
     Subtrees below an unnamed element are skipped: nothing inside them can
-    be reached by a qualified name. The walk keeps an explicit stack of
-    (element, parent path) pairs, so it has no depth limit."""
-    stack: list[tuple[ModelElement, tuple[str, ...]]] = [(root, ())]
-    while stack:
-        el, prefix = stack.pop()
+    be reached by a qualified name. The walk keeps an explicit stack with
+    the children, the path and the next child of each element it is in,
+    so it has no depth limit.
+
+    With a ``parse`` (a :class:`eatxt.textsyntax.Parser`), the tree is
+    one that the parse is still building in pre-order. The walk pulls the
+    parse on whenever it reaches what may still change: an element whose
+    name is not final, or an open body whose children it has been
+    through."""
+    frames: list[list] = [[[(None, root)], (), 0, None]]
+    while frames:
+        frame = frames[-1]
+        children, prefix, k, owner = frame
+        if k == len(children):
+            # Out of children; an open body may still gain some.
+            if (
+                parse is not None and owner is not None
+                and parse.is_open(owner, len(frames) - 2) and parse.step()
+            ):
+                continue
+            frames.pop()
+            continue
+        frame[2] = k + 1
+        el = children[k][1]
+        if parse is not None:
+            while not parse.name_final(el, len(frames) - 1) and parse.step():
+                pass
         if not el.short_name:
             continue
         segments = prefix + (el.short_name,)
         yield QualifiedName(segments), el
-        stack.extend((child, segments) for _, child in reversed(el.children))
+        frames.append([el.children, segments, 0, el])
 
 
 # ---------------------------------------------------------------------------
@@ -189,11 +213,13 @@ class ReferenceCache:
 
 def _filing(
     root: ModelElement, mm: Metamodel, by_class: dict[str, list[tuple[QualifiedName, int]]],
+    parse=None,
 ) -> Iterator[list[str]]:
     """List the named elements in ``by_class``, in pre-order, yielding the
-    classes each one was listed under."""
+    classes each one was listed under. A ``parse`` goes on as the walk
+    needs it (:func:`_named_elements`)."""
     supers: dict[str, list[str]] = {}
-    for fqn, el in _named_elements(root):
+    for fqn, el in _named_elements(root, parse):
         fan_out = supers.get(el.class_name)
         if fan_out is None:
             fan_out = supers[el.class_name] = [
@@ -217,10 +243,23 @@ def lazy_cache(root: ModelElement | None, mm: Metamodel) -> ReferenceCache:
     """A cache that walks the model only as far as its lookups need: a
     lookup of a class goes on with the walk until it meets the first
     element of the class, and one that finds none walks to the end. It
-    pays for one request; :func:`build_cache` pays for many lookups."""
+    pays for one request; :func:`build_cache` pays for many lookups. This
+    is :func:`parse_cache` with nothing left to parse."""
     cache = ReferenceCache()
     if root is not None:
         cache.pending = _filing(root, mm, cache.by_class)
+    return cache
+
+
+def parse_cache(parse, mm: Metamodel) -> ReferenceCache:
+    """:func:`lazy_cache` over the tree that ``parse``, a
+    :class:`eatxt.textsyntax.Parser` that has taken its first step, is
+    still building: the walk parses on only when it reaches an element
+    that is not final yet, so a lookup reads the text only up to the
+    first fitting element."""
+    cache = ReferenceCache()
+    if parse.root is not None:
+        cache.pending = _filing(parse.root, mm, cache.by_class, parse)
     return cache
 
 

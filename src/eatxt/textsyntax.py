@@ -39,7 +39,8 @@ from __future__ import annotations
 import re
 import sys
 from bisect import bisect_right
-from typing import NamedTuple
+from itertools import islice
+from typing import Iterator, NamedTuple
 
 from .diagnostics import ConfigError, Diagnostic, ERROR, SerializationError, Span, WARNING
 from .grammar import (
@@ -72,6 +73,9 @@ _NEWLINE = re.compile("\n")
 _new_tuple = tuple.__new__
 # Whitespace and ``//`` comments between tokens, in one match.
 _SKIP = r"(?:[ \t\r\n]+|//[^\n]*\n?)*"
+# Scanner matches per lexer batch: a parser that stops early has lexed at
+# most this many tokens past the last one it read.
+_BATCH = 1024
 # An unlexable run: scanning resumes at the next whitespace.
 _UNLEXABLE = r"[^ \t\r\n]*"
 # Terminal patterns that would change meaning as a branch of the scanner:
@@ -106,25 +110,105 @@ class LineIndex:
 
 
 class Tokens:
-    """The tokens of one text, column by column: three parallel lists and
-    the text's line index. A token's kind is a PrimitiveKind value name or
-    one of ``{`` ``}`` ``,`` ``.``; its offset is where its lexeme starts.
-    ``strings`` holds the start and end offsets of the String tokens."""
+    """The tokens of one text, column by column: three parallel lists, the
+    text's line index, the start and end offsets of its String tokens and
+    the lexer's diagnostics. A token's kind is a PrimitiveKind value name
+    or one of ``{`` ``}`` ``,`` ``.``; its offset is where its lexeme
+    starts.
 
-    __slots__ = ("kinds", "lexemes", "offsets", "lines", "strings")
+    The lists start empty and grow a batch at a time: :meth:`more` lexes on
+    from where the last batch ended, so that a parser reads only as much
+    of the text as it asks for. :func:`lex` drains them."""
 
-    def __init__(
-        self, kinds: list[str], lexemes: list[str], offsets: list[int], lines: LineIndex,
-        strings: list[tuple[int, int]],
-    ):
-        self.kinds = kinds
-        self.lexemes = lexemes
-        self.offsets = offsets
-        self.lines = lines
-        self.strings = strings
+    __slots__ = (
+        "kinds", "lexemes", "offsets", "lines", "strings", "diagnostics", "_text", "_pos",
+        "_scanner",
+    )
+
+    def __init__(self, text: str, terminals: dict[PrimitiveKind, str]):
+        missing = [k.value for k in PrimitiveKind if k not in terminals]
+        if missing:
+            raise ConfigError(
+                "lexer needs a pattern for every terminal kind; missing: "
+                + ", ".join(missing)
+            )
+        self._scanner = _scanner(terminals)
+        self._text = text
+        self._pos = 0
+        self.lines = LineIndex(text)
+        self.kinds: list[str] = []
+        self.lexemes: list[str] = []
+        self.offsets: list[int] = []
+        self.strings: list[tuple[int, int]] = []
+        self.diagnostics: list[Diagnostic] = []
 
     def __len__(self) -> int:
         return len(self.kinds)
+
+    def more(self) -> bool:
+        """Lex the next batch of about ``_BATCH`` tokens; False, lexing
+        nothing, once the text is used up."""
+        text = self._text
+        n = len(text)
+        pos = self._pos
+        if pos >= n:
+            return False
+        finditer, sure, rivals = self._scanner
+        add_kind, add_lexeme = self.kinds.append, self.lexemes.append
+        add_offset, strings = self.offsets.append, self.strings
+        string = PrimitiveKind.STRING.value
+
+        # The scanner matches at every position, its last branch possibly
+        # empty, so ``finditer`` never skips text. A pass ends at the end of
+        # the text, where a token ends elsewhere than the scanner's match,
+        # or after a batch of matches, each a token, a diagnostic or the end.
+        while pos < n:
+            resume, pos = pos, n
+            for m in islice(finditer(text, resume), _BATCH):
+                g = m.lastindex
+                kind = sure[g]
+                if kind is not None:
+                    lexeme = m[g]
+                    if lexeme:
+                        add_kind(kind or lexeme)
+                        add_lexeme(lexeme)
+                        add_offset(m.start(g))
+                        continue
+                # An empty match, a kind that may be outbid, or no kind at all.
+                start, end = m.span(g)
+                best_kind = None
+                best_end = start
+                for other, match in rivals[g] or ():
+                    if match is None:
+                        other_end = end
+                    elif (other_match := match(text, start)) is None:
+                        continue
+                    else:
+                        other_end = other_match.end()
+                    if other_end > best_end:
+                        best_kind, best_end = other, other_end
+                if best_kind is not None:
+                    add_kind(best_kind)
+                    add_lexeme(text[start:best_end])
+                    add_offset(start)
+                    if best_kind == string:  # never a sure kind
+                        strings.append((start, best_end))
+                elif start == n:
+                    break
+                else:
+                    self.diagnostics.append(Diagnostic(
+                        ERROR, f"cannot read character {text[start]!r}",
+                        self.lines.span(start, start + 1),
+                    ))
+                    best_end = re.compile(_UNLEXABLE).match(text, start).end()
+                if best_end != end:
+                    pos = best_end  # the token ends elsewhere: rescan from there
+                    break
+            else:
+                pos = m.end()  # the batch is full; the text goes on
+                break
+        self._pos = pos
+        return True
 
 
 def _scanner(terminals: dict[PrimitiveKind, str]) -> tuple:
@@ -187,72 +271,13 @@ def lex(
     token. A match of no characters never counts.
 
     An unlexable character yields one error diagnostic; scanning resumes
-    at the next whitespace. ``//`` comments are dropped.
+    at the next whitespace. ``//`` comments are dropped. Lexes the whole
+    text, batch after batch.
     """
-    missing = [k.value for k in PrimitiveKind if k not in terminals]
-    if missing:
-        raise ConfigError(
-            "lexer needs a pattern for every terminal kind; missing: "
-            + ", ".join(missing)
-        )
-    finditer, sure, rivals = _scanner(terminals)
-    lines = LineIndex(text)
-    kinds: list[str] = []
-    lexemes: list[str] = []
-    offsets: list[int] = []
-    strings: list[tuple[int, int]] = []
-    diagnostics: list[Diagnostic] = []
-    add_kind, add_lexeme, add_offset = kinds.append, lexemes.append, offsets.append
-    string = PrimitiveKind.STRING.value
-
-    # The scanner matches at every position, its last branch possibly
-    # empty, so ``finditer`` never skips text. A pass ends at the end of
-    # the text, or where a token ends elsewhere than the scanner's match.
-    n = len(text)
-    pos = 0
-    while pos < n:
-        resume, pos = pos, n
-        for m in finditer(text, resume):
-            g = m.lastindex
-            kind = sure[g]
-            if kind is not None:
-                lexeme = m[g]
-                if lexeme:
-                    add_kind(kind or lexeme)
-                    add_lexeme(lexeme)
-                    add_offset(m.start(g))
-                    continue
-            # An empty match, a kind that may be outbid, or no kind at all.
-            start, end = m.span(g)
-            best_kind = None
-            best_end = start
-            for other, match in rivals[g] or ():
-                if match is None:
-                    other_end = end
-                elif (other_match := match(text, start)) is None:
-                    continue
-                else:
-                    other_end = other_match.end()
-                if other_end > best_end:
-                    best_kind, best_end = other, other_end
-            if best_kind is not None:
-                add_kind(best_kind)
-                add_lexeme(text[start:best_end])
-                add_offset(start)
-                if best_kind == string:  # never a sure kind
-                    strings.append((start, best_end))
-            elif start == n:
-                break
-            else:
-                diagnostics.append(Diagnostic(
-                    ERROR, f"cannot read character {text[start]!r}", lines.span(start, start + 1),
-                ))
-                best_end = re.compile(_UNLEXABLE).match(text, start).end()
-            if best_end != end:
-                pos = best_end  # the token ends elsewhere: rescan from there
-                break
-
-    return Tokens(kinds, lexemes, offsets, lines, strings), diagnostics
+    tokens = Tokens(text, terminals)
+    while tokens.more():
+        pass
+    return tokens, tokens.diagnostics
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +286,9 @@ def lex(
 
 # The kind of the sentinel the parser reads after the last token.
 _END = "<end>"
+# How many tokens past token i one turn of the parser's loop may read
+# without asking the lexer for more (``Parser.fill``).
+_LOOKAHEAD = 3
 # How the parser reads the value of a member keyword (``_RuleInfo``).
 _VALUE, _NAME, _REFERENCE, _BLOCK = "value", "name", "reference", "block"
 # The upper bound of a repeatable member, above every count.
@@ -281,13 +309,17 @@ class _RuleInfo:
     without a keyword, if any, in the same form. Then come the upper bound
     of each member (``_UNBOUNDED`` for none), the lower bounds above zero,
     the classes each wrapped block accepts and, filled per child class,
-    the inline containments a child fits.
+    the inline containments a child fits. ``body_names`` says whether a
+    value in the body can set the name, and ``renames`` whether one can
+    replace a name already set: after an inline name, or when the name
+    allows several values, each of which replaces the last.
 
     A rule whose class the metamodel lacks raises MetamodelError here,
     unless the rule has no entries."""
 
     __slots__ = (
         "rule", "by_keyword", "positional", "inline", "upper", "lower", "accepted", "fitting",
+        "body_names", "renames",
     )
 
     def __init__(self, class_name: str, rule: ProductionRule, mm: Metamodel):
@@ -299,6 +331,7 @@ class _RuleInfo:
         self.lower: list[tuple[str, int]] = []
         self.accepted: dict[str, set[str]] = {}
         self.fitting: dict[str, list[str]] = {}
+        self.body_names = self.renames = False
         for entry in rule.entries:
             member = mm.member_of(class_name, entry.member)
             if member is None:
@@ -313,7 +346,11 @@ class _RuleInfo:
             if isinstance(form, InlineContainment):
                 self.inline.append(entry)
             elif isinstance(form, KeywordAttribute):
-                read = _NAME if entry.is_name_slot() else _VALUE
+                read = _VALUE
+                if entry.is_name_slot():
+                    read = _NAME
+                    self.body_names = True
+                    self.renames |= rule.name_inline or upper > 1
                 action = (read, entry.member, upper, form.kind.value)
                 if form.keyword is None:
                     self.positional = action
@@ -363,49 +400,126 @@ class Document(NamedTuple):
     lines: LineIndex
 
 
-class _Parser:
-    """A loop over the token columns. The innermost element whose body is
-    open is held in the loop's locals: the element, its rule tables, its
-    member counts, its ``Body``, the wrapped block open in its body if
-    any, and the member and token by which it is counted against its
-    parent when it ends (no member: it is dropped). A child whose body
-    opens saves these on a stack, and they come back when it ends. The
-    lists end with an ``_END`` sentinel, so reading past the last token
-    needs no bounds check.
+class Parser:
+    """One parse of a text, which goes only as far as it is pulled.
+
+    :meth:`step` parses on until the next element opens, and lexes on
+    only when it needs more tokens; :func:`parse_document` pulls to the
+    end. What the parse holds so far is final in these ways: ``root``
+    after the first step; an element's id, class and place in the tree
+    as soon as it opens, and the rest of it when it is no longer in
+    ``open``, which lists the elements whose body is open, outermost
+    first; every ``Body`` but its ``close_offset`` and, in an element
+    body, ``present``, which are final when it closes; ``diagnostics``
+    and ``tokens.strings`` as they grow. The lexer's diagnostics are
+    ``tokens.diagnostics``.
+
+    The parsing loop holds the innermost element whose body is open in
+    its locals: the element, its rule tables, its member counts, its
+    ``Body``, the wrapped block open in its body if any, and whether it is
+    dropped when it ends. A child whose body opens saves these on a
+    stack, and they come back when it ends. The token lists end with an
+    ``_END`` sentinel once the text is lexed to its end, so reading past
+    the last token needs no bounds check. Before that, each turn of the
+    loop first makes sure that the tokens it may read are lexed, and so
+    does each loop that can read further (:meth:`fill`).
 
     Elements are numbered in pre-order as they open. A dropped element
     was the last one opened before its subtree, so dropping it sets the
     count back to the number before its own."""
 
-    def __init__(self, tokens: Tokens, g: Grammar, mm: Metamodel):
-        self.kinds = tokens.kinds + [_END]
-        self.lexemes = tokens.lexemes + [""]
+    def __init__(self, text: str, g: Grammar, mm: Metamodel):
+        self.tokens = tokens = Tokens(text, g.terminal_patterns())
+        self.kinds = tokens.kinds
+        self.lexemes = tokens.lexemes
         self.offsets = tokens.offsets
         self.lines = tokens.lines
-        self.n = len(tokens)
-        self.i = 0  # the next token, between calls of parse_element
+        self.limit = 0  # below it, a turn of the loop finds its tokens lexed
+        self.i = 0  # the next token, whenever the parse is not running
         self.g = g
         self.mm = mm
+        self.root: ModelElement | None = None
+        # Diagnostics go to the sink, which the detached pass swaps out.
         self.diagnostics: list[Diagnostic] = []
+        self.sink = self.diagnostics
         self.bodies: list[Body] = []
+        self.open: list[ModelElement] = []
         self.elements = 0
         self.rules: dict[str, _RuleInfo] = {}
         self.class_keywords = {rule.keyword: name for name, rule in g.rules.items()}
+        self._steps = self._run()
+
+    # -- pulling --------------------------------------------------------------
+
+    def step(self) -> bool:
+        """Parse on until the next element opens; False once the parse
+        has reached the end of the text."""
+        return next(self._steps, None) is not None
+
+    def finish(self) -> None:
+        """Parse to the end of the text."""
+        for _ in self._steps:
+            pass
+
+    def reached(self) -> int:
+        """How far the parse has read: the offset of its next token, or
+        past every offset at the end of the text."""
+        i = self.i
+        return self.offsets[i] if i < len(self.offsets) else _UNBOUNDED
+
+    def is_open(self, el: ModelElement, depth: int) -> bool:
+        """Whether the body of ``el``, at ``depth`` in the tree (0 for the
+        root), is open, so that it may still gain members and children."""
+        opened = self.open
+        return depth < len(opened) and opened[depth] is el
+
+    def name_final(self, el: ModelElement, depth: int) -> bool:
+        """Whether the name of ``el`` is final: its body has closed, its
+        body cannot name it, or it has a name that the body cannot
+        replace."""
+        if not self.is_open(el, depth):
+            return True
+        info = self.rules[el.class_name]
+        return not info.body_names or (el.short_name is not None and not info.renames)
+
+    def document(self) -> Document:
+        """What the parse has read so far, the lexer's diagnostics before
+        the parser's. Its bodies and strings are the parse's own lists."""
+        tokens = self.tokens
+        return Document(
+            self.root, tokens.diagnostics + self.diagnostics, self.bodies, tokens.strings,
+            self.lines,
+        )
+
+    def fill(self, i: int) -> int:
+        """Lex on until token ``i + _LOOKAHEAD`` exists, or to the end of
+        the text, where the ``_END`` sentinel follows the last token.
+        Returns the new ``limit``."""
+        if self.limit != _UNBOUNDED:
+            kinds, more = self.kinds, self.tokens.more
+            while len(kinds) <= i + _LOOKAHEAD:
+                if not more():
+                    kinds.append(_END)
+                    self.lexemes.append("")
+                    self.limit = _UNBOUNDED
+                    return _UNBOUNDED
+            self.limit = len(kinds) - _LOOKAHEAD
+        return self.limit
 
     # -- positions and reports ------------------------------------------------
 
     def span(self, i: int) -> Span:
         """Span of token ``i``, or of the last token for the sentinel:
         at the end of the text, a problem is reported at the last token."""
-        if i >= self.n:
-            if not self.n:
+        if self.kinds[i] == _END:
+            if not i:
                 return Span(1, 1, 1, 1)
-            i = self.n - 1
+            i -= 1
         start = self.offsets[i]
         return self.lines.span(start, start + len(self.lexemes[i]))
 
     def error(self, message: str, span: Span) -> None:
-        self.diagnostics.append(Diagnostic(ERROR, message, span))
+        self.sink.append(Diagnostic(ERROR, message, span))
 
     def too_many(self, member: str, upper: int, i: int) -> None:
         """Report a value of ``member`` beyond its upper bound at token ``i``."""
@@ -456,9 +570,11 @@ class _Parser:
         rule, a class keyword, a comma, or the closing brace. A braced
         block on the way is swallowed whole.
         """
-        kinds, lexemes = self.kinds, self.lexemes
+        kinds, lexemes, fill = self.kinds, self.lexemes, self.fill
         i += 1
         while True:
+            if i >= self.limit:
+                fill(i)
             kind = kinds[i]
             if kind == _END or kind == "}" or kind == ",":
                 return i
@@ -466,6 +582,8 @@ class _Parser:
                 depth = 0
                 while (kind := kinds[i]) != _END:
                     i += 1
+                    if i >= self.limit:
+                        fill(i)
                     if kind == "{":
                         depth += 1
                     elif kind == "}":
@@ -483,25 +601,32 @@ class _Parser:
 
     # -- document -----------------------------------------------------------
 
-    def parse_root(self) -> ModelElement | None:
+    def _run(self) -> Iterator[ModelElement]:
+        yield from self.parse_root()
+        yield from self.parse_detached()
+
+    def parse_root(self) -> Iterator[ModelElement]:
+        self.fill(0)
         kind = self.kinds[0]
         if kind == _END:
             self.error("empty document: expected an element", Span(1, 1, 1, 1))
-            return None
+            return
         lexeme = self.lexemes[0]
         if kind != "Identifier" or lexeme not in self.class_keywords:
             self.error(f"expected an element, got '{lexeme}'", self.span(0))
-            return None
-        root = self.parse_element(self.class_keywords[lexeme])
+            return
+        elements = self.parse_element(self.class_keywords[lexeme])
+        self.root = root = next(elements)
+        yield root
+        yield from elements
         if self.kinds[self.i] != _END:
             self.error(
                 "unexpected text after the top-level element: "
                 f"'{self.lexemes[self.i]}'",
                 self.span(self.i),
             )
-        return root
 
-    def parse_detached(self) -> None:
+    def parse_detached(self) -> Iterator[ModelElement]:
         """Parse every class keyword left over as a detached element.
 
         Runs after the top-level element ended early or never started, so
@@ -509,34 +634,51 @@ class _Parser:
         trees and diagnostics of this pass are dropped.
         """
         kinds, lexemes, class_keywords = self.kinds, self.lexemes, self.class_keywords
-        reported = len(self.diagnostics)
-        while (kind := kinds[self.i]) != _END:
-            class_name = class_keywords.get(lexemes[self.i])
+        self.sink = []
+        while True:
+            i = self.i
+            if i >= self.limit:
+                self.fill(i)
+            kind = kinds[i]
+            if kind == _END:
+                return
+            class_name = class_keywords.get(lexemes[i])
             if kind == "Identifier" and class_name is not None:
-                self.parse_element(class_name)
+                yield from self.parse_element(class_name)
             else:
-                self.i += 1
-        del self.diagnostics[reported:]
+                self.i = i + 1
 
     # -- elements -----------------------------------------------------------
 
-    def parse_element(self, class_name: str) -> ModelElement:
+    def parse_element(self, class_name: str) -> Iterator[ModelElement]:
         """Parse the element whose class keyword is the next token, and
-        everything nested in it. Each turn of the loop opens the child the
+        everything nested in it, yielding each element right after it
+        opens, this one first. Each turn of the loop opens the child the
         turn before met, or reads one construct of the innermost open body
         or wrapped block. A turn in which an element ends, at its closing
-        brace or at once for one without a body, checks it and counts it
-        against its parent; the element that has no parent is returned."""
+        brace or at once for one without a body, checks its lower bounds.
+
+        Whether a child is kept is decided when it opens, for its parent's
+        counts cannot change while it is open. A kept child joins its
+        parent's children at once, so the tree built so far is a prefix of
+        the final pre-order. A child that fits no containment, or one over
+        its member's upper bound, is dropped with its subtree when it
+        ends, and the bound is reported then."""
         kinds, lexemes, offsets = self.kinds, self.lexemes, self.offsets
         span_of = self.lines.span
         class_keywords, rules, bodies = self.class_keywords, self.rules, self.bodies
-        i, started, last_id = self.i, self.elements, 0
+        opened, fill = self.open, self.fill
+        i, started, last_id, limit = self.i, self.elements, 0, self.limit
         stack: list[tuple] = []
-        el = info = counts = body = block = link = None
-        link_at = 0
+        # ``drop`` is None for a kept element, the member it goes over the
+        # bound of, or "" when no containment fits it.
+        el = info = counts = body = block = drop = None
+        drop_at = 0
         child_class: str | None = class_name
-        child_link = None
+        child_link: str | None = None
         while True:
+            if i >= limit:
+                limit = fill(i)
             if child_class is not None:
                 # Token i is the child's class keyword; its inline name
                 # and its opening brace may follow.
@@ -552,6 +694,12 @@ class _Parser:
                 c = ModelElement(
                     child_class, id=last_id, span=span_of(start, start + len(lexemes[i])),
                 )
+                if child_link:
+                    n = counts.get(child_link, 0) + 1
+                    counts[child_link] = n
+                    if n <= info.upper[child_link]:
+                        el.children.append((child_link, c))
+                        child_link = None
                 c_at = i
                 i += 1
                 if rule.name_inline:
@@ -564,19 +712,24 @@ class _Parser:
                     b = Body(offsets[i], None, child_class, started)
                     bodies.append(b)
                     i += 1
-                    stack.append((el, info, counts, body, block, link, link_at))
-                    el, info, counts, body, block, link, link_at = (
+                    stack.append((el, info, counts, body, block, drop, drop_at))
+                    el, info, counts, body, block, drop, drop_at = (
                         c, ci, {}, b, None, child_link, c_at
                     )
+                    opened.append(c)
                     child_class = None
+                    self.i = i
+                    yield c
                     continue
                 if not rule.body_optional:
                     self.error(
                         f"expected '{{' to open the body of '{rule.keyword}'",
                         c.span if kinds[i] == _END else self.span(i),  # type: ignore[arg-type]
                     )
-                cc, c_link = {}, child_link
+                cc, c_drop = {}, child_link
                 child_class = None
+                self.i = i
+                yield c
             else:
                 kind = kinds[i]
                 if block is not None:
@@ -615,8 +768,9 @@ class _Parser:
                             f"unexpected end of file inside '{info.rule.keyword}'",
                             self.span(i),
                         )
-                    c, ci, cc, c_link, c_at = el, info, counts, link, link_at
-                    el, info, counts, body, block, link, link_at = stack.pop()
+                    c, ci, cc, c_drop, c_at = el, info, counts, drop, drop_at
+                    el, info, counts, body, block, drop, drop_at = stack.pop()
+                    opened.pop()
                 else:
                     if kind == "Identifier":
                         lexeme = lexemes[i]
@@ -636,6 +790,8 @@ class _Parser:
                                 i += 1
                                 while kinds[i] == "." and kinds[i + 1] == "Identifier":
                                     i += 2
+                                    if i >= limit:
+                                        limit = fill(i)
                                 last = i - 1
                                 if kinds[i] == ".":
                                     i += 1
@@ -692,10 +848,10 @@ class _Parser:
                                         f"accepts {child_class}",
                                         self.span(i),
                                     )
-                                    child_link = None
+                                    child_link = ""
                                     continue
                                 if len(fit) > 1:
-                                    self.diagnostics.append(Diagnostic(
+                                    self.sink.append(Diagnostic(
                                         WARNING,
                                         f"{child_class} fits several containments "
                                         f"({', '.join(fit)}); using '{fit[0]}'",
@@ -747,30 +903,23 @@ class _Parser:
                     )
             if el is None:
                 self.i, self.elements = i, started
-                return c
-            # Count it against its parent, and keep it or drop it with its
-            # subtree, the elements numbered since it.
-            if c_link is not None:
-                n = counts.get(c_link, 0) + 1
-                counts[c_link] = n
-                upper = info.upper[c_link]
-                if n <= upper:
-                    el.children.append((c_link, c))
-                    continue
-                self.too_many(c_link, upper, c_at)
-            last_id = c.id - 1
+                return
+            if c_drop is not None:
+                # Drop it with its subtree, the elements numbered since it.
+                if c_drop:
+                    self.too_many(c_drop, info.upper[c_drop], c_at)
+                last_id = c.id - 1
 
 
 def parse_document(text: str, g: Grammar, mm: Metamodel) -> Document:
-    """Lex and parse once, keeping what both checking and completion need.
-    The parser keeps its open elements on an explicit stack, so nesting
-    depth is bounded only by memory, and numbers the tree as it goes."""
-    tokens, diagnostics = lex(text, g.terminal_patterns())
-    parser = _Parser(tokens, g, mm)
-    root = parser.parse_root()
-    parser.parse_detached()
-    diagnostics.extend(parser.diagnostics)
-    return Document(root, diagnostics, parser.bodies, tokens.strings, tokens.lines)
+    """Lex and parse the whole text, keeping what both checking and
+    completion need. The parser keeps its open elements on an explicit
+    stack, so nesting depth is bounded only by memory, and numbers the
+    tree as it goes."""
+    parser = Parser(text, g, mm)
+    parser.finish()
+    return parser.document()
+
 
 def parse_model(
     text: str, g: Grammar, mm: Metamodel,

@@ -5,11 +5,13 @@ the installed console script to prove the wiring.
 """
 
 import contextlib
+import functools
 import gc
 import io
 import json
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -18,16 +20,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import eatxt.cli
+import eatxt.textsyntax
 from eatxt.cli import main
 from eatxt.diagnostics import MetamodelError
-from eatxt.grammar import grammar_to_dict
+from eatxt.grammar import adapt_grammar, generate_grammar, grammar_to_dict, parse_config
+from eatxt.metamodel import load_metamodel
 from eatxt.assist import complete, context_at
 from eatxt.model import build_cache
 from eatxt.textsyntax import format_model, parse_document, parse_model
 from eatxt.xmlio import to_eaxml
 
 from support import (
-    CONFIG, EXTRA, GOLDEN, METAMODEL, MODELS, mutated_ecores, random_model,
+    CONFIG, EXTRA, GOLDEN, METAMODEL, MODELS, mutated_ecores, parse_record, random_model,
     reference_build_parser, reference_load_metamodel,
 )
 
@@ -442,6 +446,44 @@ def test_grammar_cache_entry_for_a_member_the_class_lacks_is_usage_error(capsys,
             )
 
 
+@pytest.mark.parametrize("form,cls,member,entry,reads,kind", [
+    ("attribute", "FunctionFlowPort", "direction",
+     {"form": "attribute", "keyword": "direction", "kind": "String"},
+     "a String attribute", "an Identifier attribute"),
+    ("crossref", "EADatatype", "gid",
+     {"form": "crossref", "keyword": "gid", "class": "EADatatype"},
+     "a cross-reference to EADatatype", "a UUID attribute"),
+    ("wrapped", "EAPackage", "element",
+     {"form": "wrapped", "keyword": "element", "class": "EADatatype"},
+     "a containment of EADatatype", "a containment of EAPackageableElement"),
+    ("inline", "EAPackage", "subPackage",
+     {"form": "inline", "class": "EADatatype"},
+     "a containment of EADatatype", "a containment of EAPackage"),
+])
+def test_grammar_cache_entry_that_reads_its_member_in_another_shape_is_usage_error(
+    capsys, tmp_path, form, cls, member, entry, reads, kind,
+):
+    # An attribute entry must read its member's primitive kind, and the
+    # other forms the class their member refers to or contains. Each of
+    # these used to load, and the model got the blame or passed.
+    def reshape(data):
+        rule = next(r for r in data["rules"] if r["class"] == cls)
+        old = next(e for e in rule["entries"] if e["member"] == member)
+        old.clear()
+        old.update(member=member, optional=True, repeatable=False, **entry)
+
+    cache = edited_cache(capsys, tmp_path, reshape)
+    expected = (
+        2, "",
+        f"error: unusable grammar cache {cache}: rule for class {cls} "
+        f"reads member {member} as {reads}, but it is {kind}\n",
+    )
+    for command in ("check", "format", "to-xml"):
+        argv = [command, WIPER, "--metamodel", METAMODEL, "--config", CONFIG]
+        assert run(capsys, *argv, "--grammar-cache", cache) == expected, command
+    assert run(capsys, *complete_args(WIPER, 1, 1), "--grammar-cache", cache) == expected
+
+
 def test_grammar_cache_with_a_bad_terminal_pattern_is_usage_error(capsys, tmp_path):
     # Rejected when the cache loads, not with a traceback from the lexer.
     def break_numerical(data):
@@ -586,26 +628,34 @@ def test_complete_inside_string_prints_nothing(capsys, tmp_path):
 
 
 def test_complete_lexes_the_document_once(capsys, monkeypatch):
-    """One lexer pass and one line index; no reference cache over the
-    whole model and no numbering walk over the tree."""
+    """One lexer pass, through the parser's own token columns, and one
+    line index; no reference cache over the whole model and no numbering
+    walk over the tree."""
     import eatxt.model
     import eatxt.textsyntax
 
     calls = {"lex": [], "build_cache": []}
     indexes = []
+    token_sources = []
     walks = []
     index_init = eatxt.textsyntax.LineIndex.__init__
+    tokens_init = eatxt.textsyntax.Tokens.__init__
     iter_preorder = eatxt.model.ModelElement.iter_preorder
 
     def counting_index_init(self, text):
         indexes.append(text)
         index_init(self, text)
 
+    def counting_tokens_init(self, text, terminals):
+        token_sources.append(text)
+        tokens_init(self, text, terminals)
+
     def counting_iter_preorder(self):
         walks.append(self)
         return iter_preorder(self)
 
     monkeypatch.setattr(eatxt.textsyntax.LineIndex, "__init__", counting_index_init)
+    monkeypatch.setattr(eatxt.textsyntax.Tokens, "__init__", counting_tokens_init)
     monkeypatch.setattr(eatxt.model.ModelElement, "iter_preorder", counting_iter_preorder)
 
     def counting(name, original):
@@ -624,7 +674,7 @@ def test_complete_lexes_the_document_once(capsys, monkeypatch):
                         monkeypatch.setattr(module, attr, wrapper)
     code, out, _ = run(capsys, *complete_args(WIPER, 17, 13))
     assert code == 0 and "TEMPLATE\tFunctionFlowPort" in out
-    assert len(calls["lex"]) == 1
+    assert len(token_sources) == 1 and calls["lex"] == []
     assert len(indexes) == 1
     assert calls["build_cache"] == []
     assert walks == []
@@ -689,15 +739,9 @@ def test_deep_nesting_runs_every_command(capsys, tmp_path):
 FIXTURE_TEXTS = [path.read_text(encoding="utf-8") for path in MODELS]
 
 
-@st.composite
-def mutated_models(draw):
-    """A fixture model, often nested 300 or 1200 packages deep, after up to
-    three edits: a brace inserted or deleted, or the text cut short.
-    Hypothesis allows about 2000 more frames of recursion while it runs a
-    test, so only the deeper nesting would show a recursive walk."""
-    text = draw(st.sampled_from(FIXTURE_TEXTS))
-    depth = draw(st.sampled_from([0, 300, 1200]))
-    text = "EAPackage Deep\n{\n" * depth + text + "}\n" * depth
+def edited(draw, text):
+    """``text`` after up to three edits: a brace inserted or deleted, or
+    the text cut short."""
     for _ in range(draw(st.integers(0, 3))):
         edit = draw(st.sampled_from(["insert", "delete", "truncate"]))
         if edit == "insert":
@@ -711,6 +755,56 @@ def mutated_models(draw):
         else:
             text = text[: draw(st.integers(0, len(text)))]
     return text
+
+
+@st.composite
+def mutated_models(draw):
+    """A fixture model, often nested 300 or 1200 packages deep, after up to
+    three edits: a brace inserted or deleted, or the text cut short.
+    Hypothesis allows about 2000 more frames of recursion while it runs a
+    test, so only the deeper nesting would show a recursive walk."""
+    text = draw(st.sampled_from(FIXTURE_TEXTS))
+    depth = draw(st.sampled_from([0, 300, 1200]))
+    text = "EAPackage Deep\n{\n" * depth + text + "}\n" * depth
+    return edited(draw, text)
+
+
+@functools.cache
+def generated_fixture_texts():
+    """The fixture models reprinted in the generated syntax."""
+    mm = load_metamodel(METAMODEL.read_text(encoding="utf-8"))
+    g, _ = adapt_grammar(generate_grammar(mm), parse_config(CONFIG.read_text(encoding="utf-8")))
+    gen_g = generate_grammar(mm)
+    return [format_model(parse_model(text, g, mm)[0], gen_g) for text in FIXTURE_TEXTS]
+
+
+@st.composite
+def mutated_generated_models(draw):
+    """A fixture model in the generated syntax, where ``shortName`` is a
+    body keyword, often nested 300 or 1200 packages deep. Some names move
+    to the end of their body, after the children, as every package around
+    the fixture has its name; then up to three edits as in
+    ``mutated_models``."""
+    text = draw(st.sampled_from(generated_fixture_texts()))
+    rng = random.Random(draw(st.integers(0, 2 ** 16), label="late names"))
+    lines: list[str] = []
+    late: list[list[str]] = []  # per open brace, the name lines moved to its end
+    for line in text.split("\n"):
+        stripped = line.strip()
+        if stripped == "}" and late:
+            lines.extend(late.pop())
+        elif stripped.startswith("shortName ") and late and rng.random() < 0.5:
+            late[-1].append(line)
+            continue
+        lines.append(line)
+        if stripped == "{":
+            late.append([])
+    depth = draw(st.sampled_from([0, 300, 1200]))
+    text = (
+        "EAPackage\n{\nsubPackage\n{\n" * depth + "\n".join(lines)
+        + "}\nshortName Deep\n}\n" * depth
+    )
+    return edited(draw, text)
 
 
 @settings(max_examples=40, deadline=None)
@@ -732,6 +826,13 @@ def test_mutated_models_keep_the_exit_code_contract(tmp_path_factory, text, data
             code = main([str(a) for a in argv])
         assert code in (0, 1, 2), argv[0]
         assert "Traceback" not in err.getvalue(), argv[0]
+
+
+def run_quiet(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, out.getvalue(), err.getvalue()
 
 
 def library_reply(text, line, col, g, mm):
@@ -775,6 +876,76 @@ def test_complete_cursor_fuzz_matches_the_library(tmp_path_factory, g, mm, text,
         else:
             assert code == 2 and out.getvalue() == ""
             assert "out of range" in err.getvalue()
+
+
+def test_complete_reads_on_to_targets_written_after_the_cursor(tmp_path, g, gen_g, mm):
+    """Every fixture with the children of each element in reverse order,
+    so that reference targets come after the places that refer to them,
+    in both syntaxes: a cursor at the start of each line gets the
+    library's reply."""
+    model = tmp_path / "reversed.eatxt"
+    for path in MODELS:
+        root, _ = parse_model(path.read_text(encoding="utf-8"), g, mm)
+        for el in root.iter_preorder():
+            el.children.reverse()
+        for syntax, grammar in (("adapted", g), ("generated", gen_g)):
+            text = format_model(root, grammar)
+            model.write_text(text, encoding="utf-8")
+            tool = ["--metamodel", METAMODEL] + (["--config", CONFIG] if grammar is g else [])
+            for line, row in enumerate(text.split("\n")[:-1], start=1):
+                col = len(row) - len(row.lstrip()) + 1
+                code, out, err = run_quiet(["complete", model, *tool, "--line", line, "--col", col])
+                assert (code, err) == (0, "")
+                assert out == library_reply(text, line, col, grammar, mm), (path.name, syntax, line)
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=mutated_generated_models(), data=st.data())
+def test_complete_cursor_fuzz_matches_the_library_in_the_generated_grammar(
+    tmp_path_factory, gen_g, mm, text, data,
+):
+    """``test_complete_cursor_fuzz_matches_the_library`` without --config:
+    names are body keywords, often written after the children, so that
+    the parse behind a reply must read on until each name it uses is
+    final."""
+    model = tmp_path_factory.getbasetemp() / "cursor.eatxt"
+    model.write_text(text, encoding="utf-8")
+    rows = text.split("\n")
+    # Two cursors at the first child of a port or part block, where the
+    # templates get pre-filled references (on an indented line if there is
+    # no such block), and one anywhere.
+    inner = [
+        n for n in range(3, len(rows) + 1)
+        if rows[n - 2].strip() == "{" and rows[n - 3].strip() in ("port", "part")
+    ] or [n for n, row in enumerate(rows, start=1) if row.startswith(" ")] or [1]
+    lines = [
+        data.draw(st.sampled_from(inner), label="block line"),
+        data.draw(st.sampled_from(inner), label="block line"),
+        data.draw(st.integers(-2, len(rows) + 2), label="line"),
+    ]
+    for line in lines:
+        width = len(rows[line - 1]) + 1 if 1 <= line <= len(rows) else 1
+        col = data.draw(st.integers(-2, width + 2), label="col")
+        argv = ["complete", model, "--metamodel", METAMODEL, "--line", line, "--col", col]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([str(a) for a in argv])
+        if 1 <= line <= len(rows) and 1 <= col <= width:
+            assert (code, err.getvalue()) == (0, "")
+            assert out.getvalue() == library_reply(text, line, col, gen_g, mm)
+        else:
+            assert code == 2 and out.getvalue() == ""
+            assert "out of range" in err.getvalue()
+
+
+@settings(max_examples=30, deadline=None)
+@given(adapted=mutated_models(), generated=mutated_generated_models())
+def test_lexing_one_token_at_a_time_parses_mutated_models_alike(g, gen_g, mm, adapted, generated):
+    for text, grammar in ((adapted, g), (generated, gen_g)):
+        expected = parse_record(text, grammar, mm)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(eatxt.textsyntax, "_BATCH", 1)
+            assert parse_record(text, grammar, mm) == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -823,6 +994,19 @@ def exit_code_and_stderr(argv):
     return code, err.getvalue()
 
 
+# The fields of each cache entry form, and values for a field a form
+# takes that the entry lacked.
+_FORM_FIELDS = {
+    "attribute": ("keyword", "kind"), "crossref": ("keyword", "class"),
+    "wrapped": ("keyword", "class"), "inline": ("class",),
+}
+_FIELD_VALUES = {
+    "keyword": ["gid", "direction", "port"],
+    "kind": ["Identifier", "String", "UUID", "Boolean", "Numerical"],
+    "class": ["EAPackage", "EADatatype", "FunctionPort", "FunctionFlowPort"],
+}
+
+
 @pytest.fixture(scope="session")
 def adapted_cache(g):
     return grammar_to_dict(g)
@@ -832,6 +1016,14 @@ def adapted_cache(g):
 @given(data=st.data())
 def test_mutated_grammar_caches_keep_the_exit_code_contract(tmp_path_factory, adapted_cache, data):
     mutated = json.loads(json.dumps(adapted_cache))
+    # One entry takes a form, maybe another one, with the fields it needs.
+    entry = data.draw(
+        st.sampled_from([e for r in mutated["rules"] for e in r["entries"]]), label="entry",
+    )
+    entry["form"] = form = data.draw(st.sampled_from(list(_FORM_FIELDS)), label="form")
+    for field in _FORM_FIELDS[form]:
+        if field not in entry:
+            entry[field] = data.draw(st.sampled_from(_FIELD_VALUES[field]), label=field)
     path = data.draw(st.sampled_from(list(json_paths(mutated))[1:]), label="path")
     value = data.draw(st.sampled_from([None, 0, 1.5, True, "", [], {}, "<delete>"]), label="value")
     parent = mutated

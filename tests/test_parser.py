@@ -4,7 +4,8 @@ import json
 from eatxt.diagnostics import ERROR, WARNING
 from eatxt.grammar import adapt_grammar, generate_grammar, parse_config
 from eatxt.metamodel import load_metamodel
-from eatxt.textsyntax import parse_model
+import eatxt.textsyntax
+from eatxt.textsyntax import Parser, parse_model
 
 from support import (
     CONFIG, DAMAGED_PARSE, MODELS, assign_preorder_ids, damaged_corpus, parse_record,
@@ -322,6 +323,120 @@ def test_damaged_documents_parse_as_recorded(g, gen_g, mm):
             assert parse_record(text, grammars[syntax], mm) == expected, (syntax, name)
 
 
+def test_lexing_one_token_at_a_time_parses_as_recorded(g, gen_g, mm, monkeypatch):
+    """Batch boundaries of the lexer never show in the parse, even when
+    every token is a batch of its own."""
+    monkeypatch.setattr(eatxt.textsyntax, "_BATCH", 1)
+    test_damaged_documents_parse_as_recorded(g, gen_g, mm)
+
+
+# -- parses stopped early ------------------------------------------------------
+
+
+def preorder_with_depth(root):
+    stack = [(root, 0)]
+    while stack:
+        el, depth = stack.pop()
+        yield el, depth
+        stack.extend((child, depth + 1) for _, child in reversed(el.children))
+
+
+def element_row(el):
+    return [
+        el.id, el.class_name, el.short_name, list(el.attributes),
+        [(r.member, r.target.dotted, r.span) for r in el.cross_refs],
+        [(member, child.id) for member, child in el.children],
+    ]
+
+
+def is_prefix(part, whole):
+    return list(part) == list(whole)[:len(part)]
+
+
+def assert_prefix_of(partial, full):
+    """``partial``, stopped after an element opened, holds what ``full``
+    holds, as far as it has got: its tree is a prefix of the final
+    pre-order, final wherever the parse says it is; its bodies are the
+    final ones but for the closing and the members still to come; every
+    body and string that starts before where it stopped is recorded; its
+    diagnostics begin the final ones."""
+    assert (partial.root is None) == (full.root is None)
+    if full.root is not None:
+        walked = list(preorder_with_depth(partial.root))
+        final = list(full.root.iter_preorder())[:len(walked)]
+        assert len(final) == len(walked)
+        for (el, depth), done in zip(walked, final):
+            row, done_row = element_row(el), element_row(done)
+            assert row[:2] == done_row[:2]
+            if partial.name_final(el, depth):
+                assert row[2] == done_row[2]
+            if partial.is_open(el, depth):
+                assert all(is_prefix(a, b) for a, b in zip(row[3:], done_row[3:]))
+            else:
+                assert row == done_row
+    reached = partial.reached()
+    started = [b for b in full.bodies if b.open_offset < reached]
+    assert len(partial.bodies) >= len(started)
+    for body, done in zip(partial.bodies, full.bodies):
+        key = (body.open_offset, body.class_name, body.element_id, body.member)
+        assert key == (done.open_offset, done.class_name, done.element_id, done.member)
+        if body.close_offset is None:
+            assert body.present <= done.present
+            assert done.close_offset is None or done.close_offset >= reached
+        else:
+            assert (body.close_offset, body.present) == (done.close_offset, done.present)
+    strings = partial.tokens.strings
+    assert is_prefix(strings, full.tokens.strings)
+    assert len(strings) >= len([s for s in full.tokens.strings if s[0] < reached])
+    assert is_prefix(partial.diagnostics, full.diagnostics)
+    assert is_prefix(partial.tokens.diagnostics, full.tokens.diagnostics)
+
+
+def test_a_parse_stopped_after_any_element_opens_is_a_prefix_of_the_full_parse(g, gen_g, mm):
+    grammars = {"adapted": g, "generated": gen_g}
+    for syntax, docs in damaged_corpus(g, gen_g, mm).items():
+        for name, text in docs:
+            full = Parser(text, grammars[syntax], mm)
+            full.finish()
+            partial = Parser(text, grammars[syntax], mm)
+            while partial.step():
+                assert_prefix_of(partial, full)
+            assert_prefix_of(partial, full)
+            assert partial.open == [] and partial.reached() > len(text)
+            assert partial.document().diagnostics == full.document().diagnostics
+            assert len(partial.bodies) == len(full.bodies), (syntax, name)
+            if full.root is not None:
+                assert len(list(partial.root.iter_preorder())) == len(
+                    list(full.root.iter_preorder())
+                ), (syntax, name)
+
+
+def test_a_late_name_is_final_only_once_read():
+    """In a grammar whose bodies carry the name, the name of an open
+    element is final once read, unless the body may still replace it:
+    after an inline name."""
+    mm = BOUNDED
+    g = generate_grammar(mm)
+    text = "A\n{\n    b\n    {\n        B\n        {\n            shortName x\n        }\n    }\n    shortName a\n}\n"
+    parse = Parser(text, g, mm)
+    assert parse.step() and parse.root.class_name == "A"
+    assert not parse.name_final(parse.root, 0)
+    assert parse.step() and parse.is_open(parse.root, 0)
+    (_, b), = parse.root.children
+    assert b.short_name is None and not parse.name_final(b, 1)
+    assert not parse.step()
+    assert (parse.root.short_name, b.short_name) == ("a", "x")
+    assert parse.name_final(parse.root, 0) and parse.name_final(b, 1)
+
+    hoisted = Parser("A a\n{\n}\n", parse_bounded_grammar(), mm)
+    assert hoisted.step() and hoisted.name_final(hoisted.root, 0)
+    both = parse_bounded_grammar()
+    both.rules["A"].entries.insert(0, g.rules["A"].entry_for("shortName"))
+    renamed = Parser("A a\n{\n    shortName b\n}\n", both, mm)
+    assert renamed.step() and not renamed.name_final(renamed.root, 0)
+    assert not renamed.step() and renamed.root.short_name == "b"
+
+
 # -- element ids ---------------------------------------------------------------
 
 
@@ -375,10 +490,13 @@ BOUNDED = load_metamodel(
 )
 
 
-def parse_bounded(text):
+def parse_bounded_grammar():
     cfg = parse_config(CONFIG.read_text(encoding="utf-8"))
-    g, _ = adapt_grammar(generate_grammar(BOUNDED), cfg)
-    return parse_model(text, g, BOUNDED)
+    return adapt_grammar(generate_grammar(BOUNDED), cfg)[0]
+
+
+def parse_bounded(text):
+    return parse_model(text, parse_bounded_grammar(), BOUNDED)
 
 
 def test_ids_skip_every_dropped_subtree():
