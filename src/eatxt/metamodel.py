@@ -192,26 +192,35 @@ def read_xml(parser: expat.XMLParserType, text: str) -> tuple[str, int, int] | N
     """Parse ``text`` with an expat ``parser`` whose content handlers are set.
 
     Returns None for well-formed XML, else the first error's message, line
-    and column. A general entity that expat skips (with an external DTD
-    subset) or an external one is undefined, as ElementTree reports it.
-    The handlers are unset afterwards: they refer to the parser, and that
-    cycle would keep what they built alive until the next collection.
+    and column. A DTD with an external subset or a parameter entity
+    reference is an error where expat meets it, at the subset's system
+    literal or at the ``%``: expat would take the entities it cannot see
+    declared for skipped and drop them from attribute values without a
+    word. So a reference to an undeclared general entity is always an
+    error, which expat reports; a reference to an external one is
+    undefined, as ElementTree reports it. The handlers are unset
+    afterwards: they refer to the parser, and that cycle would keep what
+    they built alive until the next collection.
     """
-    def undefined(name: str) -> None:
+    def stop(message: str) -> None:
         line, col = parser.CurrentLineNumber, parser.CurrentColumnNumber
-        exc = expat.ExpatError(f"undefined entity {f'&{name};'[:100]}: line {line}, column {col}")
+        exc = expat.ExpatError(f"{message}: line {line}, column {col}")
         exc.lineno, exc.offset = line, col
         raise exc
 
-    parser.SkippedEntityHandler = lambda name, is_parameter: is_parameter or undefined(name)
-    parser.ExternalEntityRefHandler = lambda context, *_: undefined(context.rpartition("\f")[2])
+    def undefined(context: str, *_) -> None:
+        name = context.rpartition("\f")[2]
+        stop(f"undefined entity {f'&{name};'[:100]}")
+
+    parser.NotStandaloneHandler = lambda: stop("external DTD subset or parameter entity reference")
+    parser.ExternalEntityRefHandler = undefined
     try:
         parser.Parse(text, True)
     except expat.ExpatError as exc:
         return str(exc), exc.lineno, exc.offset
     finally:
         parser.StartElementHandler = parser.EndElementHandler = None
-        parser.CharacterDataHandler = parser.SkippedEntityHandler = None
+        parser.CharacterDataHandler = parser.NotStandaloneHandler = None
         parser.ExternalEntityRefHandler = None
     return None
 

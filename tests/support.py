@@ -812,14 +812,56 @@ def _reference_read_element(
     return el
 
 
+# A DOCTYPE that names an external subset, up to its system literal,
+# which XML's tokens allow only before white space, ">", "%", "[" or the
+# end of the text.
+_EXTERNAL_SUBSET = re.compile(
+    r"<!DOCTYPE\s+[\w:.-]+\s+(?:SYSTEM|PUBLIC\s+(?:\"[^\"]*\"|'[^']*'))\s+(\"[^\"]*\"|'[^']*')"
+    r"(?=[ \t\r\n>%\[]|\Z)"
+)
+
+
+def _position(text: str, at: int) -> tuple[int, int]:
+    """Line (from 1) and column (from 0) of an offset, as expat counts."""
+    return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at) - 1
+
+
+def reference_external_subset(text: str) -> tuple[str, int, int] | None:
+    """Where both XML readers stop for an external DTD subset: the error
+    message, line and column of its system literal. None when there is
+    no such subset, when the XML declaration says ``standalone="yes"``,
+    or when ElementTree does not get to the literal as part of a DOCTYPE:
+    cut just after the literal, the text must then lack only its root
+    element. Both readers once ignored the subset, and
+    expat dropped the entities it left undeclared from attribute values.
+    """
+    found = _EXTERNAL_SUBSET.search(text)
+    if found is None or re.match(r"\ufeff?<\?xml[^>]*standalone=[\"']yes", text):
+        return None
+    try:
+        ET.fromstring(text[:found.end()])
+    except ET.ParseError as exc:
+        if exc.position != _position(text, found.end()) or "no element found" not in str(exc):
+            return None
+    line, col = _position(text, found.start(1))
+    message = "external DTD subset or parameter entity reference"
+    return f"{message}: line {line}, column {col}", line, col
+
+
 def reference_from_eaxml(
     text: str, mm: Metamodel,
 ) -> tuple[ModelElement | None, list[Diagnostic]]:
     """``xmlio.from_eaxml`` as it was first written: ``ET.fromstring``,
     then a recursive walk over the tree, with the tag tables of
     ``reference_xml_names``. Its diagnostics have no position, except for
-    malformed XML."""
+    malformed XML. An external DTD subset is an error
+    (``reference_external_subset``)."""
     diagnostics: list[Diagnostic] = []
+    dtd = reference_external_subset(text)
+    if dtd is not None:
+        message, line, col = dtd
+        at = Span(line, max(col, 1), line, max(col, 1))
+        return None, [Diagnostic(ERROR, f"malformed XML: {message}", at)]
     try:
         doc = ET.fromstring(text)
     except ET.ParseError as exc:
@@ -1064,8 +1106,13 @@ def mutated_ecores(draw) -> str:
 def reference_load_metamodel(text: str) -> Metamodel:
     """``metamodel.load_metamodel`` on XML text as it was when it read an
     ElementTree tree: the same checks in the same order, with
-    ElementTree's own rules for malformed XML and entities. The index is
-    ``_validate_and_index``, which ``reference_index`` checks."""
+    ElementTree's own rules for malformed XML and entities, but for an
+    external DTD subset, which is an error (``reference_external_subset``).
+    The index is ``_validate_and_index``, which ``reference_index`` checks."""
+    dtd = reference_external_subset(text)
+    if dtd is not None:
+        message, line, col = dtd
+        raise MetamodelError(f"metamodel XML parse error at line {line}, column {col}: {message}")
     try:
         root = ET.fromstring(text)
     except ET.ParseError as exc:

@@ -495,6 +495,31 @@ def test_reader_matches_the_reference_on_fixed_inputs():
         assert_loads_like_reference(text)
 
 
+@pytest.mark.parametrize("prologue,at", [
+    ('<!DOCTYPE EPackage SYSTEM "x">\n', (1, 26)),
+    ("<!DOCTYPE EPackage PUBLIC 'p' 'x' [<!ENTITY v 'B'>]>\n", (1, 30)),
+    ('<!DOCTYPE EPackage [<!ENTITY % e SYSTEM "x"> %e;]>\n', (1, 45)),
+    ('<!DOCTYPE EPackage [%e;]>\n', (1, 20)),
+])
+def test_a_dtd_that_may_leave_entities_undeclared_is_an_error(prologue, at):
+    # Expat used to take &x; for a skipped entity and drop it from the
+    # attribute value without a word, so that this loaded class AB.
+    text = prologue + '<EPackage><eClassifiers name="A&x;B"/></EPackage>'
+    with pytest.raises(MetamodelError) as error:
+        load_metamodel(text)
+    line, col = at
+    assert str(error.value) == (
+        f"metamodel XML parse error at line {line}, column {col}: external DTD "
+        f"subset or parameter entity reference: line {line}, column {col}"
+    )
+    # A standalone document has all its entities declared in the internal
+    # subset, so the external one may stay unread.
+    standalone = '<?xml version="1.0" standalone="yes"?>' + text
+    with pytest.raises(MetamodelError, match="undefined entity: line 2, column 10"):
+        load_metamodel(standalone)
+    assert load_metamodel(standalone.replace("&x;", "")).classes.keys() == {"AB"}
+
+
 @pytest.mark.parametrize("prologue", ECORE_PROLOGUES, ids=["plain", "external-dtd", "internal-entity", "external-entity"])
 @pytest.mark.parametrize("reference", ["&x;", "&v;", "&e;"])
 def test_reader_matches_the_reference_on_entities_after_every_tag(prologue, reference):

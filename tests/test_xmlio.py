@@ -8,7 +8,9 @@ from hypothesis import given, reject, settings, strategies as st
 import eatxt.xmlio
 
 from eatxt.cli import main
-from eatxt.diagnostics import ERROR, NO_SPAN, WARNING, MetamodelError, SerializationError
+from eatxt.diagnostics import (
+    ERROR, NO_SPAN, WARNING, Diagnostic, MetamodelError, SerializationError, Span,
+)
 from eatxt.grammar import generate_grammar
 from eatxt.metamodel import (
     Attribute, Member, MetaClass, Metamodel, PrimitiveKind, _validate_and_index, load_metamodel,
@@ -25,6 +27,7 @@ from eatxt.xmlio import (
 from support import (
     EXTRA,
     GOLDEN,
+    METAMODEL,
     MODELS,
     random_model,
     reference_from_eaxml,
@@ -604,6 +607,21 @@ def test_reader_matches_the_reference_after_every_tag(damage, prologue, mm):
     xml = to_eaxml(random_model(6, mm, max_elements=20), mm).replace("\n", "\n" + prologue, 1)
     for at in [m.end() for m in re.finditer(">", xml)]:
         assert_reads_like_reference(xml[:at] + damage + xml[at:], mm)
+
+
+def test_an_external_dtd_subset_is_malformed_eaxml(mm, tmp_path, capsys):
+    xml = to_eaxml(random_model(6, mm, max_elements=20), mm).replace(
+        "\n", '\n<!DOCTYPE EAXML SYSTEM "eaxml.dtd">\n', 1,
+    )
+    assert from_eaxml(xml, mm) == (None, [Diagnostic(
+        ERROR, "malformed XML: external DTD subset or parameter entity reference: "
+        "line 2, column 23", Span(2, 23, 2, 23),
+    )])
+    path = tmp_path / "m.eaxml"
+    path.write_text(xml, encoding="utf-8")
+    assert main(["to-text", str(path), "--metamodel", str(METAMODEL)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"{path}:2:23: error: malformed XML: external DTD")
 
 
 def test_unknown_tag_is_reported_at_its_own_line(mm):
