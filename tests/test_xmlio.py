@@ -1,5 +1,7 @@
 """Round trips between the text form and the hyphenated XML interchange form."""
 
+import contextlib
+import io
 import re
 
 import pytest
@@ -25,6 +27,7 @@ from eatxt.xmlio import (
 )
 
 from support import (
+    CONFIG,
     EXTRA,
     GOLDEN,
     METAMODEL,
@@ -297,6 +300,18 @@ def test_random_models_survive_the_xml_round_trip(mm, g):
         recovered, diags = from_eaxml(to_eaxml(root, mm), mm)
         assert not [d for d in diags if d.severity == ERROR], seed
         assert same_structure(root, recovered), seed
+
+
+def test_random_models_round_trip_as_generated_text(mm, gen_g):
+    """Text in the generated grammar, where names are body keywords and
+    containments are wrapped, goes to EAXML and back to the same text."""
+    for seed in range(40):
+        text = format_model(random_model(seed, mm, max_elements=50), gen_g)
+        root, diags = parse_model(text, gen_g, mm)
+        assert diags == [], seed
+        recovered, diags = from_eaxml(to_eaxml(root, mm), mm)
+        assert diags == [], seed
+        assert format_model(recovered, gen_g) == text, seed
 
 
 def test_child_order_is_preserved_not_grouped(g, mm):
@@ -578,9 +593,10 @@ _PROLOGUES = [
 ]
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_reader_matches_the_reference_on_damaged_xml(data, g, mm):
+def damaged_eaxml(data, mm):
+    """The EAXML of a random model after one of ``_PROLOGUES`` and one to
+    three edits: ``_XML_DAMAGE`` inserted, a few characters cut, or the
+    text cut short."""
     seed = data.draw(st.integers(0, 30), label="seed")
     xml = to_eaxml(random_model(seed, mm, max_elements=25), mm)
     header, _, body = xml.partition("\n")
@@ -594,7 +610,60 @@ def test_reader_matches_the_reference_on_damaged_xml(data, g, mm):
             xml = xml[:at] + xml[at + data.draw(st.integers(1, 12)):]
         else:
             xml = xml[:at]
-    assert_reads_like_reference(xml, mm)
+    return xml
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_reader_matches_the_reference_on_damaged_xml(data, g, mm):
+    assert_reads_like_reference(damaged_eaxml(data, mm), mm)
+
+
+def run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_diagnostics_point_into(err, path, text):
+    """Every line on stderr is a diagnostic for ``path`` at a line:col
+    that lies in ``text``: a line of it, and a column up to one past the
+    line's end."""
+    rows = text.split("\n")
+    for line in err.splitlines():
+        found = re.match(rf"{re.escape(str(path))}:(\d+):(\d+): (error|warning): ", line)
+        assert found, line
+        row, col = int(found[1]), int(found[2])
+        assert 1 <= row <= len(rows) and 1 <= col <= len(rows[row - 1]) + 1, line
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_damaged_eaxml_keeps_the_exit_code_contract_through_to_text_and_roundtrip_check(
+    tmp_path_factory, mm, data,
+):
+    """to-text on damaged EAXML, then roundtrip-check on the text it
+    writes, with and without the config: exit 0 or 1, as every input is
+    usable, no traceback, and every diagnostic at a real line:col of its
+    input. The config's
+    terminal patterns do not backtrack without end on any input; Python's
+    ``re`` has no timeout, so a pattern that does is left out."""
+    xml = damaged_eaxml(data, mm)
+    folder = tmp_path_factory.getbasetemp()
+    source, text_file = folder / "fuzzed.eaxml", folder / "fuzzed.eatxt"
+    source.write_text(xml, encoding="utf-8")
+    tool = ["--metamodel", METAMODEL]
+    if data.draw(st.booleans(), label="config"):
+        tool += ["--config", CONFIG]
+    code, text, err = run_cli(["to-text", source, *tool])
+    assert code in (0, 1), err
+    assert_diagnostics_point_into(err, source, xml)
+    if code == 0:
+        text_file.write_text(text, encoding="utf-8")
+        code, _, err = run_cli(["roundtrip-check", text_file, *tool])
+        assert code in (0, 1), err
+        assert_diagnostics_point_into(err, text_file, text)
 
 
 @pytest.mark.parametrize("prologue", _PROLOGUES, ids=["plain", "external-dtd", "entities"])
