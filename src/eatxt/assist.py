@@ -6,12 +6,16 @@ the enclosing container? The container comes from the parse itself: the
 forgiving parser records every element body and wrapped block it opens,
 with the members already present, and keeps going after damage, so the
 lookup stays usable while the line under the cursor is half-typed. One
-parse serves both the lookup and the pre-fill. Proposals come in two
-flavours, plain keywords first and whole-element templates second;
-templates carry ``${n:hint}`` blanks and pre-fill mandatory
-cross-references with the first fitting target found in the document,
-read from a ``ReferenceCache``: a full one from ``build_cache``, or one
-from ``lazy_cache`` that walks the tree only as far as its lookups need.
+parse serves both the lookup and the pre-fill, and it reads only as much
+of the text as the reply needs: :func:`pull_context` pulls it until the
+innermost body around the cursor has closed, since only then are the
+members present in it final. Proposals come in two flavours, plain
+keywords first and whole-element templates second; templates carry
+``${n:hint}`` blanks and pre-fill mandatory cross-references with the
+first fitting target found in the document, read from a
+``ReferenceCache``: a full one from ``build_cache``, or one from
+``lazy_cache`` or ``parse_cache`` that walks the tree, and pulls the
+parse, only as far as its lookups need.
 """
 
 from __future__ import annotations

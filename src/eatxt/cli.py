@@ -11,10 +11,12 @@ once: generated and adapted, or read from a grammar cache. Commands that
 need a clean tree get it from :func:`_clean_tree`, which parses the model
 file (reads it as EAXML for to-text), prints the diagnostics on stderr and
 stops the command unless the tree is clean. ``check`` and ``complete`` go
-on past errors and parse the file themselves. ``complete`` pre-fills its
-templates from a walk over the tree that stops at the first fitting
-target of each class it looks up (:func:`eatxt.model.lazy_cache`), not
-from a reference cache of the whole model.
+on past errors and parse the file themselves. ``complete`` lexes and
+parses the file only as far as its reply needs: until the innermost body
+around the cursor has closed (:func:`eatxt.assist.pull_context`), and on
+from there only while its templates look for the first fitting target
+of a class (:func:`eatxt.model.parse_cache`). It builds no reference
+cache of the whole model.
 
 A call does only the work its command needs, since an editor may run
 one per keystroke. :func:`build_parser` adds only the invoked

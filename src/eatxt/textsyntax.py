@@ -11,12 +11,12 @@ still outbid with a longer match is checked against that kind's own
 pattern. A terminal pattern that would mean something else as a branch
 of that regex (a numbered backreference or conditional, a named group,
 an inline flag) is kept out of it and tried on its own at every token.
-:func:`lex` returns :class:`Tokens`: the kinds, lexemes and start
-offsets of the tokens in three parallel lists, plus the line index of
-the text and the offsets of its string literals; the parser reads the
-lists by index. Line:col spans are
-computed from offsets only when needed: for element and cross-reference
-positions and for diagnostics.
+:class:`Tokens` holds the kinds, lexemes and start offsets of the tokens
+in three parallel lists, plus the line index of the text and the offsets
+of its string literals, and lexes them a batch at a time, on demand;
+:func:`lex` drains it. The parser reads the lists by index. Line:col
+spans are computed from offsets only when needed: for element and
+cross-reference positions and for diagnostics.
 
 The parser interprets the grammar IR in one loop over the tokens and an
 explicit stack of the elements whose body is open, so nesting depth has
@@ -28,6 +28,14 @@ child classes) when it first meets the class, and numbers the elements
 it keeps in pre-order as it opens them. Besides the tree it records one
 :class:`Body` per brace pair it opens, with the members present in it,
 so that completion reads the cursor's container from the same parse.
+
+A :class:`Parser` goes only as far as it is pulled, and lexes only the
+tokens it reads: its loop is a generator that stops after each element
+it opens. It decides whether a child is kept when the child opens, so
+the tree it has built at any stop is a prefix of the final pre-order.
+:func:`parse_document` pulls it to the end of the text; completion pulls
+it until the cursor's container has closed, and its reference lookups
+pull on only as far as the first fitting element.
 
 The formatter is the inverse direction and defines the canonical layout:
 four-space indents, braces on their own lines, one construct per line.
