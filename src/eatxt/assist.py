@@ -103,14 +103,12 @@ def context_at(doc: Document, offset: int) -> CursorContext | None:
 
 def pull_context(parse: Parser, offset: int) -> CursorContext | None:
     """:func:`context_at` for an offset, with ``parse`` pulled only as far
-    as the answer needs. Once the parse has read past the offset, every
+    as the answer needs. Once the parse has read to the offset, every
     string and body that starts before it is recorded, and so is the
     root, if any. The innermost body around the offset then lists its
     members for good only when it closes, so the parse goes on until it
     does; a wrapped block lists none, and the parse stops at once."""
-    more = parse.step()
-    while more and parse.reached() < offset:
-        more = parse.step()
+    more = parse.read_to(offset)
     doc = parse.document()
     body = _innermost(doc.bodies, offset)
     while more and body is not None and body.member is None and body.close_offset is None:

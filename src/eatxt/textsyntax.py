@@ -469,11 +469,17 @@ class Parser:
         for _ in self._steps:
             pass
 
-    def reached(self) -> int:
-        """How far the parse has read: the offset of its next token, or
-        past every offset at the end of the text."""
-        i = self.i
-        return self.offsets[i] if i < len(self.offsets) else _UNBOUNDED
+    def read_to(self, offset: int) -> bool:
+        """Parse on until the next token starts at ``offset`` or later,
+        or the end of the text is read; False if the parse ended before.
+        Every token before ``offset`` is then read, and every body and
+        string that starts there recorded."""
+        offsets = self.offsets
+        for _ in self._steps:
+            i = self.i
+            if i == len(offsets) or offsets[i] >= offset:
+                return True
+        return False
 
     def is_open(self, el: ModelElement, depth: int) -> bool:
         """Whether the body of ``el``, at ``depth`` in the tree (0 for the

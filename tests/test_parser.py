@@ -374,7 +374,8 @@ def assert_prefix_of(partial, full):
                 assert all(is_prefix(a, b) for a, b in zip(row[3:], done_row[3:]))
             else:
                 assert row == done_row
-    reached = partial.reached()
+    i = partial.i  # the next token, where the parse stopped
+    reached = partial.offsets[i] if i < len(partial.offsets) else float("inf")
     started = [b for b in full.bodies if b.open_offset < reached]
     assert len(partial.bodies) >= len(started)
     for body, done in zip(partial.bodies, full.bodies):
@@ -402,7 +403,7 @@ def test_a_parse_stopped_after_any_element_opens_is_a_prefix_of_the_full_parse(g
             while partial.step():
                 assert_prefix_of(partial, full)
             assert_prefix_of(partial, full)
-            assert partial.open == [] and partial.reached() > len(text)
+            assert partial.open == [] and partial.i == len(partial.offsets)
             assert partial.document().diagnostics == full.document().diagnostics
             assert len(partial.bodies) == len(full.bodies), (syntax, name)
             if full.root is not None:
