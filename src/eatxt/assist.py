@@ -121,14 +121,14 @@ def locate_context(
 ) -> CursorContext | None:
     """Context for a 1-based line/column position, clamped to the text.
     The text is parsed only as far as the context needs."""
-    parse = Parser(text, g, mm)
-    if line < 1:
-        offset = 0
-    elif line > len(parse.lines.starts):
-        offset = len(text)
-    else:
-        offset = min(parse.lines.offset(line, max(column, 1)), len(text))
-    return pull_context(parse, offset)
+    with Parser(text, g, mm) as parse:
+        if line < 1:
+            offset = 0
+        elif line > len(parse.lines.starts):
+            offset = len(text)
+        else:
+            offset = min(parse.lines.offset(line, max(column, 1)), len(text))
+        return pull_context(parse, offset)
 
 
 # ---------------------------------------------------------------------------

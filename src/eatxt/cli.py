@@ -297,9 +297,10 @@ def _cursor_offset(lines: LineIndex, size: int, line: int, col: int) -> int:
 
 def cmd_complete(args: argparse.Namespace, mm: Metamodel, g: Grammar) -> int:
     text = _read_text(args.model)
-    parse = Parser(text, g, mm)
-    ctx = pull_context(parse, _cursor_offset(parse.lines, len(text), args.line, args.col))
-    for p in compute_proposals(ctx, g, mm, parse_cache(parse, mm)):
+    with Parser(text, g, mm) as parse:
+        ctx = pull_context(parse, _cursor_offset(parse.lines, len(text), args.line, args.col))
+        proposals = compute_proposals(ctx, g, mm, parse_cache(parse, mm))
+    for p in proposals:
         body = (
             p.insert_text.replace("\\", "\\\\")
             .replace("\t", "\\t")

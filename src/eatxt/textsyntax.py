@@ -413,7 +413,8 @@ class Parser:
 
     :meth:`step` parses on until the next element opens, and lexes on
     only when it needs more tokens; :func:`parse_document` pulls to the
-    end. What the parse holds so far is final in these ways: ``root``
+    end. Use a parse that may stop early in a ``with`` block, which frees
+    it when it ends. What the parse holds so far is final in these ways: ``root``
     after the first step; an element's id, class and place in the tree
     as soon as it opens, and the rest of it when it is no longer in
     ``open``, which lists the elements whose body is open, outermost
@@ -458,6 +459,14 @@ class Parser:
         self._steps = self._run()
 
     # -- pulling --------------------------------------------------------------
+
+    def __enter__(self) -> Parser:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        # The loop's generator refers back to the parser: close it, or an
+        # unfinished parse waits for the cyclic garbage collector.
+        self._steps.close()
 
     def step(self) -> bool:
         """Parse on until the next element opens; False once the parse

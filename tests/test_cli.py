@@ -15,6 +15,7 @@ import random
 import re
 import subprocess
 import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -630,7 +631,8 @@ def test_complete_inside_string_prints_nothing(capsys, tmp_path):
 def test_complete_lexes_the_document_once(capsys, monkeypatch):
     """One lexer pass, through the parser's own token columns, and one
     line index; no reference cache over the whole model and no numbering
-    walk over the tree."""
+    walk over the tree. Reference counting frees the parse, which stops
+    early, when the command ends."""
     import eatxt.model
     import eatxt.textsyntax
 
@@ -640,6 +642,8 @@ def test_complete_lexes_the_document_once(capsys, monkeypatch):
     walks = []
     index_init = eatxt.textsyntax.LineIndex.__init__
     tokens_init = eatxt.textsyntax.Tokens.__init__
+    parser_init = eatxt.textsyntax.Parser.__init__
+    parsers = []
     iter_preorder = eatxt.model.ModelElement.iter_preorder
 
     def counting_index_init(self, text):
@@ -650,12 +654,17 @@ def test_complete_lexes_the_document_once(capsys, monkeypatch):
         token_sources.append(text)
         tokens_init(self, text, terminals)
 
+    def watched_parser_init(self, *args):
+        parsers.append(weakref.ref(self))
+        parser_init(self, *args)
+
     def counting_iter_preorder(self):
         walks.append(self)
         return iter_preorder(self)
 
     monkeypatch.setattr(eatxt.textsyntax.LineIndex, "__init__", counting_index_init)
     monkeypatch.setattr(eatxt.textsyntax.Tokens, "__init__", counting_tokens_init)
+    monkeypatch.setattr(eatxt.textsyntax.Parser, "__init__", watched_parser_init)
     monkeypatch.setattr(eatxt.model.ModelElement, "iter_preorder", counting_iter_preorder)
 
     def counting(name, original):
@@ -672,7 +681,12 @@ def test_complete_lexes_the_document_once(capsys, monkeypatch):
                 for attr, value in list(vars(module).items()):
                     if value is original:
                         monkeypatch.setattr(module, attr, wrapper)
-    code, out, _ = run(capsys, *complete_args(WIPER, 17, 13))
+    gc.disable()
+    try:
+        code, out, _ = run(capsys, *complete_args(WIPER, 17, 13))
+        assert len(parsers) == 1 and parsers[0]() is None
+    finally:
+        gc.enable()
     assert code == 0 and "TEMPLATE\tFunctionFlowPort" in out
     assert len(token_sources) == 1 and calls["lex"] == []
     assert len(indexes) == 1
