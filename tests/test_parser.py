@@ -1,10 +1,10 @@
 import copy
 import json
 
+import eatxt.textsyntax
 from eatxt.diagnostics import ERROR, WARNING
 from eatxt.grammar import adapt_grammar, generate_grammar, parse_config
 from eatxt.metamodel import load_metamodel
-import eatxt.textsyntax
 from eatxt.textsyntax import Parser, parse_model
 
 from support import (
