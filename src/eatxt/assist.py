@@ -6,16 +6,16 @@ the enclosing container? The container comes from the parse itself: the
 forgiving parser records every element body and wrapped block it opens,
 with the members already present, and keeps going after damage, so the
 lookup stays usable while the line under the cursor is half-typed. One
-parse serves both the lookup and the pre-fill, and it reads only as much
-of the text as the reply needs: :func:`pull_context` pulls it until the
-innermost body around the cursor has closed, since only then are the
-members present in it final. Proposals come in two flavours, plain
-keywords first and whole-element templates second; templates carry
-``${n:hint}`` blanks and pre-fill mandatory cross-references with the
-first fitting target found in the document, read from a
-``ReferenceCache``: a full one from ``build_cache``, or one from
-``lazy_cache`` or ``parse_cache`` that walks the tree, and pulls the
-parse, only as far as its lookups need.
+parse, a :class:`eatxt.textsyntax.Parser`, serves both the lookup and
+the pre-fill, and it reads only as much of the text as the reply needs:
+:func:`context_at` pulls it until the innermost body around the cursor
+has closed, since only then are the members present in it final.
+Proposals come in two flavours, plain keywords first and whole-element
+templates second; templates carry ``${n:hint}`` blanks and pre-fill
+mandatory cross-references with the first fitting target found in the
+document, read from a ``ReferenceCache``: a full one from
+``build_cache``, or one from ``parse_cache`` that walks the tree, and
+pulls the parse, only as far as its lookups need.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .grammar import (
 )
 from .metamodel import Metamodel
 from .model import ReferenceCache, lookup_first_fitting
-from .textsyntax import Body, Document, Parser
+from .textsyntax import Body, Parser
 
 KEYWORD = "Keyword"
 TEMPLATE = "Template"
@@ -50,8 +50,7 @@ class CursorContext(NamedTuple):
     ``kind`` is one of:
 
     - ``"element"``: inside the braces of an element body; ``class_name``
-      is the element's class and ``element_id`` the parser's count of the
-      elements started up to it, dropped ones included (see ``Body``).
+      is the element's class and ``members_present`` what its body holds.
     - ``"wrapper"``: inside the braces of a wrapped containment member;
       ``class_name`` is the member's target class.
     - ``"top"``: outside every element; ``has_root`` says whether the
@@ -60,9 +59,7 @@ class CursorContext(NamedTuple):
 
     kind: str
     class_name: str | None = None
-    element_id: int = 0
     members_present: frozenset[str] = frozenset()
-    member: str | None = None
     has_root: bool = False
 
 
@@ -77,43 +74,30 @@ def _innermost(bodies: list[Body], offset: int) -> Body | None:
     return None
 
 
-def context_at(doc: Document, offset: int) -> CursorContext | None:
-    """Context for a character offset in a parsed document; None when the
-    offset lies inside a string literal."""
-    for start, end in doc.strings:
+def context_at(parse: Parser, offset: int) -> CursorContext | None:
+    """Context for a character offset; None when the offset lies inside a
+    string literal. ``parse``, finished or not, is pulled only as far as
+    the answer needs. Once it has read to the offset, every string and
+    body that starts before it is recorded, and so is the root, if any.
+    The innermost body around the offset then lists its members for good
+    only when it closes, so the parse goes on until it does; a wrapped
+    block lists none, and the parse stops at once."""
+    more = parse.read_to(offset)
+    for start, end in parse.strings:
         if start < offset < end:
             return None
-    body = _innermost(doc.bodies, offset)
+    body = _innermost(parse.bodies, offset)
+    while more and body is not None and body.member is None and body.close_offset is None:
+        more = parse.step()
     if body is None:
-        return CursorContext(kind="top", has_root=doc.root is not None)
+        return CursorContext(kind="top", has_root=parse.root is not None)
     if body.member is not None:
-        return CursorContext(
-            kind="wrapper",
-            class_name=body.class_name,
-            element_id=body.element_id,
-            member=body.member,
-        )
+        return CursorContext(kind="wrapper", class_name=body.class_name)
     return CursorContext(
         kind="element",
         class_name=body.class_name,
-        element_id=body.element_id,
         members_present=frozenset(body.present),
     )
-
-
-def pull_context(parse: Parser, offset: int) -> CursorContext | None:
-    """:func:`context_at` for an offset, with ``parse`` pulled only as far
-    as the answer needs. Once the parse has read to the offset, every
-    string and body that starts before it is recorded, and so is the
-    root, if any. The innermost body around the offset then lists its
-    members for good only when it closes, so the parse goes on until it
-    does; a wrapped block lists none, and the parse stops at once."""
-    more = parse.read_to(offset)
-    doc = parse.document()
-    body = _innermost(doc.bodies, offset)
-    while more and body is not None and body.member is None and body.close_offset is None:
-        more = parse.step()
-    return context_at(doc, offset)
 
 
 def locate_context(
@@ -128,7 +112,7 @@ def locate_context(
             offset = len(text)
         else:
             offset = min(parse.lines.offset(line, max(column, 1)), len(text))
-        return pull_context(parse, offset)
+        return context_at(parse, offset)
 
 
 # ---------------------------------------------------------------------------

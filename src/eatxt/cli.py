@@ -13,10 +13,10 @@ file (reads it as EAXML for to-text), prints the diagnostics on stderr and
 stops the command unless the tree is clean. ``check`` and ``complete`` go
 on past errors and parse the file themselves. ``complete`` lexes and
 parses the file only as far as its reply needs: until the innermost body
-around the cursor has closed (:func:`eatxt.assist.pull_context`), and on
+around the cursor has closed (:func:`eatxt.assist.context_at`), and on
 from there only while its templates look for the first fitting target
-of a class (:func:`eatxt.model.parse_cache`). It builds no reference
-cache of the whole model.
+of a class (:func:`eatxt.model.parse_cache`), all in one parse. It
+builds no reference cache of the whole model.
 
 A call does only the work its command needs, since an editor may run
 one per keystroke. :func:`build_parser` adds only the invoked
@@ -49,7 +49,7 @@ import os
 import sys
 
 from .assist import complete as compute_proposals
-from .assist import pull_context
+from .assist import context_at
 from .diagnostics import (
     ConfigError,
     Diagnostic,
@@ -298,7 +298,7 @@ def _cursor_offset(lines: LineIndex, size: int, line: int, col: int) -> int:
 def cmd_complete(args: argparse.Namespace, mm: Metamodel, g: Grammar) -> int:
     text = _read_text(args.model)
     with Parser(text, g, mm) as parse:
-        ctx = pull_context(parse, _cursor_offset(parse.lines, len(text), args.line, args.col))
+        ctx = context_at(parse, _cursor_offset(parse.lines, len(text), args.line, args.col))
         proposals = compute_proposals(ctx, g, mm, parse_cache(parse, mm))
     for p in proposals:
         body = (

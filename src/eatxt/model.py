@@ -9,7 +9,7 @@ shortName paths from the root). :func:`resolve` binds them to element ids;
 :func:`build_cache` precomputes the class-indexed name table that content
 assist reads, so that a lookup never has to walk the model. A single
 completion request reads only the first fitting target of a few classes;
-:func:`lazy_cache` fills the same table by walking just far enough.
+:func:`parse_cache` fills the same table by pulling a parse just so far.
 """
 
 from __future__ import annotations
@@ -200,7 +200,7 @@ class ReferenceCache:
 
     Every element is listed under its own class and all its supertypes, so
     a lookup for an abstract class finds concrete instances directly. A
-    cache from :func:`lazy_cache` lists only the elements its lookups
+    cache from :func:`parse_cache` lists only the elements its lookups
     walked past so far, the rest of its walk waiting in ``pending``.
     """
 
@@ -239,24 +239,15 @@ def build_cache(root: ModelElement, mm: Metamodel) -> ReferenceCache:
     return cache
 
 
-def lazy_cache(root: ModelElement | None, mm: Metamodel) -> ReferenceCache:
-    """A cache that walks the model only as far as its lookups need: a
-    lookup of a class goes on with the walk until it meets the first
-    element of the class, and one that finds none walks to the end. It
-    pays for one request; :func:`build_cache` pays for many lookups. This
-    is :func:`parse_cache` with nothing left to parse."""
-    cache = ReferenceCache()
-    if root is not None:
-        cache.pending = _filing(root, mm, cache.by_class)
-    return cache
-
-
 def parse_cache(parse, mm: Metamodel) -> ReferenceCache:
-    """:func:`lazy_cache` over the tree that ``parse``, a
-    :class:`eatxt.textsyntax.Parser` that has taken its first step, is
-    still building: the walk parses on only when it reaches an element
-    that is not final yet, so a lookup reads the text only up to the
-    first fitting element."""
+    """A cache that walks the tree of ``parse``, a
+    :class:`eatxt.textsyntax.Parser` that is finished or has taken its
+    first step, only as far as its lookups need: a lookup of a class goes
+    on with the walk until it meets the first element of the class, and
+    one that finds none walks to the end. The walk parses on only when it
+    reaches an element that is not final yet, so a lookup reads the text
+    only up to the first fitting element. It pays for one request;
+    :func:`build_cache` pays for many lookups."""
     cache = ReferenceCache()
     if parse.root is not None:
         cache.pending = _filing(parse.root, mm, cache.by_class, parse)

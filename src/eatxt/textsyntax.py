@@ -33,9 +33,9 @@ A :class:`Parser` goes only as far as it is pulled, and lexes only the
 tokens it reads: its loop is a generator that stops after each element
 it opens. It decides whether a child is kept when the child opens, so
 the tree it has built at any stop is a prefix of the final pre-order.
-:func:`parse_document` pulls it to the end of the text; completion pulls
-it until the cursor's container has closed, and its reference lookups
-pull on only as far as the first fitting element.
+:func:`parse_document` pulls it to the end of the text and returns it;
+completion pulls it until the cursor's container has closed, and its
+reference lookups pull on only as far as the first fitting element.
 
 The formatter is the inverse direction and defines the canonical layout:
 four-space indents, braces on their own lines, one construct per line.
@@ -48,7 +48,7 @@ import re
 import sys
 from bisect import bisect_right
 from itertools import islice
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .diagnostics import ConfigError, Diagnostic, ERROR, SerializationError, Span, WARNING
 from .grammar import (
@@ -373,39 +373,19 @@ class _RuleInfo:
 
 class Body:
     """One brace pair the parser opened: an element body, or a wrapped
-    ``member { ... }`` block (then ``class_name`` is the block's target
-    and ``element_id`` its owner's). ``element_id`` counts the elements
-    the parser started, in textual order, up to this one, dropped ones
-    included: it is the tree's pre-order id only when no element started
-    before it was dropped. ``present`` holds the members whose keyword,
-    child or positional value appeared in an element body, even a keyword
-    still lacking its value. ``close_offset`` is None for a brace never
-    closed."""
+    ``member { ... }`` block (then ``class_name`` is the block's target).
+    ``present`` holds the members whose keyword, child or positional
+    value appeared in an element body, even a keyword still lacking its
+    value. ``close_offset`` is None until the brace closes."""
 
-    __slots__ = ("open_offset", "close_offset", "class_name", "element_id", "member", "present")
+    __slots__ = ("open_offset", "close_offset", "class_name", "member", "present")
 
-    def __init__(
-        self, open_offset: int, close_offset: int | None, class_name: str,
-        element_id: int, member: str | None = None,
-    ):
+    def __init__(self, open_offset: int, class_name: str, member: str | None = None):
         self.open_offset = open_offset
-        self.close_offset = close_offset
+        self.close_offset: int | None = None
         self.class_name = class_name
-        self.element_id = element_id
         self.member = member
         self.present: set[str] = set()
-
-
-class Document(NamedTuple):
-    """One parse of a text: the tree and its diagnostics, plus what
-    completion needs from it. The tokens themselves are not kept; only
-    the offsets of string literals and the line index survive."""
-
-    root: ModelElement | None
-    diagnostics: list[Diagnostic]
-    bodies: list[Body]
-    strings: list[tuple[int, int]]
-    lines: LineIndex
 
 
 class Parser:
@@ -414,14 +394,17 @@ class Parser:
     :meth:`step` parses on until the next element opens, and lexes on
     only when it needs more tokens; :func:`parse_document` pulls to the
     end. Use a parse that may stop early in a ``with`` block, which frees
-    it when it ends. What the parse holds so far is final in these ways: ``root``
-    after the first step; an element's id, class and place in the tree
-    as soon as it opens, and the rest of it when it is no longer in
-    ``open``, which lists the elements whose body is open, outermost
-    first; every ``Body`` but its ``close_offset`` and, in an element
-    body, ``present``, which are final when it closes; ``diagnostics``
-    and ``tokens.strings`` as they grow. The lexer's diagnostics are
-    ``tokens.diagnostics``.
+    it when it ends. A parse holds the tree at ``root``, one ``Body``
+    per brace pair in ``bodies``, the offsets of the string literals in
+    ``strings``, the line index ``lines`` and the ``diagnostics``. What
+    it holds so far is final in these ways: ``root`` after the first
+    step; an element's id, class and place in the tree as soon as it
+    opens, and the rest of it when it is no longer in ``open``, which
+    lists the elements whose body is open, outermost first; every
+    ``Body`` but its ``close_offset`` and, in an element body,
+    ``present``, which are final when it closes; ``strings``,
+    ``reported`` (the parser's diagnostics) and ``tokens.diagnostics``
+    (the lexer's) as they grow.
 
     The parsing loop holds the innermost element whose body is open in
     its locals: the element, its rule tables, its member counts, its
@@ -435,7 +418,7 @@ class Parser:
 
     Elements are numbered in pre-order as they open. A dropped element
     was the last one opened before its subtree, so dropping it sets the
-    count back to the number before its own."""
+    number back to the one before its own."""
 
     def __init__(self, text: str, g: Grammar, mm: Metamodel):
         self.tokens = tokens = Tokens(text, g.terminal_patterns())
@@ -443,17 +426,17 @@ class Parser:
         self.lexemes = tokens.lexemes
         self.offsets = tokens.offsets
         self.lines = tokens.lines
+        self.strings = tokens.strings
         self.limit = 0  # below it, a turn of the loop finds its tokens lexed
         self.i = 0  # the next token, whenever the parse is not running
         self.g = g
         self.mm = mm
         self.root: ModelElement | None = None
         # Diagnostics go to the sink, which the detached pass swaps out.
-        self.diagnostics: list[Diagnostic] = []
-        self.sink = self.diagnostics
+        self.reported: list[Diagnostic] = []
+        self.sink = self.reported
         self.bodies: list[Body] = []
         self.open: list[ModelElement] = []
-        self.elements = 0
         self.rules: dict[str, _RuleInfo] = {}
         self.class_keywords = {rule.keyword: name for name, rule in g.rules.items()}
         self._steps = self._run()
@@ -505,14 +488,10 @@ class Parser:
         info = self.rules[el.class_name]
         return not info.body_names or (el.short_name is not None and not info.renames)
 
-    def document(self) -> Document:
-        """What the parse has read so far, the lexer's diagnostics before
-        the parser's. Its bodies and strings are the parse's own lists."""
-        tokens = self.tokens
-        return Document(
-            self.root, tokens.diagnostics + self.diagnostics, self.bodies, tokens.strings,
-            self.lines,
-        )
+    @property
+    def diagnostics(self) -> list[Diagnostic]:
+        """The diagnostics so far, the lexer's before the parser's."""
+        return self.tokens.diagnostics + self.reported
 
     def fill(self, i: int) -> int:
         """Lex on until token ``i + _LOOKAHEAD`` exists, or to the end of
@@ -691,7 +670,7 @@ class Parser:
         span_of = self.lines.span
         class_keywords, rules, bodies = self.class_keywords, self.rules, self.bodies
         opened, fill = self.open, self.fill
-        i, started, last_id, limit = self.i, self.elements, 0, self.limit
+        i, last_id, limit = self.i, 0, self.limit
         stack: list[tuple] = []
         # ``drop`` is None for a kept element, the member it goes over the
         # bound of, or "" when no containment fits it.
@@ -713,7 +692,6 @@ class Parser:
                 rule = ci.rule
                 start = offsets[i]
                 last_id += 1
-                started += 1
                 c = ModelElement(
                     child_class, id=last_id, span=span_of(start, start + len(lexemes[i])),
                 )
@@ -732,7 +710,7 @@ class Parser:
                     else:
                         self.error(f"expected a name after '{rule.keyword}'", self.span(i))
                 if kinds[i] == "{":
-                    b = Body(offsets[i], None, child_class, started)
+                    b = Body(offsets[i], child_class)
                     bodies.append(b)
                     i += 1
                     stack.append((el, info, counts, body, block, drop, drop_at))
@@ -845,9 +823,7 @@ class Parser:
                                         f"expected '{{' after '{action[1]}'", self.span(i),
                                     )
                                     continue
-                                block = Body(
-                                    offsets[i], None, action[3], body.element_id, action[1],
-                                )
+                                block = Body(offsets[i], action[3], action[1])
                                 bodies.append(block)
                                 i += 1
                                 continue
@@ -925,7 +901,7 @@ class Parser:
                         c.span,  # type: ignore[arg-type]
                     )
             if el is None:
-                self.i, self.elements = i, started
+                self.i = i
                 return
             if c_drop is not None:
                 # Drop it with its subtree, the elements numbered since it.
@@ -934,14 +910,14 @@ class Parser:
                 last_id = c.id - 1
 
 
-def parse_document(text: str, g: Grammar, mm: Metamodel) -> Document:
-    """Lex and parse the whole text, keeping what both checking and
-    completion need. The parser keeps its open elements on an explicit
-    stack, so nesting depth is bounded only by memory, and numbers the
-    tree as it goes."""
-    parser = Parser(text, g, mm)
-    parser.finish()
-    return parser.document()
+def parse_document(text: str, g: Grammar, mm: Metamodel) -> Parser:
+    """Lex and parse the whole text; the finished parse holds what both
+    checking and completion need. The parser keeps its open elements on
+    an explicit stack, so nesting depth is bounded only by memory, and
+    numbers the tree as it goes."""
+    parse = Parser(text, g, mm)
+    parse.finish()
+    return parse
 
 
 def parse_model(
@@ -950,8 +926,8 @@ def parse_model(
     """Parse one top-level element. Always returns every diagnostic found;
     the tree is best-effort and is None only when nothing parseable was
     present at the top level."""
-    doc = parse_document(text, g, mm)
-    return doc.root, doc.diagnostics
+    parse = parse_document(text, g, mm)
+    return parse.root, parse.diagnostics
 
 
 # ---------------------------------------------------------------------------

@@ -579,7 +579,7 @@ def _span_list(span: Span | None) -> list[int] | None:
 
 
 def parse_record(text: str, g: Grammar, mm: Metamodel) -> dict:
-    """What ``parse_document`` yields for a text, in JSON form: the
+    """What ``parse_document``'s parse holds for a text, in JSON form: the
     diagnostics, the bodies, the string offsets and every element with
     its id, span, values and cross-references."""
     from eatxt.textsyntax import parse_document
@@ -598,8 +598,7 @@ def parse_record(text: str, g: Grammar, mm: Metamodel) -> dict:
             [d.severity, d.message, _span_list(d.span)] for d in doc.diagnostics
         ],
         "bodies": [
-            [b.open_offset, b.close_offset, b.class_name, b.element_id, b.member,
-             sorted(b.present)]
+            [b.open_offset, b.close_offset, b.class_name, b.member, sorted(b.present)]
             for b in doc.bodies
         ],
         "strings": [list(s) for s in doc.strings],

@@ -90,29 +90,11 @@ def test_nested_context_picks_innermost(g, mm):
     assert outer.class_name == "EAPackage"
 
 
-def test_context_tracks_element_ids(g, mm):
-    text = "EAPackage P\n{\n    EAPackage Q\n    {\n    }\n}\n"
-    outer = locate_context(text, 6, 1, g, mm)
-    inner = locate_context(text, 5, 1, g, mm)
-    assert outer.element_id == 1
-    assert inner.element_id == 2
-    # The package nested in a datatype is dropped but still counted, so
-    # the body of R reports 4 while R's pre-order id is 3.
-    text = (
-        "EAPackage P\n{\n    EADatatype T\n    {\n        EAPackage X\n    }\n"
-        "    EAPackage R\n    {\n    }\n}\n"
-    )
-    root, _ = parse_model(text, g, mm)
-    assert [(el.short_name, el.id) for el in root.iter_preorder()] == [("P", 1), ("T", 2), ("R", 3)]
-    ctx = locate_context(text, 9, 1, g, mm)
-    assert (ctx.class_name, ctx.element_id) == ("EAPackage", 4)
-
-
 def test_wrapper_context_in_unadapted_grammar(gen_g, mm):
     text = "EAPackage\n{\n    shortName P\n    element\n    {\n    }\n}\n"
     ctx = locate_context(text, 6, 1, gen_g, mm)
     assert ctx.kind == "wrapper"
-    assert ctx.member == "element"
+    assert ctx.class_name == "EAPackageableElement"
 
 
 def test_keyword_without_value_counts_as_present(g, mm):

@@ -7,11 +7,11 @@ from eatxt.model import (
     ModelElement,
     QualifiedName,
     build_cache,
-    lazy_cache,
     lookup_first_fitting,
+    parse_cache,
     resolve,
 )
-from eatxt.textsyntax import format_model, parse_model
+from eatxt.textsyntax import Parser, format_model, parse_document, parse_model
 from eatxt.xmlio import to_eaxml
 
 from support import MODELS, assign_preorder_ids, naive_cache, random_model, same_structure
@@ -147,19 +147,23 @@ def test_lookup_first_fitting(g, mm):
     assert lookup_first_fitting(cache, "FunctionConnector") is None
 
 
-def test_lazy_cache_finds_what_the_full_cache_finds(g, mm):
+def test_parse_cache_finds_what_the_full_cache_finds(g, mm):
     """Lookups in any order, including a class the metamodel lacks, give
-    the full cache's first entry; the walk resumes where it stopped."""
-    roots = [load(path.read_text(encoding="utf-8"), g, mm) for path in MODELS]
-    roots += [random_model(seed, mm, max_elements=45) for seed in range(30)]
+    the full cache's first entry, over a finished parse and over one the
+    lookups pull on; the walk resumes where it stopped."""
+    texts = [path.read_text(encoding="utf-8") for path in MODELS]
+    texts += [format_model(random_model(seed, mm, max_elements=45), g) for seed in range(30)]
     classes = list(mm.classes) + ["Ghost"]
-    for n, root in enumerate(roots):
-        full = build_cache(root, mm)
-        lazy = lazy_cache(root, mm)
-        for cls in classes[n % len(classes):] + classes[: n % len(classes)]:
-            assert lookup_first_fitting(lazy, cls) == lookup_first_fitting(full, cls), (n, cls)
-        assert lazy.by_class == full.by_class
-    assert lookup_first_fitting(lazy_cache(None, mm), "EADatatype") is None
+    for n, text in enumerate(texts):
+        full = build_cache(load(text, g, mm), mm)
+        pulled = Parser(text, g, mm)
+        pulled.step()
+        for parse in (parse_document(text, g, mm), pulled):
+            cache = parse_cache(parse, mm)
+            for cls in classes[n % len(classes):] + classes[: n % len(classes)]:
+                assert lookup_first_fitting(cache, cls) == lookup_first_fitting(full, cls), (n, cls)
+            assert cache.by_class == full.by_class
+    assert lookup_first_fitting(parse_cache(parse_document("", g, mm), mm), "EADatatype") is None
 
 
 def test_same_structure_ignores_ids_and_spans(g, mm):

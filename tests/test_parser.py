@@ -379,8 +379,8 @@ def assert_prefix_of(partial, full):
     started = [b for b in full.bodies if b.open_offset < reached]
     assert len(partial.bodies) >= len(started)
     for body, done in zip(partial.bodies, full.bodies):
-        key = (body.open_offset, body.class_name, body.element_id, body.member)
-        assert key == (done.open_offset, done.class_name, done.element_id, done.member)
+        key = (body.open_offset, body.class_name, body.member)
+        assert key == (done.open_offset, done.class_name, done.member)
         if body.close_offset is None:
             assert body.present <= done.present
             assert done.close_offset is None or done.close_offset >= reached
@@ -389,7 +389,7 @@ def assert_prefix_of(partial, full):
     strings = partial.tokens.strings
     assert is_prefix(strings, full.tokens.strings)
     assert len(strings) >= len([s for s in full.tokens.strings if s[0] < reached])
-    assert is_prefix(partial.diagnostics, full.diagnostics)
+    assert is_prefix(partial.reported, full.reported)
     assert is_prefix(partial.tokens.diagnostics, full.tokens.diagnostics)
 
 
@@ -404,7 +404,7 @@ def test_a_parse_stopped_after_any_element_opens_is_a_prefix_of_the_full_parse(g
                 assert_prefix_of(partial, full)
             assert_prefix_of(partial, full)
             assert partial.open == [] and partial.i == len(partial.offsets)
-            assert partial.document().diagnostics == full.document().diagnostics
+            assert partial.diagnostics == full.diagnostics
             assert len(partial.bodies) == len(full.bodies), (syntax, name)
             if full.root is not None:
                 assert len(list(partial.root.iter_preorder())) == len(
