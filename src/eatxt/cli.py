@@ -63,6 +63,7 @@ from .grammar import (
     AdaptationReport,
     EntryForm,
     Grammar,
+    InlineContainment,
     KeywordAttribute,
     KeywordCrossRef,
     adapt_grammar,
@@ -144,10 +145,7 @@ def _build_grammar(args: argparse.Namespace, mm: Metamodel) -> Grammar:
     A --grammar-cache file is read when present and written when absent.
     The cache is not invalidated automatically; delete it after changing
     the metamodel or the config. A cache that :func:`grammar_from_dict`
-    rejects is rejected, and so is one with a rule for a class the
-    metamodel lacks, an entry for a member its class lacks or that reads
-    it in another shape (:func:`_shape`), or without a rule for some
-    concrete class.
+    or :func:`_cache_problem` rejects is rejected.
     """
     cache_path = args.grammar_cache
     if cache_path and os.path.exists(cache_path):
@@ -158,30 +156,9 @@ def _build_grammar(args: argparse.Namespace, mm: Metamodel) -> Grammar:
                 g = grammar_from_dict(json.load(fh))
         except (OSError, ValueError, KeyError, TypeError, GrammarError) as exc:
             raise _UsageError(f"unusable grammar cache {cache_path}: {exc}")
-        for name, rule in g.rules.items():
-            if name not in mm.classes:
-                raise _UsageError(
-                    f"unusable grammar cache {cache_path}: "
-                    f"rule for class {name}, which the metamodel lacks"
-                )
-            for entry in rule.entries:
-                member = mm.member_of(name, entry.member)
-                if member is None:
-                    raise _UsageError(
-                        f"unusable grammar cache {cache_path}: rule for class {name} "
-                        f"has an entry for member {entry.member}, which the class lacks"
-                    )
-                reads, kind = _shape(entry.form), _shape(member.kind)
-                if reads != kind:
-                    raise _UsageError(
-                        f"unusable grammar cache {cache_path}: rule for class {name} "
-                        f"reads member {entry.member} as {reads}, but it is {kind}"
-                    )
-        for name in mm.concrete_classes():
-            if name not in g.rules:
-                raise _UsageError(
-                    f"unusable grammar cache {cache_path}: no rule for class {name}"
-                )
+        problem = _cache_problem(g, mm)
+        if problem:
+            raise _UsageError(f"unusable grammar cache {cache_path}: {problem}")
         return g
 
     g = generate_grammar(mm)
@@ -190,10 +167,64 @@ def _build_grammar(args: argparse.Namespace, mm: Metamodel) -> Grammar:
     if cache_path:
         import json
 
-        _atomic_write(
-            cache_path, json.dumps(grammar_to_dict(g), indent=2) + "\n"
-        )
+        _atomic_write(cache_path, json.dumps(grammar_to_dict(g), indent=2) + "\n")
     return g
+
+
+def _cache_problem(g: Grammar, mm: Metamodel) -> str | None:
+    """Why no generation and adaptation for ``mm`` could give ``g``, or
+    None. Every concrete class, and no other, has a rule with a keyword of
+    its own and one entry per member (but a name slot read on the header
+    line) that reads it in its shape (:func:`_shape`). No two entries of
+    a rule share a keyword, and at most one has none."""
+    owners: dict[str, str] = {}
+    for name, rule in g.rules.items():
+        cls = mm.classes.get(name)
+        if cls is None:
+            return f"rule for class {name}, which the metamodel lacks"
+        if cls.abstract:
+            return f"rule for class {name}, which is abstract"
+        other = owners.setdefault(rule.keyword, name)
+        if other != name:
+            return f"rules for classes {other} and {name} both use keyword {rule.keyword}"
+        keywords: dict[str, str] = {}
+        positional = []
+        for entry in rule.entries:
+            member = mm.member_of(name, entry.member)
+            if member is None:
+                return (
+                    f"rule for class {name} has an entry for member {entry.member}, "
+                    "which the class lacks"
+                )
+            reads, kind = _shape(entry.form), _shape(member.kind)
+            if reads != kind:
+                return f"rule for class {name} reads member {entry.member} as {reads}, but it is {kind}"
+            if rule.entry_for(entry.member) is not entry:
+                return f"rule for class {name} has two entries for member {entry.member}"
+            if isinstance(entry.form, InlineContainment):
+                continue
+            keyword = entry.form.keyword
+            if keyword is None:
+                positional.append(entry.member)
+            elif keywords.setdefault(keyword, entry.member) != entry.member:
+                return (
+                    f"rule for class {name} uses keyword {keyword} for members "
+                    f"{keywords[keyword]} and {entry.member}"
+                )
+        if len(positional) > 1:
+            return (
+                f"rule for class {name} has {len(positional)} positional attributes "
+                f"({', '.join(positional)}); at most one is allowed"
+            )
+        for member in mm.flatten_members(name):
+            if rule.entry_for(member.name) is None and not (
+                rule.name_inline and member.is_name_slot()
+            ):
+                return f"rule for class {name} has no entry for member {member.name}"
+    for name in mm.concrete_classes():
+        if name not in g.rules:
+            return f"no rule for class {name}"
+    return None
 
 
 def _shape(kind: MemberKind | EntryForm) -> str:
@@ -318,7 +349,9 @@ def cmd_roundtrip_check(args: argparse.Namespace, mm: Metamodel, g: Grammar) -> 
     canonical = format_model(root, g)
     back, xml_diags = from_eaxml(to_eaxml(root, mm, names), mm, names)
     if back is None or has_errors(xml_diags):
-        _print_diags(args.model, xml_diags, sys.stderr)
+        # A line:col would point into the intermediate EAXML, not the file.
+        for d in xml_diags:
+            print(f"{args.model}: {d.severity}: {d.message}", file=sys.stderr)
         return DATA_ERROR
     recovered = format_model(back, g)
 

@@ -20,13 +20,15 @@ import re
 import xml.parsers.expat as expat
 
 from .diagnostics import Diagnostic, ERROR, NO_SPAN, SerializationError, Span, WARNING
-from .metamodel import Attribute, Containment, CrossReference, Member, Metamodel, PrimitiveKind, read_xml
+from .metamodel import NAME_SLOT, Attribute, Containment, CrossReference, Member, Metamodel, PrimitiveKind, read_xml
 from .model import CrossRef, ModelElement, QualifiedName
 
 EAXML_VERSION = "2.1.12"
 
 _WORD_RE = re.compile(r"[A-Z]+(?![a-z])|[A-Z][a-z0-9]*|[a-z0-9]+")
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
+# A character that XML 1.0 documents cannot hold, not even escaped.
+_NOT_XML = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 def to_tag(name: str) -> str:
@@ -112,7 +114,9 @@ def to_eaxml(root: ModelElement, mm: Metamodel, names: XmlNameMap | None = None)
     The tree is walked with an explicit stack, so nesting depth is not
     bounded by the interpreter's recursion limit. The only XML attribute
     values written are the version and ``DEST`` tags, which consist of
-    capitals, digits and hyphens and so need no escaping.
+    capitals, digits and hyphens and so need no escaping. A carriage
+    return is written as ``&#13;``, since readers take a raw one for a
+    line feed; a character that XML 1.0 forbids raises SerializationError.
     """
     if names is None:
         names = XmlNameMap(mm)
@@ -188,7 +192,18 @@ def to_eaxml(root: ModelElement, mm: Metamodel, names: XmlNameMap | None = None)
         else:
             break
     lines.append("</EAXML>")
-    return "\n".join(lines) + "\n"
+    text = "\n".join(lines) + "\n"
+    bad = _NOT_XML.search(text)
+    if bad is not None:
+        for el in root.iter_preorder():
+            refs = [(ref.member, ref.target.dotted) for ref in el.cross_refs]
+            for member, value in [(NAME_SLOT, el.short_name or ""), *el.attributes, *refs]:
+                if bad[0] in value:
+                    raise SerializationError(
+                        f"{el.class_name} {el.short_name or '(unnamed)'}: '{member}' holds "
+                        f"the character {bad[0]!r}, which XML 1.0 cannot carry"
+                    )
+    return text.replace("\r", "&#13;")
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 import eatxt.cli
 import eatxt.textsyntax
 from eatxt.cli import main
-from eatxt.diagnostics import MetamodelError
+from eatxt.diagnostics import ERROR, Diagnostic, MetamodelError, Span
 from eatxt.grammar import adapt_grammar, generate_grammar, grammar_to_dict, parse_config
 from eatxt.metamodel import load_metamodel
 from eatxt.assist import complete, context_at
@@ -577,6 +577,48 @@ def test_grammar_cache_with_wrapper_flags_still_loads(capsys, tmp_path, mm, g, g
     assert (code, out) == (0, "")
 
 
+def rule_of(data, cls):
+    return next(r for r in data["rules"] if r["class"] == cls)
+
+
+def entry_of(data, cls, member):
+    return next(e for e in rule_of(data, cls)["entries"] if e["member"] == member)
+
+
+@pytest.mark.parametrize("edit,reason", [
+    (lambda d: rule_of(d, "FunctionFlowPort")["entries"].append(
+        dict(entry_of(d, "FunctionFlowPort", "direction"))),
+     "rule for class FunctionFlowPort has two entries for member direction"),
+    (lambda d: rule_of(d, "FunctionFlowPort")["entries"].remove(
+        entry_of(d, "FunctionFlowPort", "direction")),
+     "rule for class FunctionFlowPort has no entry for member direction"),
+    (lambda d: [entry_of(d, "EAPackage", m).update(keyword=None) for m in ("category", "name")],
+     "rule for class EAPackage has 2 positional attributes (category, name); "
+     "at most one is allowed"),
+    (lambda d: rule_of(d, "FunctionClientServerPort").update(keyword="FunctionFlowPort"),
+     "rules for classes FunctionFlowPort and FunctionClientServerPort both use keyword "
+     "FunctionFlowPort"),
+    (lambda d: entry_of(d, "FunctionFlowPort", "type").update(keyword="direction"),
+     "rule for class FunctionFlowPort uses keyword direction for members direction and type"),
+    (lambda d: d["rules"].append(
+        dict(rule_of(d, "FunctionFlowPort"), **{"class": "FunctionPort", "keyword": "FunctionPort"})),
+     "rule for class FunctionPort, which is abstract"),
+], ids=["member-twice", "member-missing", "two-positional", "rule-keyword-twice",
+        "entry-keyword-twice", "abstract-class"])
+def test_grammar_cache_that_no_adaptation_gives_is_usage_error(capsys, tmp_path, edit, reason):
+    # Each of these used to load; a command then exited 0 with text or
+    # EAXML that does not read back, or blamed the model.
+    cache = edited_cache(capsys, tmp_path, edit)
+    expected = (2, "", f"error: unusable grammar cache {cache}: {reason}\n")
+    tool = ["--metamodel", METAMODEL, "--config", CONFIG, "--grammar-cache", cache]
+    for argv in (
+        ["check", WIPER, *tool],
+        ["to-text", GOLDEN / "wiper_system.eaxml", *tool],
+        ["complete", WIPER, *tool, "--line", 1, "--col", 1],
+    ):
+        assert run(capsys, *argv) == expected, argv[0]
+
+
 # --- complete ----------------------------------------------------------------
 
 
@@ -1030,14 +1072,16 @@ def adapted_cache(g):
 @given(data=st.data())
 def test_mutated_grammar_caches_keep_the_exit_code_contract(tmp_path_factory, adapted_cache, data):
     mutated = json.loads(json.dumps(adapted_cache))
-    # One entry takes a form, maybe another one, with the fields it needs.
-    entry = data.draw(
-        st.sampled_from([e for r in mutated["rules"] for e in r["entries"]]), label="entry",
-    )
-    entry["form"] = form = data.draw(st.sampled_from(list(_FORM_FIELDS)), label="form")
-    for field in _FORM_FIELDS[form]:
-        if field not in entry:
-            entry[field] = data.draw(st.sampled_from(_FIELD_VALUES[field]), label=field)
+    # Half the time, one entry takes a form, maybe another one, with the
+    # fields it needs.
+    if data.draw(st.booleans(), label="reform"):
+        entry = data.draw(
+            st.sampled_from([e for r in mutated["rules"] for e in r["entries"]]), label="entry",
+        )
+        entry["form"] = form = data.draw(st.sampled_from(list(_FORM_FIELDS)), label="form")
+        for field in _FORM_FIELDS[form]:
+            if field not in entry:
+                entry[field] = data.draw(st.sampled_from(_FIELD_VALUES[field]), label=field)
     path = data.draw(st.sampled_from(list(json_paths(mutated))[1:]), label="path")
     value = data.draw(st.sampled_from([None, 0, 1.5, True, "", [], {}, "<delete>"]), label="value")
     parent = mutated
@@ -1047,7 +1091,8 @@ def test_mutated_grammar_caches_keep_the_exit_code_contract(tmp_path_factory, ad
         del parent[path[-1]]
     else:
         parent[path[-1]] = value
-    cache = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    work = tmp_path_factory.getbasetemp()
+    cache = work / "fuzzed.json"
     cache.write_text(json.dumps(mutated), encoding="utf-8")
     tool = ["--metamodel", METAMODEL, "--config", CONFIG, "--grammar-cache", cache]
     for argv in (
@@ -1059,6 +1104,14 @@ def test_mutated_grammar_caches_keep_the_exit_code_contract(tmp_path_factory, ad
         code, err = exit_code_and_stderr(argv)
         assert code in (0, 1, 2), argv[0]
         assert "Traceback" not in err, argv[0]
+    # A cache that loads reads back what it writes: EAXML through to-text
+    # and to-xml again is the same EAXML.
+    code, xml, _ = run_quiet(["to-xml", WIPER, *tool])
+    if code == 0:
+        (work / "fuzzed.eaxml").write_text(xml, encoding="utf-8")
+        code, text, _ = run_quiet(["to-text", work / "fuzzed.eaxml", *tool])
+        (work / "fuzzed.eatxt").write_text(text, encoding="utf-8")
+        assert run_quiet(["to-xml", work / "fuzzed.eatxt", *tool])[:2] == (0, xml)
 
 
 _CONFIG_LINES = CONFIG.read_text(encoding="utf-8").splitlines()
@@ -1149,6 +1202,89 @@ def test_roundtrip_check_rejects_unparsable_input(capsys):
         CONFIG,
     )
     assert code == 1 and err != ""
+
+
+def test_a_character_xml_cannot_carry_exits_1_naming_it(capsys, tmp_path):
+    # It used to pass to-xml into EAXML that no reader accepts.
+    model = tmp_path / "c1.eatxt"
+    model.write_text('EAPackage P\n{\n    name "a\x01b"\n}\n', encoding="utf-8")
+    assert run(capsys, *base_args(model)) == (0, "", "")
+    message = (
+        f"{model}: error: EAPackage P: 'name' holds the character '\\x01', "
+        "which XML 1.0 cannot carry\n"
+    )
+    for command in ("to-xml", "roundtrip-check"):
+        argv = [command, model, "--metamodel", METAMODEL, "--config", CONFIG]
+        assert run(capsys, *argv) == (1, "", message), command
+
+
+def test_roundtrip_check_reports_a_failed_read_back_without_a_position(capsys, monkeypatch):
+    # A position would point into the intermediate EAXML, not the model.
+    def unreadable(text, mm, names=None):
+        return None, [Diagnostic(ERROR, "malformed XML: not well-formed", Span(5, 11, 5, 11))]
+
+    monkeypatch.setattr(eatxt.cli, "from_eaxml", unreadable)
+    argv = ["roundtrip-check", WIPER, "--metamodel", METAMODEL, "--config", CONFIG]
+    assert run(capsys, *argv) == (1, "", f"{WIPER}: error: malformed XML: not well-formed\n")
+
+
+def test_roundtrip_check_prints_the_diff_of_a_lossy_read_back(capsys, monkeypatch):
+    read = eatxt.cli.from_eaxml
+
+    def lossy(text, mm, names=None):
+        root, diags = read(text, mm, names)
+        for el in root.iter_preorder():
+            el.attributes = [a for a in el.attributes if a[0] != "direction"]
+        return root, diags
+
+    monkeypatch.setattr(eatxt.cli, "from_eaxml", lossy)
+    argv = ["roundtrip-check", WIPER, "--metamodel", METAMODEL, "--config", CONFIG]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (1, "")
+    assert out.startswith("--- canonical\n+++ roundtripped\n@@ ")
+    changed = [row for row in out.splitlines()[2:] if row[:1] in "+-"]
+    assert changed == ["-                direction in", "-                direction out"]
+
+
+def test_model_file_that_is_not_utf8_is_usage_error(capsys, tmp_path):
+    model = tmp_path / "latin1.eatxt"
+    model.write_bytes("EAPackage Caf\xe9\n".encode("latin-1"))
+    assert run(capsys, *base_args(model)) == (
+        2, "",
+        f"error: cannot read {model}: 'utf-8' codec can't decode byte 0xe9 in position 13: "
+        "invalid continuation byte\n",
+    )
+
+
+POSITIONAL = (
+    "remove-attribute-keyword FunctionFlowPort direction\n"
+    "remove-attribute-keyword EAPackage name\n"
+)
+
+
+def test_values_without_their_keyword_format_convert_and_complete(capsys, tmp_path, g, mm):
+    # The corpus in a syntax where an Identifier and a String value are
+    # written without their keyword: format is a fixpoint, text -> EAXML
+    # -> text is the identity, and complete answers at the end of every
+    # line as the library does.
+    config = tmp_path / "positional.cfg"
+    config.write_text(CONFIG.read_text(encoding="utf-8") + POSITIONAL, encoding="utf-8")
+    positional, _ = adapt_grammar(generate_grammar(mm), parse_config(config.read_text(encoding="utf-8")))
+    tool = ["--metamodel", METAMODEL, "--config", config]
+    for path in MODELS:
+        root, _ = parse_model(path.read_text(encoding="utf-8"), g, mm)
+        text = format_model(root, positional)
+        model = tmp_path / path.name
+        model.write_text(text, encoding="utf-8")
+        assert run(capsys, "format", model, *tool) == (0, text, ""), path.name
+        xml = to_eaxml(root, mm)
+        assert run(capsys, "to-xml", model, *tool) == (0, xml, ""), path.name
+        (tmp_path / "m.eaxml").write_text(xml, encoding="utf-8")
+        assert run(capsys, "to-text", tmp_path / "m.eaxml", *tool) == (0, text, ""), path.name
+        for line, row in enumerate(text.split("\n"), 1):
+            reply = run(capsys, "complete", model, *tool, "--line", line, "--col", len(row) + 1)
+            assert reply == (0, library_reply(text, line, len(row) + 1, positional, mm), "")
+    assert "direction" not in text and "    in\n" in text and 'name "' not in text
 
 
 # --- ergonomics --------------------------------------------------------------

@@ -202,6 +202,41 @@ def test_child_that_fits_no_containment(g, mm):
     )
 
 
+def test_child_that_fits_several_containments_joins_the_first():
+    mm = load_metamodel(
+        '<ecore:EPackage xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance"'
+        ' xmlns:ecore="http://www.eclipse.org/emf/2002/Ecore" name="p">'
+        '<eClassifiers xsi:type="ecore:EClass" name="A">'
+        '<eStructuralFeatures xsi:type="ecore:EAttribute" name="shortName"'
+        ' eType="#//Identifier" lowerBound="1"/>'
+        '<eStructuralFeatures xsi:type="ecore:EReference" name="x" eType="#//C"'
+        ' containment="true" upperBound="-1"/>'
+        '<eStructuralFeatures xsi:type="ecore:EReference" name="y" eType="#//C"'
+        ' containment="true" upperBound="-1"/></eClassifiers>'
+        '<eClassifiers xsi:type="ecore:EClass" name="C">'
+        '<eStructuralFeatures xsi:type="ecore:EAttribute" name="shortName"'
+        ' eType="#//Identifier" lowerBound="1"/></eClassifiers>'
+        "</ecore:EPackage>"
+    )
+    g = adapt_grammar(generate_grammar(mm), parse_config(CONFIG.read_text(encoding="utf-8")))[0]
+    root, diags = parse_model("A a\n{\n    C c\n}\n", g, mm)
+    assert [(d.severity, d.message, d.span.line, d.span.col) for d in diags] == [
+        (WARNING, "C fits several containments (x, y); using 'x'", 3, 5),
+    ]
+    assert [(member, child.short_name) for member, child in root.children] == [("x", "c")]
+
+
+def test_reference_keyword_without_a_name(g, mm):
+    text = (
+        "EAPackage P\n{\n    DesignFunctionType F\n    {\n"
+        "        FunctionFlowPort p\n        {\n            direction in\n"
+        "            type 5\n        }\n    }\n}\n"
+    )
+    assert ("expected a qualified name after 'type'", 8, 18) in [
+        (d.message, d.span.line, d.span.col) for d in errors_of(text, g, mm)
+    ]
+
+
 def test_recovery_keeps_following_siblings(g, mm):
     text = (
         "EAPackage P\n{\n"

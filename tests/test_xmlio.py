@@ -352,6 +352,28 @@ def test_string_attribute_text_is_taken_verbatim(g, mm):
     assert recovered.attributes[0][1] == '"  padded  "'
 
 
+def test_a_carriage_return_in_a_string_survives_the_round_trip(g, mm):
+    # XML readers take a raw carriage return for a line feed.
+    text = 'EAPackage P\n{\n    name "a\rb"\n}\n'
+    xml = to_eaxml(parse_ok(text, g, mm), mm)
+    assert "<NAME>a&#13;b</NAME>" in xml
+    back, diags = from_eaxml(xml, mm)
+    assert diags == [] and format_model(back, g) == text
+
+
+@pytest.mark.parametrize("char", ["\x01", "\x1f", "\ufffe", "\ud800"])
+def test_a_character_xml_forbids_is_refused_naming_its_element_and_member(g, mm, char):
+    root = parse_ok('EAPackage P\n{\n    DesignFunctionType F\n}\n', g, mm)
+    root.children[0][1].attributes.append(("isElementary", "true"))
+    root.children[0][1].attributes.append(("isElementary", f"t{char}"))
+    with pytest.raises(SerializationError) as caught:
+        to_eaxml(root, mm)
+    assert str(caught.value) == (
+        f"DesignFunctionType F: 'isElementary' holds the character {char!r}, "
+        "which XML 1.0 cannot carry"
+    )
+
+
 def test_unknown_tag_is_skipped_with_warning(mm):
     source = """\
 <?xml version="1.0" encoding="UTF-8"?>
