@@ -584,10 +584,10 @@ def parse_record(text: str, g: Grammar, mm: Metamodel) -> dict:
     its id, span, values and cross-references."""
     from eatxt.textsyntax import parse_document
 
-    doc = parse_document(text, g, mm)
+    parse = parse_document(text, g, mm)
     elements = []
-    if doc.root is not None:
-        for el in doc.root.iter_preorder():
+    if parse.root is not None:
+        for el in parse.root.iter_preorder():
             elements.append([
                 el.id, el.class_name, el.short_name, _span_list(el.span),
                 [list(a) for a in el.attributes],
@@ -595,13 +595,13 @@ def parse_record(text: str, g: Grammar, mm: Metamodel) -> dict:
             ])
     return {
         "diagnostics": [
-            [d.severity, d.message, _span_list(d.span)] for d in doc.diagnostics
+            [d.severity, d.message, _span_list(d.span)] for d in parse.diagnostics
         ],
         "bodies": [
             [b.open_offset, b.close_offset, b.class_name, b.member, sorted(b.present)]
-            for b in doc.bodies
+            for b in parse.bodies
         ],
-        "strings": [list(s) for s in doc.strings],
+        "strings": [list(s) for s in parse.strings],
         "elements": elements,
     }
 
