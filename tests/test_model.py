@@ -1,7 +1,8 @@
 import importlib.util
 from pathlib import Path
 
-from eatxt.diagnostics import ERROR
+from eatxt.cli import main
+from eatxt.diagnostics import ERROR, NO_SPAN, Diagnostic, Span
 from eatxt.model import (
     CrossRef,
     ModelElement,
@@ -12,9 +13,9 @@ from eatxt.model import (
     resolve,
 )
 from eatxt.textsyntax import Parser, format_model, parse_document, parse_model
-from eatxt.xmlio import to_eaxml
+from eatxt.xmlio import from_eaxml, to_eaxml
 
-from support import MODELS, assign_preorder_ids, naive_cache, random_model, same_structure
+from support import CONFIG, METAMODEL, MODELS, assign_preorder_ids, naive_cache, random_model, same_structure
 
 
 def load(text, g, mm):
@@ -111,6 +112,94 @@ def test_reference_to_duplicate_fqn_is_ambiguous(g, mm):
     root = load(text, g, mm)
     diags = resolve(root, mm)
     assert any("ambiguous" in d.message for d in diags)
+
+
+# Every kind of resolve diagnostic, and two qualified names split over two
+# lines with a comment between their segments.
+FAULTY = """\
+EAPackage P
+{
+    EADatatype T
+    EAPackage Sub
+    {
+        EADatatype U
+    }
+    EADatatype T
+    DesignFunctionType F
+    {
+        FunctionFlowPort a
+        {
+            direction in
+            type P.Missing
+        }
+        FunctionFlowPort b
+        {
+            direction out
+            type P.F
+        }
+        FunctionFlowPort c
+        {
+            direction in
+            type P.T
+        }
+        FunctionFlowPort d
+        {
+            direction in
+            type P. // the package
+                Sub.Nope
+        }
+        FunctionFlowPort e
+        {
+            direction out
+            type P.Sub // its subpackage
+                .U
+        }
+    }
+}
+"""
+
+# What resolve reports on FAULTY, each at the second element of a clash
+# or at its reference, from the first name token to the end of the last.
+FAULTY_DIAGNOSTICS = [
+    Diagnostic(ERROR, "duplicate qualified name 'P.T' (id 2, id 5)", Span(8, 5, 8, 15)),
+    Diagnostic(
+        ERROR, "unresolved reference 'P.Missing' (FunctionFlowPort.type)", Span(14, 18, 14, 27),
+    ),
+    Diagnostic(
+        ERROR,
+        "reference 'P.F' (FunctionFlowPort.type) expects a EADatatype, found DesignFunctionType",
+        Span(19, 18, 19, 21),
+    ),
+    Diagnostic(
+        ERROR, "ambiguous reference 'P.T' (FunctionFlowPort.type): id 2, id 5",
+        Span(24, 18, 24, 21),
+    ),
+    Diagnostic(
+        ERROR, "unresolved reference 'P.Sub.Nope' (FunctionFlowPort.type)", Span(29, 18, 30, 25),
+    ),
+]
+
+
+def test_resolve_positions_every_diagnostic(g, mm):
+    root = load(FAULTY, g, mm)
+    assert resolve(root, mm) == FAULTY_DIAGNOSTICS
+    e = next(el for el in root.iter_preorder() if el.short_name == "e")
+    assert e.cross_refs[0].resolved_id == 4  # P.Sub.U, across two lines
+
+
+def test_resolve_positions_through_check(tmp_path, capsys):
+    path = tmp_path / "faulty.eatxt"
+    path.write_text(FAULTY, encoding="utf-8")
+    code = main(["check", str(path), "--metamodel", str(METAMODEL), "--config", str(CONFIG)])
+    out, err = capsys.readouterr()
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [d.format(str(path)) for d in FAULTY_DIAGNOSTICS]
+
+
+def test_resolve_has_no_positions_on_a_tree_read_from_eaxml(g, mm):
+    root, diags = from_eaxml(to_eaxml(load(FAULTY, g, mm), mm), mm)
+    assert diags == []
+    assert resolve(root, mm) == [d._replace(span=NO_SPAN) for d in FAULTY_DIAGNOSTICS]
 
 
 def test_cache_matches_naive_oracle_on_corpus(g, mm):
