@@ -288,9 +288,10 @@ def cmd_adapt(args: argparse.Namespace, mm: Metamodel, g: None) -> int:
 
 
 def cmd_check(args: argparse.Namespace, mm: Metamodel, g: Grammar) -> int:
-    root, diags = parse_model(_read_text(args.model), g, mm)
+    text = _read_text(args.model)
+    root, diags = parse_model(text, g, mm)
     if root is not None:
-        diags = diags + resolve(root, mm)
+        diags = diags + resolve(root, mm, LineIndex(text))
     _print_diags(args.model, diags, sys.stdout)
     return DATA_ERROR if has_errors(diags) else OK
 

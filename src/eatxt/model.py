@@ -5,7 +5,8 @@ cross references keep the order they were written in, and the children
 list is the document order that every transformation must preserve.
 
 Cross references are stored as unresolved qualified names (dot-joined
-shortName paths from the root). :func:`resolve` binds them to element ids;
+shortName paths from the root). Parsed elements and references keep the
+offsets of their text. :func:`resolve` binds references to element ids;
 :func:`build_cache` precomputes the class-indexed name table that content
 assist reads, so that a lookup never has to walk the model. A single
 completion request reads only the first fitting target of a few classes;
@@ -35,20 +36,23 @@ class QualifiedName(NamedTuple):
 
 
 class CrossRef:
-    __slots__ = ("member", "target", "resolved_id", "span")
+    __slots__ = ("member", "target", "resolved_id", "start", "end")
 
     def __init__(
         self, member: str, target: QualifiedName, resolved_id: int | None = None,
-        span: Span | None = None,
+        start: int | None = None, end: int | None = None,
     ):
         self.member = member
         self.target = target
         self.resolved_id = resolved_id
-        self.span = span
+        self.start = start
+        self.end = end
 
 
 class ModelElement:
-    __slots__ = ("class_name", "short_name", "attributes", "cross_refs", "children", "id", "span")
+    __slots__ = (
+        "class_name", "short_name", "attributes", "cross_refs", "children", "id", "start", "end",
+    )
 
     def __init__(
         self,
@@ -58,7 +62,7 @@ class ModelElement:
         cross_refs: list[CrossRef] | None = None,
         children: list[tuple[str, ModelElement]] | None = None,
         id: int = 0,
-        span: Span | None = None,
+        start: int | None = None, end: int | None = None,
     ):
         self.class_name = class_name
         self.short_name = short_name
@@ -66,7 +70,8 @@ class ModelElement:
         self.cross_refs = [] if cross_refs is None else cross_refs
         self.children = [] if children is None else children
         self.id = id
-        self.span = span
+        self.start = start
+        self.end = end
 
     def iter_preorder(self) -> Iterator["ModelElement"]:
         """This element and its descendants in document pre-order, walked
@@ -128,14 +133,19 @@ def _named_elements(
 # Resolution
 # ---------------------------------------------------------------------------
 
-def resolve(root: ModelElement, mm: Metamodel) -> list[Diagnostic]:
+def resolve(root: ModelElement, mm: Metamodel, lines=None) -> list[Diagnostic]:
     """Bind every cross reference to the element its qualified name denotes.
 
     A reference resolves when exactly one type-compatible element carries
     the name. Everything else produces an error diagnostic and leaves the
-    reference unresolved. Running resolve again changes nothing.
+    reference unresolved. Running resolve again changes nothing. Spans come
+    from ``lines``, the parsed text's :class:`eatxt.textsyntax.LineIndex`;
+    without it, or on a tree read from EAXML or built in memory, NO_SPAN.
     """
     diagnostics: list[Diagnostic] = []
+
+    def span_of(item: ModelElement | CrossRef) -> Span:
+        return NO_SPAN if lines is None or item.start is None else lines.span(item.start, item.end)
 
     census: dict[QualifiedName, list[ModelElement]] = {}
     for fqn, el in _named_elements(root):
@@ -147,21 +157,20 @@ def resolve(root: ModelElement, mm: Metamodel) -> list[Diagnostic]:
             diagnostics.append(Diagnostic(
                 ERROR,
                 f"duplicate qualified name '{fqn}' ({ids})",
-                elements[1].span or NO_SPAN,
+                span_of(elements[1]),
             ))
 
     for el in root.iter_preorder():
         for ref in el.cross_refs:
             member = mm.member_of(el.class_name, ref.member)
             target_class = getattr(member.kind, "target", None) if member else None
-            span = ref.span or el.span or NO_SPAN
             candidates = census.get(ref.target, [])
             if not candidates:
                 diagnostics.append(Diagnostic(
                     ERROR,
                     f"unresolved reference '{ref.target}' "
                     f"({el.class_name}.{ref.member})",
-                    span,
+                    span_of(ref),
                 ))
                 continue
             if target_class is not None:
@@ -176,7 +185,7 @@ def resolve(root: ModelElement, mm: Metamodel) -> list[Diagnostic]:
                     ERROR,
                     f"reference '{ref.target}' ({el.class_name}.{ref.member}) "
                     f"expects a {target_class}, found {found}",
-                    span,
+                    span_of(ref),
                 ))
             elif len(fitting) > 1:
                 ids = ", ".join(f"id {c.id}" for c in fitting)
@@ -184,7 +193,7 @@ def resolve(root: ModelElement, mm: Metamodel) -> list[Diagnostic]:
                     ERROR,
                     f"ambiguous reference '{ref.target}' "
                     f"({el.class_name}.{ref.member}): {ids}",
-                    span,
+                    span_of(ref),
                 ))
             else:
                 ref.resolved_id = fitting[0].id

@@ -14,9 +14,9 @@ an inline flag) is kept out of it and tried on its own at every token.
 :class:`Tokens` holds the kinds, lexemes and start offsets of the tokens
 in three parallel lists, plus the line index of the text and the offsets
 of its string literals, and lexes them a batch at a time, on demand;
-:func:`lex` drains it. The parser reads the lists by index. Line:col
-spans are computed from offsets only when needed: for element and
-cross-reference positions and for diagnostics.
+:func:`lex` drains it. The parser reads the lists by index. Elements and
+cross-references keep offsets too; only a diagnostic holds a line:col,
+and the line index finds the line starts the first time one is needed.
 
 The parser interprets the grammar IR in one loop over the tokens and an
 explicit stack of the elements whose body is open, so nesting depth has
@@ -77,7 +77,7 @@ _PRIORITY = [
 
 _NEWLINE = re.compile("\n")
 # Builds a named tuple without its Python-level ``__new__``: the parser
-# makes a Span per element and a Span and QualifiedName per reference.
+# makes a QualifiedName per reference.
 _new_tuple = tuple.__new__
 # Whitespace and ``//`` comments between tokens, in one match.
 _SKIP = r"(?:[ \t\r\n]+|//[^\n]*\n?)*"
@@ -96,21 +96,26 @@ _KEPT_OUT = r"\\[0-9]|\(\?[(P]|\(\?[aiLmsux]"
 
 class LineIndex:
     """Translation between offsets and 1-based (line, col) positions of
-    one text, by bisection over the offsets where lines start."""
+    one text, by bisection over the offsets where lines start. Those are
+    found the first time they are read."""
 
-    __slots__ = ("starts",)
+    __slots__ = ("_text", "_starts")
 
     def __init__(self, text: str):
-        self.starts = [0]
-        self.starts += [m.end() for m in _NEWLINE.finditer(text)]
+        self._text = text
+        self._starts: list[int] | None = None
+
+    @property
+    def starts(self) -> list[int]:
+        if self._starts is None:
+            self._starts = [0] + [m.end() for m in _NEWLINE.finditer(self._text)]
+        return self._starts
 
     def span(self, start: int, end: int) -> Span:
         starts = self.starts
         line = bisect_right(starts, start)
         end_line = bisect_right(starts, end)
-        return _new_tuple(Span, (
-            line, start - starts[line - 1] + 1, end_line, end - starts[end_line - 1] + 1,
-        ))
+        return Span(line, start - starts[line - 1] + 1, end_line, end - starts[end_line - 1] + 1)
 
     def offset(self, line: int, col: int) -> int:
         """Offset of a 1-based position; the caller checks the range."""
@@ -396,7 +401,9 @@ class Parser:
     end. Use a parse that may stop early in a ``with`` block, which frees
     it when it ends. A parse holds the tree at ``root``, one ``Body``
     per brace pair in ``bodies``, the offsets of the string literals in
-    ``strings``, the line index ``lines`` and the ``diagnostics``. What
+    ``strings``, the line index ``lines`` and the ``diagnostics``. An
+    element or reference records the ``start`` and ``end`` offsets of its
+    class keyword or qualified name, which ``lines.span`` places. What
     it holds so far is final in these ways: ``root`` after the first
     step; an element's id, class and place in the tree as soon as it
     opens, and the rest of it when it is no longer in ``open``, which
@@ -667,7 +674,6 @@ class Parser:
         its member's upper bound, is dropped with its subtree when it
         ends, and the bound is reported then."""
         kinds, lexemes, offsets = self.kinds, self.lexemes, self.offsets
-        span_of = self.lines.span
         class_keywords, rules, bodies = self.class_keywords, self.rules, self.bodies
         opened, fill = self.open, self.fill
         i, last_id, limit = self.i, 0, self.limit
@@ -692,9 +698,7 @@ class Parser:
                 rule = ci.rule
                 start = offsets[i]
                 last_id += 1
-                c = ModelElement(
-                    child_class, id=last_id, span=span_of(start, start + len(lexemes[i])),
-                )
+                c = ModelElement(child_class, id=last_id, start=start, end=start + len(lexemes[i]))
                 if child_link:
                     n = counts.get(child_link, 0) + 1
                     counts[child_link] = n
@@ -725,7 +729,7 @@ class Parser:
                 if not rule.body_optional:
                     self.error(
                         f"expected '{{' to open the body of '{rule.keyword}'",
-                        c.span if kinds[i] == _END else self.span(i),  # type: ignore[arg-type]
+                        self.span(c_at if kinds[i] == _END else i),
                     )
                 cc, c_drop = {}, child_link
                 child_class = None
@@ -809,9 +813,9 @@ class Parser:
                                 target = _new_tuple(
                                     QualifiedName, (tuple(lexemes[first:last + 1:2]),),
                                 )
-                                end = offsets[last] + len(lexemes[last])
                                 el.cross_refs.append(CrossRef(
-                                    member, target, None, span_of(offsets[first], end),
+                                    member, target, None, offsets[first],
+                                    offsets[last] + len(lexemes[last]),
                                 ))
                                 continue
                             if form is _BLOCK:
@@ -898,7 +902,7 @@ class Parser:
                 if n < lower:
                     self.error(
                         f"missing mandatory member '{member}' in '{ci.rule.keyword}'",
-                        c.span,  # type: ignore[arg-type]
+                        self.span(c_at),
                     )
             if el is None:
                 self.i = i

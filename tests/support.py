@@ -574,24 +574,30 @@ def damaged_corpus(g: Grammar, gen_g: Grammar, mm: Metamodel) -> dict[str, list[
     }
 
 
-def _span_list(span: Span | None) -> list[int] | None:
-    return None if span is None else [span.line, span.col, span.end_line, span.end_col]
+def _span_list(span: Span) -> list[int]:
+    return [span.line, span.col, span.end_line, span.end_col]
 
 
 def parse_record(text: str, g: Grammar, mm: Metamodel) -> dict:
     """What ``parse_document``'s parse holds for a text, in JSON form: the
     diagnostics, the bodies, the string offsets and every element with
-    its id, span, values and cross-references."""
+    its id, span, values and cross-references. Element and reference
+    offsets are recorded as line:col spans, through the parse's line
+    index."""
     from eatxt.textsyntax import parse_document
 
     parse = parse_document(text, g, mm)
+    place = parse.lines.span
     elements = []
     if parse.root is not None:
         for el in parse.root.iter_preorder():
             elements.append([
-                el.id, el.class_name, el.short_name, _span_list(el.span),
+                el.id, el.class_name, el.short_name, _span_list(place(el.start, el.end)),
                 [list(a) for a in el.attributes],
-                [[r.member, r.target.dotted, _span_list(r.span)] for r in el.cross_refs],
+                [
+                    [r.member, r.target.dotted, _span_list(place(r.start, r.end))]
+                    for r in el.cross_refs
+                ],
             ])
     return {
         "diagnostics": [

@@ -181,8 +181,11 @@ FAULTY_DIAGNOSTICS = [
 
 
 def test_resolve_positions_every_diagnostic(g, mm):
-    root = load(FAULTY, g, mm)
-    assert resolve(root, mm) == FAULTY_DIAGNOSTICS
+    parse = parse_document(FAULTY, g, mm)
+    assert parse.diagnostics == []
+    root = parse.root
+    assert resolve(root, mm, parse.lines) == FAULTY_DIAGNOSTICS
+    assert resolve(root, mm) == [d._replace(span=NO_SPAN) for d in FAULTY_DIAGNOSTICS]
     e = next(el for el in root.iter_preorder() if el.short_name == "e")
     assert e.cross_refs[0].resolved_id == 4  # P.Sub.U, across two lines
 

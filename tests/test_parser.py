@@ -378,8 +378,8 @@ def preorder_with_depth(root):
 
 def element_row(el):
     return [
-        el.id, el.class_name, el.short_name, list(el.attributes),
-        [(r.member, r.target.dotted, r.span) for r in el.cross_refs],
+        (el.id, el.start, el.end), el.class_name, el.short_name, list(el.attributes),
+        [(r.member, r.target.dotted, r.start, r.end) for r in el.cross_refs],
         [(member, child.id) for member, child in el.children],
     ]
 

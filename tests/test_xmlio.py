@@ -531,8 +531,8 @@ def tree_record(root):
     while stack:
         el = stack.pop()
         rows.append((
-            el.id, el.class_name, el.short_name, el.span, list(el.attributes),
-            [(r.member, r.target, r.resolved_id, r.span) for r in el.cross_refs],
+            el.id, el.class_name, el.short_name, el.start, el.end, list(el.attributes),
+            [(r.member, r.target, r.resolved_id, r.start, r.end) for r in el.cross_refs],
             [(member, child.id) for member, child in el.children],
         ))
         stack.extend(child for _, child in reversed(el.children))
