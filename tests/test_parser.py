@@ -1,15 +1,17 @@
 import copy
 import json
+import re
 
 import eatxt.textsyntax
+from eatxt.cli import main
 from eatxt.diagnostics import ERROR, WARNING
-from eatxt.grammar import adapt_grammar, generate_grammar, parse_config
+from eatxt.grammar import KeywordCrossRef, adapt_grammar, generate_grammar, parse_config
 from eatxt.metamodel import load_metamodel
-from eatxt.textsyntax import Parser, parse_model
+from eatxt.textsyntax import LineIndex, Parser, parse_document, parse_model
 
 from support import (
-    CONFIG, DAMAGED_PARSE, MODELS, assign_preorder_ids, damaged_corpus, parse_record,
-    random_model, same_structure,
+    CONFIG, DAMAGED_PARSE, EXTRA, METAMODEL, MODELS, assign_preorder_ids, damaged_corpus,
+    parse_record, random_model, same_structure,
 )
 from eatxt.textsyntax import format_model
 
@@ -344,6 +346,62 @@ def test_random_trees_reparse_to_same_structure(g, gen_g, mm):
             root, diags = parse_model(text, grammar, mm)
             assert diags == [], (syntax, seed, [d.format("m") for d in diags])
             assert same_structure(tree, root), (syntax, seed)
+
+
+def split_references(text, grammar):
+    """``text`` with the qualified name after each cross-reference keyword
+    broken after every dot by a comment and a line break."""
+    keywords = {
+        entry.form.keyword for rule in grammar.rules.values() for entry in rule.entries
+        if isinstance(entry.form, KeywordCrossRef)
+    }
+    return "\n".join(
+        line.replace(".", ". // split\n    ") if line.split()[:1] and line.split()[0] in keywords
+        else line
+        for line in text.split("\n")
+    )
+
+
+def test_offsets_hold_the_keyword_or_the_qualified_name(g, gen_g, mm):
+    """Read from the text alone: an element's offsets hold its class
+    keyword, a reference's its qualified name, comments and layout aside."""
+    cases = [(g, path.read_text(encoding="utf-8")) for path in MODELS]
+    cases.append((g, (EXTRA / "messy_but_valid.eatxt").read_text(encoding="utf-8")))
+    for grammar in (g, gen_g):
+        for seed in range(25):
+            text = format_model(random_model(seed, mm, max_elements=40), grammar)
+            cases += [(grammar, text), (grammar, split_references(text, grammar))]
+    split = 0
+    for grammar, text in cases:
+        parse = parse_document(text, grammar, mm)
+        assert parse.diagnostics == []
+        for el in parse.root.iter_preorder():
+            assert text[el.start:el.end] == grammar.rules[el.class_name].keyword
+            for r in el.cross_refs:
+                written = text[r.start:r.end]
+                assert re.sub(r"\s+|//[^\n]*", "", written) == r.target.dotted
+                split += "//" in written
+    assert split > 25
+
+
+def test_a_clean_parse_or_check_places_nothing(g, mm, monkeypatch, capsys):
+    """No line:col is computed, and no line start found, unless something
+    is reported."""
+    calls = []
+    span, starts = LineIndex.span, LineIndex.starts
+    monkeypatch.setattr(
+        LineIndex, "span", lambda self, *a: calls.append("span") or span(self, *a),
+    )
+    monkeypatch.setattr(
+        LineIndex, "starts", property(lambda self: calls.append("starts") or starts.fget(self)),
+    )
+    for path in MODELS:
+        assert parse_document(path.read_text(encoding="utf-8"), g, mm).diagnostics == []
+        code = main(["check", str(path), "--metamodel", str(METAMODEL), "--config", str(CONFIG)])
+        assert (code, capsys.readouterr().out) == (0, "")
+    assert calls == []
+    assert parse_document("EAPackage P\n{\n    ?\n}\n", g, mm).diagnostics
+    assert calls[:2] == ["span", "starts"]
 
 
 def test_damaged_documents_parse_as_recorded(g, gen_g, mm):
