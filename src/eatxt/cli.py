@@ -73,7 +73,7 @@ from .grammar import (
     grammar_to_dict,
     parse_config,
 )
-from .metamodel import Attribute, CrossReference, MemberKind, Metamodel, load_metamodel
+from .metamodel import NAME_SLOT, Attribute, CrossReference, MemberKind, Metamodel, load_metamodel
 from .model import ModelElement, parse_cache, resolve
 from .textsyntax import LineIndex, Parser, format_model, parse_model
 from .xmlio import XmlNameMap, from_eaxml, to_eaxml
@@ -176,7 +176,8 @@ def _cache_problem(g: Grammar, mm: Metamodel) -> str | None:
     None. Every concrete class, and no other, has a rule with a keyword of
     its own and one entry per member (but a name slot read on the header
     line) that reads it in its shape (:func:`_shape`). No two entries of
-    a rule share a keyword, and at most one has none."""
+    a rule share a keyword, and at most one has none. A rule reads a name
+    on its header line only for a class with a name slot."""
     owners: dict[str, str] = {}
     for name, rule in g.rules.items():
         cls = mm.classes.get(name)
@@ -187,6 +188,12 @@ def _cache_problem(g: Grammar, mm: Metamodel) -> str | None:
         other = owners.setdefault(rule.keyword, name)
         if other != name:
             return f"rules for classes {other} and {name} both use keyword {rule.keyword}"
+        if rule.name_inline:
+            slot = mm.member_of(name, NAME_SLOT)
+            if slot is None or not slot.is_name_slot():
+                return f"rule for class {name} reads a name inline, but the class has no name slot"
+            if rule.entry_for(NAME_SLOT) is not None:
+                return f"rule for class {name} reads a name inline and has an entry for {NAME_SLOT}"
         keywords: dict[str, str] = {}
         positional = []
         for entry in rule.entries:

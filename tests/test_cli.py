@@ -603,8 +603,15 @@ def entry_of(data, cls, member):
     (lambda d: d["rules"].append(
         dict(rule_of(d, "FunctionFlowPort"), **{"class": "FunctionPort", "keyword": "FunctionPort"})),
      "rule for class FunctionPort, which is abstract"),
+    (lambda d: rule_of(d, "EADatatype")["entries"].insert(0, dict(
+        member="shortName", optional=False, repeatable=False, form="attribute",
+        keyword="shortName", kind="Identifier")),
+     "rule for class EADatatype reads a name inline and has an entry for shortName"),
+    (lambda d: rule_of(d, "Comment").update(nameInline=True),
+     "rule for class Comment reads a name inline, but the class has no name slot"),
 ], ids=["member-twice", "member-missing", "two-positional", "rule-keyword-twice",
-        "entry-keyword-twice", "abstract-class"])
+        "entry-keyword-twice", "abstract-class", "inline-name-and-entry",
+        "inline-name-without-slot"])
 def test_grammar_cache_that_no_adaptation_gives_is_usage_error(capsys, tmp_path, edit, reason):
     # Each of these used to load; a command then exited 0 with text or
     # EAXML that does not read back, or blamed the model.
