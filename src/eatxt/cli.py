@@ -89,8 +89,9 @@ class _UsageError(ToolchainError):
 
 
 def _read_text(path: str) -> str:
+    """The file's text, without a leading UTF-8 byte-order mark."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read()
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc.strerror or exc}")
@@ -99,16 +100,23 @@ def _read_text(path: str) -> str:
 
 
 def _atomic_write(path: str, data: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see halves."""
+    """Write via a temp file beside the file and rename, so readers never
+    see halves. A link is followed, so the file it names is replaced; a
+    path that names something else than a file, such as a device or a
+    pipe, is written in place."""
     import tempfile
 
-    directory = os.path.dirname(os.path.abspath(path)) or "."
+    target = os.path.realpath(path)
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".eatxt-")
+        if os.path.exists(target) and not os.path.isfile(target):
+            with open(target, "w", encoding="utf-8") as fh:
+                fh.write(data)
+            return
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".eatxt-")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(data)
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except OSError as exc:
         if tmp is not None:
             with contextlib.suppress(OSError):

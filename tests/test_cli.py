@@ -13,6 +13,7 @@ import os
 import pathlib
 import random
 import re
+import stat
 import subprocess
 import sys
 import weakref
@@ -310,6 +311,39 @@ def test_output_files_are_written_atomically(capsys, tmp_path):
     assert "old content" not in target.read_text(encoding="utf-8")
     leftovers = [p for p in tmp_path.iterdir() if p != target]
     assert leftovers == []
+
+
+def test_output_into_a_pipe_writes_into_it(capsys, tmp_path):
+    # The rename used to replace the pipe with a file, the reader seeing
+    # nothing. The grammar is far below a pipe's buffer, so nothing blocks.
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    reader = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        result = run(capsys, "gen-grammar", "--metamodel", METAMODEL, "-o", pipe)
+        data = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert result == (0, "", "")
+    assert stat.S_ISFIFO(os.stat(pipe).st_mode)
+    assert data.decode("utf-8") == (GOLDEN / "generated.gtext").read_text(encoding="utf-8")
+    assert os.listdir(tmp_path) == ["pipe"]
+
+
+def test_output_through_a_link_replaces_the_file_it_names(capsys, tmp_path):
+    target = tmp_path / "real" / "result.gtext"
+    target.parent.mkdir()
+    target.write_text("old content", encoding="utf-8")
+    link = tmp_path / "link.gtext"
+    link.symlink_to(target)
+    result = run(capsys, "gen-grammar", "--metamodel", METAMODEL, "-o", link)
+    assert result == (0, "", "")
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text(encoding="utf-8") == (GOLDEN / "generated.gtext").read_text(
+        encoding="utf-8"
+    )
+    assert sorted(os.listdir(tmp_path)) == ["link.gtext", "real"]
+    assert os.listdir(target.parent) == ["result.gtext"]
 
 
 # --- grammar cache -----------------------------------------------------------
@@ -1261,6 +1295,27 @@ def test_model_file_that_is_not_utf8_is_usage_error(capsys, tmp_path):
         f"error: cannot read {model}: 'utf-8' codec can't decode byte 0xe9 in position 13: "
         "invalid continuation byte\n",
     )
+
+
+def test_model_file_with_a_byte_order_mark_reads_without_it(capsys, tmp_path):
+    # The mark used to be read as a character no token takes.
+    model = tmp_path / "marked.eatxt"
+    model.write_text("\ufeff" + WIPER.read_text(encoding="utf-8"), encoding="utf-8")
+    assert run(capsys, *base_args(model)) == (0, "", "")
+    # Columns on the first line count from the character after the mark.
+    model.write_text("\ufeffEAPackage P ?\n", encoding="utf-8")
+    assert run(capsys, *base_args(model)) == (
+        1, f"{model}:1:13: error: cannot read character '?'\n", "",
+    )
+
+
+def test_config_file_with_a_byte_order_mark_reads_without_it(capsys, tmp_path):
+    # The mark used to make the first line an unknown directive.
+    config = tmp_path / "marked.cfg"
+    config.write_text("\ufeff" + CONFIG.read_text(encoding="utf-8"), encoding="utf-8")
+    argv = ["adapt", "--metamodel", METAMODEL, "--config"]
+    assert run(capsys, *argv, config) == run(capsys, *argv, CONFIG)
+    assert run(capsys, *argv, config)[0] == 0
 
 
 POSITIONAL = (
