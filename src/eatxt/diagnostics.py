@@ -10,8 +10,8 @@ WARNING = "warning"
 
 class Span(NamedTuple):
     """1-based position range in a source text. End columns are exclusive.
-    A named tuple, since one is built per element, cross-reference and
-    diagnostic."""
+    Only a diagnostic holds one; parsed elements and cross-references keep
+    offsets (:class:`eatxt.textsyntax.LineIndex` turns them into one)."""
 
     line: int
     col: int
