@@ -15,7 +15,9 @@ from eatxt.model import (
 from eatxt.textsyntax import Parser, format_model, parse_document, parse_model
 from eatxt.xmlio import from_eaxml, to_eaxml
 
-from support import CONFIG, METAMODEL, MODELS, assign_preorder_ids, naive_cache, random_model, same_structure
+from support import (
+    CONFIG, METAMODEL, MODELS, assign_preorder_ids, naive_cache, random_model, same_structure,
+)
 
 
 def load(text, g, mm):
