@@ -7,10 +7,12 @@ no hidden project state.
 
 All commands share one pipeline in :func:`main`. It loads the metamodel
 once and, for the six commands that take a model file, builds the grammar
-once: generated and adapted, or read from a grammar cache. Commands that
-need a clean tree get it from :func:`_clean_tree`, which parses the model
-file (reads it as EAXML for to-text), prints the diagnostics on stderr and
-stops the command unless the tree is clean. ``check`` and ``complete`` go
+once: generated from the metamodel and adapted by the config. The
+``--grammar-cache`` flag is accepted and ignored, so that existing
+invocations still run; no copy of the grammar is read, so none can go
+stale. Commands that need a clean tree get it from :func:`_clean_tree`,
+which parses the model file (reads it as EAXML for to-text), prints the
+diagnostics on stderr and stops the command unless the tree is clean. ``check`` and ``complete`` go
 on past errors and parse the file themselves. ``complete`` lexes and
 parses the file only as far as its reply needs: until the innermost body
 around the cursor has closed (:func:`eatxt.assist.context_at`), and on
@@ -21,7 +23,7 @@ builds no reference cache of the whole model.
 A call does only the work its command needs, since an editor may run
 one per keystroke. :func:`build_parser` adds only the invoked
 subcommand's subparser (all eight for help or a missing or unknown
-subcommand, with the same output either way). ``json``, ``difflib`` and
+subcommand, with the same output either way). ``difflib`` and
 ``tempfile`` are imported by the functions that use them, so importing
 this module does not load them. Adapting a grammar copies its rules and
 entry lists, not its entries, which never change.
@@ -36,8 +38,8 @@ the same for every input and are collected after the command returns.
 
 Exit codes: 0 for success; 1 when processing produced error diagnostics
 or the model cannot be rendered; 2 for every toolchain error, that is an
-unusable input such as a missing file, a bad metamodel, config or grammar
-cache, or a cursor outside the text. Warnings never change the exit code.
+unusable input such as a missing file, a bad metamodel or config, or a
+cursor outside the text. Warnings never change the exit code.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ from .assist import context_at
 from .diagnostics import (
     ConfigError,
     Diagnostic,
-    GrammarError,
     MetamodelError,
     SerializationError,
     ToolchainError,
@@ -61,19 +62,13 @@ from .diagnostics import (
 )
 from .grammar import (
     AdaptationReport,
-    EntryForm,
     Grammar,
-    InlineContainment,
-    KeywordAttribute,
-    KeywordCrossRef,
     adapt_grammar,
     emit_grammar,
     generate_grammar,
-    grammar_from_dict,
-    grammar_to_dict,
     parse_config,
 )
-from .metamodel import NAME_SLOT, Attribute, CrossReference, MemberKind, Metamodel, load_metamodel
+from .metamodel import Metamodel, load_metamodel
 from .model import ModelElement, parse_cache, resolve
 from .textsyntax import LineIndex, Parser, format_model, parse_model
 from .xmlio import XmlNameMap, from_eaxml, to_eaxml
@@ -84,8 +79,8 @@ USAGE_ERROR = 2
 
 
 class _UsageError(ToolchainError):
-    """An input the CLI cannot use: a file it cannot read or write, a bad
-    grammar cache, a cursor outside the text."""
+    """An input the CLI cannot use: a file it cannot read or write, a
+    cursor outside the text."""
 
 
 def _read_text(path: str) -> str:
@@ -145,113 +140,6 @@ def _xml_names(args: argparse.Namespace, mm: Metamodel) -> XmlNameMap:
         return XmlNameMap(mm)
     except SerializationError as exc:
         raise _UsageError(f"{args.metamodel}: {exc}") from None
-
-
-def _build_grammar(args: argparse.Namespace, mm: Metamodel) -> Grammar:
-    """Grammar for model commands: generated, adapted, optionally cached.
-
-    A --grammar-cache file is read when present and written when absent.
-    The cache is not invalidated automatically; delete it after changing
-    the metamodel or the config. A cache that :func:`grammar_from_dict`
-    or :func:`_cache_problem` rejects is rejected.
-    """
-    cache_path = args.grammar_cache
-    if cache_path and os.path.exists(cache_path):
-        import json
-
-        try:
-            with open(cache_path, "r", encoding="utf-8") as fh:
-                g = grammar_from_dict(json.load(fh))
-        except (OSError, ValueError, KeyError, TypeError, GrammarError) as exc:
-            raise _UsageError(f"unusable grammar cache {cache_path}: {exc}")
-        problem = _cache_problem(g, mm)
-        if problem:
-            raise _UsageError(f"unusable grammar cache {cache_path}: {problem}")
-        return g
-
-    g = generate_grammar(mm)
-    if args.config:
-        g, _ = _adapt(args, g)
-    if cache_path:
-        import json
-
-        _atomic_write(cache_path, json.dumps(grammar_to_dict(g), indent=2) + "\n")
-    return g
-
-
-def _cache_problem(g: Grammar, mm: Metamodel) -> str | None:
-    """Why no generation and adaptation for ``mm`` could give ``g``, or
-    None. Every concrete class, and no other, has a rule with a keyword of
-    its own and one entry per member (but a name slot read on the header
-    line) that reads it in its shape (:func:`_shape`). No two entries of
-    a rule share a keyword, and at most one has none. A rule reads a name
-    on its header line only for a class with a name slot."""
-    owners: dict[str, str] = {}
-    for name, rule in g.rules.items():
-        cls = mm.classes.get(name)
-        if cls is None:
-            return f"rule for class {name}, which the metamodel lacks"
-        if cls.abstract:
-            return f"rule for class {name}, which is abstract"
-        other = owners.setdefault(rule.keyword, name)
-        if other != name:
-            return f"rules for classes {other} and {name} both use keyword {rule.keyword}"
-        if rule.name_inline:
-            slot = mm.member_of(name, NAME_SLOT)
-            if slot is None or not slot.is_name_slot():
-                return f"rule for class {name} reads a name inline, but the class has no name slot"
-            if rule.entry_for(NAME_SLOT) is not None:
-                return f"rule for class {name} reads a name inline and has an entry for {NAME_SLOT}"
-        keywords: dict[str, str] = {}
-        positional = []
-        for entry in rule.entries:
-            member = mm.member_of(name, entry.member)
-            if member is None:
-                return (
-                    f"rule for class {name} has an entry for member {entry.member}, "
-                    "which the class lacks"
-                )
-            reads, kind = _shape(entry.form), _shape(member.kind)
-            if reads != kind:
-                return f"rule for class {name} reads member {entry.member} as {reads}, but it is {kind}"
-            if rule.entry_for(entry.member) is not entry:
-                return f"rule for class {name} has two entries for member {entry.member}"
-            if isinstance(entry.form, InlineContainment):
-                continue
-            keyword = entry.form.keyword
-            if keyword is None:
-                positional.append(entry.member)
-            elif keywords.setdefault(keyword, entry.member) != entry.member:
-                return (
-                    f"rule for class {name} uses keyword {keyword} for members "
-                    f"{keywords[keyword]} and {entry.member}"
-                )
-        if len(positional) > 1:
-            return (
-                f"rule for class {name} has {len(positional)} positional attributes "
-                f"({', '.join(positional)}); at most one is allowed"
-            )
-        for member in mm.flatten_members(name):
-            if rule.entry_for(member.name) is None and not (
-                rule.name_inline and member.is_name_slot()
-            ):
-                return f"rule for class {name} has no entry for member {member.name}"
-    for name in mm.concrete_classes():
-        if name not in g.rules:
-            return f"no rule for class {name}"
-    return None
-
-
-def _shape(kind: MemberKind | EntryForm) -> str:
-    """What a member kind holds, or what a grammar entry form reads: an
-    attribute of one primitive kind, or a cross-reference or containment
-    of one class. An entry fits its member when both give the same."""
-    if isinstance(kind, (Attribute, KeywordAttribute)):
-        value = kind.kind.value
-        return f"{'an' if value == 'Identifier' else 'a'} {value} attribute"
-    if isinstance(kind, (CrossReference, KeywordCrossRef)):
-        return f"a cross-reference to {kind.target}"
-    return f"a containment of {kind.target}"
 
 
 def _adapt(args: argparse.Namespace, g: Grammar) -> tuple[Grammar, AdaptationReport]:
@@ -432,7 +320,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             sp.add_argument("--config", help="grammar adaptation config")
             sp.add_argument(
                 "--grammar-cache",
-                help="JSON file caching the adapted grammar (read if present, written if not)",
+                help="ignored; the grammar is always built from --metamodel and --config",
             )
         if out:
             sp.add_argument("-o", "--out", help="output file (default: stdout)")
@@ -461,7 +349,11 @@ def _run(argv: list[str] | None) -> int:
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         mm = _load_mm(args)
-        g = _build_grammar(args, mm) if "model" in args else None
+        g = None
+        if "model" in args:
+            g = generate_grammar(mm)
+            if args.config:
+                g, _ = _adapt(args, g)
         try:
             code = args.func(args, mm, g)
         except SerializationError as exc:  # raised while rendering output

@@ -546,87 +546,3 @@ def emit_grammar(g: Grammar) -> str:
     if not blocks:
         return ""
     return "\n\n".join(blocks) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Plain-dict serialization (used by the CLI grammar cache)
-# ---------------------------------------------------------------------------
-# Each entry form's name in the cache and the JSON key of each of its
-# fields, in field order. A ``kind`` holds a PrimitiveKind's value; every
-# other field is a string, but an attribute's keyword may be null.
-
-_CACHE_FORMS: dict[type, tuple[str, tuple[str, ...]]] = {
-    KeywordAttribute: ("attribute", ("keyword", "kind")),
-    KeywordCrossRef: ("crossref", ("keyword", "class")),
-    WrappedContainment: ("wrapped", ("keyword", "class")),
-    InlineContainment: ("inline", ("class",)),
-}
-
-
-def grammar_to_dict(g: Grammar) -> dict:
-    def entry(e: MemberEntry) -> dict:
-        name, keys = _CACHE_FORMS[type(e.form)]
-        d = {"member": e.member, "optional": e.optional, "repeatable": e.repeatable, "form": name}
-        for key, value in zip(keys, e.form):
-            d[key] = value.value if key == "kind" else value
-        return d
-
-    return {
-        "root": g.root_rule,
-        "terminals": [
-            {"kind": kind.value, "pattern": pattern} for kind, pattern in g.terminals.items()
-        ],
-        "rules": [
-            {
-                "class": r.class_name,
-                "keyword": r.keyword,
-                "nameInline": r.name_inline,
-                "bodyOptional": r.body_optional,
-                "entries": [entry(e) for e in r.entries],
-            }
-            for r in g.rules.values()
-        ],
-    }
-
-
-def _typed(d: dict, key: str, want: type, nullable: bool = False):
-    """``d[key]`` when it is a ``want`` (str or bool), or null if allowed."""
-    value = d[key]
-    if type(value) is not want and not (nullable and value is None):
-        import json
-
-        kind = "string" if want is str else "boolean"
-        raise GrammarError(f"bad grammar cache: '{key}' must be a {kind}, got {json.dumps(value)}")
-    return value
-
-
-def grammar_from_dict(data: dict) -> Grammar:
-    """The grammar a cache holds. GrammarError for a field of the wrong JSON
-    type, an unknown form, a root without a rule or a bad pattern."""
-    def entry(d: dict) -> MemberEntry:
-        for cls, (name, keys) in _CACHE_FORMS.items():
-            if d["form"] == name:
-                break
-        else:
-            raise GrammarError(f"bad grammar cache: unknown entry form '{d['form']}'")
-        nullable = cls is KeywordAttribute
-        form = cls(*(PrimitiveKind(d[k]) if k == "kind" else _typed(d, k, str, nullable) for k in keys))
-        flags = _typed(d, "optional", bool), _typed(d, "repeatable", bool)
-        return MemberEntry(_typed(d, "member", str), form, *flags)
-
-    rules = {}
-    for r in data["rules"]:
-        name = _typed(r, "class", str)
-        rules[name] = ProductionRule(
-            name, _typed(r, "keyword", str), _typed(r, "nameInline", bool),
-            _typed(r, "bodyOptional", bool), [entry(e) for e in r["entries"]],
-        )
-    if data["root"] not in rules:
-        raise GrammarError(f"no rule for root class {data['root']}")
-    terminals = {PrimitiveKind(t["kind"]): t["pattern"] for t in data["terminals"]}
-    for kind, pattern in terminals.items():
-        try:
-            re.compile(pattern)
-        except (re.error, TypeError) as exc:
-            raise GrammarError(f"bad pattern for {kind.value}: {exc}") from None
-    return Grammar(rules=rules, terminals=terminals, root_rule=data["root"])

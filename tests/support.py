@@ -1213,7 +1213,7 @@ def reference_build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--config", help="grammar adaptation config")
             sp.add_argument(
                 "--grammar-cache",
-                help="JSON file caching the adapted grammar (read if present, written if not)",
+                help="ignored; the grammar is always built from --metamodel and --config",
             )
         if out:
             sp.add_argument("-o", "--out", help="output file (default: stdout)")

@@ -19,8 +19,6 @@ from eatxt.grammar import (
     adapt_grammar,
     emit_grammar,
     generate_grammar,
-    grammar_from_dict,
-    grammar_to_dict,
     parse_config,
 )
 from eatxt.metamodel import PrimitiveKind, load_metamodel
@@ -155,8 +153,8 @@ def test_optional_body_flag(gen_g):
 
 
 def test_define_terminal_replaces_existing(gen_g):
-    # A redefinition keeps the kind's first position in the emitted
-    # grammar and in the cache dump.
+    # A redefinition keeps the kind's first position in the terminals and
+    # in the emitted grammar.
     cfg = AdaptationConfig((
         DefineTerminal(PrimitiveKind.NUMERICAL, "[0-9]+"),
         DefineTerminal(PrimitiveKind.UUID, "[0-9a-f-]+"),
@@ -170,10 +168,7 @@ def test_define_terminal_replaces_existing(gen_g):
     assert terminal_lines == [
         "terminal Numerical: /[0-9a-f]+/;", "terminal UUID: /[0-9a-f-]+/;",
     ]
-    assert grammar_to_dict(adapted)["terminals"] == [
-        {"kind": "Numerical", "pattern": "[0-9a-f]+"},
-        {"kind": "UUID", "pattern": "[0-9a-f-]+"},
-    ]
+    assert list(adapted.terminals) == [PrimitiveKind.NUMERICAL, PrimitiveKind.UUID]
 
 
 def test_remove_attribute_keyword(gen_g):
@@ -340,11 +335,6 @@ def test_grammar_equality_tells_form_classes_apart(gen_g):
     entries[index] = entries[index]._replace(form=WrappedContainment(*form))
     assert form == entries[index].form
     assert swapped != gen_g
-
-
-def test_grammar_dict_roundtrip(g, gen_g):
-    assert grammar_from_dict(grammar_to_dict(g)) == g
-    assert grammar_from_dict(grammar_to_dict(gen_g)) == gen_g
 
 
 def test_terminal_patterns_merge_defaults(g):
