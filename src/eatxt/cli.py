@@ -12,13 +12,14 @@ once: generated from the metamodel and adapted by the config. The
 invocations still run; no copy of the grammar is read, so none can go
 stale. Commands that need a clean tree get it from :func:`_clean_tree`,
 which parses the model file (reads it as EAXML for to-text), prints the
-diagnostics on stderr and stops the command unless the tree is clean. ``check`` and ``complete`` go
-on past errors and parse the file themselves. ``complete`` lexes and
-parses the file only as far as its reply needs: until the innermost body
-around the cursor has closed (:func:`eatxt.assist.context_at`), and on
-from there only while its templates look for the first fitting target
-of a class (:func:`eatxt.model.parse_cache`), all in one parse. It
-builds no reference cache of the whole model.
+diagnostics on stderr and stops the command unless the tree is clean.
+``check`` and ``complete`` go on past errors and parse the file
+themselves. ``complete`` lexes and parses the file only as far as its
+reply needs: until the innermost body around the cursor has closed
+(:func:`eatxt.assist.context_at`), and on from there only while its
+templates look for the first fitting target of a class
+(:func:`eatxt.model.parse_cache`), all in one parse. It builds no
+reference cache of the whole model.
 
 A call does only the work its command needs, since an editor may run
 one per keystroke. :func:`build_parser` adds only the invoked
@@ -48,6 +49,7 @@ import argparse
 import contextlib
 import gc
 import os
+import stat
 import sys
 
 from .assist import complete as compute_proposals
@@ -98,18 +100,26 @@ def _atomic_write(path: str, data: str) -> None:
     """Write via a temp file beside the file and rename, so readers never
     see halves. A link is followed, so the file it names is replaced; a
     path that names something else than a file, such as a device or a
-    pipe, is written in place."""
+    pipe, is written in place. A replaced file keeps its mode, and a new
+    one gets the mode that creating it would give under the umask."""
     import tempfile
 
     target = os.path.realpath(path)
     tmp = None
     try:
-        if os.path.exists(target) and not os.path.isfile(target):
+        try:
+            mode = os.stat(target).st_mode
+        except FileNotFoundError:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = stat.S_IFREG | 0o666 & ~umask
+        if not stat.S_ISREG(mode):
             with open(target, "w", encoding="utf-8") as fh:
                 fh.write(data)
             return
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".eatxt-")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            os.fchmod(fd, stat.S_IMODE(mode))
             fh.write(data)
         os.replace(tmp, target)
     except OSError as exc:

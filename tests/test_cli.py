@@ -345,6 +345,23 @@ def test_output_through_a_link_replaces_the_file_it_names(capsys, tmp_path):
     assert os.listdir(target.parent) == ["result.gtext"]
 
 
+def test_output_files_keep_the_mode_a_plain_write_gives(capsys, tmp_path):
+    # The temp file behind the rename is private; a new file used to stay
+    # so whatever the umask, and a replaced file used to become 0600.
+    new, old = tmp_path / "new.gtext", tmp_path / "old.gtext"
+    old.write_text("old content", encoding="utf-8")
+    old.chmod(0o640)
+    umask = os.umask(0o022)
+    try:
+        for target in (new, old):
+            result = run(capsys, "gen-grammar", "--metamodel", METAMODEL, "-o", target)
+            assert result == (0, "", ""), target.name
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(new.stat().st_mode) == 0o644
+    assert stat.S_IMODE(old.stat().st_mode) == 0o640
+
+
 # --- --grammar-cache ---------------------------------------------------------
 
 STALE_CACHE = EXTRA / "stale_grammar_cache.json"
