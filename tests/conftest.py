@@ -1,9 +1,23 @@
+import os
+import pathlib
+
 import pytest
 
 from eatxt.grammar import adapt_grammar, generate_grammar, parse_config
 from eatxt.metamodel import load_metamodel
 
 from support import CONFIG, METAMODEL
+
+
+@pytest.fixture(scope="session", autouse=True)
+def subprocesses_import_this_checkout():
+    """Python processes that tests start import eatxt from ``src/``, as the
+    tests do through ``pythonpath`` in pyproject.toml."""
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("PYTHONPATH", path)
+        yield
 
 
 @pytest.fixture(scope="session")
