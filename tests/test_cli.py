@@ -346,8 +346,8 @@ def test_output_through_a_link_replaces_the_file_it_names(capsys, tmp_path):
 
 
 def test_output_files_keep_the_mode_a_plain_write_gives(capsys, tmp_path):
-    # The temp file behind the rename is private; a new file used to stay
-    # so whatever the umask, and a replaced file used to become 0600.
+    # mkstemp makes the temp file behind the rename private (0600); the
+    # output still gets the mode a plain write would give it.
     new, old = tmp_path / "new.gtext", tmp_path / "old.gtext"
     old.write_text("old content", encoding="utf-8")
     old.chmod(0o640)
@@ -366,7 +366,8 @@ def test_output_files_keep_the_mode_a_plain_write_gives(capsys, tmp_path):
 
 STALE_CACHE = EXTRA / "stale_grammar_cache.json"
 
-# Each model command on the wiper model, or on its EAXML for to-text.
+# Each model command on the wiper model, or on its EAXML for to-text;
+# complete at the ``isElementary`` line, whose keyword the stale cache renames.
 _MODEL_RUNS = {
     "check": ["check", WIPER],
     "format": ["format", WIPER],
@@ -430,7 +431,6 @@ def test_grammar_cache_flag_ignores_any_file_content(tmp_path_factory, content, 
     assert cache.read_bytes() == content
 
 
-@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_grammar_cache_flag_naming_a_pipe_does_not_block(tmp_path):
     # Opening a pipe for reading waits for a writer, so a run that read
     # the cache would hang; each runs in its own process, under a timeout.
