@@ -11,15 +11,19 @@ the pre-fill, and it reads only as much of the text as the reply needs:
 :func:`context_at` pulls it until the innermost body around the cursor
 has closed, since only then are the members present in it final.
 Proposals come in two flavours, plain keywords first and whole-element
-templates second; templates carry ``${n:hint}`` blanks and pre-fill
-mandatory cross-references with the first fitting target found in the
-document, read from a ``ReferenceCache``: a full one from
-``build_cache``, or one from ``parse_cache`` that walks the tree, and
-pulls the parse, only as far as its lookups need.
+templates second; every context kind offers them along one path. This
+module chooses what a template holds: the name and the mandatory
+attributes as ``${n:hint}`` blanks, and the mandatory cross-references
+pre-filled with the first fitting target found in the document, read
+from a ``ReferenceCache``: a full one from ``build_cache``, or one from
+``parse_cache`` that walks the tree, and pulls the parse, only as far as
+its lookups need. The formatter lays the template out, so a filled
+template is canonical text.
 """
 
 from __future__ import annotations
 
+from itertools import count
 from typing import NamedTuple
 
 from .grammar import (
@@ -29,8 +33,8 @@ from .grammar import (
     KeywordCrossRef,
 )
 from .metamodel import Metamodel
-from .model import ReferenceCache, lookup_first_fitting
-from .textsyntax import Body, Parser
+from .model import CrossRef, ModelElement, QualifiedName, ReferenceCache, lookup_first_fitting
+from .textsyntax import Body, Parser, format_model
 
 KEYWORD = "Keyword"
 TEMPLATE = "Template"
@@ -122,71 +126,38 @@ def locate_context(
 def build_template(
     class_name: str, g: Grammar, mm: Metamodel, cache: ReferenceCache,
 ) -> str:
-    """Element skeleton for a class: name blank plus the mandatory members.
+    """Element skeleton for a class: name blank plus the mandatory members,
+    as the formatter writes them, without the final newline.
 
-    Mandatory attributes become ``keyword ${n:kind}`` blanks; mandatory
-    cross-references are pre-filled with the first fitting target from
-    the cache and fall back to a ``${n:TargetClass}`` blank. Mandatory
-    containments are left out; a skeleton cannot pick a child class.
+    The skeleton is a :class:`ModelElement` whose name and mandatory
+    attributes hold ``${n:hint}`` blanks; mandatory cross-references are
+    pre-filled with the first fitting target from the cache and fall back
+    to a ``${n:TargetClass}`` blank. Mandatory containments are left out;
+    a skeleton cannot pick a child class. Blanks are numbered in the order
+    they are written: the hoisted name, then the rule's entries in order.
     """
     rule = g.rules[class_name]
-    counter = 1
-    header = rule.keyword
-    name_member = mm.name_slot_of(class_name)
-
-    if rule.name_inline:
-        header += f" ${{{counter}:name}}"
-        counter += 1
-
-    lines: list[str] = []
-    if not rule.name_inline and name_member is not None:
-        entry = rule.entry_for(name_member.name)
-        if entry is not None and isinstance(entry.form, KeywordAttribute):
-            if entry.form.keyword is not None:
-                lines.append(f"{entry.form.keyword} ${{{counter}:name}}")
-            else:
-                lines.append(f"${{{counter}:name}}")
-            counter += 1
-
     mandatory = {m.name for m in mm.mandatory_members(class_name)}
+    blanks = count(1)
+    skeleton = ModelElement(class_name)
+    if rule.name_inline:
+        skeleton.short_name = f"${{{next(blanks)}:name}}"
     for entry in rule.entries:
-        if entry.member not in mandatory:
-            continue
         form = entry.form
-        if isinstance(form, KeywordAttribute):
-            kind = form.kind.value
-            if form.keyword is None:
-                lines.append(f"${{{counter}:{kind}}}")
-            else:
-                lines.append(f"{form.keyword} ${{{counter}:{kind}}}")
-            counter += 1
+        if entry.is_name_slot():
+            skeleton.short_name = skeleton.short_name or f"${{{next(blanks)}:name}}"
+        elif entry.member not in mandatory:
+            continue
+        elif isinstance(form, KeywordAttribute):
+            skeleton.attributes.append(
+                (entry.member, f"${{{next(blanks)}:{form.kind.value}}}"),
+            )
         elif isinstance(form, KeywordCrossRef):
-            found = None if cache is None else lookup_first_fitting(cache, form.target)
-            if found is not None:
-                lines.append(f"{form.keyword} {found.dotted}")
-            else:
-                lines.append(f"{form.keyword} ${{{counter}:{form.target}}}")
-                counter += 1
-
-    if not lines and rule.body_optional:
-        return header
-    body = "\n".join("    " + line for line in lines)
-    if body:
-        return f"{header}\n{{\n{body}\n}}"
-    return f"{header}\n{{\n}}"
-
-
-def _class_proposals(
-    classes: list[str], g: Grammar, mm: Metamodel, cache: ReferenceCache,
-) -> tuple[list[Proposal], list[Proposal]]:
-    keywords = [
-        Proposal(KEYWORD, g.rules[c].keyword, g.rules[c].keyword) for c in classes
-    ]
-    templates = [
-        Proposal(TEMPLATE, g.rules[c].keyword, build_template(c, g, mm, cache))
-        for c in classes
-    ]
-    return keywords, templates
+            target = None if cache is None else lookup_first_fitting(cache, form.target)
+            if target is None:
+                target = QualifiedName((f"${{{next(blanks)}:{form.target}}}",))
+            skeleton.cross_refs.append(CrossRef(entry.member, target))
+    return format_model(skeleton, g)[:-1]
 
 
 def complete(
@@ -197,55 +168,44 @@ def complete(
 ) -> list[Proposal]:
     """Ordered proposals for a context: keywords first, templates after.
 
-    Repeatable members are always offered; single-valued members only
-    while absent. Containment entries fan out to the concrete subclasses
-    of their target, alphabetically, deduplicated across entries.
+    At the top, the root class is offered while the document has no root;
+    in a wrapped block, the concrete subclasses of its target. In an
+    element body, repeatable members are always offered and single-valued
+    members only while absent. Containment entries fan out to the
+    concrete subclasses of their target, alphabetically, deduplicated
+    across entries; each class offers its keyword and its template.
     """
     if ctx is None:
         return []
-
+    # Member keywords, and lists of classes, in the order they are offered.
+    offers: list[str | list[str]] = []
     if ctx.kind == "top":
-        if ctx.has_root or g.root_rule not in g.rules:
-            return []
-        kws, tpls = _class_proposals([g.root_rule], g, mm, cache)
-        return kws + tpls
+        if not ctx.has_root and g.root_rule in g.rules:
+            offers.append([g.root_rule])
+    elif ctx.kind == "wrapper":
+        if ctx.class_name is not None:
+            offers.append(sorted(mm.concrete_subclasses(ctx.class_name)))
+    elif (rule := g.rules.get(ctx.class_name or "")) is not None:
+        for entry in rule.entries:
+            form = entry.form
+            if not entry.repeatable and entry.member in ctx.members_present:
+                continue
+            if isinstance(form, InlineContainment):
+                offers.append(sorted(mm.concrete_subclasses(form.target)))
+            elif form.keyword is not None:  # not a positional attribute
+                offers.append(form.keyword)
 
-    if ctx.kind == "wrapper":
-        if ctx.class_name is None:
-            return []
-        classes = sorted(mm.concrete_subclasses(ctx.class_name))
-        kws, tpls = _class_proposals(classes, g, mm, cache)
-        return kws + tpls
-
-    rule = g.rules.get(ctx.class_name or "")
-    if rule is None:
-        return []
-
-    keyword_items: list[Proposal] = []
-    template_classes: list[str] = []
-    seen_classes: set[str] = set()
-
-    for entry in rule.entries:
-        addable = entry.repeatable or entry.member not in ctx.members_present
-        if not addable:
+    keywords: list[str] = []
+    classes: list[str] = []
+    for offer in offers:
+        if isinstance(offer, str):
+            keywords.append(offer)
             continue
-        form = entry.form
-        if isinstance(form, InlineContainment):
-            for cls in sorted(mm.concrete_subclasses(form.target)):
-                if cls in seen_classes:
-                    continue
-                seen_classes.add(cls)
-                kw = g.rules[cls].keyword
-                keyword_items.append(Proposal(KEYWORD, kw, kw))
-                template_classes.append(cls)
-        elif isinstance(form, KeywordAttribute):
-            if form.keyword is not None:
-                keyword_items.append(Proposal(KEYWORD, form.keyword, form.keyword))
-        else:  # KeywordCrossRef or WrappedContainment
-            keyword_items.append(Proposal(KEYWORD, form.keyword, form.keyword))
-
-    templates = [
+        for cls in offer:
+            if cls not in classes:
+                classes.append(cls)
+                keywords.append(g.rules[cls].keyword)
+    return [Proposal(KEYWORD, kw, kw) for kw in keywords] + [
         Proposal(TEMPLATE, g.rules[c].keyword, build_template(c, g, mm, cache))
-        for c in template_classes
+        for c in classes
     ]
-    return keyword_items + templates

@@ -167,12 +167,6 @@ class Metamodel:
         except KeyError:
             raise MetamodelError(f"unknown class '{class_name}'") from None
 
-    def name_slot_of(self, class_name: str) -> Member | None:
-        for m in self.flatten_members(class_name):
-            if m.is_name_slot():
-                return m
-        return None
-
     def concrete_classes(self) -> list[str]:
         return [c.name for c in self.classes.values() if not c.abstract]
 

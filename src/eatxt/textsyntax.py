@@ -39,7 +39,8 @@ reference lookups pull on only as far as the first fitting element.
 
 The formatter is the inverse direction and defines the canonical layout:
 four-space indents, braces on their own lines, one construct per line.
-Formatting canonical text is the identity.
+Formatting canonical text is the identity. It is the one writer of model
+text: completion templates are skeleton elements that it formats.
 """
 
 from __future__ import annotations
@@ -944,10 +945,10 @@ def _attribute_lines(el: ModelElement, rule: ProductionRule) -> list[str]:
         form = entry.form
         if isinstance(form, KeywordAttribute):
             if entry.is_name_slot():
-                if el.short_name is not None:
-                    lines.append(f"shortName {el.short_name}")
-                continue
-            for value in el.attribute_values(entry.member):
+                values = [] if el.short_name is None else [el.short_name]
+            else:
+                values = el.attribute_values(entry.member)
+            for value in values:
                 if value == '""':
                     continue  # empty strings are dropped from text
                 if form.keyword is None:

@@ -7,8 +7,9 @@ a structural tree comparison, the pre-order numbering that the parser
 must reproduce, a frozen reference lexer, the frozen EAXML tag tables
 with the frozen ElementTree writer and reader of EAXML that use them,
 the recorder of damaged-document parses, the frozen recursive metamodel
-index, the frozen ElementTree metamodel reader and the frozen
-command-line parser that builds every subcommand.
+index, the frozen ElementTree metamodel reader, the frozen
+command-line parser that builds every subcommand and the frozen
+template builder that laid out its own text.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from eatxt.metamodel import (
     _ref_name,
     _validate_and_index,
 )
-from eatxt.model import ModelElement, CrossRef, QualifiedName
+from eatxt.model import CrossRef, ModelElement, QualifiedName, ReferenceCache, lookup_first_fitting
 from eatxt.xmlio import EAXML_VERSION, to_tag
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -280,7 +281,7 @@ def _build_element(
         if not budget.take():
             break
         child_name: str | None = None
-        if mm.name_slot_of(child_class) is not None:
+        if any(m.is_name_slot() for m in mm.flatten_members(child_class)):
             while True:
                 child_name = rng.choice(_WORDS).capitalize() + str(rng.randrange(1000))
                 if child_name not in used_names:
@@ -451,6 +452,60 @@ def fill_placeholders(snippet: str) -> str:
         return _DUMMIES.get(hint, "probe1")
 
     return _PLACEHOLDER.sub(sub, snippet)
+
+
+def reference_build_template(
+    class_name: str, g: Grammar, mm: Metamodel, cache: ReferenceCache | None,
+) -> str:
+    """Frozen template builder that laid out the text itself: the name
+    blank first (hoisted, or as the name line), then the mandatory
+    members in entry order. Oracle for ``assist.build_template``, which
+    formats a skeleton element instead."""
+    rule = g.rules[class_name]
+    counter = 1
+    header = rule.keyword
+    name_member = next((m for m in mm.flatten_members(class_name) if m.is_name_slot()), None)
+
+    if rule.name_inline:
+        header += f" ${{{counter}:name}}"
+        counter += 1
+
+    lines: list[str] = []
+    if not rule.name_inline and name_member is not None:
+        entry = rule.entry_for(name_member.name)
+        if entry is not None and isinstance(entry.form, KeywordAttribute):
+            if entry.form.keyword is not None:
+                lines.append(f"{entry.form.keyword} ${{{counter}:name}}")
+            else:
+                lines.append(f"${{{counter}:name}}")
+            counter += 1
+
+    mandatory = {m.name for m in mm.mandatory_members(class_name)}
+    for entry in rule.entries:
+        if entry.member not in mandatory:
+            continue
+        form = entry.form
+        if isinstance(form, KeywordAttribute):
+            kind = form.kind.value
+            if form.keyword is None:
+                lines.append(f"${{{counter}:{kind}}}")
+            else:
+                lines.append(f"{form.keyword} ${{{counter}:{kind}}}")
+            counter += 1
+        elif isinstance(form, KeywordCrossRef):
+            found = None if cache is None else lookup_first_fitting(cache, form.target)
+            if found is not None:
+                lines.append(f"{form.keyword} {found.dotted}")
+            else:
+                lines.append(f"{form.keyword} ${{{counter}:{form.target}}}")
+                counter += 1
+
+    if not lines and rule.body_optional:
+        return header
+    body = "\n".join("    " + line for line in lines)
+    if body:
+        return f"{header}\n{{\n{body}\n}}"
+    return f"{header}\n{{\n}}"
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,12 @@ from eatxt.assist import (
     locate_context,
 )
 from eatxt.diagnostics import ERROR
-from eatxt.model import build_cache
-from eatxt.textsyntax import parse_document, parse_model
+from eatxt.grammar import adapt_grammar, generate_grammar, parse_config
+from eatxt.metamodel import load_metamodel
+from eatxt.model import ReferenceCache, build_cache
+from eatxt.textsyntax import format_model, parse_document, parse_model
 
-from support import MODELS, fill_placeholders
+from support import CONFIG, MODELS, fill_placeholders, reference_build_template
 
 WIPER = (MODELS[0].parent / "wiper_system.eatxt").read_text(encoding="utf-8")
 
@@ -273,6 +275,83 @@ def test_templates_parse_after_placeholder_substitution(g, mm):
         root, diags = parse_model(snippet, g, mm)
         assert root is not None
         assert not [d for d in diags if d.severity == ERROR], (cls, snippet)
+
+
+KEYWORDLESS_NAME = "remove-attribute-keyword * shortName\n"
+
+
+def template_grammars(mm):
+    """The generated grammar and the grammars of these configs: the
+    default one, each of its directives alone, and the keyword-less name
+    slot alone, in place of the hoisted name and after the default."""
+    default = CONFIG.read_text(encoding="utf-8")
+    configs = {
+        "default": default,
+        "keywordless name": KEYWORDLESS_NAME,
+        "keywordless name, not hoisted": default.replace("hoist-short-name *\n", KEYWORDLESS_NAME),
+        "default, then keywordless name": default + KEYWORDLESS_NAME,
+    }
+    for line in default.splitlines():
+        if line and not line.startswith("#"):
+            configs[line] = line + "\n"
+    grammars = {"generated": generate_grammar(mm)}
+    for name, text in configs.items():
+        grammars[name], _ = adapt_grammar(generate_grammar(mm), parse_config(text))
+    return grammars
+
+
+def template_caches(g, mm):
+    return {"none": None, "wiper": cache_for(WIPER, g, mm), "empty": ReferenceCache()}
+
+
+def test_templates_match_the_frozen_builder(g, mm):
+    for syntax, grammar in template_grammars(mm).items():
+        for name, cache in template_caches(g, mm).items():
+            for cls in mm.concrete_classes():
+                assert build_template(cls, grammar, mm, cache) == reference_build_template(
+                    cls, grammar, mm, cache,
+                ), (syntax, name, cls)
+
+
+def test_filled_templates_are_canonical_text(g, mm):
+    # The parser takes any class at the top, so no host element is needed.
+    for syntax, grammar in template_grammars(mm).items():
+        for name, cache in template_caches(g, mm).items():
+            for cls in mm.concrete_classes():
+                filled = fill_placeholders(build_template(cls, grammar, mm, cache))
+                root, diags = parse_model(filled, grammar, mm)
+                assert diags == [], (syntax, name, cls, filled)
+                assert format_model(root, grammar) == filled + "\n", (syntax, name, cls)
+
+
+LATE_NAME_SLOT = """<?xml version="1.0" encoding="UTF-8"?>
+<ecore:EPackage xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance"
+    xmlns:ecore="http://www.eclipse.org/emf/2002/Ecore" name="late" rootClass="Item">
+  <eClassifiers xsi:type="ecore:EClass" name="Coded" abstract="true">
+    <eStructuralFeatures xsi:type="ecore:EAttribute" name="code" eType="#//Identifier" lowerBound="1"/>
+  </eClassifiers>
+  <eClassifiers xsi:type="ecore:EClass" name="Named" abstract="true">
+    <eStructuralFeatures xsi:type="ecore:EAttribute" name="shortName" eType="#//Identifier" lowerBound="1"/>
+  </eClassifiers>
+  <eClassifiers xsi:type="ecore:EClass" name="Item" eSuperTypes="#//Coded #//Named">
+    <eStructuralFeatures xsi:type="ecore:EReference" name="peer" eType="#//Item" lowerBound="1"/>
+  </eClassifiers>
+</ecore:EPackage>
+"""
+
+
+def test_template_writes_an_inherited_name_slot_where_its_entry_is():
+    # The name slot comes after ``code`` here, and blanks are numbered in
+    # the order they are written, so the filled template is canonical.
+    late = load_metamodel(LATE_NAME_SLOT)
+    grammar = generate_grammar(late)
+    template = build_template("Item", grammar, late, None)
+    assert template == (
+        "Item\n{\n    code ${1:Identifier}\n    shortName ${2:name}\n    peer ${3:Item}\n}"
+    )
+    filled = fill_placeholders(template)
+    root, diags = parse_model(filled, grammar, late)
+    assert diags == [] and format_model(root, grammar) == filled + "\n"
 
 
 # --- soundness and completeness over whole files -----------------------------

@@ -130,10 +130,14 @@ def test_concrete_subclasses_in_declaration_order(mm):
     ]
 
 
-def test_name_slot_lookup(mm):
-    slot = mm.name_slot_of("FunctionConnector")
-    assert slot is not None and slot.name == "shortName"
-    assert mm.name_slot_of("Comment") is None
+@pytest.mark.parametrize("lookup", [
+    lambda mm: mm.flatten_members("Mystery"),
+    lambda mm: mm.member_of("Mystery", "shortName"),
+], ids=["flatten_members", "member_of"])
+def test_member_lookups_reject_an_unknown_class(mm, lookup):
+    with pytest.raises(MetamodelError) as caught:
+        lookup(mm)
+    assert str(caught.value) == "unknown class 'Mystery'"
 
 
 def test_duplicate_class_name_rejected():
