@@ -49,8 +49,11 @@ import argparse
 import contextlib
 import gc
 import os
+import re
 import stat
 import sys
+from collections import deque
+from itertools import islice
 
 from .assist import complete as compute_proposals
 from .assist import context_at
@@ -78,6 +81,8 @@ from .xmlio import XmlNameMap, from_eaxml, to_eaxml
 OK = 0
 DATA_ERROR = 1
 USAGE_ERROR = 2
+
+_NEWLINE = re.compile("\n")
 
 
 class _UsageError(ToolchainError):
@@ -227,23 +232,26 @@ def cmd_format(args: argparse.Namespace, mm: Metamodel, g: Grammar) -> int:
     return OK
 
 
-def _cursor_offset(lines: LineIndex, size: int, line: int, col: int) -> int:
-    """Offset of a 1-based position that must lie in a text of ``size``
-    characters."""
-    count = len(lines.starts)
+def _cursor_offset(text: str, line: int, col: int) -> int:
+    """Offset of a 1-based position that must lie in the text. Only the
+    newlines before the position's line are located, one by one."""
+    count = text.count("\n") + 1
     if line < 1 or line > count:
         raise _UsageError(f"line {line} out of range (1..{count})")
-    end = lines.starts[line] if line < count else size + 1
-    width = end - lines.starts[line - 1]
+    before = deque(islice(_NEWLINE.finditer(text), line - 1), maxlen=1)
+    start = before[0].end() if before else 0
+    end = text.find("\n", start)
+    width = (len(text) if end < 0 else end) - start + 1
     if col < 1 or col > width:
         raise _UsageError(f"column {col} out of range (1..{width}) on line {line}")
-    return lines.offset(line, col)
+    return start + col - 1
 
 
 def cmd_complete(args: argparse.Namespace, mm: Metamodel, g: Grammar) -> int:
     text = _read_text(args.model)
+    offset = _cursor_offset(text, args.line, args.col)
     with Parser(text, g, mm) as parse:
-        ctx = context_at(parse, _cursor_offset(parse.lines, len(text), args.line, args.col))
+        ctx = context_at(parse, offset)
         proposals = compute_proposals(ctx, g, mm, parse_cache(parse, mm))
     for p in proposals:
         body = (

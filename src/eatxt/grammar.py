@@ -276,8 +276,6 @@ def _compile_glob(glob: str) -> re.Pattern[str]:
 
 
 def _check_glob(glob: str, line_no: int) -> str:
-    if not glob:
-        raise ConfigError(f"line {line_no}: empty glob")
     for ch in glob:
         if not (ch.isalnum() or ch in "_*"):
             raise ConfigError(

@@ -520,10 +520,9 @@ class Parser:
 
     def span(self, i: int) -> Span:
         """Span of token ``i``, or of the last token for the sentinel:
-        at the end of the text, a problem is reported at the last token."""
+        at the end of the text, a problem is reported at the last token
+        (an empty document, which has none, is reported before)."""
         if self.kinds[i] == _END:
-            if not i:
-                return Span(1, 1, 1, 1)
             i -= 1
         start = self.offsets[i]
         return self.lines.span(start, start + len(self.lexemes[i]))

@@ -5,6 +5,7 @@ the installed console script to prove the wiring.
 """
 
 import contextlib
+import errno
 import functools
 import gc
 import io
@@ -18,7 +19,7 @@ import sys
 import weakref
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import eatxt.cli
 import eatxt.textsyntax
@@ -28,7 +29,7 @@ from eatxt.grammar import adapt_grammar, generate_grammar, parse_config
 from eatxt.metamodel import load_metamodel
 from eatxt.assist import complete, context_at
 from eatxt.model import build_cache
-from eatxt.textsyntax import format_model, parse_document, parse_model
+from eatxt.textsyntax import LineIndex, format_model, parse_document, parse_model
 from eatxt.xmlio import to_eaxml
 
 from support import (
@@ -312,6 +313,20 @@ def test_output_files_are_written_atomically(capsys, tmp_path):
     assert leftovers == []
 
 
+def test_a_failed_rename_removes_the_temp_file(capsys, tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError(errno.EXDEV, os.strerror(errno.EXDEV), src, dst)
+
+    monkeypatch.setattr(os, "replace", refuse)
+    target = tmp_path / "out.eatxt"
+    code, out, err = run(
+        capsys, "format", WIPER, "--metamodel", METAMODEL, "--config", CONFIG, "-o", target,
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {target}: {os.strerror(errno.EXDEV)}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_output_into_a_pipe_writes_into_it(capsys, tmp_path):
     # The rename used to replace the pipe with a file, the reader seeing
     # nothing. The grammar is far below a pipe's buffer, so nothing blocks.
@@ -584,6 +599,36 @@ def test_complete_position_out_of_range_is_usage_error(capsys, tmp_path):
     for line, col in ((1, 12), (2, 1)):
         code, _, _ = run(capsys, *complete_args(f, line, col))
         assert code == 0, (line, col)
+
+
+def line_start_offset(text, line, col):
+    """What the cursor check must answer, from every line start of the
+    text: an offset, or the message of the usage error."""
+    starts = LineIndex(text).starts
+    count = len(starts)
+    if line < 1 or line > count:
+        return f"line {line} out of range (1..{count})"
+    width = (starts[line] if line < count else len(text) + 1) - starts[line - 1]
+    if col < 1 or col > width:
+        return f"column {col} out of range (1..{width}) on line {line}"
+    return starts[line - 1] + col - 1
+
+
+@given(st.text(alphabet="a \n", max_size=30))
+@example("")
+@example("\n\n\n")
+@example("ab")
+@example("ab\nc\n")
+def test_cursor_check_agrees_with_the_line_starts(text):
+    starts = LineIndex(text).starts + [len(text) + 1]
+    for line in range(-1, len(starts) + 2):
+        width = starts[line] - starts[line - 1] if 1 <= line < len(starts) else 0
+        for col in range(-1, width + 3):
+            try:
+                got = eatxt.cli._cursor_offset(text, line, col)
+            except eatxt.cli._UsageError as exc:
+                got = str(exc)
+            assert got == line_start_offset(text, line, col), (line, col)
 
 
 def test_complete_works_on_files_with_errors(capsys):
@@ -945,6 +990,28 @@ def test_generated_syntax_from_eaxml_checks_and_roundtrips(path, capsys, tmp_pat
         assert run(capsys, command, text, "--metamodel", METAMODEL) == (0, "", ""), command
     formatted = text.read_text(encoding="utf-8")
     assert run(capsys, "format", text, "--metamodel", METAMODEL) == (0, formatted, "")
+
+
+@pytest.mark.parametrize("path", MODELS, ids=lambda p: p.stem)
+def test_a_name_without_its_keyword_converts_checks_and_formats(path, capsys, tmp_path):
+    # The name written as a bare value in the body, not hoisted: text read
+    # back from EAXML checks, and format leaves it as it is.
+    default = CONFIG.read_text(encoding="utf-8")
+    assert "hoist-short-name *\n" in default
+    config = tmp_path / "bare-name.cfg"
+    config.write_text(
+        default.replace("hoist-short-name *\n", "remove-attribute-keyword * shortName\n"),
+        encoding="utf-8",
+    )
+    xml, text = tmp_path / "m.eaxml", tmp_path / "m.eatxt"
+    argv = ["to-xml", path, "--metamodel", METAMODEL, "--config", CONFIG, "-o", xml]
+    assert run(capsys, *argv) == (0, "", "")
+    tool = ["--metamodel", METAMODEL, "--config", config]
+    assert run(capsys, "to-text", xml, *tool, "-o", text) == (0, "", "")
+    assert run(capsys, "check", text, *tool) == (0, "", "")
+    formatted = text.read_text(encoding="utf-8")
+    assert run(capsys, "format", text, *tool) == (0, formatted, "")
+    assert "shortName" not in formatted
 
 
 def test_roundtrip_check_rejects_unparsable_input(capsys):

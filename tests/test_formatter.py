@@ -99,6 +99,13 @@ def test_unknown_class_raises(g):
         format_model(ModelElement(class_name="Mystery"), g)
 
 
+def test_child_under_a_member_without_a_grammar_entry_raises(g):
+    root = ModelElement("EAPackage", "P", children=[("ghost", ModelElement("EAPackage", "Q"))])
+    with pytest.raises(SerializationError) as caught:
+        format_model(root, g)
+    assert str(caught.value) == "class 'EAPackage' has no grammar entry for containment 'ghost'"
+
+
 def test_random_trees_format_to_fixpoints(g, gen_g, mm):
     for syntax, grammar in (("adapted", g), ("generated", gen_g)):
         for seed in range(40):

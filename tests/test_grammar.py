@@ -22,6 +22,7 @@ from eatxt.grammar import (
     parse_config,
 )
 from eatxt.metamodel import PrimitiveKind, load_metamodel
+from eatxt.textsyntax import format_model, parse_model
 
 from support import CONFIG, GOLDEN, read_grammar_text
 
@@ -294,6 +295,47 @@ def test_emit_empty_grammar():
     from eatxt.grammar import Grammar
 
     assert emit_grammar(Grammar(rules={}, terminals={}, root_rule="")) == ""
+
+
+SINGLE_CHILD = """<?xml version="1.0" encoding="UTF-8"?>
+<ecore:EPackage xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance"
+    xmlns:ecore="http://www.eclipse.org/emf/2002/Ecore" name="box" rootClass="Box">
+  <eClassifiers xsi:type="ecore:EClass" name="Box">
+    <eStructuralFeatures xsi:type="ecore:EAttribute" name="shortName" eType="#//Identifier" lowerBound="1"/>
+    <eStructuralFeatures xsi:type="ecore:EReference" name="lid" eType="#//Lid" containment="true" lowerBound="1"/>
+    <eStructuralFeatures xsi:type="ecore:EReference" name="tag" eType="#//Lid" containment="true"/>
+  </eClassifiers>
+  <eClassifiers xsi:type="ecore:EClass" name="Lid">
+    <eStructuralFeatures xsi:type="ecore:EAttribute" name="shortName" eType="#//Identifier" lowerBound="1"/>
+  </eClassifiers>
+</ecore:EPackage>
+"""
+
+
+def test_single_valued_wrapped_containment_holds_one_child():
+    mm = load_metamodel(SINGLE_CHILD)
+    g = generate_grammar(mm)
+    assert emit_grammar(g).startswith(
+        "Box returns Box:\n"
+        "    'Box'\n"
+        "    '{'\n"
+        "        'shortName' shortName=Identifier\n"
+        "        'lid' '{' lid=Lid '}'\n"
+        "        ('tag' '{' tag=Lid '}' )?\n"
+        "    '}';\n"
+    )
+    lid = "    lid\n    {\n        Lid\n        {\n            shortName L\n        }\n"
+    text = (
+        "Box\n{\n    shortName B\n" + lid + "    }\n"
+        "    tag\n    {\n        Lid\n        {\n            shortName T\n        }\n    }\n}\n"
+    )
+    root, diags = parse_model(text, g, mm)
+    assert diags == [] and format_model(root, g) == text
+    second = "        ,\n        Lid\n        {\n            shortName M\n        }\n"
+    _, diags = parse_model("Box\n{\n    shortName B\n" + lid + second + "    }\n}\n", g, mm)
+    assert [(d.message, d.span.line, d.span.col) for d in diags] == [
+        ("duplicate member 'lid'", 11, 9),
+    ]
 
 
 def test_emit_changes_when_config_matches(gen_g):

@@ -110,8 +110,8 @@ def test_qualified_name_cut_after_a_dot_points_at_its_last_segment(g, mm):
 
 
 def test_inline_name_fills_a_kept_short_name_entry(g, gen_g, mm):
-    # A grammar (from a hand-edited cache, say) may hoist the name and
-    # still list the shortName entry; the inline name then counts for it.
+    # A hand-built grammar may hoist the name and still list the
+    # shortName entry; the inline name then counts for it.
     grammar = copy.deepcopy(g)
     grammar.rules["EADatatype"].entries.insert(
         0, gen_g.rules["EADatatype"].entry_for("shortName"),

@@ -17,7 +17,7 @@ from eatxt.grammar import generate_grammar
 from eatxt.metamodel import (
     Attribute, Member, MetaClass, Metamodel, PrimitiveKind, _validate_and_index, load_metamodel,
 )
-from eatxt.model import ModelElement
+from eatxt.model import CrossRef, ModelElement, QualifiedName
 from eatxt.textsyntax import format_model, parse_model
 from eatxt.xmlio import (
     XmlNameMap,
@@ -760,3 +760,24 @@ def test_nesting_depth_is_not_bounded_by_recursion(mm):
     assert [el.short_name for el in back.iter_preorder()] == [f"P{i}" for i in range(3000)]
     assert [el.id for el in back.iter_preorder()] == list(range(1, 3001))
 
+
+
+@pytest.mark.parametrize("root, message", [
+    (ModelElement("Mystery"), "unknown class 'Mystery'"),
+    (
+        ModelElement("EAPackage", "P", attributes=[("element", "x")]),
+        "'EAPackage' has no attribute 'element'",
+    ),
+    (
+        ModelElement("EAPackage", "P", cross_refs=[CrossRef("category", QualifiedName(("X",)))]),
+        "'EAPackage' has no cross-reference 'category'",
+    ),
+    (
+        ModelElement("EAPackage", "P", children=[("category", ModelElement("EAPackage", "Q"))]),
+        "'EAPackage' has no containment 'category'",
+    ),
+], ids=["class", "attribute", "cross-reference", "containment"])
+def test_to_eaxml_rejects_a_tree_the_metamodel_cannot_hold(mm, root, message):
+    with pytest.raises(SerializationError) as caught:
+        to_eaxml(root, mm)
+    assert str(caught.value) == message
