@@ -177,34 +177,30 @@ def complete(
     """
     if ctx is None:
         return []
-    # Member keywords, and lists of classes, in the order they are offered.
-    offers: list[str | list[str]] = []
+    keywords: list[str] = []
+    classes: list[str] = []
+
+    def offer(names: list[str]) -> None:
+        for cls in names:
+            if cls not in classes:
+                classes.append(cls)
+                keywords.append(g.rules[cls].keyword)
+
     if ctx.kind == "top":
         if not ctx.has_root and g.root_rule in g.rules:
-            offers.append([g.root_rule])
+            offer([g.root_rule])
     elif ctx.kind == "wrapper":
         if ctx.class_name is not None:
-            offers.append(sorted(mm.concrete_subclasses(ctx.class_name)))
+            offer(sorted(mm.concrete_subclasses(ctx.class_name)))
     elif (rule := g.rules.get(ctx.class_name or "")) is not None:
         for entry in rule.entries:
             form = entry.form
             if not entry.repeatable and entry.member in ctx.members_present:
                 continue
             if isinstance(form, InlineContainment):
-                offers.append(sorted(mm.concrete_subclasses(form.target)))
+                offer(sorted(mm.concrete_subclasses(form.target)))
             elif form.keyword is not None:  # not a positional attribute
-                offers.append(form.keyword)
-
-    keywords: list[str] = []
-    classes: list[str] = []
-    for offer in offers:
-        if isinstance(offer, str):
-            keywords.append(offer)
-            continue
-        for cls in offer:
-            if cls not in classes:
-                classes.append(cls)
-                keywords.append(g.rules[cls].keyword)
+                keywords.append(form.keyword)
     return [Proposal(KEYWORD, kw, kw) for kw in keywords] + [
         Proposal(TEMPLATE, g.rules[c].keyword, build_template(c, g, mm, cache))
         for c in classes
