@@ -21,6 +21,15 @@ templates look for the first fitting target of a class
 (:func:`eatxt.model.parse_cache`), all in one parse. It builds no
 reference cache of the whole model.
 
+A batch command (check, format, to-xml, to-text, roundtrip-check) holds
+at most one model tree, its input text and one copy of each text it
+writes. The parse drops each token's text once past it, and the input
+text goes with the parse. roundtrip-check writes the EAXML and then the
+canonical text of the parsed tree, drops the tree, reads the EAXML back
+and drops it; only the canonical text stays, for the comparison. So its
+peak is the larger of the tree with the two texts written from it, and
+the canonical text and the EAXML with the tree read back.
+
 A call does only the work its command needs, since an editor may run
 one per keystroke. :func:`build_parser` adds only the invoked
 subcommand's subparser (all eight for help or a missing or unknown
@@ -268,8 +277,14 @@ def cmd_roundtrip_check(args: argparse.Namespace, mm: Metamodel, g: Grammar) -> 
     root = _clean_tree(args, mm, g)
     if root is None:
         return DATA_ERROR
+    # Each tree and text is dropped once nothing reads it, so that the
+    # command holds one tree at a time. The EAXML is written first, so that
+    # the canonical text is not held beside the writer's chunks.
+    xml = to_eaxml(root, mm, names)
     canonical = format_model(root, g)
-    back, xml_diags = from_eaxml(to_eaxml(root, mm, names), mm, names)
+    del root
+    back, xml_diags = from_eaxml(xml, mm, names)
+    del xml
     if back is None or has_errors(xml_diags):
         # A line:col would point into the intermediate EAXML, not the file.
         for d in xml_diags:

@@ -14,9 +14,11 @@ an inline flag) is kept out of it and tried on its own at every token.
 :class:`Tokens` holds the kinds, lexemes and start offsets of the tokens
 in three parallel lists, plus the line index of the text and the offsets
 of its string literals, and lexes them a batch at a time, on demand;
-:func:`lex` drains it. The parser reads the lists by index. Elements and
+:func:`lex` drains it. The parser reads the lists by index, and sets the
+lexemes and offsets of the tokens it has passed to None. Elements and
 cross-references keep offsets too; only a diagnostic holds a line:col,
-and the line index finds the line starts the first time one is needed.
+and the line index finds line starts only as far as the positions it
+places need.
 
 The parser interprets the grammar IR in one loop over the tokens and an
 explicit stack of the elements whose body is open, so nesting depth has
@@ -98,22 +100,30 @@ _KEPT_OUT = r"\\[0-9]|\(\?[(P]|\(\?[aiLmsux]"
 class LineIndex:
     """Translation between offsets and 1-based (line, col) positions of
     one text, by bisection over the offsets where lines start. Those are
-    found the first time they are read."""
+    found as far as a position needs them: :meth:`span` looks no further
+    than the end it places, and :attr:`starts` reads the whole text."""
 
-    __slots__ = ("_text", "_starts")
+    __slots__ = ("_text", "_starts", "_found")
 
     def __init__(self, text: str):
         self._text = text
-        self._starts: list[int] | None = None
+        self._starts = [0]
+        self._found = 0  # every line start up to this offset is in _starts
+
+    def _find(self, offset: int) -> list[int]:
+        """The line starts, every one up to ``offset`` found."""
+        starts = self._starts
+        if offset > self._found:
+            starts += [m.end() for m in _NEWLINE.finditer(self._text, self._found, offset)]
+            self._found = offset
+        return starts
 
     @property
     def starts(self) -> list[int]:
-        if self._starts is None:
-            self._starts = [0] + [m.end() for m in _NEWLINE.finditer(self._text)]
-        return self._starts
+        return self._find(len(self._text))
 
     def span(self, start: int, end: int) -> Span:
-        starts = self.starts
+        starts = self._find(end)
         line = bisect_right(starts, start)
         end_line = bisect_right(starts, end)
         return Span(line, start - starts[line - 1] + 1, end_line, end - starts[end_line - 1] + 1)
@@ -422,7 +432,11 @@ class Parser:
     ``_END`` sentinel once the text is lexed to its end, so reading past
     the last token needs no bounds check. Before that, each turn of the
     loop first makes sure that the tokens it may read are lexed, and so
-    does each loop that can read further (:meth:`fill`).
+    does each loop that can read further (:meth:`fill`). A turn that lexes
+    on first lets go of the lexemes and offsets behind it (:meth:`forget`),
+    so that the token columns do not keep a copy of the text already
+    parsed. An element that ends places its diagnostics from its own
+    ``start`` and ``end``, however far back its class keyword is.
 
     Elements are numbered in pre-order as they open. A dropped element
     was the last one opened before its subtree, so dropping it sets the
@@ -436,6 +450,7 @@ class Parser:
         self.lines = tokens.lines
         self.strings = tokens.strings
         self.limit = 0  # below it, a turn of the loop finds its tokens lexed
+        self.passed = 0  # below it, tokens have no lexeme and no offset
         self.i = 0  # the next token, whenever the parse is not running
         self.g = g
         self.mm = mm
@@ -516,6 +531,19 @@ class Parser:
             self.limit = len(kinds) - _LOOKAHEAD
         return self.limit
 
+    def forget(self, i: int) -> None:
+        """Set the lexeme and offset of each token before token ``i - 1``
+        to None, at the top of a turn of the loop that starts at token
+        ``i``. No turn reads back past the token just before it, which an
+        end-of-text diagnostic places. The lists keep their lengths, so
+        indexes stay valid."""
+        passed, end = self.passed, i - 1
+        if end > passed:
+            gone = [None] * (end - passed)
+            self.lexemes[passed:end] = gone
+            self.offsets[passed:end] = gone
+            self.passed = end
+
     # -- positions and reports ------------------------------------------------
 
     def span(self, i: int) -> Span:
@@ -530,12 +558,12 @@ class Parser:
     def error(self, message: str, span: Span) -> None:
         self.sink.append(Diagnostic(ERROR, message, span))
 
-    def too_many(self, member: str, upper: int, i: int) -> None:
-        """Report a value of ``member`` beyond its upper bound at token ``i``."""
+    def too_many(self, member: str, upper: int, span: Span) -> None:
+        """Report a value of ``member`` beyond its upper bound at ``span``."""
         if upper == 1:
-            self.error(f"duplicate member '{member}'", self.span(i))
+            self.error(f"duplicate member '{member}'", span)
         else:
-            self.error(f"member '{member}' allows at most {upper} values", self.span(i))
+            self.error(f"member '{member}' allows at most {upper} values", span)
 
     def bad_value(self, action: tuple, i: int) -> int:
         """Report token ``i``, which is not a value of the keyword before
@@ -647,6 +675,7 @@ class Parser:
         while True:
             i = self.i
             if i >= self.limit:
+                self.forget(i)
                 self.fill(i)
             kind = kinds[i]
             if kind == _END:
@@ -675,17 +704,17 @@ class Parser:
         ends, and the bound is reported then."""
         kinds, lexemes, offsets = self.kinds, self.lexemes, self.offsets
         class_keywords, rules, bodies = self.class_keywords, self.rules, self.bodies
-        opened, fill = self.open, self.fill
+        opened, fill, forget = self.open, self.fill, self.forget
         i, last_id, limit = self.i, 0, self.limit
         stack: list[tuple] = []
         # ``drop`` is None for a kept element, the member it goes over the
         # bound of, or "" when no containment fits it.
         el = info = counts = body = block = drop = None
-        drop_at = 0
         child_class: str | None = class_name
         child_link: str | None = None
         while True:
             if i >= limit:
+                forget(i)
                 limit = fill(i)
             if child_class is not None:
                 # Token i is the child's class keyword; its inline name
@@ -705,7 +734,6 @@ class Parser:
                     if n <= info.upper[child_link]:
                         el.children.append((child_link, c))
                         child_link = None
-                c_at = i
                 i += 1
                 if rule.name_inline:
                     if kinds[i] == "Identifier":
@@ -717,10 +745,8 @@ class Parser:
                     b = Body(offsets[i], child_class)
                     bodies.append(b)
                     i += 1
-                    stack.append((el, info, counts, body, block, drop, drop_at))
-                    el, info, counts, body, block, drop, drop_at = (
-                        c, ci, {}, b, None, child_link, c_at
-                    )
+                    stack.append((el, info, counts, body, block, drop))
+                    el, info, counts, body, block, drop = c, ci, {}, b, None, child_link
                     opened.append(c)
                     child_class = None
                     self.i = i
@@ -729,7 +755,7 @@ class Parser:
                 if not rule.body_optional:
                     self.error(
                         f"expected '{{' to open the body of '{rule.keyword}'",
-                        self.span(c_at if kinds[i] == _END else i),
+                        self.lines.span(c.start, c.end) if kinds[i] == _END else self.span(i),
                     )
                 cc, c_drop = {}, child_link
                 child_class = None
@@ -773,8 +799,8 @@ class Parser:
                             f"unexpected end of file inside '{info.rule.keyword}'",
                             self.span(i),
                         )
-                    c, ci, cc, c_drop, c_at = el, info, counts, drop, drop_at
-                    el, info, counts, body, block, drop, drop_at = stack.pop()
+                    c, ci, cc, c_drop = el, info, counts, drop
+                    el, info, counts, body, block, drop = stack.pop()
                     opened.pop()
                 else:
                     if kind == "Identifier":
@@ -808,7 +834,7 @@ class Parser:
                                 n = counts.get(member, 0) + 1
                                 counts[member] = n
                                 if n > action[2]:
-                                    self.too_many(member, action[2], first - 1)
+                                    self.too_many(member, action[2], self.span(first - 1))
                                     continue
                                 target = _new_tuple(
                                     QualifiedName, (tuple(lexemes[first:last + 1:2]),),
@@ -884,7 +910,7 @@ class Parser:
                     n = counts.get(member, 0) + 1
                     counts[member] = n
                     if n > action[2]:
-                        self.too_many(member, action[2], i)
+                        self.too_many(member, action[2], self.span(i))
                     elif action[0] is _NAME:
                         el.short_name = lexemes[i]
                     else:
@@ -892,17 +918,18 @@ class Parser:
                     i += 1
                     continue
 
-            # Element ``c`` ended. Report every member that occurs fewer
-            # times than its lower bound. ``cc`` counts occurrences, stored
-            # or not; since no upper bound lies below its lower bound, it is
-            # short of a lower bound exactly when the stored values are. The
-            # name counts once when set.
+            # Element ``c`` ended; its diagnostics point at its class
+            # keyword. Report every member that occurs fewer times than its
+            # lower bound. ``cc`` counts occurrences, stored or not; since no
+            # upper bound lies below its lower bound, it is short of a lower
+            # bound exactly when the stored values are. The name counts once
+            # when set.
             for member, lower in ci.lower:
                 n = 1 if member == "shortName" and c.short_name is not None else cc.get(member, 0)
                 if n < lower:
                     self.error(
                         f"missing mandatory member '{member}' in '{ci.rule.keyword}'",
-                        self.span(c_at),
+                        self.lines.span(c.start, c.end),
                     )
             if el is None:
                 self.i = i
@@ -910,7 +937,7 @@ class Parser:
             if c_drop is not None:
                 # Drop it with its subtree, the elements numbered since it.
                 if c_drop:
-                    self.too_many(c_drop, info.upper[c_drop], c_at)
+                    self.too_many(c_drop, info.upper[c_drop], self.lines.span(c.start, c.end))
                 last_id = c.id - 1
 
 
@@ -1016,4 +1043,5 @@ def format_model(root: ModelElement, g: Grammar) -> str:
             pending.append(inner + "}")
         pending.append(pad + "}")
         stack.extend(reversed(pending))
-    return "\n".join(out) + "\n"
+    out.append("")  # the final newline
+    return "\n".join(out)

@@ -7,6 +7,10 @@ and one wrapper element per containment member. Consecutive children of
 the same member share a wrapper, so arbitrary interleavings of children
 survive the trip: document order in, document order out.
 
+The writer joins its lines into chunks as it walks the tree, so at its
+peak it holds the tree, the chunks and the document joined from them;
+the reader holds the document and the tree it builds.
+
 Attribute values travel verbatim. String attributes keep the escaped
 spelling used in text (what is between the quotes), so converting back
 to text is a matter of putting the quotes back. Empty attribute values
@@ -29,6 +33,9 @@ _WORD_RE = re.compile(r"[A-Z]+(?![a-z])|[A-Z][a-z0-9]*|[a-z0-9]+")
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
 # A character that XML 1.0 documents cannot hold, not even escaped.
 _NOT_XML = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+# The writer joins its lines into chunks of at least this many as it goes,
+# so that a document never sits in memory as one string per line.
+_CHUNK = 4096
 
 
 def to_tag(name: str) -> str:
@@ -116,12 +123,16 @@ def to_eaxml(root: ModelElement, mm: Metamodel, names: XmlNameMap | None = None)
     values written are the version and ``DEST`` tags, which consist of
     capitals, digits and hyphens and so need no escaping. A carriage
     return is written as ``&#13;``, since readers take a raw one for a
-    line feed; a character that XML 1.0 forbids raises SerializationError.
+    line feed; a character that XML 1.0 forbids raises SerializationError
+    once the whole tree is written. The walk joins its lines into chunks
+    of ``_CHUNK`` lines or a few more as it goes, and the chunks into the
+    document at the end.
     """
     if names is None:
         names = XmlNameMap(mm)
     tags = names.tag_by_name
     member_tables = mm.member_tables()
+    chunks: list[str] = []
     lines = ['<?xml version="1.0" encoding="UTF-8"?>', f'<EAXML version="{EAXML_VERSION}">']
     # Open elements with children, innermost last: the element, its
     # members by name, its indent, the index of its next child and the
@@ -129,6 +140,9 @@ def to_eaxml(root: ModelElement, mm: Metamodel, names: XmlNameMap | None = None)
     stack: list[list] = []
     el, pad = root, "  "
     while True:
+        if len(lines) >= _CHUNK:
+            chunks.append(_join(lines))
+            lines = []
         by_name = member_tables.get(el.class_name)
         if by_name is None:
             raise SerializationError(f"unknown class '{el.class_name}'")
@@ -191,10 +205,13 @@ def to_eaxml(root: ModelElement, mm: Metamodel, names: XmlNameMap | None = None)
             break
         else:
             break
-    lines.append("</EAXML>")
-    text = "\n".join(lines) + "\n"
-    bad = _NOT_XML.search(text)
-    if bad is not None:
+    lines += ("</EAXML>", "")
+    chunks.append(_join(lines))
+    for chunk in chunks:
+        bad = _NOT_XML.search(chunk)
+        if bad is None:
+            continue
+        # The first forbidden character of the document: name its first holder.
         for el in root.iter_preorder():
             refs = [(ref.member, ref.target.dotted) for ref in el.cross_refs]
             for member, value in [(NAME_SLOT, el.short_name or ""), *el.attributes, *refs]:
@@ -203,7 +220,13 @@ def to_eaxml(root: ModelElement, mm: Metamodel, names: XmlNameMap | None = None)
                         f"{el.class_name} {el.short_name or '(unnamed)'}: '{member}' holds "
                         f"the character {bad[0]!r}, which XML 1.0 cannot carry"
                     )
-    return text.replace("\r", "&#13;")
+    return "\n".join(chunks)
+
+
+def _join(lines: list[str]) -> str:
+    """Lines of a document as one chunk of its text, carriage returns
+    escaped."""
+    return "\n".join(lines).replace("\r", "&#13;")
 
 
 # ---------------------------------------------------------------------------

@@ -8,16 +8,19 @@ must reproduce, a frozen reference lexer, the frozen EAXML tag tables
 with the frozen ElementTree writer and reader of EAXML that use them,
 the recorder of damaged-document parses, the frozen recursive metamodel
 index, the frozen ElementTree metamodel reader, the frozen
-command-line parser that builds every subcommand and the frozen
-template builder that laid out its own text.
+command-line parser that builds every subcommand, the frozen
+template builder that laid out its own text and the tracemalloc peak of
+a call.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import random
 import re
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -363,6 +366,29 @@ def random_model(
     _wire_cross_refs(rng, root, mm)
     assign_preorder_ids(root)
     return root
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of the memory that tracemalloc traced
+    while it ran, in bytes above what was traced when it started. Garbage
+    is collected first and the collector paused during the call; its
+    state, and whether tracemalloc was tracing, are restored after."""
+    collecting = gc.isenabled()
+    tracing = tracemalloc.is_tracing()
+    gc.collect()
+    gc.disable()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+        if collecting:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------

@@ -637,6 +637,30 @@ def test_complete_works_on_files_with_errors(capsys):
     assert any(l.startswith("KEYWORD\t") for l in out.splitlines())
 
 
+def test_complete_places_a_half_typed_keyword_without_the_whole_line_index(
+    capsys, monkeypatch, tmp_path, g, mm,
+):
+    """The prefix parse reports the half-typed keyword under the cursor.
+    Placing that report finds the line starts only as far as the keyword,
+    not those of the whole text."""
+    lines = format_model(random_model(5, mm, max_elements=400, fan_out=8), g).split("\n")
+    assert lines[1] == "{" and len(lines) > 1000
+    model = tmp_path / "m.eatxt"
+    model.write_text("\n".join(lines[:2] + ["    Fun"] + lines[2:]), encoding="utf-8")
+    indexes = []
+    index_init = eatxt.textsyntax.LineIndex.__init__
+
+    def recording_index_init(self, text):
+        indexes.append(self)
+        index_init(self, text)
+
+    monkeypatch.setattr(eatxt.textsyntax.LineIndex, "__init__", recording_index_init)
+    code, out, _ = run(capsys, *complete_args(model, 3, 8))
+    assert code == 0 and "TEMPLATE\tDesignFunctionType" in out
+    (index,) = indexes
+    assert index._starts == [0, len(lines[0]) + 1, len(lines[0]) + 3]
+
+
 def nested_packages(depth):
     """``depth`` packages, each in the body of the one before: the text as
     typed, with every body braced, and its canonical form."""

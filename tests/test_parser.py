@@ -400,8 +400,12 @@ def test_a_clean_parse_or_check_places_nothing(g, mm, monkeypatch, capsys):
         code = main(["check", str(path), "--metamodel", str(METAMODEL), "--config", str(CONFIG)])
         assert (code, capsys.readouterr().out) == (0, "")
     assert calls == []
-    assert parse_document("EAPackage P\n{\n    ?\n}\n", g, mm).diagnostics
-    assert calls[:2] == ["span", "starts"]
+    parse = parse_document("EAPackage P\n{\n    ?\n}\n", g, mm)
+    assert parse.diagnostics
+    assert calls[:1] == ["span"]
+    # A span finds the line starts only as far as the end it places.
+    assert parse.lines._starts == [0, 12, 14]
+    assert "starts" not in calls
 
 
 def test_damaged_documents_parse_as_recorded(g, gen_g, mm):
@@ -615,3 +619,91 @@ def test_ids_skip_every_dropped_subtree():
     ]
     given, preorder = ids_and_preorder(root)
     assert given == preorder
+
+
+# -- diagnostics that point far back -------------------------------------------
+
+
+def text_span(text, start, end):
+    """The 1-based line:col span of ``text[start:end]``, counted from the
+    text itself."""
+    def at(offset):
+        return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+    return (*at(start), *at(end))
+
+
+def spans_of(diags):
+    return [(d.message, (d.span.line, d.span.col, d.span.end_line, d.span.end_col)) for d in diags]
+
+
+def parse_named_in_body(text):
+    """Parse under BOUNDED's grammar with children unfolded and the name
+    written in the body, where a missing name is a missing member."""
+    cfg = parse_config("unfold-containment * *\noptional-body *\n")
+    return parse_model(text, adapt_grammar(generate_grammar(BOUNDED), cfg)[0], BOUNDED)
+
+
+def bounded_children(count):
+    """``count`` named C children, five tokens each."""
+    return "".join(
+        f"        C\n        {{\n            shortName c{k}\n        }}\n" for k in range(count)
+    )
+
+
+def test_end_of_element_diagnostics_point_at_a_class_keyword_far_back():
+    """An element that ends more than two lexer batches after its class
+    keyword still reports its missing members and its place over a bound
+    at that keyword."""
+    batch = eatxt.textsyntax._BATCH
+    children = bounded_children(batch // 2 + 10)
+    text = (
+        "A\n{\n    shortName a\n"
+        "    B\n    {\n" + children + "    }\n"  # no name
+        "    B\n    {\n        shortName more\n" + children + "    }\n"  # over the bound
+        "}\n"
+    )
+    unnamed = text.index("    B\n") + 4
+    over = text.index("    B\n", unnamed) + 4
+    for keyword in (unnamed, over):
+        close = text.index("\n    }\n", keyword)
+        assert len(text[keyword:close].split()) > 2 * batch
+    _, diags = parse_named_in_body(text)
+    assert spans_of(diags) == [
+        ("missing mandatory member 'shortName' in 'B'", text_span(text, unnamed, unnamed + 1)),
+        ("duplicate member 'b'", text_span(text, over, over + 1)),
+    ]
+
+
+def test_a_text_that_ends_inside_a_body_after_several_batches():
+    """The end of the text is placed at the last token, and an element
+    left open there at its class keyword, however far back it is."""
+    batch = eatxt.textsyntax._BATCH
+    text = "A\n{\n    shortName a\n    B\n    {\n" + bounded_children(batch)
+    unnamed = text.index("    B\n") + 4
+    last = text.rindex("}")
+    assert len(text[unnamed:].split()) > 4 * batch
+    at_end = text_span(text, last, last + 1)
+    _, diags = parse_named_in_body(text)
+    assert spans_of(diags) == [
+        ("unexpected end of file inside 'B'", at_end),
+        ("missing mandatory member 'shortName' in 'B'", text_span(text, unnamed, unnamed + 1)),
+        ("unexpected end of file inside 'A'", at_end),
+    ]
+
+
+def test_a_parse_lets_go_of_the_tokens_it_has_passed(g, mm):
+    """Lexemes and offsets of the tokens behind the parse are None; the
+    columns keep their lengths, and the tail the parse may still read
+    back to is kept."""
+    text = format_model(random_model(3, mm, max_elements=2000, fan_out=8), g)
+    tokens, _ = eatxt.textsyntax.lex(text, g.terminal_patterns())
+    parse = parse_document(text, g, mm)
+    assert parse.kinds == tokens.kinds + ["<end>"]
+    assert len(parse.lexemes) == len(tokens.lexemes) + 1
+    assert len(parse.offsets) == len(tokens.offsets)
+    passed = parse.lexemes.count(None)
+    assert passed > len(tokens) - 2 * eatxt.textsyntax._BATCH
+    assert parse.offsets.count(None) == passed
+    assert parse.lexemes[passed:-1] == tokens.lexemes[passed:]
+    assert parse.offsets[passed:] == tokens.offsets[passed:]

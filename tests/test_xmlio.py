@@ -574,6 +574,67 @@ def test_writer_matches_the_reference_on_random_models(mm):
         assert to_eaxml(root, mm) == reference_to_eaxml(root, mm), seed
 
 
+def chunked_trees(mm):
+    """Random trees whose EAXML spans at least three of the writer's
+    chunks of lines, and one padded with empty comments at the end of
+    the root until its line count is a whole number of chunks."""
+    chunk = eatxt.xmlio._CHUNK
+    trees = [random_model(seed, mm, max_elements=3000, fan_out=8) for seed in (1, 2)]
+    for root in trees:
+        assert reference_to_eaxml(root, mm).count("\n") >= 3 * chunk
+    padded = random_model(4, mm, max_elements=3000, fan_out=8)
+    # The first comment may open a wrapper; each one after it adds a line.
+    padded.children.append(("ownedComment", ModelElement("Comment")))
+    lines = reference_to_eaxml(padded, mm).count("\n")
+    padded.children += [("ownedComment", ModelElement("Comment"))] * (-lines % chunk)
+    lines = reference_to_eaxml(padded, mm).count("\n")
+    assert lines % chunk == 0 and lines >= 3 * chunk
+    return trees + [padded]
+
+
+def test_writer_matches_the_reference_across_chunks(g, mm):
+    """The writer folds its lines into chunks as it goes. No chunk
+    boundary shows in the document, and the canonical text of the same
+    trees reads back as itself."""
+    for root in chunked_trees(mm):
+        assert to_eaxml(root, mm) == reference_to_eaxml(root, mm)
+        text = format_model(root, g)
+        back = parse_ok(text, g, mm)
+        assert format_model(back, g) == text
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+def test_writer_matches_the_reference_at_any_chunk_size(mm, monkeypatch, chunk):
+    monkeypatch.setattr(eatxt.xmlio, "_CHUNK", chunk)
+    for seed in range(15):
+        root = random_model(seed, mm, max_elements=10 + 5 * seed)
+        assert to_eaxml(root, mm) == reference_to_eaxml(root, mm), seed
+
+
+def test_a_forbidden_character_is_named_as_the_whole_document_would_name_it(g, mm, monkeypatch):
+    """Each chunk is checked as it is joined; the first forbidden
+    character of the document is the one reported, with its first holder
+    in document order."""
+    monkeypatch.setattr(eatxt.xmlio, "_CHUNK", 1)
+    root = parse_ok("EAPackage P\n{\n    EADatatype A\n    EADatatype B\n}\n", g, mm)
+    root.children[0][1].attributes.append(("gid", "a\x02"))
+    root.children[1][1].attributes.append(("gid", "b\x01\x02"))
+    with pytest.raises(SerializationError) as caught:
+        to_eaxml(root, mm)
+    assert str(caught.value) == (
+        "EADatatype A: 'gid' holds the character '\\x02', which XML 1.0 cannot carry"
+    )
+
+
+def test_a_tree_the_metamodel_cannot_hold_is_refused_before_its_characters(g, mm, monkeypatch):
+    monkeypatch.setattr(eatxt.xmlio, "_CHUNK", 1)
+    root = parse_ok("EAPackage P\n{\n    EADatatype A\n    EADatatype B\n}\n", g, mm)
+    root.children[0][1].attributes.append(("gid", "a\x02"))
+    root.children[1][1].attributes.append(("size", "1"))
+    with pytest.raises(SerializationError, match="'EADatatype' has no attribute 'size'"):
+        to_eaxml(root, mm)
+
+
 def test_writer_matches_the_reference_on_empty_content(mm):
     # Elements and values with nothing inside print as <TAG />.
     root = ModelElement("EAPackage", attributes=[("name", '""'), ("category", "c")])
