@@ -7,9 +7,8 @@ forgiving parser records every element body and wrapped block it opens,
 with the members already present, and keeps going after damage, so the
 lookup stays usable while the line under the cursor is half-typed. One
 parse, a :class:`eatxt.textsyntax.Parser`, serves both the lookup and
-the pre-fill, and it reads only as much of the text as the reply needs:
-:func:`context_at` pulls it until the innermost body around the cursor
-has closed, since only then are the members present in it final.
+the pre-fill, reading only as much of the text as the reply needs, and
+its ``LineIndex``, the one owner of positions, places the cursor.
 Proposals come in two flavours, plain keywords first and whole-element
 templates second; every context kind offers them along one path. This
 module chooses what a template holds: the name and the mandatory
@@ -108,14 +107,14 @@ def locate_context(
     text: str, line: int, column: int, g: Grammar, mm: Metamodel,
 ) -> CursorContext | None:
     """Context for a 1-based line/column position, clamped to the text.
-    The text is parsed only as far as the context needs."""
+    The text is parsed, and its line starts found, only as far as needed."""
     with Parser(text, g, mm) as parse:
         if line < 1:
             offset = 0
-        elif line > len(parse.lines.starts):
+        elif (start := parse.lines.start(line)) is None:
             offset = len(text)
         else:
-            offset = min(parse.lines.offset(line, max(column, 1)), len(text))
+            offset = min(start + max(column, 1) - 1, len(text))
         return context_at(parse, offset)
 
 

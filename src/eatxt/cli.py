@@ -10,16 +10,13 @@ once and, for the six commands that take a model file, builds the grammar
 once: generated from the metamodel and adapted by the config. The
 ``--grammar-cache`` flag is accepted and ignored, so that existing
 invocations still run; no copy of the grammar is read, so none can go
-stale. Commands that need a clean tree get it from :func:`_clean_tree`,
-which parses the model file (reads it as EAXML for to-text), prints the
-diagnostics on stderr and stops the command unless the tree is clean.
+stale. Commands that need a clean tree get it from :func:`_clean_tree`;
 ``check`` and ``complete`` go on past errors and parse the file
-themselves. ``complete`` lexes and parses the file only as far as its
-reply needs: until the innermost body around the cursor has closed
-(:func:`eatxt.assist.context_at`), and on from there only while its
-templates look for the first fitting target of a class
-(:func:`eatxt.model.parse_cache`), all in one parse. It builds no
-reference cache of the whole model.
+themselves. ``complete`` reads the file through one parse, only as far
+as its reply needs (:func:`eatxt.assist.context_at` and
+:func:`eatxt.model.parse_cache`), and builds no reference cache of the
+whole model. The parse's ``LineIndex``, the one owner of positions,
+places the cursor, and its diagnostics reuse the line starts found.
 
 A batch command (check, format, to-xml, to-text, roundtrip-check) holds
 at most one model tree, its input text and one copy of each text it
@@ -35,8 +32,7 @@ one per keystroke. :func:`build_parser` adds only the invoked
 subcommand's subparser (all eight for help or a missing or unknown
 subcommand, with the same output either way). ``difflib`` and
 ``tempfile`` are imported by the functions that use them, so importing
-this module does not load them. Adapting a grammar copies its rules and
-entry lists, not its entries, which never change.
+this module does not load them.
 
 :func:`main` pauses Python's cyclic garbage collector for the length of
 one command and restores the state it found, however the command ends.
@@ -58,11 +54,8 @@ import argparse
 import contextlib
 import gc
 import os
-import re
 import stat
 import sys
-from collections import deque
-from itertools import islice
 
 from .assist import complete as compute_proposals
 from .assist import context_at
@@ -90,8 +83,6 @@ from .xmlio import XmlNameMap, from_eaxml, to_eaxml
 OK = 0
 DATA_ERROR = 1
 USAGE_ERROR = 2
-
-_NEWLINE = re.compile("\n")
 
 
 class _UsageError(ToolchainError):
@@ -241,26 +232,17 @@ def cmd_format(args: argparse.Namespace, mm: Metamodel, g: Grammar) -> int:
     return OK
 
 
-def _cursor_offset(text: str, line: int, col: int) -> int:
-    """Offset of a 1-based position that must lie in the text. Only the
-    newlines before the position's line are located, one by one."""
-    count = text.count("\n") + 1
-    if line < 1 or line > count:
-        raise _UsageError(f"line {line} out of range (1..{count})")
-    before = deque(islice(_NEWLINE.finditer(text), line - 1), maxlen=1)
-    start = before[0].end() if before else 0
-    end = text.find("\n", start)
-    width = (len(text) if end < 0 else end) - start + 1
-    if col < 1 or col > width:
-        raise _UsageError(f"column {col} out of range (1..{width}) on line {line}")
-    return start + col - 1
+def _cursor_offset(lines: LineIndex, line: int, col: int) -> int:
+    """Offset of a 1-based position that must lie in the text."""
+    try:
+        return lines.offset(line, col)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def cmd_complete(args: argparse.Namespace, mm: Metamodel, g: Grammar) -> int:
-    text = _read_text(args.model)
-    offset = _cursor_offset(text, args.line, args.col)
-    with Parser(text, g, mm) as parse:
-        ctx = context_at(parse, offset)
+    with Parser(_read_text(args.model), g, mm) as parse:
+        ctx = context_at(parse, _cursor_offset(parse.lines, args.line, args.col))
         proposals = compute_proposals(ctx, g, mm, parse_cache(parse, mm))
     for p in proposals:
         body = (

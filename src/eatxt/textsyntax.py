@@ -17,8 +17,7 @@ of its string literals, and lexes them a batch at a time, on demand;
 :func:`lex` drains it. The parser reads the lists by index, and sets the
 lexemes and offsets of the tokens it has passed to None. Elements and
 cross-references keep offsets too; only a diagnostic holds a line:col,
-and the line index finds line starts only as far as the positions it
-places need.
+which :class:`LineIndex`, the one owner of positions, places.
 
 The parser interprets the grammar IR in one loop over the tokens and an
 explicit stack of the elements whose body is open, so nesting depth has
@@ -98,10 +97,11 @@ _KEPT_OUT = r"\\[0-9]|\(\?[(P]|\(\?[aiLmsux]"
 
 
 class LineIndex:
-    """Translation between offsets and 1-based (line, col) positions of
-    one text, by bisection over the offsets where lines start. Those are
-    found as far as a position needs them: :meth:`span` looks no further
-    than the end it places, and :attr:`starts` reads the whole text."""
+    """Offsets to and from 1-based (line, col) positions of one text, by
+    bisection over its line starts: the one owner of positions. It finds
+    each line start once, and only as far as asked: up to the end that
+    :meth:`span` places, the line of :meth:`start` or :meth:`offset`, or
+    for :attr:`starts` the whole text."""
 
     __slots__ = ("_text", "_starts", "_found")
 
@@ -122,6 +122,17 @@ class LineIndex:
     def starts(self) -> list[int]:
         return self._find(len(self._text))
 
+    def start(self, line: int) -> int | None:
+        """Offset where 1-based ``line`` starts, or None when the text has
+        no such line. Newlines are found only up to that line; there is at
+        most one a character, a count that ``islice`` takes."""
+        starts, text = self._starts, self._text
+        if line > len(starts) and self._found < len(text):
+            wanted = islice(_NEWLINE.finditer(text, self._found), min(line - len(starts), len(text)))
+            starts += [m.end() for m in wanted]
+            self._found = starts[-1] if line <= len(starts) else len(text)
+        return starts[line - 1] if 1 <= line <= len(starts) else None
+
     def span(self, start: int, end: int) -> Span:
         starts = self._find(end)
         line = bisect_right(starts, start)
@@ -129,8 +140,16 @@ class LineIndex:
         return Span(line, start - starts[line - 1] + 1, end_line, end - starts[end_line - 1] + 1)
 
     def offset(self, line: int, col: int) -> int:
-        """Offset of a 1-based position; the caller checks the range."""
-        return self.starts[line - 1] + col - 1
+        """Offset of a 1-based position in the text, with line starts found
+        only up to it. Outside the text, a ValueError gives the range."""
+        start = self.start(line)
+        if start is None:
+            raise ValueError(f"line {line} out of range (1..{len(self._find(len(self._text)))})")
+        offset = start + col - 1
+        if col < 1 or offset > len(self._text) or bisect_right(self._find(offset), offset) > line:
+            width = (self.start(line + 1) or len(self._text) + 1) - start
+            raise ValueError(f"column {col} out of range (1..{width}) on line {line}")
+        return offset
 
 
 class Tokens:

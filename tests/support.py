@@ -538,6 +538,12 @@ def reference_build_template(
 # Reference lexer (differential oracle for textsyntax.lex)
 # ---------------------------------------------------------------------------
 
+def line_starts(text: str) -> list[int]:
+    """Every offset where a line of ``text`` starts, read from its
+    characters one by one: 0 and each offset just after a ``\n``."""
+    return [0] + [at + 1 for at, ch in enumerate(text) if ch == "\n"]
+
+
 _REFERENCE_PRIORITY = [
     PrimitiveKind.UUID,
     PrimitiveKind.NUMERICAL,

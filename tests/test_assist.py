@@ -14,9 +14,11 @@ from eatxt.diagnostics import ERROR
 from eatxt.grammar import adapt_grammar, generate_grammar, parse_config
 from eatxt.metamodel import load_metamodel
 from eatxt.model import ReferenceCache, build_cache
-from eatxt.textsyntax import format_model, parse_document, parse_model
+from eatxt.textsyntax import LineIndex, format_model, parse_document, parse_model
 
-from support import CONFIG, MODELS, fill_placeholders, reference_build_template
+from support import (
+    CONFIG, MODELS, fill_placeholders, line_starts, random_model, reference_build_template,
+)
 
 WIPER = (MODELS[0].parent / "wiper_system.eatxt").read_text(encoding="utf-8")
 
@@ -52,6 +54,31 @@ def test_line_and_column_clamp_like_a_split_of_the_text(g, mm, line, column):
     assert locate_context(text, line, column, g, mm) == context_at(
         parse_document(text, g, mm), min(offset, len(text)),
     )
+
+
+def test_locate_context_finds_line_starts_only_up_to_its_line(g, mm, monkeypatch):
+    text = format_model(random_model(5, mm, max_elements=400, fan_out=8), g)
+    assert text.count("\n") >= 1000
+    indexes = []
+    index_init = LineIndex.__init__
+
+    def recording_index_init(self, text):
+        indexes.append(self)
+        index_init(self, text)
+
+    monkeypatch.setattr(LineIndex, "__init__", recording_index_init)
+    ctx = locate_context(text, 3, 5, g, mm)
+    assert ctx == context_at(parse_document(text, g, mm), line_starts(text)[2] + 4)
+    assert indexes[0]._starts == line_starts(text)[:3]
+
+
+def test_locate_context_far_outside_the_text_is_its_end(g, mm):
+    far = 10**20
+    end = context_at(parse_document(WIPER, g, mm), len(WIPER))
+    assert locate_context(WIPER, far, far, g, mm) == end
+    assert locate_context(WIPER, far, -far, g, mm) == end
+    assert locate_context(WIPER, 1, far, g, mm) == end
+    assert locate_context(WIPER, -far, far, g, mm) == context_at(parse_document(WIPER, g, mm), 0)
 
 
 def test_context_at_top_of_empty_document(g, mm):

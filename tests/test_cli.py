@@ -33,8 +33,8 @@ from eatxt.textsyntax import LineIndex, format_model, parse_document, parse_mode
 from eatxt.xmlio import to_eaxml
 
 from support import (
-    CONFIG, EXTRA, GOLDEN, METAMODEL, MODELS, mutated_ecores, parse_record, random_model,
-    reference_build_parser, reference_load_metamodel,
+    CONFIG, EXTRA, GOLDEN, METAMODEL, MODELS, line_starts, mutated_ecores, parse_record,
+    random_model, reference_build_parser, reference_load_metamodel,
 )
 
 WIPER = MODELS[0].parent / "wiper_system.eatxt"
@@ -592,6 +592,11 @@ def test_complete_position_out_of_range_is_usage_error(capsys, tmp_path):
         (1, 13, "column 13 out of range (1..12) on line 1"),
         (2, 2, "column 2 out of range (1..1) on line 2"),
         (1, 0, "column 0 out of range (1..12) on line 1"),
+        # Beyond what a machine-sized integer holds.
+        (10**20, 1, f"line {10**20} out of range (1..2)"),
+        (-10**20, 10**20, f"line {-10**20} out of range (1..2)"),
+        (1, 10**20, f"column {10**20} out of range (1..12) on line 1"),
+        (2, -10**20, f"column {-10**20} out of range (1..1) on line 2"),
     ):
         code, _, err = run(capsys, *complete_args(f, line, col))
         assert code == 2, (line, col)
@@ -604,7 +609,7 @@ def test_complete_position_out_of_range_is_usage_error(capsys, tmp_path):
 def line_start_offset(text, line, col):
     """What the cursor check must answer, from every line start of the
     text: an offset, or the message of the usage error."""
-    starts = LineIndex(text).starts
+    starts = line_starts(text)
     count = len(starts)
     if line < 1 or line > count:
         return f"line {line} out of range (1..{count})"
@@ -620,12 +625,12 @@ def line_start_offset(text, line, col):
 @example("ab")
 @example("ab\nc\n")
 def test_cursor_check_agrees_with_the_line_starts(text):
-    starts = LineIndex(text).starts + [len(text) + 1]
+    starts = line_starts(text) + [len(text) + 1]
     for line in range(-1, len(starts) + 2):
         width = starts[line] - starts[line - 1] if 1 <= line < len(starts) else 0
         for col in range(-1, width + 3):
             try:
-                got = eatxt.cli._cursor_offset(text, line, col)
+                got = eatxt.cli._cursor_offset(LineIndex(text), line, col)
             except eatxt.cli._UsageError as exc:
                 got = str(exc)
             assert got == line_start_offset(text, line, col), (line, col)
@@ -659,6 +664,48 @@ def test_complete_places_a_half_typed_keyword_without_the_whole_line_index(
     assert code == 0 and "TEMPLATE\tDesignFunctionType" in out
     (index,) = indexes
     assert index._starts == [0, len(lines[0]) + 1, len(lines[0]) + 3]
+
+
+class WatchedPattern:
+    """A compiled pattern whose ``finditer`` calls record the range of
+    text that each one has read: from where it starts to the end of the
+    last match taken from it, or to where it stops once it has run out.
+    Any other use fails."""
+
+    def __init__(self, pattern, scans):
+        self.pattern = pattern
+        self.scans = scans
+
+    def finditer(self, text, pos=0, endpos=sys.maxsize):
+        scan = [pos, pos]
+        self.scans.append(scan)
+        for m in self.pattern.finditer(text, pos, endpos):
+            scan[1] = m.end()
+            yield m
+        scan[1] = min(endpos, len(text))
+
+    def __getattr__(self, name):
+        raise AssertionError(f"unwatched use of the newline pattern: {name}")
+
+
+def test_complete_scans_for_newlines_once(capsys, monkeypatch, tmp_path, g, mm):
+    """Placing the cursor and then the half-typed keyword under it finds
+    each newline once, and none past the cursor's line."""
+    lines = format_model(random_model(5, mm, max_elements=400, fan_out=8), g).split("\n")
+    assert lines[1] == "{" and len(lines) > 1000
+    model = tmp_path / "m.eatxt"
+    model.write_text("\n".join(lines[:2] + ["    Fun"] + lines[2:]), encoding="utf-8")
+    scans = []
+    for module in (eatxt.textsyntax, eatxt.cli):
+        if hasattr(module, "_NEWLINE"):
+            monkeypatch.setattr(module, "_NEWLINE", WatchedPattern(module._NEWLINE, scans))
+    code, out, _ = run(capsys, *complete_args(model, 3, 8))
+    assert code == 0 and "TEMPLATE\tDesignFunctionType" in out
+    line_3_end = len(lines[0]) + 1 + len(lines[1]) + 1 + len("    Fun")
+    assert scans and max(end for _, end in scans) <= line_3_end
+    scans.sort()
+    for (_, end), (start, _) in zip(scans, scans[1:]):
+        assert end <= start, scans
 
 
 def nested_packages(depth):

@@ -1,14 +1,14 @@
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from eatxt.diagnostics import ConfigError, Span
 from eatxt.grammar import DEFAULT_TERMINAL_PATTERNS
 from eatxt.metamodel import PrimitiveKind
 from eatxt.textsyntax import LineIndex, lex
 
-from support import FIXTURES, reference_lex
+from support import FIXTURES, line_starts, reference_lex
 
 PATTERNS = {k: re.compile(p) for k, p in DEFAULT_TERMINAL_PATTERNS.items()}
 
@@ -234,4 +234,37 @@ LINE_BREAK_LOOKALIKES = ["a", " ", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x85", "
 
 @given(text=st.lists(st.sampled_from(LINE_BREAK_LOOKALIKES), max_size=60).map("".join))
 def test_line_starts_follow_newlines_only(text):
-    assert LineIndex(text).starts == [0] + [at + 1 for at, ch in enumerate(text) if ch == "\n"]
+    assert LineIndex(text).starts == line_starts(text)
+
+
+@given(
+    text=st.lists(st.sampled_from(LINE_BREAK_LOOKALIKES + ["\n"] * 4), max_size=40).map("".join),
+    calls=st.lists(
+        st.tuples(st.sampled_from(["span", "start", "offset"]), st.integers(-1, 9), st.integers(-1, 41)),
+        max_size=8,
+    ),
+)
+@example(text="\n\n", calls=[("start", 2, 0), ("span", 0, 2)])
+@example(text="ab\ncd\n", calls=[("offset", 1, 3), ("offset", 1, 4), ("span", 1, 4)])
+def test_line_index_answers_agree_in_any_order(text, calls):
+    """Whatever the order of its lookups, one index gives the answers of
+    the line starts read from the characters, and holds a prefix of them."""
+    starts = line_starts(text)
+    index = LineIndex(text)
+    for name, a, b in calls:
+        if name == "start":
+            assert index.start(a) == (starts[a - 1] if 1 <= a <= len(starts) else None)
+        elif name == "span":
+            lo = min(max(b, 0), len(text))
+            hi = min(lo + 3 * max(a, 0), len(text))
+            line = sum(s <= lo for s in starts)
+            end_line = sum(s <= hi for s in starts)
+            assert index.span(lo, hi) == Span(
+                line, lo - starts[line - 1] + 1, end_line, hi - starts[end_line - 1] + 1,
+            )
+        elif 1 <= a <= len(starts) and 1 <= b <= (starts + [len(text) + 1])[a] - starts[a - 1]:
+            assert index.offset(a, b) == starts[a - 1] + b - 1
+        else:
+            with pytest.raises(ValueError, match="out of range"):
+                index.offset(a, b)
+        assert index._starts == starts[: len(index._starts)]
