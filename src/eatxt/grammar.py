@@ -212,7 +212,8 @@ def generate_grammar(mm: Metamodel) -> Grammar:
 # ---------------------------------------------------------------------------
 # Adaptation directives
 # ---------------------------------------------------------------------------
-# One named tuple per directive, one field per config argument.
+# One named tuple per directive, one field per config argument. A rule
+# directive's class constant ``unit`` is the unit text of its report line.
 
 class DefineTerminal(NamedTuple):
     kind: PrimitiveKind
@@ -221,20 +222,24 @@ class DefineTerminal(NamedTuple):
 
 class HoistShortName(NamedTuple):
     class_glob: str
+    unit = "rule(s) hoisted"
 
 
 class UnfoldContainment(NamedTuple):
     class_glob: str
     member_glob: str
+    unit = "containment(s) unfolded"
 
 
 class OptionalBody(NamedTuple):
     class_glob: str
+    unit = "rule(s) made body-optional"
 
 
 class RemoveAttributeKeyword(NamedTuple):
     class_glob: str
     member_glob: str
+    unit = "keyword(s) removed"
 
 
 Directive = (
@@ -376,10 +381,12 @@ def adapt_grammar(g: Grammar, cfg: AdaptationConfig) -> tuple[Grammar, Adaptatio
     """Apply directives in config order to a copy of ``g``.
 
     The copy has its own rules, entry lists and terminals; the entries,
-    which never change, are shared, and ``g`` is left as it was. Returns the adapted grammar and a report with one entry per directive.
-    A directive whose globs match nothing produces a report warning, never
-    an error. Container braces are never removed: no directive touches the
-    body braces of a rule.
+    which never change, are shared, and ``g`` is left as it was. The
+    report has one entry per directive, counting the rules whose name slot
+    moved, the containments made inline, the rules newly made
+    body-optional or the keywords removed, never an entry already in its
+    target form; define-terminal counts 1. A count of 0 is a warning, not
+    an error. No directive touches the body braces of a rule.
     """
     g = Grammar(
         {
@@ -399,75 +406,48 @@ def adapt_grammar(g: Grammar, cfg: AdaptationConfig) -> tuple[Grammar, Adaptatio
             # A redefinition keeps the kind's first position.
             g.terminals[d.kind] = d.pattern
             report.entries.append(ReportEntry(text, 1, "terminal defined"))
-
-        elif isinstance(d, HoistShortName):
-            pat = _compile_glob(d.class_glob)
-            count = 0
-            for rule in g.rules.values():
-                if not pat.match(rule.class_name):
-                    continue
-                entry = rule.entry_for(NAME_SLOT)
-                if entry is None or not entry.is_name_slot():
-                    continue
-                rule.entries.remove(entry)
-                rule.name_inline = True
-                count += 1
-            report.entries.append(ReportEntry(text, count, "rule(s) hoisted"))
-
-        elif isinstance(d, UnfoldContainment):
-            cpat = _compile_glob(d.class_glob)
+            continue
+        cpat = _compile_glob(d.class_glob)
+        unfold = isinstance(d, UnfoldContainment)
+        if unfold or isinstance(d, RemoveAttributeKeyword):
             mpat = _compile_glob(d.member_glob)
-            count = 0
-            for rule in g.rules.values():
-                if not cpat.match(rule.class_name):
-                    continue
-                entries = rule.entries
-                for index, entry in enumerate(entries):
-                    if not mpat.match(entry.member):
-                        continue
-                    if isinstance(entry.form, WrappedContainment):
-                        entries[index] = entry._replace(
-                            form=InlineContainment(entry.form.target)
-                        )
-                        count += 1
-            report.entries.append(ReportEntry(text, count, "containment(s) unfolded"))
-
-        elif isinstance(d, OptionalBody):
-            pat = _compile_glob(d.class_glob)
-            count = 0
-            for rule in g.rules.values():
-                if pat.match(rule.class_name) and not rule.body_optional:
-                    rule.body_optional = True
+        count = 0
+        for rule in g.rules.values():
+            if not cpat.match(rule.class_name):
+                continue
+            if isinstance(d, HoistShortName):
+                if (entry := rule.entry_for(NAME_SLOT)) is not None and entry.is_name_slot():
+                    rule.entries.remove(entry)
+                    rule.name_inline = True
                     count += 1
-            report.entries.append(ReportEntry(text, count, "rule(s) made body-optional"))
-
-        elif isinstance(d, RemoveAttributeKeyword):
-            cpat = _compile_glob(d.class_glob)
-            mpat = _compile_glob(d.member_glob)
-            count = 0
-            for rule in g.rules.values():
-                if not cpat.match(rule.class_name):
-                    continue
+            elif isinstance(d, OptionalBody):
+                count += not rule.body_optional
+                rule.body_optional = True
+            else:
                 entries = rule.entries
                 for index, entry in enumerate(entries):
                     if not mpat.match(entry.member):
                         continue
                     form = entry.form
-                    if isinstance(form, KeywordAttribute) and form.keyword is not None:
+                    if unfold:
+                        if isinstance(form, WrappedContainment):
+                            entries[index] = entry._replace(form=InlineContainment(form.target))
+                            count += 1
+                    elif isinstance(form, KeywordAttribute) and form.keyword is not None:
                         entries[index] = entry._replace(form=form._replace(keyword=None))
                         count += 1
+                if unfold:
+                    continue
                 positional = [
-                    e for e in entries
+                    e.member for e in entries
                     if isinstance(e.form, KeywordAttribute) and e.form.keyword is None
                 ]
                 if len(positional) > 1:
-                    names = ", ".join(e.member for e in positional)
                     raise ConfigError(
-                        f"{text}: rule '{rule.class_name}' would have "
-                        f"{len(positional)} positional attributes ({names}); "
-                        "at most one is allowed"
+                        f"{text}: rule '{rule.class_name}' would have {len(positional)} "
+                        f"positional attributes ({', '.join(positional)}); at most one is allowed"
                     )
-            report.entries.append(ReportEntry(text, count, "keyword(s) removed"))
+        report.entries.append(ReportEntry(text, count, d.unit))
 
     return g, report
 

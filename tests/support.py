@@ -1,7 +1,8 @@
 """Shared helpers for the test suite.
 
 Holds the fixture paths, a reader that parses emitted grammar text back
-into the IR (round-reading check), a seeded random model generator used
+into the IR (round-reading check), the frozen adaptation with the seeded
+config generator it is checked on, a seeded random model generator used
 by the roundtrip and cache tests, a brute-force reference-cache oracle,
 a structural tree comparison, the pre-order numbering that the parser
 must reproduce, a frozen reference lexer, the frozen EAXML tag tables
@@ -30,16 +31,27 @@ from eatxt.diagnostics import (
     ERROR, WARNING, ConfigError, Diagnostic, MetamodelError, SerializationError, Span,
 )
 from eatxt.grammar import (
+    AdaptationConfig,
+    AdaptationReport,
+    DefineTerminal,
+    Directive,
     Grammar,
+    HoistShortName,
     InlineContainment,
     KeywordAttribute,
     KeywordCrossRef,
     MemberEntry,
+    OptionalBody,
     ProductionRule,
+    RemoveAttributeKeyword,
+    ReportEntry,
+    UnfoldContainment,
     WrappedContainment,
     GRAMMAR_TYPE_NAMES,
+    render_directive,
 )
 from eatxt.metamodel import (
+    NAME_SLOT,
     Attribute,
     Containment,
     CrossReference,
@@ -50,6 +62,7 @@ from eatxt.metamodel import (
     _DATATYPE_NAMES,
     _ref_name,
     _validate_and_index,
+    load_metamodel,
 )
 from eatxt.model import CrossRef, ModelElement, QualifiedName, ReferenceCache, lookup_first_fitting
 from eatxt.xmlio import EAXML_VERSION, to_tag
@@ -174,6 +187,145 @@ def read_grammar_text(text: str) -> Grammar:
             root = class_name
 
     return Grammar(rules=rules, terminals=terminals, root_rule=root)
+
+
+# ---------------------------------------------------------------------------
+# Reference adaptation and seeded configs (differential oracle for adapt_grammar)
+# ---------------------------------------------------------------------------
+
+def _reference_compile_glob(glob: str) -> re.Pattern[str]:
+    return re.compile(
+        "".join(".*" if ch == "*" else re.escape(ch) for ch in glob) + r"\Z"
+    )
+
+
+def reference_adapt_grammar(
+    g: Grammar, cfg: AdaptationConfig,
+) -> tuple[Grammar, AdaptationReport]:
+    """``grammar.adapt_grammar`` as it was written first: each rule
+    directive in its own branch, with its own glob compiles, loop over the
+    rules and report line. It adapts a copy and leaves ``g`` as it was."""
+    g = Grammar(
+        {
+            name: ProductionRule(
+                r.class_name, r.keyword, r.name_inline, r.body_optional, list(r.entries)
+            )
+            for name, r in g.rules.items()
+        },
+        dict(g.terminals),
+        g.root_rule,
+    )
+    report = AdaptationReport()
+
+    for d in cfg.directives:
+        text = render_directive(d)
+        if isinstance(d, DefineTerminal):
+            g.terminals[d.kind] = d.pattern
+            report.entries.append(ReportEntry(text, 1, "terminal defined"))
+
+        elif isinstance(d, HoistShortName):
+            pat = _reference_compile_glob(d.class_glob)
+            count = 0
+            for rule in g.rules.values():
+                if not pat.match(rule.class_name):
+                    continue
+                entry = rule.entry_for(NAME_SLOT)
+                if entry is None or not entry.is_name_slot():
+                    continue
+                rule.entries.remove(entry)
+                rule.name_inline = True
+                count += 1
+            report.entries.append(ReportEntry(text, count, "rule(s) hoisted"))
+
+        elif isinstance(d, UnfoldContainment):
+            cpat = _reference_compile_glob(d.class_glob)
+            mpat = _reference_compile_glob(d.member_glob)
+            count = 0
+            for rule in g.rules.values():
+                if not cpat.match(rule.class_name):
+                    continue
+                entries = rule.entries
+                for index, entry in enumerate(entries):
+                    if not mpat.match(entry.member):
+                        continue
+                    if isinstance(entry.form, WrappedContainment):
+                        entries[index] = entry._replace(
+                            form=InlineContainment(entry.form.target)
+                        )
+                        count += 1
+            report.entries.append(ReportEntry(text, count, "containment(s) unfolded"))
+
+        elif isinstance(d, OptionalBody):
+            pat = _reference_compile_glob(d.class_glob)
+            count = 0
+            for rule in g.rules.values():
+                if pat.match(rule.class_name) and not rule.body_optional:
+                    rule.body_optional = True
+                    count += 1
+            report.entries.append(ReportEntry(text, count, "rule(s) made body-optional"))
+
+        elif isinstance(d, RemoveAttributeKeyword):
+            cpat = _reference_compile_glob(d.class_glob)
+            mpat = _reference_compile_glob(d.member_glob)
+            count = 0
+            for rule in g.rules.values():
+                if not cpat.match(rule.class_name):
+                    continue
+                entries = rule.entries
+                for index, entry in enumerate(entries):
+                    if not mpat.match(entry.member):
+                        continue
+                    form = entry.form
+                    if isinstance(form, KeywordAttribute) and form.keyword is not None:
+                        entries[index] = entry._replace(form=form._replace(keyword=None))
+                        count += 1
+                positional = [
+                    e for e in entries
+                    if isinstance(e.form, KeywordAttribute) and e.form.keyword is None
+                ]
+                if len(positional) > 1:
+                    names = ", ".join(e.member for e in positional)
+                    raise ConfigError(
+                        f"{text}: rule '{rule.class_name}' would have "
+                        f"{len(positional)} positional attributes ({names}); "
+                        "at most one is allowed"
+                    )
+            report.entries.append(ReportEntry(text, count, "keyword(s) removed"))
+
+    return g, report
+
+
+def _glob_forms(names: set[str]) -> list[str]:
+    """Each name as written, as its first camel-case word followed by
+    ``*`` and as ``*`` followed by its last word."""
+    globs = {"*", "Nope"}  # every name, and none
+    for name in names:
+        words = re.findall(r"[A-Z]+(?![a-z])|[A-Z]?[a-z0-9]+", name)
+        globs.update((name, words[0] + "*", "*" + words[-1]))
+    return sorted(globs)
+
+
+_FIXTURE_MM = load_metamodel(METAMODEL.read_text(encoding="utf-8"))
+CLASS_NAME_GLOBS = _glob_forms(set(_FIXTURE_MM.classes))
+MEMBER_NAME_GLOBS = _glob_forms(
+    {m.name for cls in _FIXTURE_MM.classes.values() for m in cls.members}
+)
+TERMINAL_PATTERNS = ["[a-z]+", "x|y", "[0-9]+"]
+
+
+def random_directives(rng: random.Random, max_size: int = 6) -> list[Directive]:
+    """A seeded config over the fixture metamodel: up to ``max_size``
+    directives of any kind, their globs drawn from CLASS_NAME_GLOBS and
+    MEMBER_NAME_GLOBS."""
+    classes, members = CLASS_NAME_GLOBS, MEMBER_NAME_GLOBS
+    makers = [
+        lambda: DefineTerminal(rng.choice(list(PrimitiveKind)), rng.choice(TERMINAL_PATTERNS)),
+        lambda: HoistShortName(rng.choice(classes)),
+        lambda: UnfoldContainment(rng.choice(classes), rng.choice(members)),
+        lambda: OptionalBody(rng.choice(classes)),
+        lambda: RemoveAttributeKeyword(rng.choice(classes), rng.choice(members)),
+    ]
+    return [rng.choice(makers)() for _ in range(rng.randint(0, max_size))]
 
 
 # ---------------------------------------------------------------------------

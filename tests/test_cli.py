@@ -24,8 +24,11 @@ from hypothesis import example, given, settings, strategies as st
 import eatxt.cli
 import eatxt.textsyntax
 from eatxt.cli import main
-from eatxt.diagnostics import ERROR, Diagnostic, MetamodelError, Span
-from eatxt.grammar import adapt_grammar, generate_grammar, parse_config
+from eatxt.diagnostics import ERROR, ConfigError, Diagnostic, MetamodelError, Span
+from eatxt.grammar import (
+    AdaptationConfig, adapt_grammar, emit_grammar, generate_grammar, parse_config,
+    render_directive,
+)
 from eatxt.metamodel import load_metamodel
 from eatxt.assist import complete, context_at
 from eatxt.model import build_cache
@@ -34,7 +37,7 @@ from eatxt.xmlio import to_eaxml
 
 from support import (
     CONFIG, EXTRA, GOLDEN, METAMODEL, MODELS, line_starts, mutated_ecores, parse_record,
-    random_model, reference_build_parser, reference_load_metamodel,
+    random_directives, random_model, reference_build_parser, reference_load_metamodel,
 )
 
 WIPER = MODELS[0].parent / "wiper_system.eatxt"
@@ -1030,6 +1033,29 @@ def test_mutated_configs_keep_the_exit_code_contract(tmp_path_factory, text):
         code, err = exit_code_and_stderr(argv)
         assert code in (0, 1, 2), argv[0]
         assert "Traceback" not in err, argv[0]
+
+
+POSITIONAL_ERROR = re.compile(
+    r"error: .+: .+: rule '\w+' would have \d+ positional attributes \(.+\); "
+    r"at most one is allowed\n"
+)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_adapt_prints_what_the_library_reports_for_seeded_configs(capsys, tmp_path, gen_g, seed):
+    directives = random_directives(random.Random(seed))
+    config = tmp_path / "seeded.cfg"
+    config.write_text("".join(render_directive(d) + "\n" for d in directives), encoding="utf-8")
+    code, out, err = run(capsys, "adapt", "--metamodel", METAMODEL, "--config", config)
+    try:
+        adapted, report = adapt_grammar(gen_g, AdaptationConfig(directives))
+    except ConfigError as exc:
+        assert (code, out) == (2, "")
+        assert err == f"error: {config}: {exc}\n"
+        assert POSITIONAL_ERROR.fullmatch(err)
+        return
+    lines = "".join(e.render() + "\n" for e in report.entries)
+    assert (code, out, err) == (0, lines + emit_grammar(adapted), "")
 
 
 # --- roundtrip-check ---------------------------------------------------------

@@ -24,7 +24,10 @@ from eatxt.grammar import (
 from eatxt.metamodel import PrimitiveKind, load_metamodel
 from eatxt.textsyntax import format_model, parse_model
 
-from support import CONFIG, GOLDEN, read_grammar_text
+from support import (
+    CLASS_NAME_GLOBS, CONFIG, GOLDEN, MEMBER_NAME_GLOBS, TERMINAL_PATTERNS,
+    read_grammar_text, reference_adapt_grammar,
+)
 
 
 def test_rule_per_concrete_class(mm, gen_g):
@@ -216,16 +219,11 @@ def test_adaptation_leaves_input_grammar_alone(gen_g):
     assert adapted == again
 
 
-GLOBS = st.sampled_from(
-    ["*", "EA*", "Function*", "*Port", "FunctionFlowPort", "DesignFunctionType",
-     "EAPackage", "Nope"]
-)
-MEMBER_GLOBS = st.sampled_from(
-    ["*", "sub*", "element", "port", "direction", "category", "name", "shortName", "Nope"]
-)
+GLOBS = st.sampled_from(CLASS_NAME_GLOBS)
+MEMBER_GLOBS = st.sampled_from(MEMBER_NAME_GLOBS)
 DIRECTIVES = st.one_of(
     st.builds(DefineTerminal, st.sampled_from(list(PrimitiveKind)),
-              st.sampled_from(["[a-z]+", "x|y", "[0-9]+"])),
+              st.sampled_from(TERMINAL_PATTERNS)),
     st.builds(HoistShortName, GLOBS),
     st.builds(UnfoldContainment, GLOBS, MEMBER_GLOBS),
     st.builds(OptionalBody, GLOBS),
@@ -233,20 +231,30 @@ DIRECTIVES = st.one_of(
 )
 
 
+def adaptation_outcome(adapt, g, directives):
+    """The adapted grammar, or None, and what the adaptation shows: the
+    emitted grammar, the report and each entry's matches, or the text of
+    the ConfigError it raises."""
+    try:
+        adapted, report = adapt(g, AdaptationConfig(directives))
+    except ConfigError as exc:  # two positional attributes in one rule
+        return None, str(exc)
+    return adapted, (emit_grammar(adapted), report.render(), [e.matches for e in report.entries])
+
+
 @settings(max_examples=150, deadline=None)
 @given(directives=st.lists(DIRECTIVES, max_size=6))
-def test_random_adaptations_leave_their_input_alone(gen_g, directives):
-    before = copy.deepcopy(gen_g)
-    try:
-        adapted, _ = adapt_grammar(gen_g, AdaptationConfig(directives))
-    except ConfigError:  # two positional attributes in one rule
-        adapted = None
-    assert gen_g == before
-    if adapted is not None:
-        snapshot = copy.deepcopy(adapted)
-        with contextlib.suppress(ConfigError):
-            adapt_grammar(adapted, AdaptationConfig(directives))
-        assert adapted == snapshot
+def test_random_adaptations_leave_their_input_alone(gen_g, g, directives):
+    for base in (gen_g, g):
+        before = copy.deepcopy(base)
+        adapted, outcome = adaptation_outcome(adapt_grammar, base, directives)
+        assert outcome == adaptation_outcome(reference_adapt_grammar, base, directives)[1]
+        assert base == before
+        if adapted is not None:
+            snapshot = copy.deepcopy(adapted)
+            with contextlib.suppress(ConfigError):
+                adapt_grammar(adapted, AdaptationConfig(directives))
+            assert adapted == snapshot
     # The untouched input still adapts to the goldens.
     cfg = parse_config(CONFIG.read_text(encoding="utf-8"))
     assert emit_grammar(gen_g) == (GOLDEN / "generated.gtext").read_text(encoding="utf-8")
