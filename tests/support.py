@@ -818,14 +818,16 @@ def _span_list(span: Span) -> list[int]:
 
 
 def parse_record(text: str, g: Grammar, mm: Metamodel) -> dict:
-    """What ``parse_document``'s parse holds for a text, in JSON form: the
-    diagnostics, the bodies, the string offsets and every element with
-    its id, span, values and cross-references. Element and reference
-    offsets are recorded as line:col spans, through the parse's line
-    index."""
-    from eatxt.textsyntax import parse_document
+    """What a parse pulled to the end holds for a text, in JSON form: the
+    diagnostics, the bodies, the string offsets, every element of the
+    tree with its id, span, values and cross-references, and the id,
+    class and start offset of each element the parse yields as it opens,
+    detached ones included. Element and reference offsets in the tree
+    are recorded as line:col spans, through the parse's line index."""
+    from eatxt.textsyntax import Parser
 
-    parse = parse_document(text, g, mm)
+    parse = Parser(text, g, mm)
+    yielded = [[el.id, el.class_name, el.start] for el in parse._steps]
     place = parse.lines.span
     elements = []
     if parse.root is not None:
@@ -848,6 +850,7 @@ def parse_record(text: str, g: Grammar, mm: Metamodel) -> dict:
         ],
         "strings": [list(s) for s in parse.strings],
         "elements": elements,
+        "yielded": yielded,
     }
 
 
