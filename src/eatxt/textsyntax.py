@@ -31,8 +31,8 @@ it keeps in pre-order as it opens them. Besides the tree it records one
 so that completion reads the cursor's container from the same parse.
 
 A :class:`Parser` goes only as far as it is pulled, and lexes only the
-tokens it reads: its loop is a generator that stops after each element
-it opens. It decides whether a child is kept when the child opens, so
+tokens it reads: one generator parses the whole text, the top level
+included, and stops after each element it opens. It decides whether a child is kept when the child opens, so
 the tree it has built at any stop is a prefix of the final pre-order.
 :func:`parse_document` pulls it to the end of the text and returns it;
 completion pulls it until the cursor's container has closed, and its
@@ -443,19 +443,21 @@ class Parser:
     ``reported`` (the parser's diagnostics) and ``tokens.diagnostics``
     (the lexer's) as they grow.
 
-    The parsing loop holds the innermost element whose body is open in
-    its locals: the element, its rule tables, its member counts, its
-    ``Body``, the wrapped block open in its body if any, and whether it is
-    dropped when it ends. A child whose body opens saves these on a
-    stack, and they come back when it ends. The token lists end with an
-    ``_END`` sentinel once the text is lexed to its end, so reading past
-    the last token needs no bounds check. Before that, each turn of the
-    loop first makes sure that the tokens it may read are lexed, and so
-    does each loop that can read further (:meth:`fill`). A turn that lexes
-    on first lets go of the lexemes and offsets behind it (:meth:`forget`),
-    so that the token columns do not keep a copy of the text already
-    parsed. An element that ends places its diagnostics from its own
-    ``start`` and ``end``, however far back its class keyword is.
+    One generator, :meth:`_run`, parses the whole text: the root, its
+    subtree and any detached elements, so a step resumes one frame. Its
+    loop holds the innermost element whose body is open in its locals: the
+    element, its rule tables, its member counts, its ``Body``, the wrapped
+    block open in its body if any, and whether it is dropped when it ends.
+    A child whose body opens saves these on a stack, and they come back
+    when it ends. The token lists end with an ``_END`` sentinel once the
+    text is lexed to its end, so reading past the last token needs no
+    bounds check. Before that, each turn of the loop first makes sure that
+    the tokens it may read are lexed, and so does each loop that can read
+    further (:meth:`fill`). A turn that lexes on first lets go of the
+    lexemes and offsets behind it (:meth:`forget`), so that the token
+    columns do not keep a copy of the text already parsed. An element that
+    ends places its diagnostics from its own ``start`` and ``end``,
+    however far back its class keyword is.
 
     Elements are numbered in pre-order as they open. A dropped element
     was the last one opened before its subtree, so dropping it sets the
@@ -474,7 +476,7 @@ class Parser:
         self.g = g
         self.mm = mm
         self.root: ModelElement | None = None
-        # Diagnostics go to the sink, which the detached pass swaps out.
+        # Diagnostics go to the sink; ``_run`` swaps it for a dropped list.
         self.reported: list[Diagnostic] = []
         self.sink = self.reported
         self.bodies: list[Body] = []
@@ -655,65 +657,21 @@ class Parser:
                     return i
             i += 1
 
-    # -- document -----------------------------------------------------------
+    # -- the parsing loop -----------------------------------------------------
 
     def _run(self) -> Iterator[ModelElement]:
-        yield from self.parse_root()
-        yield from self.parse_detached()
+        """Parse the text, yielding each element right after it opens.
+        Each turn of the loop opens the element the turn before met, reads
+        one construct of the innermost open body or wrapped block, or,
+        when no element is open, looks for the next top-level element. A
+        turn in which an element ends, at its closing brace or at once for
+        one without a body, checks its lower bounds.
 
-    def parse_root(self) -> Iterator[ModelElement]:
-        self.fill(0)
-        kind = self.kinds[0]
-        if kind == _END:
-            self.error("empty document: expected an element", Span(1, 1, 1, 1))
-            return
-        lexeme = self.lexemes[0]
-        if kind != "Identifier" or lexeme not in self.class_keywords:
-            self.error(f"expected an element, got '{lexeme}'", self.span(0))
-            return
-        elements = self.parse_element(self.class_keywords[lexeme])
-        self.root = root = next(elements)
-        yield root
-        yield from elements
-        if self.kinds[self.i] != _END:
-            self.error(
-                "unexpected text after the top-level element: "
-                f"'{self.lexemes[self.i]}'",
-                self.span(self.i),
-            )
-
-    def parse_detached(self) -> Iterator[ModelElement]:
-        """Parse every class keyword left over as a detached element.
-
-        Runs after the top-level element ended early or never started, so
-        that the bodies of a damaged document are still recorded. The
-        trees and diagnostics of this pass are dropped.
-        """
-        kinds, lexemes, class_keywords = self.kinds, self.lexemes, self.class_keywords
-        self.sink = []
-        while True:
-            i = self.i
-            if i >= self.limit:
-                self.forget(i)
-                self.fill(i)
-            kind = kinds[i]
-            if kind == _END:
-                return
-            class_name = class_keywords.get(lexemes[i])
-            if kind == "Identifier" and class_name is not None:
-                yield from self.parse_element(class_name)
-            else:
-                self.i = i + 1
-
-    # -- elements -----------------------------------------------------------
-
-    def parse_element(self, class_name: str) -> Iterator[ModelElement]:
-        """Parse the element whose class keyword is the next token, and
-        everything nested in it, yielding each element right after it
-        opens, this one first. Each turn of the loop opens the child the
-        turn before met, or reads one construct of the innermost open body
-        or wrapped block. A turn in which an element ends, at its closing
-        brace or at once for one without a body, checks its lower bounds.
+        The root must be token 0. Text that does not start with an element,
+        or goes on after the root, is reported once; after that every class
+        keyword starts a detached element, whose ids restart at 1 and whose
+        diagnostics go to a dropped sink, so that the bodies of a damaged
+        document are still recorded.
 
         Whether a child is kept is decided when it opens, for its parent's
         counts cannot change while it is open. A kept child joins its
@@ -724,12 +682,12 @@ class Parser:
         kinds, lexemes, offsets = self.kinds, self.lexemes, self.offsets
         class_keywords, rules, bodies = self.class_keywords, self.rules, self.bodies
         opened, fill, forget = self.open, self.fill, self.forget
-        i, last_id, limit = self.i, 0, self.limit
+        i = last_id = limit = 0
         stack: list[tuple] = []
         # ``drop`` is None for a kept element, the member it goes over the
         # bound of, or "" when no containment fits it.
         el = info = counts = body = block = drop = None
-        child_class: str | None = class_name
+        child_class: str | None = None
         child_link: str | None = None
         while True:
             if i >= limit:
@@ -753,6 +711,8 @@ class Parser:
                     if n <= info.upper[child_link]:
                         el.children.append((child_link, c))
                         child_link = None
+                elif i == 0:
+                    self.root = c
                 i += 1
                 if rule.name_inline:
                     if kinds[i] == "Identifier":
@@ -780,6 +740,28 @@ class Parser:
                 child_class = None
                 self.i = i
                 yield c
+            elif el is None:
+                kind = kinds[i]
+                class_name = class_keywords.get(lexemes[i]) if kind == "Identifier" else None
+                if self.sink is self.reported and (i or class_name is None):
+                    if i == 0 and kind == _END:
+                        self.error("empty document: expected an element", Span(1, 1, 1, 1))
+                    elif i == 0:
+                        self.error(f"expected an element, got '{lexemes[0]}'", self.span(0))
+                    elif kind != _END:
+                        self.error(
+                            f"unexpected text after the top-level element: '{lexemes[i]}'",
+                            self.span(i),
+                        )
+                    self.sink = []
+                if class_name is not None:
+                    child_class, child_link, last_id = class_name, None, 0
+                elif kind == _END:
+                    self.i = i
+                    return
+                else:
+                    i += 1
+                continue
             else:
                 kind = kinds[i]
                 if block is not None:
@@ -951,9 +933,8 @@ class Parser:
                         self.lines.span(c.start, c.end),
                     )
             if el is None:
-                self.i = i
-                return
-            if c_drop is not None:
+                limit = self.limit  # as a new top-level element reads it
+            elif c_drop is not None:
                 # Drop it with its subtree, the elements numbered since it.
                 if c_drop:
                     self.too_many(c_drop, info.upper[c_drop], self.lines.span(c.start, c.end))
