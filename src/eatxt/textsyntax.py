@@ -81,8 +81,9 @@ _NEWLINE = re.compile("\n")
 # Builds a named tuple without its Python-level ``__new__``: the parser
 # makes a QualifiedName per reference.
 _new_tuple = tuple.__new__
-# Whitespace and ``//`` comments between tokens, in one match.
-_SKIP = r"(?:[ \t\r\n]+|//[^\n]*\n?)*"
+# Whitespace and ``//`` comments between tokens, in one match that never
+# backtracks: possessive quantifiers, which need Python 3.11's ``re``.
+_SKIP = r"[ \t\r\n]*+(?://[^\n]*+\n?[ \t\r\n]*+)*+"
 # Scanner matches per lexer batch: a parser that stops early has lexed at
 # most this many tokens past the last one it read.
 _BATCH = 1024
@@ -266,7 +267,7 @@ def _scanner(terminals: dict[PrimitiveKind, str]) -> tuple:
     the scanner's own match. The last group is the unlexable run; its
     rivals are the kinds kept out of the alternation.
     """
-    source = [f"(?>{_SKIP})(?:([{re.escape(PUNCT)}])"]
+    source = [f"{_SKIP}(?:([{re.escape(PUNCT)}])"]
     sure: list[str | None] = [None, ""]
     contenders = []  # (kind, match, its group, or None when kept out)
     for kind in _PRIORITY:
