@@ -45,7 +45,8 @@ the same for every input and are collected after the command returns.
 Exit codes: 0 for success; 1 when processing produced error diagnostics
 or the model cannot be rendered; 2 for every toolchain error, that is an
 unusable input such as a missing file, a bad metamodel or config, or a
-cursor outside the text. Warnings never change the exit code.
+cursor outside the text, and when a command runs out of memory. Warnings
+never change the exit code.
 """
 
 from __future__ import annotations
@@ -386,6 +387,13 @@ def _run(argv: list[str] | None) -> int:
     except ToolchainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except MemoryError:
+        pass
+    # Out of memory: reported once the exception has let go of the frames
+    # that held the command's data.
+    print(f"error: {args.command} {getattr(args, 'model', args.metamodel)}: out of memory",
+          file=sys.stderr)
+    return USAGE_ERROR
 
 
 if __name__ == "__main__":

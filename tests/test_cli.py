@@ -740,6 +740,37 @@ def test_deep_nesting_runs_every_command(capsys, tmp_path):
         assert run(capsys, "roundtrip-check", deep, *tool) == (0, "", ""), depth
 
 
+# Runs main in a process whose address space may grow only 64 MB past what
+# it maps once eatxt is imported. The limit is the child's own.
+OUT_OF_MEMORY = """
+import resource, sys
+from eatxt.cli import main
+with open("/proc/self/status") as status:
+    kb = next(int(line.split()[1]) for line in status if line.startswith("VmSize:"))
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, ((kb + 64 * 1024) * 1024, hard))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_running_out_of_memory_exits_two_with_one_line(tmp_path):
+    """150,000 sibling packages, a flat model whose check needs about twice
+    the 64 MB the child may add, end in one line and the usage exit code,
+    not a traceback."""
+    wide = tmp_path / "wide.eatxt"
+    wide.write_text(
+        "EAPackage Root\n{\n" + "".join(f"    EAPackage P{i}\n" for i in range(150_000)) + "}\n",
+        encoding="utf-8",
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", OUT_OF_MEMORY, *map(str, base_args(wide))],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: check {wide}: out of memory\n"
+
+
 FIXTURE_TEXTS = [path.read_text(encoding="utf-8") for path in MODELS]
 
 
