@@ -32,11 +32,12 @@ so that completion reads the cursor's container from the same parse.
 
 A :class:`Parser` goes only as far as it is pulled, and lexes only the
 tokens it reads: one generator parses the whole text, the top level
-included, and stops after each element it opens. It decides whether a child is kept when the child opens, so
-the tree it has built at any stop is a prefix of the final pre-order.
-:func:`parse_document` pulls it to the end of the text and returns it;
-completion pulls it until the cursor's container has closed, and its
-reference lookups pull on only as far as the first fitting element.
+included, and stops after each element it opens. It decides whether a
+child is kept when the child opens, so the tree it has built at any stop
+is a prefix of the final pre-order. :func:`parse_document` pulls it to
+the end of the text and returns it; completion pulls it until the
+cursor's container has closed, and its reference lookups pull on only as
+far as the first fitting element.
 
 The formatter is the inverse direction and defines the canonical layout:
 four-space indents, braces on their own lines, one construct per line.
@@ -934,7 +935,7 @@ class Parser:
                         self.lines.span(c.start, c.end),
                     )
             if el is None:
-                limit = self.limit  # as a new top-level element reads it
+                limit = self.limit  # skip_construct may have lexed on
             elif c_drop is not None:
                 # Drop it with its subtree, the elements numbered since it.
                 if c_drop:
