@@ -20,12 +20,13 @@ places the cursor, and its diagnostics reuse the line starts found.
 
 A batch command (check, format, to-xml, to-text, roundtrip-check) holds
 at most one model tree, its input text and one copy of each text it
-writes. The parse drops each token's text once past it, and the input
-text goes with the parse. roundtrip-check writes the EAXML and then the
-canonical text of the parsed tree, drops the tree, reads the EAXML back
-and drops it; only the canonical text stays, for the comparison. So its
-peak is the larger of the tree with the two texts written from it, and
-the canonical text and the EAXML with the tree read back.
+writes. The parse keeps only a window of about two lexer batches of
+tokens, dropping those it has passed, and the input text goes with the
+parse. roundtrip-check writes the EAXML and then the canonical text of
+the parsed tree, drops the tree, reads the EAXML back and drops it; only
+the canonical text stays, for the comparison. So its peak is the larger
+of the tree with the two texts written from it, and the canonical text
+and the EAXML with the tree read back.
 
 A call does only the work its command needs, since an editor may run
 one per keystroke. :func:`build_parser` adds only the invoked
@@ -36,7 +37,7 @@ this module does not load them.
 
 :func:`main` pauses Python's cyclic garbage collector for the length of
 one command and restores the state it found, however the command ends.
-A command allocates model trees, token columns and diagnostics in bulk,
+A command allocates model trees, tokens and diagnostics in bulk,
 and none of them holds a reference cycle: reference counting frees them
 all, so the collector would only rescan them, again and again as they
 grow. The few cycles a command leaves (argparse's parser, mostly) are

@@ -14,10 +14,11 @@ an inline flag) is kept out of it and tried on its own at every token.
 :class:`Tokens` holds the kinds, lexemes and start offsets of the tokens
 in three parallel lists, plus the line index of the text and the offsets
 of its string literals, and lexes them a batch at a time, on demand;
-:func:`lex` drains it. The parser reads the lists by index, and sets the
-lexemes and offsets of the tokens it has passed to None. Elements and
-cross-references keep offsets too; only a diagnostic holds a line:col,
-which :class:`LineIndex`, the one owner of positions, places.
+:func:`lex` drains it. The parser reads the lists by index, and deletes
+the tokens it has passed from their front, so that they hold a window of
+about two batches. Elements and cross-references keep offsets too; only
+a diagnostic holds a line:col, which :class:`LineIndex`, the one owner
+of positions, places.
 
 The parser interprets the grammar IR in one loop over the tokens and an
 explicit stack of the elements whose body is open, so nesting depth has
@@ -102,8 +103,7 @@ class LineIndex:
     """Offsets to and from 1-based (line, col) positions of one text, by
     bisection over its line starts: the one owner of positions. It finds
     each line start once, and only as far as asked: up to the end that
-    :meth:`span` places, the line of :meth:`start` or :meth:`offset`, or
-    for :attr:`starts` the whole text."""
+    :meth:`span` places, or the line of :meth:`start` or :meth:`offset`."""
 
     __slots__ = ("_text", "_starts", "_found")
 
@@ -119,10 +119,6 @@ class LineIndex:
             starts += [m.end() for m in _NEWLINE.finditer(self._text, self._found, offset)]
             self._found = offset
         return starts
-
-    @property
-    def starts(self) -> list[int]:
-        return self._find(len(self._text))
 
     def start(self, line: int) -> int | None:
         """Offset where 1-based ``line`` starts, or None when the text has
@@ -163,11 +159,13 @@ class Tokens:
 
     The lists start empty and grow a batch at a time: :meth:`more` lexes on
     from where the last batch ended, so that a parser reads only as much
-    of the text as it asks for. :func:`lex` drains them."""
+    of the text as it asks for. :func:`lex` drains them. A parser deletes
+    the tokens it has passed from the front of the lists and adds their
+    number to ``dropped``, so ``len`` counts every token lexed."""
 
     __slots__ = (
-        "kinds", "lexemes", "offsets", "lines", "strings", "diagnostics", "_text", "_pos",
-        "_scanner",
+        "kinds", "lexemes", "offsets", "lines", "strings", "diagnostics", "dropped", "_text",
+        "_pos", "_scanner",
     )
 
     def __init__(self, text: str, terminals: dict[PrimitiveKind, str]):
@@ -186,9 +184,10 @@ class Tokens:
         self.offsets: list[int] = []
         self.strings: list[tuple[int, int]] = []
         self.diagnostics: list[Diagnostic] = []
+        self.dropped = 0
 
     def __len__(self) -> int:
-        return len(self.kinds)
+        return self.dropped + len(self.kinds)
 
     def more(self) -> bool:
         """Lex the next batch of about ``_BATCH`` tokens; False, lexing
@@ -455,11 +454,15 @@ class Parser:
     text is lexed to its end, so reading past the last token needs no
     bounds check. Before that, each turn of the loop first makes sure that
     the tokens it may read are lexed, and so does each loop that can read
-    further (:meth:`fill`). A turn that lexes on first lets go of the
-    lexemes and offsets behind it (:meth:`forget`), so that the token
-    columns do not keep a copy of the text already parsed. An element that
-    ends places its diagnostics from its own ``start`` and ``end``,
-    however far back its class keyword is.
+    further (:meth:`fill`). A turn that lexes on first deletes the tokens
+    before the one just before it, which an end-of-text diagnostic places,
+    from the front of the lists, and counts its token ``i`` from the
+    first one kept. No turn reads further back, so the lists hold a window
+    of the text, not a copy of what is already parsed. A loop that lexes
+    within a turn leaves the turn's ``limit`` behind, so that the next
+    turn slides the window. An element that ends places its diagnostics
+    from its own ``start`` and ``end``, however far back its class
+    keyword is.
 
     Elements are numbered in pre-order as they open. A dropped element
     was the last one opened before its subtree, so dropping it sets the
@@ -473,8 +476,7 @@ class Parser:
         self.lines = tokens.lines
         self.strings = tokens.strings
         self.limit = 0  # below it, a turn of the loop finds its tokens lexed
-        self.passed = 0  # below it, tokens have no lexeme and no offset
-        self.i = 0  # the next token, whenever the parse is not running
+        self.i = 0  # the next token in the lists, whenever the parse is not running
         self.g = g
         self.mm = mm
         self.root: ModelElement | None = None
@@ -553,19 +555,6 @@ class Parser:
                     return _UNBOUNDED
             self.limit = len(kinds) - _LOOKAHEAD
         return self.limit
-
-    def forget(self, i: int) -> None:
-        """Set the lexeme and offset of each token before token ``i - 1``
-        to None, at the top of a turn of the loop that starts at token
-        ``i``. No turn reads back past the token just before it, which an
-        end-of-text diagnostic places. The lists keep their lengths, so
-        indexes stay valid."""
-        passed, end = self.passed, i - 1
-        if end > passed:
-            gone = [None] * (end - passed)
-            self.lexemes[passed:end] = gone
-            self.offsets[passed:end] = gone
-            self.passed = end
 
     # -- positions and reports ------------------------------------------------
 
@@ -669,11 +658,12 @@ class Parser:
         turn in which an element ends, at its closing brace or at once for
         one without a body, checks its lower bounds.
 
-        The root must be token 0. Text that does not start with an element,
-        or goes on after the root, is reported once; after that every class
-        keyword starts a detached element, whose ids restart at 1 and whose
-        diagnostics go to a dropped sink, so that the bodies of a damaged
-        document are still recorded.
+        The root must be token 0; after a slide of the window ``i`` is never
+        below 1, so no other token is. Text that does not start with an
+        element, or goes on after the root, is reported once; after that
+        every class keyword starts a detached element, whose ids restart at
+        1 and whose diagnostics go to a dropped sink, so that the bodies of
+        a damaged document are still recorded.
 
         Whether a child is kept is decided when it opens, for its parent's
         counts cannot change while it is open. A kept child joins its
@@ -681,9 +671,9 @@ class Parser:
         the final pre-order. A child that fits no containment, or one over
         its member's upper bound, is dropped with its subtree when it
         ends, and the bound is reported then."""
-        kinds, lexemes, offsets = self.kinds, self.lexemes, self.offsets
+        tokens, kinds, lexemes, offsets = self.tokens, self.kinds, self.lexemes, self.offsets
         class_keywords, rules, bodies = self.class_keywords, self.rules, self.bodies
-        opened, fill, forget = self.open, self.fill, self.forget
+        opened, fill = self.open, self.fill
         i = last_id = limit = 0
         stack: list[tuple] = []
         # ``drop`` is None for a kept element, the member it goes over the
@@ -693,7 +683,10 @@ class Parser:
         child_link: str | None = None
         while True:
             if i >= limit:
-                forget(i)
+                if i > 1:
+                    del kinds[:i - 1], lexemes[:i - 1], offsets[:i - 1]
+                    tokens.dropped += i - 1
+                    i = 1
                 limit = fill(i)
             if child_class is not None:
                 # Token i is the child's class keyword; its inline name
@@ -825,7 +818,7 @@ class Parser:
                                 while kinds[i] == "." and kinds[i + 1] == "Identifier":
                                     i += 2
                                     if i >= limit:
-                                        limit = fill(i)
+                                        fill(i)
                                 last = i - 1
                                 if kinds[i] == ".":
                                     i += 1
@@ -934,9 +927,7 @@ class Parser:
                         f"missing mandatory member '{member}' in '{ci.rule.keyword}'",
                         self.lines.span(c.start, c.end),
                     )
-            if el is None:
-                limit = self.limit  # skip_construct may have lexed on
-            elif c_drop is not None:
+            if c_drop is not None:
                 # Drop it with its subtree, the elements numbered since it.
                 if c_drop:
                     self.too_many(c_drop, info.upper[c_drop], self.lines.span(c.start, c.end))

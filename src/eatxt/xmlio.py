@@ -451,8 +451,10 @@ def from_eaxml(
 
 
 def _malformed(message: str, line: int, col: int) -> Diagnostic:
-    at = _point(line, max(col, 1))
-    return Diagnostic(ERROR, f"malformed XML: {message}", at)
+    """Malformed XML at expat's 0-based column, placed 1-based as the
+    reader's warnings are, without expat's own ``: line L, column C``."""
+    message = message.rpartition(": line ")[0]
+    return Diagnostic(ERROR, f"malformed XML: {message}", _point(line, col + 1))
 
 
 def _fixname(name: str) -> str:

@@ -1101,13 +1101,15 @@ def reference_from_eaxml(
     """``xmlio.from_eaxml`` as it was first written: ``ET.fromstring``,
     then a recursive walk over the tree, with the tag tables of
     ``reference_xml_names``. Its diagnostics have no position, except for
-    malformed XML. An external DTD subset is an error
-    (``reference_external_subset``)."""
+    malformed XML, which it places one column right of ElementTree's
+    0-based column, with the message cut before its ``: line L, column C``.
+    An external DTD subset is an error (``reference_external_subset``)."""
     diagnostics: list[Diagnostic] = []
     dtd = reference_external_subset(text)
     if dtd is not None:
         message, line, col = dtd
-        at = Span(line, max(col, 1), line, max(col, 1))
+        at = Span(line, col + 1, line, col + 1)
+        message = message.rpartition(": line ")[0]
         return None, [Diagnostic(ERROR, f"malformed XML: {message}", at)]
     try:
         doc = ET.fromstring(text)
@@ -1115,8 +1117,8 @@ def reference_from_eaxml(
         line, col = exc.position
         diagnostics.append(Diagnostic(
             ERROR,
-            f"malformed XML: {exc.msg}",
-            Span(line, max(col, 1), line, max(col, 1)),
+            f"malformed XML: {exc.msg.rpartition(': line ')[0]}",
+            Span(line, col + 1, line, col + 1),
         ))
         return None, diagnostics
 

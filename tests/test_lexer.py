@@ -234,7 +234,8 @@ LINE_BREAK_LOOKALIKES = ["a", " ", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x85", "
 
 @given(text=st.lists(st.sampled_from(LINE_BREAK_LOOKALIKES), max_size=60).map("".join))
 def test_line_starts_follow_newlines_only(text):
-    assert LineIndex(text).starts == line_starts(text)
+    lines, starts = LineIndex(text), line_starts(text)
+    assert [lines.start(k) for k in range(1, len(starts) + 2)] == starts + [None]
 
 
 @given(

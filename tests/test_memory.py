@@ -5,10 +5,11 @@ A batch command holds at most one model tree, its input text and one copy
 of each text it writes; roundtrip-check also keeps its canonical text.
 The bounds are in traced bytes per character of the model's canonical
 text; to-text reads the EAXML that to-xml writes from the same tree. They
-were set 10% above what the commands peak at on the document below (12.3
-for check and format, 12.9 for to-text, 13.9 for to-xml and 15.1 for
-roundtrip-check); before the commands dropped what they no longer read,
-roundtrip-check and to-xml peaked at 20.6 and 17.4."""
+were set 10% above what the commands peak at on the document below (10.4
+for check, 10.5 for format, 12.9 for to-text, 13.9 for to-xml and 15.1
+for roundtrip-check); before the commands dropped what they no longer
+read, roundtrip-check and to-xml peaked at 20.6 and 17.4, and before a
+parse kept only a window of its tokens, check and format at 12.3."""
 
 import contextlib
 import io
@@ -20,7 +21,7 @@ from eatxt.textsyntax import format_model
 
 from support import CONFIG, METAMODEL, random_model, traced_peak
 
-BOUNDS = {"check": 13.6, "format": 13.6, "roundtrip-check": 16.6, "to-text": 14.2, "to-xml": 15.3}
+BOUNDS = {"check": 11.5, "format": 11.6, "roundtrip-check": 16.6, "to-text": 14.2, "to-xml": 15.3}
 TOOL = ["--metamodel", str(METAMODEL), "--config", str(CONFIG)]
 
 

@@ -388,12 +388,9 @@ def test_a_clean_parse_or_check_places_nothing(g, mm, monkeypatch, capsys):
     """No line:col is computed, and no line start found, unless something
     is reported."""
     calls = []
-    span, starts = LineIndex.span, LineIndex.starts
+    span = LineIndex.span
     monkeypatch.setattr(
         LineIndex, "span", lambda self, *a: calls.append("span") or span(self, *a),
-    )
-    monkeypatch.setattr(
-        LineIndex, "starts", property(lambda self: calls.append("starts") or starts.fget(self)),
     )
     for path in MODELS:
         assert parse_document(path.read_text(encoding="utf-8"), g, mm).diagnostics == []
@@ -405,7 +402,6 @@ def test_a_clean_parse_or_check_places_nothing(g, mm, monkeypatch, capsys):
     assert calls[:1] == ["span"]
     # A span finds the line starts only as far as the end it places.
     assert parse.lines._starts == [0, 12, 14]
-    assert "starts" not in calls
 
 
 def test_damaged_documents_parse_as_recorded(g, gen_g, mm):
@@ -692,18 +688,39 @@ def test_a_text_that_ends_inside_a_body_after_several_batches():
     ]
 
 
-def test_a_parse_lets_go_of_the_tokens_it_has_passed(g, mm):
-    """Lexemes and offsets of the tokens behind the parse are None; the
-    columns keep their lengths, and the tail the parse may still read
-    back to is kept."""
-    text = format_model(random_model(3, mm, max_elements=2000, fan_out=8), g)
+def test_a_parse_lets_go_of_the_tokens_it_has_passed(g, mm, monkeypatch):
+    """The token lists of a parse lose the tokens it has passed from the
+    front and hold at most two batches, the lookahead and the token
+    before, while the count of tokens lexed goes on; at the end they hold
+    the lexed tail and the end sentinel. Also when every token is a batch
+    of its own: a qualified name is read in one turn, so then the longest
+    name stands in for the batch."""
+    root = random_model(1, mm, max_elements=2000, fan_out=8)
+    text = format_model(root, g)
     tokens, _ = eatxt.textsyntax.lex(text, g.terminal_patterns())
-    parse = parse_document(text, g, mm)
-    assert parse.kinds == tokens.kinds + ["<end>"]
-    assert len(parse.lexemes) == len(tokens.lexemes) + 1
-    assert len(parse.offsets) == len(tokens.offsets)
-    passed = parse.lexemes.count(None)
-    assert passed > len(tokens) - 2 * eatxt.textsyntax._BATCH
-    assert parse.offsets.count(None) == passed
-    assert parse.lexemes[passed:-1] == tokens.lexemes[passed:]
-    assert parse.offsets[passed:] == tokens.offsets[passed:]
+    longest = max(
+        2 * len(r.target.segments) - 1 for el in root.iter_preorder() for r in el.cross_refs
+    )
+    sizes = []
+    more = eatxt.textsyntax.Tokens.more
+
+    def measured_more(self):
+        lexed = more(self)
+        sizes.append(len(self.kinds))
+        return lexed
+
+    monkeypatch.setattr(eatxt.textsyntax.Tokens, "more", measured_more)
+    for batch in (eatxt.textsyntax._BATCH, 1):
+        monkeypatch.setattr(eatxt.textsyntax, "_BATCH", batch)
+        assert len(tokens) > 10 * batch
+        sizes.clear()
+        parse = parse_document(text, g, mm)
+        assert parse.diagnostics == []
+        assert len(parse.tokens) == len(tokens) + 1
+        kept = len(parse.offsets)
+        assert kept < len(tokens)
+        assert parse.kinds == tokens.kinds[-kept:] + ["<end>"]
+        assert parse.lexemes == tokens.lexemes[-kept:] + [""]
+        assert parse.offsets == tokens.offsets[-kept:]
+        bound = 2 * max(batch, longest) + eatxt.textsyntax._LOOKAHEAD + 1
+        assert sizes and max(sizes + [len(parse.kinds)]) <= bound

@@ -766,14 +766,30 @@ def test_an_external_dtd_subset_is_malformed_eaxml(mm, tmp_path, capsys):
         "\n", '\n<!DOCTYPE EAXML SYSTEM "eaxml.dtd">\n', 1,
     )
     assert from_eaxml(xml, mm) == (None, [Diagnostic(
-        ERROR, "malformed XML: external DTD subset or parameter entity reference: "
-        "line 2, column 23", Span(2, 23, 2, 23),
+        ERROR, "malformed XML: external DTD subset or parameter entity reference",
+        Span(2, 24, 2, 24),
     )])
     path = tmp_path / "m.eaxml"
     path.write_text(xml, encoding="utf-8")
     assert main(["to-text", str(path), "--metamodel", str(METAMODEL)]) == 1
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith(f"{path}:2:23: error: malformed XML: external DTD")
+    assert out == "" and err.startswith(f"{path}:2:24: error: malformed XML: external DTD")
+
+
+def test_malformed_xml_is_placed_at_the_character_expat_stops_at(mm, tmp_path, capsys):
+    """Expat counts columns from 0; the diagnostic is 1-based, like the
+    reader's warnings, and does not repeat expat's position."""
+    source = (
+        '<?xml version="1.0" encoding="UTF-8"?>\n<EAXML version="2.1.12">\n'
+        "<EA-PACKAGE><SHORT-NAME>P</SHORT-NAME>\n  <X>&bogus;</X>\n</EA-PACKAGE>\n</EAXML>\n"
+    )
+    assert from_eaxml(source, mm) == (
+        None, [Diagnostic(ERROR, "malformed XML: undefined entity", Span(4, 6, 4, 6))],
+    )
+    path = tmp_path / "bad.eaxml"
+    path.write_text(source, encoding="utf-8")
+    assert main(["to-text", str(path), "--metamodel", str(METAMODEL)]) == 1
+    assert capsys.readouterr() == ("", f"{path}:4:6: error: malformed XML: undefined entity\n")
 
 
 def test_unknown_tag_is_reported_at_its_own_line(mm):
