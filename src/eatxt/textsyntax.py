@@ -457,12 +457,14 @@ class Parser:
     further (:meth:`fill`). A turn that lexes on first deletes the tokens
     before the one just before it, which an end-of-text diagnostic places,
     from the front of the lists, and counts its token ``i`` from the
-    first one kept. No turn reads further back, so the lists hold a window
-    of the text, not a copy of what is already parsed. A loop that lexes
-    within a turn leaves the turn's ``limit`` behind, so that the next
-    turn slides the window. An element that ends places its diagnostics
-    from its own ``start`` and ``end``, however far back its class
-    keyword is.
+    first one kept (:meth:`slide`). No turn reads further back, so the
+    lists hold a window of the text, not a copy of what is already
+    parsed. A loop that lexes within a turn leaves the turn's ``limit``
+    behind, so that the next turn slides the window. A skip over damaged
+    text, which may swallow a long braced block, slides the window as it
+    lexes, and the turn then takes up the new ``limit``. An element that
+    ends places its diagnostics from its own ``start`` and ``end``,
+    however far back its class keyword is.
 
     Elements are numbered in pre-order as they open. A dropped element
     was the last one opened before its subtree, so dropping it sets the
@@ -541,6 +543,15 @@ class Parser:
         """The diagnostics so far, the lexer's before the parser's."""
         return self.tokens.diagnostics + self.reported
 
+    def slide(self, i: int) -> int:
+        """Delete the tokens before token ``i - 1`` from the front of the
+        lists; returns the index that token ``i`` then has."""
+        if i > 1:
+            del self.kinds[:i - 1], self.lexemes[:i - 1], self.offsets[:i - 1]
+            self.tokens.dropped += i - 1
+            i = 1
+        return i
+
     def fill(self, i: int) -> int:
         """Lex on until token ``i + _LOOKAHEAD`` exists, or to the end of
         the text, where the ``_END`` sentinel follows the last token.
@@ -617,12 +628,15 @@ class Parser:
         Consumes the offending token and everything up to the next point
         where a construct can start: a member keyword of the enclosing
         rule, a class keyword, a comma, or the closing brace. A braced
-        block on the way is swallowed whole.
+        block on the way is swallowed whole. The window slides as the
+        skip lexes on, as at the top of a turn of :meth:`_run`, so the
+        returned index counts from the first token kept.
         """
-        kinds, lexemes, fill = self.kinds, self.lexemes, self.fill
+        kinds, lexemes, fill, slide = self.kinds, self.lexemes, self.fill, self.slide
         i += 1
         while True:
             if i >= self.limit:
+                i = slide(i)
                 fill(i)
             kind = kinds[i]
             if kind == _END or kind == "}" or kind == ",":
@@ -632,6 +646,7 @@ class Parser:
                 while (kind := kinds[i]) != _END:
                     i += 1
                     if i >= self.limit:
+                        i = slide(i)
                         fill(i)
                     if kind == "{":
                         depth += 1
@@ -671,7 +686,7 @@ class Parser:
         the final pre-order. A child that fits no containment, or one over
         its member's upper bound, is dropped with its subtree when it
         ends, and the bound is reported then."""
-        tokens, kinds, lexemes, offsets = self.tokens, self.kinds, self.lexemes, self.offsets
+        kinds, lexemes, offsets = self.kinds, self.lexemes, self.offsets
         class_keywords, rules, bodies = self.class_keywords, self.rules, self.bodies
         opened, fill = self.open, self.fill
         i = last_id = limit = 0
@@ -683,10 +698,7 @@ class Parser:
         child_link: str | None = None
         while True:
             if i >= limit:
-                if i > 1:
-                    del kinds[:i - 1], lexemes[:i - 1], offsets[:i - 1]
-                    tokens.dropped += i - 1
-                    i = 1
+                i = self.slide(i)
                 limit = fill(i)
             if child_class is not None:
                 # Token i is the child's class keyword; its inline name
@@ -785,6 +797,7 @@ class Parser:
                             self.span(i),
                         )
                         i = self.skip_construct(i)
+                        limit = self.limit
                     continue
                 if kind == "}" or kind == _END:
                     if kind == "}":
@@ -888,6 +901,7 @@ class Parser:
                             action = info.positional
                             if action is None or action[3] != kind:
                                 i = self.unknown_keyword(info, i)
+                                limit = self.limit
                                 continue
                             body.present.add(action[1])
                     else:

@@ -2,6 +2,8 @@ import copy
 import json
 import re
 
+import pytest
+
 import eatxt.textsyntax
 from eatxt.cli import main
 from eatxt.diagnostics import ERROR, WARNING
@@ -723,4 +725,62 @@ def test_a_parse_lets_go_of_the_tokens_it_has_passed(g, mm, monkeypatch):
         assert parse.lexemes == tokens.lexemes[-kept:] + [""]
         assert parse.offsets == tokens.offsets[-kept:]
         bound = 2 * max(batch, longest) + eatxt.textsyntax._LOOKAHEAD + 1
+        assert sizes and max(sizes + [len(parse.kinds)]) <= bound
+
+
+UNKNOWN_BOGUS = (
+    "unknown keyword 'bogus' in 'EAPackage'; expected one of: category, uuid, name, "
+    "Comment, EAPackage, DesignFunctionType, EADatatype"
+)
+# Grammar fixture, damaged text, and the one diagnostic, at 'bogus'.
+SKIPS = {
+    # The unknown keyword of a body, in the adapted syntax; its block, or
+    # the words up to the next keyword, go with it.
+    "block": ("g", "EAPackage P {\n bogus {\n" + "  EAPackage Ci\n" * 3000
+              + " }\n category c\n EAPackage After\n}\n", UNKNOWN_BOGUS),
+    "words": ("g", "EAPackage P {\n bogus\n" + "  x\n" * 6000
+              + " category c\n EAPackage After\n}\n", UNKNOWN_BOGUS),
+    # A word that a wrapped block does not accept, in the generated syntax.
+    "wrapped": (
+        "gen_g",
+        "EAPackage {\n shortName P\n subPackage {\n  bogus {\n"
+        + "   EAPackage { shortName Ci }\n" * 1200
+        + "  },\n  EAPackage { shortName After }\n }\n category c\n}\n",
+        "'subPackage' accepts EAPackage elements, got 'bogus'",
+    ),
+}
+
+
+@pytest.mark.parametrize("damage", list(SKIPS))
+def test_a_skip_over_a_long_block_lets_go_of_its_tokens(request, mm, monkeypatch, damage):
+    """Damaged text keeps the window of clean text: a skip over a braced
+    block or a run of words slides the window as it lexes, also when every
+    token is a batch of its own. The parse goes on after the skip from the
+    window as the skip left it."""
+    grammar, text, message = SKIPS[damage]
+    g = request.getfixturevalue(grammar)
+    bogus = text.index("bogus")
+    lexed, _ = eatxt.textsyntax.lex(text, g.terminal_patterns())
+    assert len(lexed) > 5000
+    sizes = []
+    more = eatxt.textsyntax.Tokens.more
+
+    def measured_more(self):
+        lexed = more(self)
+        sizes.append(len(self.kinds))
+        return lexed
+
+    monkeypatch.setattr(eatxt.textsyntax.Tokens, "more", measured_more)
+    for batch in (eatxt.textsyntax._BATCH, 1):
+        monkeypatch.setattr(eatxt.textsyntax, "_BATCH", batch)
+        sizes.clear()
+        parse = parse_document(text, g, mm)
+        assert spans_of(parse.diagnostics) == [(message, text_span(text, bogus, bogus + 5))]
+        assert len(parse.tokens) == len(lexed) + 1
+        assert parse.root.attributes == [("category", "c")]
+        assert [(link, c.short_name) for link, c in parse.root.children] == [
+            ("subPackage", "After"),
+        ]
+        assert parse.bodies[0].close_offset == text.rindex("}")
+        bound = 2 * batch + eatxt.textsyntax._LOOKAHEAD + 1
         assert sizes and max(sizes + [len(parse.kinds)]) <= bound
