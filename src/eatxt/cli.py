@@ -29,19 +29,23 @@ of the tree with the two texts written from it, and the canonical text
 and the EAXML with the tree read back.
 
 A call does only the work its command needs, since an editor may run
-one per keystroke. :func:`build_parser` adds only the invoked
-subcommand's subparser (all eight for help or a missing or unknown
-subcommand, with the same output either way). ``difflib`` and
-``tempfile`` are imported by the functions that use them, so importing
-this module does not load them.
+one per keystroke. A plain command line, a subcommand followed by its
+own options in full, each with a value, and its model file, is read
+straight into the namespace that argparse would return
+(:func:`parse_args`). Every other command line, help included, goes to
+the argparse parser of :func:`build_parser`, which alone prints usage,
+help and errors. Both take each subcommand's options from one table,
+``_COMMANDS``. ``difflib`` and ``tempfile`` are imported by the
+functions that use them, so importing this module does not load them.
 
 :func:`main` pauses Python's cyclic garbage collector for the length of
 one command and restores the state it found, however the command ends.
 A command allocates model trees, tokens and diagnostics in bulk,
 and none of them holds a reference cycle: reference counting frees them
 all, so the collector would only rescan them, again and again as they
-grow. The few cycles a command leaves (argparse's parser, mostly) are
-the same for every input and are collected after the command returns.
+grow. The few cycles a command leaves (argparse's parser, when one is
+built) are the same for every input and are collected after the command
+returns.
 
 Exit codes: 0 for success; 1 when processing produced error diagnostics
 or the model cannot be rendered; 2 for every toolchain error, that is an
@@ -100,7 +104,22 @@ def _read_text(path: str) -> str:
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc.strerror or exc}")
     except UnicodeDecodeError as exc:
-        raise _UsageError(f"cannot read {path}: {exc}")
+        raise _UsageError(f"cannot read {path}: {_undecodable(exc)}") from None
+
+
+def _undecodable(exc: UnicodeDecodeError) -> str:
+    """Which byte is not UTF-8, and where: at the line and column that a
+    parse of the text would give it, in characters after the byte-order
+    mark. A whole read decodes the file in one call, so ``exc.object``
+    holds every byte after the mark."""
+    before = exc.object[:exc.start].decode("utf-8")
+    before = before.replace("\r\n", "\n").replace("\r", "\n")  # universal newlines
+    line = before.count("\n") + 1
+    col = len(before) - before.rfind("\n")
+    return (
+        f"byte 0x{exc.object[exc.start]:02x} at line {line}, column {col} "
+        f"is not UTF-8 ({exc.reason})"
+    )
 
 
 def _atomic_write(path: str, data: str) -> None:
@@ -294,60 +313,111 @@ def cmd_roundtrip_check(args: argparse.Namespace, mm: Metamodel, g: Grammar) -> 
 # Argument plumbing
 # ---------------------------------------------------------------------------
 
-# Subcommands: name, handler, help, whether it takes a model file (and with
-# it --config and --grammar-cache), whether it writes an output (-o).
-_COMMANDS = [
-    ("gen-grammar", cmd_gen_grammar, "emit the grammar generated from a metamodel",
-     False, True),
-    ("adapt", cmd_adapt, "emit the grammar after applying a config", False, True),
-    ("check", cmd_check, "parse and resolve a model, printing diagnostics", True, False),
-    ("to-xml", cmd_to_xml, "convert textual model to XML", True, True),
-    ("to-text", cmd_format, "convert XML model to canonical text", True, True),
-    ("complete", cmd_complete, "print completion proposals for a position", True, False),
-    ("format", cmd_format, "rewrite a model in canonical form", True, True),
-    ("roundtrip-check", cmd_roundtrip_check,
-     "verify text -> XML -> text reproduces the canonical form", True, False),
-]
-_COMMAND_NAMES = {spec[0] for spec in _COMMANDS}
+# Options: option strings, help, whether required, and the type that reads
+# the value (None for a string). The destination is the last, long string.
+_METAMODEL = (("--metamodel",), "metamodel XMI file", True, None)
+_OUT = (("-o", "--out"), "output file (default: stdout)", False, None)
+_MODEL_OPTIONS = (
+    _METAMODEL,
+    (("--config",), "grammar adaptation config", False, None),
+    (("--grammar-cache",),
+     "ignored; the grammar is always built from --metamodel and --config", False, None),
+)
+
+# Subcommands: name -> handler, help, whether it takes a model file, and its
+# options in the order that the help lists them.
+_COMMANDS = {
+    "gen-grammar": (cmd_gen_grammar, "emit the grammar generated from a metamodel", False,
+                    (_METAMODEL, _OUT)),
+    "adapt": (cmd_adapt, "emit the grammar after applying a config", False,
+              (_METAMODEL, _OUT, (("--config",), "grammar adaptation config", True, None))),
+    "check": (cmd_check, "parse and resolve a model, printing diagnostics", True,
+              _MODEL_OPTIONS),
+    "to-xml": (cmd_to_xml, "convert textual model to XML", True, (*_MODEL_OPTIONS, _OUT)),
+    "to-text": (cmd_format, "convert XML model to canonical text", True,
+                (*_MODEL_OPTIONS, _OUT)),
+    "complete": (cmd_complete, "print completion proposals for a position", True,
+                 (*_MODEL_OPTIONS, (("--line",), "1-based line", True, int),
+                  (("--col",), "1-based column", True, int))),
+    "format": (cmd_format, "rewrite a model in canonical form", True, (*_MODEL_OPTIONS, _OUT)),
+    "roundtrip-check": (cmd_roundtrip_check,
+                        "verify text -> XML -> text reproduces the canonical form", True,
+                        _MODEL_OPTIONS),
+}
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser, with only ``command``'s subparser when that
-    names a subcommand and with all of them otherwise (help, a missing or
-    unknown subcommand). Either way it prints the same usage, help and
-    errors."""
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser with every subcommand. It prints the usage, the
+    help and every error about a command line."""
     parser = argparse.ArgumentParser(
         prog="eatxt",
         description="Textual modeling toolchain: grammar generation, parsing, "
         "formatting, completion, and XML exchange.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    single = command in _COMMAND_NAMES
-    if single:
-        # The usage line lists every subcommand, as when all are built.
-        sub.metavar = "{" + ",".join(spec[0] for spec in _COMMANDS) + "}"
-    for name, func, help_text, model, out in _COMMANDS:
-        if single and name != command:
-            continue
+    for name, (func, help_text, model, options) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         if model:
             sp.add_argument("model", help="input file")
-        sp.add_argument("--metamodel", required=True, help="metamodel XMI file")
-        if model:
-            sp.add_argument("--config", help="grammar adaptation config")
-            sp.add_argument(
-                "--grammar-cache",
-                help="ignored; the grammar is always built from --metamodel and --config",
-            )
-        if out:
-            sp.add_argument("-o", "--out", help="output file (default: stdout)")
-        if name == "adapt":
-            sp.add_argument("--config", required=True, help="grammar adaptation config")
-        elif name == "complete":
-            sp.add_argument("--line", type=int, required=True, help="1-based line")
-            sp.add_argument("--col", type=int, required=True, help="1-based column")
+        for strings, option_help, required, kind in options:
+            sp.add_argument(*strings, help=option_help, required=required, type=kind)
         sp.set_defaults(func=func)
     return parser
+
+
+def _read_plain(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace that :func:`build_parser` returns for a plain command
+    line, or None for any other, printing nothing either way.
+
+    A plain command line names a subcommand first. Each word after it is
+    one of that subcommand's option strings, in full, followed by a value,
+    or a positional; neither value nor positional starts with ``-``. Every
+    option occurs at most once, the required ones and the model file are
+    there, and each value reads as its type. Anything else, help included,
+    is argparse's to read or refuse."""
+    spec = _COMMANDS.get(argv[0]) if argv else None
+    if spec is None:
+        return None
+    func, _, model, options = spec
+    values = {}
+    by_string = {}
+    required = []
+    for strings, _, needed, kind in options:
+        dest = strings[-1][2:].replace("-", "_")
+        values[dest] = None
+        if needed:
+            required.append(dest)
+        for string in strings:
+            by_string[string] = dest, kind
+    positionals = []
+    words = iter(argv[1:])
+    for word in words:
+        if not word.startswith("-"):
+            positionals.append(word)
+            continue
+        option = by_string.get(word)
+        value = next(words, "-")  # a missing value reads as one that is not plain
+        if option is None or value.startswith("-") or values[option[0]] is not None:
+            return None
+        dest, kind = option
+        if kind is not None:
+            try:
+                value = kind(value)
+            except ValueError:
+                return None
+        values[dest] = value
+    if len(positionals) != int(model) or any(values[dest] is None for dest in required):
+        return None
+    if model:
+        values["model"] = positionals[0]
+    return argparse.Namespace(command=argv[0], func=func, **values)
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """The command line as :func:`main` reads it: directly when it is
+    plain, and through :func:`build_parser` otherwise."""
+    args = _read_plain(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -363,7 +433,7 @@ def main(argv: list[str] | None = None) -> int:
 def _run(argv: list[str] | None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = parse_args(argv)
     try:
         mm = _load_mm(args)
         g = None

@@ -1202,8 +1202,29 @@ def test_model_file_that_is_not_utf8_is_usage_error(capsys, tmp_path):
     model.write_bytes("EAPackage Caf\xe9\n".encode("latin-1"))
     assert run(capsys, *base_args(model)) == (
         2, "",
-        f"error: cannot read {model}: 'utf-8' codec can't decode byte 0xe9 in position 13: "
-        "invalid continuation byte\n",
+        f"error: cannot read {model}: byte 0xe9 at line 1, column 14 is not UTF-8 "
+        "(invalid continuation byte)\n",
+    )
+
+
+@pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"], ids=["plain", "byte-order-mark"])
+@pytest.mark.parametrize("role", ["model", "config", "metamodel"])
+def test_bytes_that_are_not_utf8_are_placed_by_line_and_column(capsys, tmp_path, mark, role):
+    """Lines end as a parse ends them, columns count characters, and both
+    count from after a byte-order mark; no byte index is named."""
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(mark + b"EAPackage P {\r\n  category x\n\xff\n}\n")
+    argv = {"model": base_args(bad), "config": [*base_args(WIPER)[:-1], bad],
+            "metamodel": ["check", WIPER, "--metamodel", bad]}[role]
+    assert run(capsys, *argv) == (
+        2, "",
+        f"error: cannot read {bad}: byte 0xff at line 3, column 1 is not UTF-8 "
+        "(invalid start byte)\n",
+    )
+    bad.write_bytes(mark + "EAPackage Ré".encode() + b"\xe2\x82")
+    assert run(capsys, *argv)[2] == (
+        f"error: cannot read {bad}: byte 0xe2 at line 1, column 13 is not UTF-8 "
+        "(unexpected end of data)\n"
     )
 
 
@@ -1313,12 +1334,113 @@ def test_usage_help_and_errors_match_the_parser_with_every_subcommand(capsys, ar
      "--grammar-cache", "g.json"],
     ["to-text", "m.eaxml", "--metamodel", "mm.ecore", "-o", "out.eatxt"],
     ["complete", "m.eatxt", "--metamodel", "mm.ecore", "--line", "3", "--col", "4"],
+    # Valid, but not plain: argparse reads these.
+    *(pytest.param(argv, id=" ".join(argv)) for argv in [
+        ["check", "m.eatxt", "--meta", "mm.ecore"],
+        ["check", "m.eatxt", "--metamodel=mm.ecore"],
+        ["format", "m.eatxt", "--metamodel", "mm.ecore", "-oout.eatxt"],
+        ["complete", "m.eatxt", "--metamodel", "mm.ecore", "--line", "-3", "--col", "4"],
+        ["check", "m.eatxt", "--metamodel", "mm.ecore", "--config", "a.cfg", "--config",
+         "b.cfg"],
+        ["check", "--metamodel", "mm.ecore", "--", "m.eatxt"],
+    ]),
 ], ids=lambda argv: argv[0])
 def test_one_subcommand_parser_reads_arguments_as_before(argv):
+    """The command line as main reads it, directly or through argparse,
+    gives the namespace of the parser with every subcommand."""
     expected = vars(reference_build_parser().parse_args(argv))
-    got = vars(eatxt.cli.build_parser(argv[0]).parse_args(argv))
+    got = vars(eatxt.cli.parse_args(argv))
     del got["func"]
     assert got == expected
+
+
+# Words for command lines: every option string, shapes that argparse reads
+# and a plain reader must leave to it, and values that do or do not read as
+# an int.
+OPTION_STRINGS = ["--metamodel", "--config", "--grammar-cache", "-o", "--out", "--line", "--col"]
+ODD_WORDS = ["--meta", "--co", "--metamodel=mm.ecore", "-oout", "-h", "--help", "--", "-", "-3",
+             "-x"]
+VALUES = ["m.eatxt", "", "a b", "check", " 4", "+5", "7_0", "x"]
+# Only to steer the drawing towards command lines that are complete.
+REQUIRED = {"adapt": ["--metamodel", "--config"], "complete": ["--metamodel", "--line", "--col"]}
+
+
+@st.composite
+def command_lines(draw):
+    """A subcommand or a junk word, then its required options and other
+    options with values and its model file, in any order; then, at times,
+    a word left out or another word put in anywhere."""
+    command = draw(st.sampled_from(COMMANDS + ["frobnicate"]))
+    options = REQUIRED.get(command, ["--metamodel"]) + draw(
+        st.lists(st.sampled_from(OPTION_STRINGS), max_size=2)
+    )
+    pieces = [[option, draw(st.sampled_from(VALUES))] for option in options]
+    if command not in ("gen-grammar", "adapt"):
+        pieces.append([draw(st.sampled_from(VALUES))])
+    words = [word for piece in draw(st.permutations(pieces)) for word in piece]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(words)))
+        if at < len(words) and draw(st.booleans()):
+            del words[at]
+        else:
+            words.insert(at, draw(st.sampled_from(VALUES + ODD_WORDS + OPTION_STRINGS)))
+    return [command, *words]
+
+
+def test_a_plain_command_line_reads_as_the_parser_with_every_subcommand_reads_it():
+    """Whenever the direct reader takes a command line, the frozen parser
+    takes it too, without an error, into an equal namespace."""
+    taken = []
+
+    @settings(max_examples=600, deadline=None)
+    @given(argv=command_lines())
+    def oracle(argv):
+        got = eatxt.cli._read_plain(argv)
+        if got is None:
+            return
+        taken.append(argv)
+        got = vars(got)
+        assert got.pop("func") is eatxt.cli._COMMANDS[argv[0]][0]
+        assert got == vars(reference_build_parser().parse_args(argv))
+
+    oracle()
+    assert len(taken) >= 50
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-grammar", "--metamodel", METAMODEL],
+    ["adapt", "--metamodel", METAMODEL, "--config", CONFIG],
+    *([command, model, "--metamodel", METAMODEL, "--config", CONFIG, *cache]
+      for command, model in [
+          ("check", WIPER), ("to-xml", WIPER), ("to-text", GOLDEN / "wiper_system.eaxml"),
+          ("format", WIPER), ("roundtrip-check", WIPER),
+      ]
+      for cache in ([], ["--grammar-cache", "unused.json"])),
+    *(["complete", WIPER, "--metamodel", METAMODEL, "--config", CONFIG, *cache,
+       "--line", "3", "--col", "5"]
+      for cache in ([], ["--grammar-cache", "unused.json"])),
+], ids=lambda argv: " ".join(
+    word if str(word).startswith("-") or word in COMMANDS else "V" for word in argv
+))
+def test_a_plain_command_line_builds_no_argument_parser(capsys, monkeypatch, argv):
+    """The command lines an editor or a script sends run without argparse,
+    with the output and exit code that argparse's namespace gives."""
+    import argparse
+
+    argv = [str(word) for word in argv]
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    direct = run(capsys, *argv)
+    assert built == []
+    monkeypatch.setattr(eatxt.cli, "_read_plain", lambda argv: None)
+    assert run(capsys, *argv) == direct
+    assert built
 
 
 def test_importing_the_cli_leaves_unused_modules_unloaded():
