@@ -182,8 +182,15 @@ class Metamodel:
 # Loading
 # ---------------------------------------------------------------------------
 
+# Characters handed to expat in one call. Expat keeps a UTF-8 copy of the
+# ``str`` it is given for as long as that ``str`` lives: of a slice, not of
+# the whole document.
+_SLICE = 1 << 16
+
+
 def read_xml(parser: expat.XMLParserType, text: str) -> tuple[str, int, int] | None:
-    """Parse ``text`` with an expat ``parser`` whose content handlers are set.
+    """Parse ``text`` with an expat ``parser`` whose content handlers are set,
+    ``_SLICE`` characters at a time.
 
     Returns None for well-formed XML, else the first error's message, line
     and column. A DTD with an external subset or a parameter entity
@@ -209,7 +216,9 @@ def read_xml(parser: expat.XMLParserType, text: str) -> tuple[str, int, int] | N
     parser.NotStandaloneHandler = lambda: stop("external DTD subset or parameter entity reference")
     parser.ExternalEntityRefHandler = undefined
     try:
-        parser.Parse(text, True)
+        for at in range(0, len(text), _SLICE):
+            parser.Parse(text[at:at + _SLICE], False)
+        parser.Parse("", True)
     except expat.ExpatError as exc:
         return str(exc), exc.lineno, exc.offset
     finally:

@@ -28,8 +28,9 @@ whole so that one typo does not cascade. It builds the tables of a
 class's rule (how each member keyword's value is read, bounds, accepted
 child classes) when it first meets the class, and numbers the elements
 it keeps in pre-order as it opens them. Besides the tree it records one
-:class:`Body` per brace pair it opens, with the members present in it,
-so that completion reads the cursor's container from the same parse.
+:class:`Body` per brace pair it opens, with the number of values of each
+member present in it: the one table that the parser checks bounds
+against and that completion reads the cursor's container from.
 
 A :class:`Parser` goes only as far as it is pulled, and lexes only the
 tokens it reads: one generator parses the whole text, the top level
@@ -410,9 +411,11 @@ class _RuleInfo:
 class Body:
     """One brace pair the parser opened: an element body, or a wrapped
     ``member { ... }`` block (then ``class_name`` is the block's target).
-    ``present`` holds the members whose keyword, child or positional
-    value appeared in an element body, even a keyword still lacking its
-    value. ``close_offset`` is None until the brace closes."""
+    ``present`` maps each member whose keyword, child or positional value
+    appeared in an element body, even a keyword still lacking its value,
+    to the number of values read for it, stored or over its bound; the
+    parser counts bounds in it. A wrapped block's children count in the
+    body around it. ``close_offset`` is None until the brace closes."""
 
     __slots__ = ("open_offset", "close_offset", "class_name", "member", "present")
 
@@ -421,7 +424,7 @@ class Body:
         self.close_offset: int | None = None
         self.class_name = class_name
         self.member = member
-        self.present: set[str] = set()
+        self.present: dict[str, int] = {}
 
 
 class Parser:
@@ -447,8 +450,9 @@ class Parser:
     One generator, :meth:`_run`, parses the whole text: the root, its
     subtree and any detached elements, so a step resumes one frame. Its
     loop holds the innermost element whose body is open in its locals: the
-    element, its rule tables, its member counts, its ``Body``, the wrapped
-    block open in its body if any, and whether it is dropped when it ends.
+    element, its rule tables, its ``Body`` and that body's ``present``,
+    which is the element's member counts, the wrapped block open in its
+    body if any, and whether it is dropped when it ends.
     A child whose body opens saves these on a stack, and they come back
     when it ends. The token lists end with an ``_END`` sentinel once the
     text is lexed to its end, so reading past the last token needs no
@@ -461,10 +465,10 @@ class Parser:
     lists hold a window of the text, not a copy of what is already
     parsed. A loop that lexes within a turn leaves the turn's ``limit``
     behind, so that the next turn slides the window. A skip over damaged
-    text, which may swallow a long braced block, slides the window as it
-    lexes, and the turn then takes up the new ``limit``. An element that
-    ends places its diagnostics from its own ``start`` and ``end``,
-    however far back its class keyword is.
+    text, which may swallow a long braced block, reads it in one loop that
+    slides the window as it lexes, and the turn then takes up the new
+    ``limit``. An element that ends places its diagnostics from its own
+    ``start`` and ``end``, however far back its class keyword is.
 
     Elements are numbered in pre-order as they open. A dropped element
     was the last one opened before its subtree, so dropping it sets the
@@ -628,40 +632,34 @@ class Parser:
         Consumes the offending token and everything up to the next point
         where a construct can start: a member keyword of the enclosing
         rule, a class keyword, a comma, or the closing brace. A braced
-        block on the way is swallowed whole. The window slides as the
-        skip lexes on, as at the top of a turn of :meth:`_run`, so the
-        returned index counts from the first token kept.
+        block on the way is swallowed whole, and the skip ends after it.
+        One loop reads the tokens, counting the braces of that block, and
+        slides the window as it lexes on, as at the top of a turn of
+        :meth:`_run`, so the returned index counts from the first token
+        kept.
         """
-        kinds, lexemes, fill, slide = self.kinds, self.lexemes, self.fill, self.slide
-        i += 1
+        kinds, lexemes = self.kinds, self.lexemes
+        depth = 0  # braces open in the block being swallowed
         while True:
-            if i >= self.limit:
-                i = slide(i)
-                fill(i)
-            kind = kinds[i]
-            if kind == _END or kind == "}" or kind == ",":
-                return i
-            if kind == "{":
-                depth = 0
-                while (kind := kinds[i]) != _END:
-                    i += 1
-                    if i >= self.limit:
-                        i = slide(i)
-                        fill(i)
-                    if kind == "{":
-                        depth += 1
-                    elif kind == "}":
-                        depth -= 1
-                        if depth == 0:
-                            break
-                return i
-            if kind == "Identifier":
-                lexeme = lexemes[i]
-                if info is not None and lexeme in info.by_keyword:
-                    return i
-                if lexeme in self.class_keywords:
-                    return i
             i += 1
+            if i >= self.limit:
+                i = self.slide(i)
+                self.fill(i)
+            kind = kinds[i]
+            if kind == "{":
+                depth += 1
+            elif kind == _END:
+                return i
+            elif depth:
+                if kind == "}":
+                    depth -= 1
+                    if not depth:
+                        return i + 1
+            elif kind == "}" or kind == "," or kind == "Identifier" and (
+                info is not None and lexemes[i] in info.by_keyword
+                or lexemes[i] in self.class_keywords
+            ):
+                return i
 
     # -- the parsing loop -----------------------------------------------------
 
@@ -670,8 +668,12 @@ class Parser:
         Each turn of the loop opens the element the turn before met, reads
         one construct of the innermost open body or wrapped block, or,
         when no element is open, looks for the next top-level element. A
-        turn in which an element ends, at its closing brace or at once for
-        one without a body, checks its lower bounds.
+        body token is dispatched once: as a member keyword, else a class
+        keyword, else a positional value; each of these sets its member's
+        count in ``present``, at 0 until a value adds 1. An element is
+        yielded from one place, right after it opens. A turn in which an
+        element ends, at its closing brace or, for one without a body,
+        right after that yield, checks its lower bounds.
 
         The root must be token 0; after a slide of the window ``i`` is never
         below 1, so no other token is. Text that does not start with an
@@ -700,6 +702,7 @@ class Parser:
             if i >= limit:
                 i = self.slide(i)
                 limit = fill(i)
+            kind = kinds[i]
             if child_class is not None:
                 # Token i is the child's class keyword; its inline name
                 # and its opening brace may follow.
@@ -713,7 +716,7 @@ class Parser:
                 last_id += 1
                 c = ModelElement(child_class, id=last_id, start=start, end=start + len(lexemes[i]))
                 if child_link:
-                    n = counts.get(child_link, 0) + 1
+                    n = counts[child_link] + 1
                     counts[child_link] = n
                     if n <= info.upper[child_link]:
                         el.children.append((child_link, c))
@@ -732,23 +735,20 @@ class Parser:
                     bodies.append(b)
                     i += 1
                     stack.append((el, info, counts, body, block, drop))
-                    el, info, counts, body, block, drop = c, ci, {}, b, None, child_link
+                    el, info, counts, body, block, drop = c, ci, b.present, b, None, child_link
                     opened.append(c)
-                    child_class = None
-                    self.i = i
-                    yield c
-                    continue
-                if not rule.body_optional:
+                elif not rule.body_optional:
                     self.error(
                         f"expected '{{' to open the body of '{rule.keyword}'",
                         self.lines.span(c.start, c.end) if kinds[i] == _END else self.span(i),
                     )
-                cc, c_drop = {}, child_link
                 child_class = None
                 self.i = i
                 yield c
+                if el is c:
+                    continue
+                cc, c_drop = {}, child_link  # it has no body, so it ends here
             elif el is None:
-                kind = kinds[i]
                 class_name = class_keywords.get(lexemes[i]) if kind == "Identifier" else None
                 if self.sink is self.reported and (i or class_name is None):
                     if i == 0 and kind == _END:
@@ -769,164 +769,148 @@ class Parser:
                 else:
                     i += 1
                 continue
-            else:
-                kind = kinds[i]
-                if block is not None:
-                    # A wrapped block: keyword { child ("," child)* }.
-                    if kind == "}":
-                        block.close_offset = offsets[i]
-                        block = None
-                        i += 1
-                    elif kind == ",":
-                        i += 1
-                    elif kind == _END:
-                        self.error(
-                            f"unexpected end of file inside '{block.member}' block",
-                            self.span(i),
-                        )
-                        block = None
-                    elif (
-                        kind == "Identifier"
-                        and class_keywords.get(lexemes[i]) in info.accepted[block.member]
-                    ):
-                        child_class, child_link = class_keywords[lexemes[i]], block.member
-                    else:
-                        self.error(
-                            f"'{block.member}' accepts {block.class_name} elements, "
-                            f"got '{lexemes[i]}'",
-                            self.span(i),
-                        )
-                        i = self.skip_construct(i)
-                        limit = self.limit
-                    continue
-                if kind == "}" or kind == _END:
-                    if kind == "}":
-                        body.close_offset = offsets[i]
-                        i += 1
-                    else:
-                        self.error(
-                            f"unexpected end of file inside '{info.rule.keyword}'",
-                            self.span(i),
-                        )
-                    c, ci, cc, c_drop = el, info, counts, drop
-                    el, info, counts, body, block, drop = stack.pop()
-                    opened.pop()
+            elif block is not None:
+                # A wrapped block: keyword { child ("," child)* }.
+                if kind == "}":
+                    block.close_offset = offsets[i]
+                    block = None
+                    i += 1
+                elif kind == ",":
+                    i += 1
+                elif kind == _END:
+                    self.error(
+                        f"unexpected end of file inside '{block.member}' block", self.span(i),
+                    )
+                    block = None
+                elif (
+                    kind == "Identifier"
+                    and class_keywords.get(lexemes[i]) in info.accepted[block.member]
+                ):
+                    child_class, child_link = class_keywords[lexemes[i]], block.member
                 else:
-                    if kind == "Identifier":
-                        lexeme = lexemes[i]
-                        action = info.by_keyword.get(lexeme)
-                        if action is not None:
-                            body.present.add(action[1])
-                            i += 1
-                            form = action[0]
-                            if form is _REFERENCE:
-                                if kinds[i] != "Identifier":
-                                    self.error(
-                                        f"expected a qualified name after '{lexeme}'",
-                                        self.span(i),
-                                    )
-                                    continue
-                                first = i
-                                i += 1
-                                while kinds[i] == "." and kinds[i + 1] == "Identifier":
-                                    i += 2
-                                    if i >= limit:
-                                        fill(i)
-                                last = i - 1
-                                if kinds[i] == ".":
-                                    i += 1
-                                    self.error(
-                                        "qualified name ends with '.'",
-                                        self.span(last if kinds[i] == _END else i),
-                                    )
-                                member = action[1]
-                                n = counts.get(member, 0) + 1
-                                counts[member] = n
-                                if n > action[2]:
-                                    self.too_many(member, action[2], self.span(first - 1))
-                                    continue
-                                target = _new_tuple(
-                                    QualifiedName, (tuple(lexemes[first:last + 1:2]),),
-                                )
-                                el.cross_refs.append(CrossRef(
-                                    member, target, None, offsets[first],
-                                    offsets[last] + len(lexemes[last]),
-                                ))
-                                continue
-                            if form is _BLOCK:
-                                # The block stays open until its closing brace.
-                                # A repeated block appends to the same member, in
-                                # document order.
-                                if kinds[i] != "{":
-                                    self.error(
-                                        f"expected '{{' after '{action[1]}'", self.span(i),
-                                    )
-                                    continue
-                                block = Body(offsets[i], action[3], action[1])
-                                bodies.append(block)
-                                i += 1
-                                continue
-                            if kinds[i] != action[3]:
-                                i = self.bad_value(action, i)
-                                continue
-                        else:
-                            child_class = class_keywords.get(lexeme)
-                            if child_class is not None:
-                                # A child written in the body: the first inline
-                                # containment it fits holds it.
-                                fit = info.fitting.get(child_class)
-                                if fit is None:
-                                    fit = info.fitting[child_class] = [
-                                        e.member for e in info.inline
-                                        if self.mm.is_subtype(child_class, e.form.target)  # type: ignore[union-attr]
-                                    ]
-                                if not fit:
-                                    self.error(
-                                        f"'{info.rule.keyword}' has no containment that "
-                                        f"accepts {child_class}",
-                                        self.span(i),
-                                    )
-                                    child_link = ""
-                                    continue
-                                if len(fit) > 1:
-                                    self.sink.append(Diagnostic(
-                                        WARNING,
-                                        f"{child_class} fits several containments "
-                                        f"({', '.join(fit)}); using '{fit[0]}'",
-                                        self.span(i),
-                                    ))
-                                child_link = fit[0]
-                                body.present.add(child_link)
-                                continue
-                            action = info.positional
-                            if action is None or action[3] != kind:
-                                i = self.unknown_keyword(info, i)
-                                limit = self.limit
-                                continue
-                            body.present.add(action[1])
-                    else:
-                        action = info.positional
-                        if action is None or action[3] != kind:
-                            what = "value " if kind in _LITERALS else ""
-                            self.error(
-                                f"unexpected {what}'{lexemes[i]}' in '{info.rule.keyword}'",
-                                self.span(i),
-                            )
-                            i += 1
+                    self.error(
+                        f"'{block.member}' accepts {block.class_name} elements, "
+                        f"got '{lexemes[i]}'",
+                        self.span(i),
+                    )
+                    i = self.skip_construct(i)
+                    limit = self.limit
+                continue
+            elif kind == "}" or kind == _END:
+                if kind == "}":
+                    body.close_offset = offsets[i]
+                    i += 1
+                else:
+                    self.error(
+                        f"unexpected end of file inside '{info.rule.keyword}'", self.span(i),
+                    )
+                c, ci, cc, c_drop = el, info, counts, drop
+                el, info, counts, body, block, drop = stack.pop()
+                opened.pop()
+            else:
+                # A body token: a member keyword, else a class keyword,
+                # else a positional value.
+                word = lexemes[i] if kind == "Identifier" else None
+                if (action := info.by_keyword.get(word)) is not None:
+                    counts.setdefault(action[1], 0)
+                    i += 1
+                    form = action[0]
+                    if form is _REFERENCE:
+                        if kinds[i] != "Identifier":
+                            self.error(f"expected a qualified name after '{word}'", self.span(i))
                             continue
-                        body.present.add(action[1])
-                    # Token i is a value of the action's member.
-                    member = action[1]
-                    n = counts.get(member, 0) + 1
-                    counts[member] = n
-                    if n > action[2]:
-                        self.too_many(member, action[2], self.span(i))
-                    elif action[0] is _NAME:
-                        el.short_name = lexemes[i]
-                    else:
-                        el.attributes.append((member, lexemes[i]))
+                        first = i
+                        i += 1
+                        while kinds[i] == "." and kinds[i + 1] == "Identifier":
+                            i += 2
+                            if i >= limit:
+                                fill(i)
+                        last = i - 1
+                        if kinds[i] == ".":
+                            i += 1
+                            self.error(
+                                "qualified name ends with '.'",
+                                self.span(last if kinds[i] == _END else i),
+                            )
+                        member = action[1]
+                        n = counts[member] + 1
+                        counts[member] = n
+                        if n > action[2]:
+                            self.too_many(member, action[2], self.span(first - 1))
+                            continue
+                        target = _new_tuple(QualifiedName, (tuple(lexemes[first:last + 1:2]),))
+                        el.cross_refs.append(CrossRef(
+                            member, target, None, offsets[first],
+                            offsets[last] + len(lexemes[last]),
+                        ))
+                        continue
+                    if form is _BLOCK:
+                        # The block stays open until its closing brace. A
+                        # repeated block appends to the same member, in
+                        # document order.
+                        if kinds[i] != "{":
+                            self.error(f"expected '{{' after '{action[1]}'", self.span(i))
+                            continue
+                        block = Body(offsets[i], action[3], action[1])
+                        bodies.append(block)
+                        i += 1
+                        continue
+                    if kinds[i] != action[3]:
+                        i = self.bad_value(action, i)
+                        continue
+                elif (child_class := class_keywords.get(word)) is not None:
+                    # A child written in the body: the first inline
+                    # containment it fits holds it.
+                    fit = info.fitting.get(child_class)
+                    if fit is None:
+                        fit = info.fitting[child_class] = [
+                            e.member for e in info.inline
+                            if self.mm.is_subtype(child_class, e.form.target)  # type: ignore[union-attr]
+                        ]
+                    if not fit:
+                        self.error(
+                            f"'{info.rule.keyword}' has no containment that "
+                            f"accepts {child_class}",
+                            self.span(i),
+                        )
+                        child_link = ""
+                        continue
+                    if len(fit) > 1:
+                        self.sink.append(Diagnostic(
+                            WARNING,
+                            f"{child_class} fits several containments "
+                            f"({', '.join(fit)}); using '{fit[0]}'",
+                            self.span(i),
+                        ))
+                    child_link = fit[0]
+                    counts.setdefault(child_link, 0)
+                    continue
+                elif (action := info.positional) is not None and action[3] == kind:
+                    counts.setdefault(action[1], 0)
+                elif word is not None:
+                    i = self.unknown_keyword(info, i)
+                    limit = self.limit
+                    continue
+                else:
+                    what = "value " if kind in _LITERALS else ""
+                    self.error(
+                        f"unexpected {what}'{lexemes[i]}' in '{info.rule.keyword}'",
+                        self.span(i),
+                    )
                     i += 1
                     continue
+                # Token i is a value of the action's member.
+                member = action[1]
+                n = counts[member] + 1
+                counts[member] = n
+                if n > action[2]:
+                    self.too_many(member, action[2], self.span(i))
+                elif action[0] is _NAME:
+                    el.short_name = lexemes[i]
+                else:
+                    el.attributes.append((member, lexemes[i]))
+                i += 1
+                continue
 
             # Element ``c`` ended; its diagnostics point at its class
             # keyword. Report every member that occurs fewer times than its

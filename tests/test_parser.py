@@ -350,6 +350,65 @@ def test_random_trees_reparse_to_same_structure(g, gen_g, mm):
             assert same_structure(tree, root), (syntax, seed)
 
 
+# Values written without their keyword: an Identifier, a String and the name.
+POSITIONAL = (
+    "remove-attribute-keyword FunctionFlowPort direction\n"
+    "remove-attribute-keyword EAPackage name\n"
+)
+KEYWORDLESS_NAME = "remove-attribute-keyword * shortName\n"
+
+
+def element_bodies(parse):
+    """Each element of a finished parse with its ``Body``, or None for one
+    written without braces. Element bodies and class keywords are merged
+    by offset: a body is the braces of the element whose class keyword
+    comes last before its opening brace."""
+    marks = [(el.start, el) for el in parse.root.iter_preorder()]
+    marks += [(b.open_offset, b) for b in parse.bodies if b.member is None]
+    pairs = {}
+    for _, mark in sorted(marks, key=lambda m: m[0]):
+        if isinstance(mark, eatxt.textsyntax.Body):
+            assert pairs[el] is None
+            pairs[el] = mark
+        else:
+            el = mark
+            pairs[el] = None
+    return pairs.items()
+
+
+def held_values(el, rule):
+    """How many values the element holds for each member: its attributes,
+    references and children, and 1 for a name written in its body."""
+    held = {}
+    members = [m for m, _ in el.attributes] + [r.member for r in el.cross_refs]
+    for member in members + [m for m, _ in el.children]:
+        held[member] = held.get(member, 0) + 1
+    if el.short_name is not None and not rule.name_inline:
+        held["shortName"] = 1
+    return held
+
+
+def test_a_body_counts_the_values_its_element_holds(g, gen_g, mm):
+    """In a parse without diagnostics, the count of each member present in
+    an element's body is the number of values the element holds for it,
+    never 0, and a body-less element holds nothing but an inline name.
+    The texts are the fixture models and random trees, each formatted in
+    four grammars, two of which write some values without a keyword."""
+    grammars = {"adapted": g, "generated": gen_g}
+    for name, directives in (("positional", CONFIG.read_text(encoding="utf-8") + POSITIONAL),
+                             ("keywordless name", KEYWORDLESS_NAME)):
+        grammars[name] = adapt_grammar(generate_grammar(mm), parse_config(directives))[0]
+    trees = [parse_ok(p.read_text(encoding="utf-8"), g, mm) for p in MODELS]
+    trees += [random_model(seed, mm, max_elements=60, fan_out=4) for seed in range(25)]
+    for syntax, grammar in grammars.items():
+        for n, tree in enumerate(trees):
+            parse = parse_document(format_model(tree, grammar), grammar, mm)
+            assert parse.diagnostics == [], (syntax, n)
+            for el, body in element_bodies(parse):
+                held = held_values(el, grammar.rules[el.class_name])
+                assert (body.present if body else {}) == held, (syntax, n, el.class_name)
+
+
 def split_references(text, grammar):
     """``text`` with the qualified name after each cross-reference keyword
     broken after every dot by a comment and a line break."""
@@ -477,7 +536,7 @@ def assert_prefix_of(partial, full):
         key = (body.open_offset, body.class_name, body.member)
         assert key == (done.open_offset, done.class_name, done.member)
         if body.close_offset is None:
-            assert body.present <= done.present
+            assert body.present.keys() <= done.present.keys()
             assert done.close_offset is None or done.close_offset >= reached
         else:
             assert (body.close_offset, body.present) == (done.close_offset, done.present)

@@ -7,6 +7,7 @@ import re
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
+import eatxt.metamodel
 import eatxt.xmlio
 
 from eatxt.cli import main
@@ -747,6 +748,71 @@ def test_damaged_eaxml_keeps_the_exit_code_contract_through_to_text_and_roundtri
         code, _, err = run_cli(["roundtrip-check", text_file, *tool])
         assert code in (0, 1), err
         assert_diagnostics_point_into(err, text_file, text)
+
+
+def read_in_slices(xml, mm, size):
+    """``from_eaxml`` with expat handed ``size`` characters at a time."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(eatxt.metamodel, "_SLICE", size)
+        return from_eaxml(xml, mm)
+
+
+def assert_reads_alike_in_slices(xml, mm, size=1):
+    """The same tree, diagnostics and positions, read a slice of ``size``
+    characters at a time as read by default."""
+    root, diags = from_eaxml(xml, mm)
+    sliced_root, sliced_diags = read_in_slices(xml, mm, size)
+    assert (sliced_root is None) == (root is None)
+    if root is not None:
+        assert tree_record(sliced_root) == tree_record(root)
+    assert sliced_diags == diags
+
+
+_MALFORMED_EAXML = [
+    '<?xml version="1.0" encoding="UTF-8"?>\n<EAXML version="2.1.12">\n'
+    "<EA-PACKAGE><SHORT-NAME>P</SHORT-NAME>\n  <X>&bogus;</X>\n</EA-PACKAGE>\n</EAXML>\n",
+    '<?xml version="1.0"?>\r\n<EAXML version="2.1.12">\r\n<EA-PACKAGE>\r\n'
+    "<SHORT-NAME>Grüße\r\n</SHORT-NAME>\r\n<EA-DATATYPE>\r\n</EAXML>\r\n",
+    "", "<", "<EAXML", "<EAXML>\n<EA-PACKAGE>\n", "\n\n<EAXML/>\n<EAXML/>",
+    '<EAXML>\n<EA-PACKAGE a="1" a="2"/>\n</EAXML>\n', "<EAXML>&#0;</EAXML>",
+]
+
+
+def test_expat_reads_one_character_at_a_time_as_it_reads_by_default(g, mm):
+    """Expat is handed the text in slices; where they end shows in no
+    tree, diagnostic or position: not at a line break, a carriage return
+    before one, a character beyond ASCII, a DTD or an error."""
+    documents = [(GOLDEN / "wiper_system.eaxml").read_text(encoding="utf-8")]
+    documents += [to_eaxml(root, mm) for root in fixture_trees(g, mm)]
+    documents += [doc.replace("\n", "\r\n") for doc in documents[:2]]
+    documents += _MALFORMED_EAXML
+    xml = to_eaxml(random_model(6, mm, max_elements=20), mm)
+    documents += [
+        xml.replace("\n", "\n" + prologue, 1)[:at] + damage + xml[at:]
+        for prologue in _PROLOGUES
+        for damage in ("&nope;", "&e;", "&v;", "</EA-PACKAGE>", "x<b/>")
+        for at in (len(xml) // 3, len(xml) // 2)
+    ]
+    for doc in documents:
+        assert_reads_alike_in_slices(doc, mm)
+    for doc in _MALFORMED_EAXML:
+        assert from_eaxml(doc, mm)[1][-1].message.startswith("malformed XML: "), doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_expat_reads_damaged_xml_one_character_at_a_time_as_it_reads_by_default(data, mm):
+    assert_reads_alike_in_slices(damaged_eaxml(data, mm), mm)
+
+
+def test_a_document_of_several_slices_reads_as_one_whole(mm):
+    """A document longer than the default slice reads as it reads when
+    expat is handed all of it at once."""
+    xml = to_eaxml(random_model(1, mm, max_elements=3000, fan_out=8), mm)
+    assert len(xml) > 3 * eatxt.metamodel._SLICE
+    assert_reads_alike_in_slices(xml, mm, size=len(xml))
+    cut = xml[:len(xml) // 2]
+    assert_reads_alike_in_slices(cut, mm, size=len(cut))
 
 
 @pytest.mark.parametrize("prologue", _PROLOGUES, ids=["plain", "external-dtd", "entities"])
