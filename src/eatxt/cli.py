@@ -112,10 +112,8 @@ def _undecodable(exc: UnicodeDecodeError) -> str:
     parse of the text would give it, in characters after the byte-order
     mark. A whole read decodes the file in one call, so ``exc.object``
     holds every byte after the mark."""
-    before = exc.object[:exc.start].decode("utf-8")
-    before = before.replace("\r\n", "\n").replace("\r", "\n")  # universal newlines
-    line = before.count("\n") + 1
-    col = len(before) - before.rfind("\n")
+    before = exc.object[:exc.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    line, col, _, _ = LineIndex(before).span(len(before), len(before))
     return (
         f"byte 0x{exc.object[exc.start]:02x} at line {line}, column {col} "
         f"is not UTF-8 ({exc.reason})"

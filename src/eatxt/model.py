@@ -82,9 +82,6 @@ class ModelElement:
             yield el
             stack.extend(child for _, child in reversed(el.children))
 
-    def attribute_values(self, member: str) -> list[str]:
-        return [v for (m, v) in self.attributes if m == member]
-
 
 # ---------------------------------------------------------------------------
 # Qualified names

@@ -44,7 +44,10 @@ far as the first fitting element.
 The formatter is the inverse direction and defines the canonical layout:
 four-space indents, braces on their own lines, one construct per line.
 Formatting canonical text is the identity. It is the one writer of model
-text: completion templates are skeleton elements that it formats.
+text: completion templates are skeleton elements that it formats. It
+works out a rule's layout (the member and line prefix of each value
+line, the keyword of each wrapper) once per call, and walks the tree as
+the EAXML writer does: one frame per element whose children it writes.
 """
 
 from __future__ import annotations
@@ -63,7 +66,6 @@ from .grammar import (
     KeywordCrossRef,
     MemberEntry,
     ProductionRule,
-    WrappedContainment,
 )
 from .metamodel import Metamodel, PrimitiveKind
 from .model import CrossRef, ModelElement, QualifiedName
@@ -956,83 +958,83 @@ def parse_model(
 # Formatting
 # ---------------------------------------------------------------------------
 
-def _attribute_lines(el: ModelElement, rule: ProductionRule) -> list[str]:
-    lines: list[str] = []
-    for entry in rule.entries:
-        form = entry.form
-        if isinstance(form, KeywordAttribute):
-            if entry.is_name_slot():
-                values = [] if el.short_name is None else [el.short_name]
-            else:
-                values = el.attribute_values(entry.member)
-            for value in values:
-                if value == '""':
-                    continue  # empty strings are dropped from text
-                if form.keyword is None:
-                    lines.append(value)
-                else:
-                    lines.append(f"{form.keyword} {value}")
-        elif isinstance(form, KeywordCrossRef):
-            for ref in el.cross_refs:
-                if ref.member == entry.member:
-                    lines.append(f"{form.keyword} {ref.target.dotted}")
-    return lines
-
-
 def format_model(root: ModelElement, g: Grammar) -> str:
     """Canonical text for a model tree. Ends with a newline.
 
-    The tree is walked with an explicit stack of pending lines and
-    (element, indent) pairs, so nesting depth is not bounded. An element
-    expands into its own lines, with its children left pending in place."""
-    out: list[str] = []
-    stack: list = [(root, 0)]
-    while stack:
-        item = stack.pop()
-        if type(item) is str:
-            out.append(item)
-            continue
-        el, indent = item
-        rule = g.rules.get(el.class_name)
-        if rule is None:
-            raise SerializationError(f"no production rule for class '{el.class_name}'")
-        pad = INDENT * indent
-        header = pad + rule.keyword
-        if rule.name_inline and el.short_name:
-            header += f" {el.short_name}"
-        attributes = _attribute_lines(el, rule)
-        out.append(header)
-        if not attributes and not el.children and rule.body_optional:
-            continue
-        out.append(pad + "{")
-        inner = pad + INDENT
-        out.extend(inner + line for line in attributes)
+    A rule's layout, worked out when the walk first meets its class, holds
+    (member, line prefix, form class or None for the name) per value entry
+    in entry order, and each containment member's wrapper keyword, or None
+    for an inline one. The walk is ``to_eaxml``'s: depth is not bounded."""
+    layouts: dict[str, tuple] = {}
+    lines: list[str] = []
+    # Open elements with children, innermost last: the element, its indent,
+    # its wrappers, the index of its next child and the member of its run.
+    stack: list[list] = []
+    el, pad = root, ""
+    while True:
+        layout = layouts.get(el.class_name)
+        if layout is None:
+            rule = g.rules.get(el.class_name)
+            if rule is None:
+                raise SerializationError(f"no production rule for class '{el.class_name}'")
+            values, wrappers = [], {}
+            for entry in rule.entries:
+                form = entry.form
+                if isinstance(form, (KeywordAttribute, KeywordCrossRef)):
+                    prefix = "" if form.keyword is None else form.keyword + " "
+                    values.append((entry.member, prefix, None if entry.is_name_slot() else type(form)))
+                else:
+                    keyword = None if isinstance(form, InlineContainment) else form.keyword
+                    wrappers.setdefault(entry.member, keyword)
+            layout = layouts[el.class_name] = (rule, values, wrappers)
+        rule, values, wrappers = layout
+        named = rule.name_inline and el.short_name
+        lines += (f"{pad}{rule.keyword} {el.short_name}" if named else pad + rule.keyword, pad + "{")
+        head, inner = len(lines), pad + INDENT
+        for member, prefix, source in values:
+            if source is None:  # the name slot
+                if el.short_name is not None and el.short_name != '""':
+                    lines.append(f"{inner}{prefix}{el.short_name}")
+            elif source is KeywordAttribute:
+                for m, v in el.attributes:
+                    if m == member and v != '""':  # empty strings are dropped
+                        lines.append(f"{inner}{prefix}{v}")
+            else:
+                for ref in el.cross_refs:
+                    if ref.member == member:
+                        lines.append(f"{inner}{prefix}{ref.target.dotted}")
+        if el.children:
+            stack.append([el, pad, wrappers, 0, None])
+        elif len(lines) > head or not rule.body_optional:
+            lines.append(pad + "}")
+        else:
+            lines.pop()  # an optional body with nothing in it
 
-        # Children in document order. Consecutive children of one wrapped
-        # member share a single keyword block; inline children print
-        # directly.
-        pending: list = []
-        member = wrapped = None  # the member of the current run, and its form
-        for name, child in el.children:
+        # The next element: the next child of the innermost open element that
+        # has one left. A run of one wrapped member's children shares a block.
+        while stack:
+            parent, pad, wrappers, index, member = frame = stack[-1]
+            inner, wrapper = pad + INDENT, wrappers.get(member)
+            if index == len(parent.children):
+                lines += (inner + "}", pad + "}") if wrapper is not None else (pad + "}",)
+                stack.pop()
+                continue
+            name, el = parent.children[index]
+            frame[3] = index + 1
             if name != member:
-                if wrapped is not None:
-                    pending.append(inner + "}")
-                entry = rule.entry_for(name)
-                if entry is None:
-                    raise SerializationError(
-                        f"class '{el.class_name}' has no grammar entry for "
-                        f"containment '{name}'"
-                    )
-                member = name
-                wrapped = None if isinstance(entry.form, InlineContainment) else entry.form
-                if wrapped is not None:
-                    pending += (inner + wrapped.keyword, inner + "{")  # type: ignore[union-attr]
-            elif wrapped is not None:
-                pending.append(inner + INDENT + ",")
-            pending.append((child, indent + (1 if wrapped is None else 2)))
-        if wrapped is not None:
-            pending.append(inner + "}")
-        pending.append(pad + "}")
-        stack.extend(reversed(pending))
-    out.append("")  # the final newline
-    return "\n".join(out)
+                if name not in wrappers:
+                    raise SerializationError(f"class '{parent.class_name}' has no grammar entry "
+                                             f"for containment '{name}'")
+                if wrapper is not None:
+                    lines.append(inner + "}")
+                frame[4], wrapper = name, wrappers[name]
+                if wrapper is not None:
+                    lines += (inner + wrapper, inner + "{")
+            elif wrapper is not None:
+                lines.append(inner + INDENT + ",")
+            pad = inner if wrapper is None else inner + INDENT
+            break
+        else:
+            break
+    lines.append("")  # the final newline
+    return "\n".join(lines)

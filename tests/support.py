@@ -5,7 +5,8 @@ into the IR (round-reading check), the frozen adaptation with the seeded
 config generator it is checked on, a seeded random model generator used
 by the roundtrip and cache tests, a brute-force reference-cache oracle,
 a structural tree comparison, the pre-order numbering that the parser
-must reproduce, a frozen reference lexer, the frozen EAXML tag tables
+must reproduce, the frozen formatter that read each element's rule
+afresh, a frozen reference lexer, the frozen EAXML tag tables
 with the frozen ElementTree writer and reader of EAXML that use them,
 the recorder of damaged-document parses, the frozen recursive metamodel
 index, the frozen ElementTree metamodel reader, the frozen
@@ -684,6 +685,91 @@ def reference_build_template(
     if body:
         return f"{header}\n{{\n{body}\n}}"
     return f"{header}\n{{\n}}"
+
+
+# ---------------------------------------------------------------------------
+# Reference formatter (differential oracle for textsyntax.format_model)
+# ---------------------------------------------------------------------------
+
+def _reference_attribute_lines(el: ModelElement, rule: ProductionRule) -> list[str]:
+    lines: list[str] = []
+    for entry in rule.entries:
+        form = entry.form
+        if isinstance(form, KeywordAttribute):
+            if entry.is_name_slot():
+                values = [] if el.short_name is None else [el.short_name]
+            else:
+                values = [v for (m, v) in el.attributes if m == entry.member]
+            for value in values:
+                if value == '""':
+                    continue  # empty strings are dropped from text
+                if form.keyword is None:
+                    lines.append(value)
+                else:
+                    lines.append(f"{form.keyword} {value}")
+        elif isinstance(form, KeywordCrossRef):
+            for ref in el.cross_refs:
+                if ref.member == entry.member:
+                    lines.append(f"{form.keyword} {ref.target.dotted}")
+    return lines
+
+
+def reference_format_model(root: ModelElement, g: Grammar) -> str:
+    """``textsyntax.format_model`` as it was when it read each element's
+    rule afresh: its entries scanned per element, its containment entries
+    looked up with ``entry_for`` per run of children, and the tree walked
+    with a stack of pending lines and (element, indent) pairs."""
+    out: list[str] = []
+    stack: list = [(root, 0)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        el, indent = item
+        rule = g.rules.get(el.class_name)
+        if rule is None:
+            raise SerializationError(f"no production rule for class '{el.class_name}'")
+        pad = "    " * indent
+        header = pad + rule.keyword
+        if rule.name_inline and el.short_name:
+            header += f" {el.short_name}"
+        attributes = _reference_attribute_lines(el, rule)
+        out.append(header)
+        if not attributes and not el.children and rule.body_optional:
+            continue
+        out.append(pad + "{")
+        inner = pad + "    "
+        out.extend(inner + line for line in attributes)
+
+        # Children in document order. Consecutive children of one wrapped
+        # member share a single keyword block; inline children print
+        # directly.
+        pending: list = []
+        member = wrapped = None  # the member of the current run, and its form
+        for name, child in el.children:
+            if name != member:
+                if wrapped is not None:
+                    pending.append(inner + "}")
+                entry = rule.entry_for(name)
+                if entry is None:
+                    raise SerializationError(
+                        f"class '{el.class_name}' has no grammar entry for "
+                        f"containment '{name}'"
+                    )
+                member = name
+                wrapped = None if isinstance(entry.form, InlineContainment) else entry.form
+                if wrapped is not None:
+                    pending += (inner + wrapped.keyword, inner + "{")
+            elif wrapped is not None:
+                pending.append(inner + "    ,")
+            pending.append((child, indent + (1 if wrapped is None else 2)))
+        if wrapped is not None:
+            pending.append(inner + "}")
+        pending.append(pad + "}")
+        stack.extend(reversed(pending))
+    out.append("")  # the final newline
+    return "\n".join(out)
 
 
 # ---------------------------------------------------------------------------

@@ -1213,12 +1213,12 @@ def test_bytes_that_are_not_utf8_are_placed_by_line_and_column(capsys, tmp_path,
     """Lines end as a parse ends them, columns count characters, and both
     count from after a byte-order mark; no byte index is named."""
     bad = tmp_path / "bad.txt"
-    bad.write_bytes(mark + b"EAPackage P {\r\n  category x\n\xff\n}\n")
+    bad.write_bytes(mark + b"EAPackage P {\r\n  category x\n  category y\r\xff\n}\n")
     argv = {"model": base_args(bad), "config": [*base_args(WIPER)[:-1], bad],
             "metamodel": ["check", WIPER, "--metamodel", bad]}[role]
     assert run(capsys, *argv) == (
         2, "",
-        f"error: cannot read {bad}: byte 0xff at line 3, column 1 is not UTF-8 "
+        f"error: cannot read {bad}: byte 0xff at line 4, column 1 is not UTF-8 "
         "(invalid start byte)\n",
     )
     bad.write_bytes(mark + "EAPackage Ré".encode() + b"\xe2\x82")
