@@ -83,7 +83,7 @@ from .grammar import (
 )
 from .metamodel import Metamodel, load_metamodel
 from .model import ModelElement, parse_cache, resolve
-from .textsyntax import LineIndex, Parser, format_model, parse_model
+from .textsyntax import LineIndex, Parser, format_model, parse_document
 from .xmlio import XmlNameMap, from_eaxml, to_eaxml
 
 OK = 0
@@ -201,7 +201,8 @@ def _clean_tree(
         names = _xml_names(args, mm)
         root, diags = from_eaxml(_read_text(args.model), mm, names)
     else:
-        root, diags = parse_model(_read_text(args.model), g, mm)
+        parse = parse_document(_read_text(args.model), g, mm)
+        root, diags = parse.root, parse.diagnostics
     _print_diags(args.model, diags, sys.stderr)
     return None if has_errors(diags) else root
 
@@ -225,10 +226,11 @@ def cmd_adapt(args: argparse.Namespace, mm: Metamodel, g: None) -> int:
 
 
 def cmd_check(args: argparse.Namespace, mm: Metamodel, g: Grammar) -> int:
-    text = _read_text(args.model)
-    root, diags = parse_model(text, g, mm)
+    parse = parse_document(_read_text(args.model), g, mm)
+    root, diags, lines = parse.root, parse.diagnostics, parse.lines
+    del parse  # resolve needs the tree and its line index, not the parse's bodies
     if root is not None:
-        diags = diags + resolve(root, mm, LineIndex(text))
+        diags = diags + resolve(root, mm, lines)
     _print_diags(args.model, diags, sys.stdout)
     return DATA_ERROR if has_errors(diags) else OK
 

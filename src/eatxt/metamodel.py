@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import os
+import re
 import xml.parsers.expat as expat
 from typing import NamedTuple
 
@@ -182,15 +183,16 @@ class Metamodel:
 # Loading
 # ---------------------------------------------------------------------------
 
-# Characters handed to expat in one call. Expat keeps a UTF-8 copy of the
-# ``str`` it is given for as long as that ``str`` lives: of a slice, not of
-# the whole document.
+# Characters handed to expat in one call: a slice, not the whole document,
+# is what expat keeps a UTF-8 copy of. A slice runs on to white space, ``<``
+# or ``>``, since after the document element expat takes a name cut by a
+# slice's end for junk, where the whole text may show an invalid token.
 _SLICE = 1 << 16
 
 
 def read_xml(parser: expat.XMLParserType, text: str) -> tuple[str, int, int] | None:
     """Parse ``text`` with an expat ``parser`` whose content handlers are set,
-    ``_SLICE`` characters at a time.
+    about ``_SLICE`` characters at a time.
 
     Returns None for well-formed XML, else the first error's message, line
     and column. A DTD with an external subset or a parameter entity
@@ -216,8 +218,8 @@ def read_xml(parser: expat.XMLParserType, text: str) -> tuple[str, int, int] | N
     parser.NotStandaloneHandler = lambda: stop("external DTD subset or parameter entity reference")
     parser.ExternalEntityRefHandler = undefined
     try:
-        for at in range(0, len(text), _SLICE):
-            parser.Parse(text[at:at + _SLICE], False)
+        for piece in re.finditer(r"(?s).{0,%d}[^ \t\n\r<>]*[ \t\n\r<>]?" % (_SLICE - 1), text):
+            parser.Parse(piece[0], False)
         parser.Parse("", True)
     except expat.ExpatError as exc:
         return str(exc), exc.lineno, exc.offset

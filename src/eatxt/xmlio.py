@@ -7,9 +7,12 @@ and one wrapper element per containment member. Consecutive children of
 the same member share a wrapper, so arbitrary interleavings of children
 survive the trip: document order in, document order out.
 
-The writer joins its lines into chunks as it walks the tree, so at its
-peak it holds the tree, the chunks and the document joined from them;
-the reader holds the document and the tree it builds.
+Writer and reader each build their table of a class, the first time
+they meet it, from one list of its members' codes and tags. The writer
+scans each value once, as it writes it, for what must be escaped and
+what XML 1.0 forbids. It joins its lines into chunks as it walks the
+tree, so at its peak it holds the tree, the chunks and the document
+joined from them; the reader holds the document and the tree it builds.
 
 Attribute values travel verbatim. String attributes keep the escaped
 spelling used in text (what is between the quotes), so converting back
@@ -24,15 +27,19 @@ import re
 import xml.parsers.expat as expat
 
 from .diagnostics import Diagnostic, ERROR, NO_SPAN, SerializationError, Span, WARNING
-from .metamodel import NAME_SLOT, Attribute, Containment, CrossReference, Member, Metamodel, PrimitiveKind, read_xml
+from .metamodel import NAME_SLOT, Attribute, CrossReference, Member, Metamodel, PrimitiveKind, read_xml
 from .model import CrossRef, ModelElement, QualifiedName
 
 EAXML_VERSION = "2.1.12"
 
 _WORD_RE = re.compile(r"[A-Z]+(?![a-z])|[A-Z][a-z0-9]*|[a-z0-9]+")
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
-# A character that XML 1.0 documents cannot hold, not even escaped.
-_NOT_XML = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+# A character that character data must escape, or one that XML 1.0
+# documents cannot hold, not even escaped: the one scan of each value.
+_SPECIAL = re.compile(r"[&<>\r\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;", "\r": "&#13;"}
+# The code and tags of a name that is not a member of the class.
+_NOT_A_MEMBER = (None, None, None)
 # The writer joins its lines into chunks of at least this many as it goes,
 # so that a document never sits in memory as one string per line.
 _CHUNK = 4096
@@ -85,115 +92,130 @@ class XmlNameMap:
                     )
 
 
+# What a start tag opens, by the element it appears in, and what a member
+# is to both writer and reader: a value, a String value, a reference or
+# a wrapper. Frames of the kinds from _NAME on collect their character
+# data up to their first child element, as ElementTree's ``text`` holds it.
+_SKIP, _TOP, _DOC, _ELEMENT, _WRAPPER, _NAME, _STRING, _VALUE, _REF = range(9)
+
+
+def _member_codes(
+    mm: Metamodel, tags: dict[str, str], class_name: str,
+) -> list[tuple[Member, int, str]]:
+    """Each flattened member of a class with its code (_VALUE, _STRING,
+    _REF or _WRAPPER) and its tag: what the writer and the reader each
+    build their table of a class from."""
+    codes = []
+    for member in mm.flatten_members(class_name):
+        kind = member.kind
+        if isinstance(kind, Attribute):
+            code = _STRING if kind.kind is PrimitiveKind.STRING else _VALUE
+        else:
+            code = _REF if isinstance(kind, CrossReference) else _WRAPPER
+        codes.append((member, code, tags[member.name]))
+    return codes
+
+
 # ---------------------------------------------------------------------------
 # Writing
 # ---------------------------------------------------------------------------
-
-def _attr_text(member: Member, lexeme: str) -> str:
-    assert isinstance(member.kind, Attribute)
-    if member.kind.kind is PrimitiveKind.STRING:
-        # Strip the quotes; the escaped body travels as-is.
-        return lexeme[1:-1] if len(lexeme) >= 2 else ""
-    return lexeme
-
-
-def _escape(text: str) -> str:
-    """Character data as ElementTree escapes it: ``&``, ``<`` and ``>``."""
-    if "&" in text:
-        text = text.replace("&", "&amp;")
-    if "<" in text:
-        text = text.replace("<", "&lt;")
-    if ">" in text:
-        text = text.replace(">", "&gt;")
-    return text
-
-
-def _leaf(pad: str, tag: str, text: str) -> str:
-    if text:
-        return f"{pad}<{tag}>{_escape(text)}</{tag}>"
-    return f"{pad}<{tag} />"
-
 
 def to_eaxml(root: ModelElement, mm: Metamodel, names: XmlNameMap | None = None) -> str:
     """Serialize a model as an EAXML document (UTF-8 text, 2-space indent).
 
     ``names`` are the metamodel's tag tables, built here when not given.
-    The tree is walked with an explicit stack, so nesting depth is not
-    bounded by the interpreter's recursion limit. The only XML attribute
-    values written are the version and ``DEST`` tags, which consist of
-    capitals, digits and hyphens and so need no escaping. A carriage
-    return is written as ``&#13;``, since readers take a raw one for a
-    line feed; a character that XML 1.0 forbids raises SerializationError
-    once the whole tree is written. The walk joins its lines into chunks
-    of ``_CHUNK`` lines or a few more as it goes, and the chunks into the
-    document at the end.
+    The first time the walk meets a class, it takes the class's tag and
+    each member's code and tags from :func:`_member_codes`, so a value
+    costs one dict lookup. The walk uses an explicit stack, so nesting
+    depth is not bounded by the interpreter's recursion limit.
+
+    Each value is scanned once, as it is written, by one regex: for
+    ``&``, ``<``, ``>`` and carriage returns, which are escaped (a
+    carriage return as ``&#13;``, since readers take a raw one for a
+    line feed), and for characters that XML 1.0 forbids. The first value
+    that holds one of those, in document order, is named in a
+    SerializationError after the walk, so a tree that the metamodel
+    cannot hold is refused for that first. The walk joins its lines into
+    chunks of ``_CHUNK`` lines or a few more, and those into the document.
     """
     if names is None:
         names = XmlNameMap(mm)
     tags = names.tag_by_name
-    member_tables = mm.member_tables()
+    # Per class: its tag and, by member name, the member's code and the tags
+    # that open and close its element. A reference opens with its DEST, the
+    # one XML attribute besides the version: a tag, which needs no escaping.
+    tables: dict[str, tuple[str, dict[str, tuple[int, str, str]]]] = {}
+    forbidden: list[str] = []
+
+    def escape(match: re.Match) -> str:
+        char = match[0]
+        if char not in _ESCAPES:
+            forbidden.append(char)
+        return _ESCAPES.get(char, char)
+
+    search, sub = _SPECIAL.search, _SPECIAL.sub
+    unwritable = None  # the message that names the first unwritable value
     chunks: list[str] = []
     lines = ['<?xml version="1.0" encoding="UTF-8"?>', f'<EAXML version="{EAXML_VERSION}">']
     # Open elements with children, innermost last: the element, its
-    # members by name, its indent, the index of its next child and the
-    # member whose wrapper is open.
+    # members, its indent, the index of its next child and the member
+    # whose wrapper is open.
     stack: list[list] = []
     el, pad = root, "  "
     while True:
         if len(lines) >= _CHUNK:
-            chunks.append(_join(lines))
+            chunks.append("\n".join(lines))
             lines = []
-        by_name = member_tables.get(el.class_name)
-        if by_name is None:
-            raise SerializationError(f"unknown class '{el.class_name}'")
-        tag = tags[el.class_name]
-        inner = pad + "  "
-        head = len(lines)
-        lines.append(f"{pad}<{tag}>")
-        if el.short_name is not None:
-            lines.append(_leaf(inner, "SHORT-NAME", el.short_name))
-        for member_name, lexeme in el.attributes:
-            member = by_name.get(member_name)
-            if member is None or not isinstance(member.kind, Attribute):
-                raise SerializationError(
-                    f"'{el.class_name}' has no attribute '{member_name}'"
-                )
-            lines.append(_leaf(inner, tags[member_name], _attr_text(member, lexeme)))
+        table = tables.get(el.class_name)
+        if table is None:
+            if el.class_name not in mm.classes:
+                raise SerializationError(f"unknown class '{el.class_name}'")
+            table = tables[el.class_name] = (tags[el.class_name], {
+                member.name: (code, f'{tag} DEST="{tags[member.kind.target]}"' if code == _REF else tag, tag)
+                for member, code, tag in _member_codes(mm, tags, el.class_name)
+            })
+        tag, members = table
+        values = [] if el.short_name is None else [(NAME_SLOT, "SHORT-NAME", "SHORT-NAME", el.short_name)]
+        for member_name, text in el.attributes:
+            code, opening, closing = members.get(member_name, _NOT_A_MEMBER)
+            if code != _VALUE and code != _STRING:
+                raise SerializationError(f"'{el.class_name}' has no attribute '{member_name}'")
+            # A String value travels without its quotes.
+            values.append((member_name, opening, closing, text[1:-1] if code == _STRING else text))
         for ref in el.cross_refs:
-            member = by_name.get(ref.member)
-            if member is None or not isinstance(member.kind, CrossReference):
-                raise SerializationError(
-                    f"'{el.class_name}' has no cross-reference '{ref.member}'"
-                )
-            ref_tag = tags[ref.member]
-            path = _escape("/" + "/".join(ref.target.segments))
-            lines.append(
-                f'{inner}<{ref_tag} DEST="{tags[member.kind.target]}">{path}</{ref_tag}>'
-            )
+            code, opening, closing = members.get(ref.member, _NOT_A_MEMBER)
+            if code != _REF:
+                raise SerializationError(f"'{el.class_name}' has no cross-reference '{ref.member}'")
+            values.append((ref.member, opening, closing, "/" + "/".join(ref.target.segments)))
+        inner = pad + "  "
+        lines.append(f"{pad}<{tag}>")
+        for member_name, opening, closing, text in values:
+            if search(text) is not None:
+                text = sub(escape, text)
+                if forbidden and unwritable is None:
+                    unwritable = (f"{el.class_name} {el.short_name or '(unnamed)'}: '{member_name}' "
+                                  f"holds the character {forbidden[0]!r}, which XML 1.0 cannot carry")
+            lines.append(f"{inner}<{opening}>{text}</{closing}>" if text else f"{inner}<{opening} />")
         if el.children:
-            stack.append([el, by_name, pad, 0, None])
-        elif len(lines) == head + 1:  # nothing inside
-            lines[head] = f"{pad}<{tag} />"
-        else:
+            stack.append([el, members, pad, 0, None])
+        elif values:
             lines.append(f"{pad}</{tag}>")
+        else:
+            lines[-1] = f"{pad}<{tag} />"
 
         # The next element to write: the next child of the innermost open
         # element that has one left, closing the finished ones.
         while stack:
             frame = stack[-1]
-            parent, by_name, pad, index, wrapper = frame
+            parent, members, pad, index, wrapper = frame
             if index == len(parent.children):
-                lines.append(f"{pad}  </{tags[wrapper]}>")
-                lines.append(f"{pad}</{tags[parent.class_name]}>")
+                lines += (f"{pad}  </{tags[wrapper]}>", f"{pad}</{tags[parent.class_name]}>")
                 stack.pop()
                 continue
             member_name, el = parent.children[index]
             frame[3] = index + 1
-            member = by_name.get(member_name)
-            if member is None or not isinstance(member.kind, Containment):
-                raise SerializationError(
-                    f"'{parent.class_name}' has no containment '{member_name}'"
-                )
+            if members.get(member_name, _NOT_A_MEMBER)[0] != _WRAPPER:
+                raise SerializationError(f"'{parent.class_name}' has no containment '{member_name}'")
             # One wrapper per run of consecutive same-member children keeps
             # the document order of interleaved members intact.
             if member_name != wrapper:
@@ -205,38 +227,17 @@ def to_eaxml(root: ModelElement, mm: Metamodel, names: XmlNameMap | None = None)
             break
         else:
             break
+    if unwritable is not None:
+        raise SerializationError(unwritable)
     lines += ("</EAXML>", "")
-    chunks.append(_join(lines))
-    for chunk in chunks:
-        bad = _NOT_XML.search(chunk)
-        if bad is None:
-            continue
-        # The first forbidden character of the document: name its first holder.
-        for el in root.iter_preorder():
-            refs = [(ref.member, ref.target.dotted) for ref in el.cross_refs]
-            for member, value in [(NAME_SLOT, el.short_name or ""), *el.attributes, *refs]:
-                if bad[0] in value:
-                    raise SerializationError(
-                        f"{el.class_name} {el.short_name or '(unnamed)'}: '{member}' holds "
-                        f"the character {bad[0]!r}, which XML 1.0 cannot carry"
-                    )
+    chunks.append("\n".join(lines))
     return "\n".join(chunks)
-
-
-def _join(lines: list[str]) -> str:
-    """Lines of a document as one chunk of its text, carriage returns
-    escaped."""
-    return "\n".join(lines).replace("\r", "&#13;")
 
 
 # ---------------------------------------------------------------------------
 # Reading
 # ---------------------------------------------------------------------------
 
-# What a start tag opens, by the element it appears in. Frames of the
-# kinds from _NAME on collect their character data up to their first
-# child element, as ElementTree's ``text`` holds it.
-_SKIP, _TOP, _DOC, _ELEMENT, _WRAPPER, _NAME, _STRING, _VALUE, _REF = range(9)
 _SKIPPED = (_SKIP,)
 
 
@@ -281,16 +282,9 @@ def from_eaxml(
     def table(class_name: str) -> dict[str, tuple[int, Member | None]]:
         members = tables.get(class_name)
         if members is None:
-            members = {}
-            for member in mm.flatten_members(class_name):
-                kind = member.kind
-                if isinstance(kind, Attribute):
-                    code = _STRING if kind.kind is PrimitiveKind.STRING else _VALUE
-                elif isinstance(kind, CrossReference):
-                    code = _REF
-                else:
-                    code = _WRAPPER
-                members[tags[member.name]] = (code, member)
+            members = {
+                tag: (code, member) for member, code, tag in _member_codes(mm, tags, class_name)
+            }
             # <SHORT-NAME> is the element name unless a member that is not
             # the name slot, such as a String shortName, owns the tag.
             if "SHORT-NAME" not in members or members["SHORT-NAME"][1].is_name_slot():

@@ -31,7 +31,7 @@ from eatxt.grammar import (
 )
 from eatxt.metamodel import load_metamodel
 from eatxt.assist import complete, context_at
-from eatxt.model import build_cache
+from eatxt.model import build_cache, resolve
 from eatxt.textsyntax import LineIndex, format_model, parse_document, parse_model
 from eatxt.xmlio import to_eaxml
 
@@ -211,6 +211,38 @@ def test_check_flags_dangling_references(capsys):
     code, out, _ = run(capsys, *base_args(EXTRA / "dangling_ref.eatxt"))
     assert code == 1
     assert "unresolved reference" in out
+
+
+def test_check_resolves_with_the_line_index_of_its_one_parse(capsys, monkeypatch):
+    """check builds one line index of its text, the parse's, and the parse
+    with its bodies and tokens is gone by the time resolve runs."""
+    path = EXTRA / "dangling_ref.eatxt"
+    built, parses, seen = [], [], []
+
+    class CountedIndex(LineIndex):
+        __slots__ = ()
+
+        def __init__(self, text):
+            built.append(len(text))
+            super().__init__(text)
+
+    def parse_and_watch(*args):
+        parse = parse_document(*args)
+        parses.append(weakref.ref(parse))
+        return parse
+
+    def resolve_and_record(root, mm, lines):
+        seen.append((parses[0]() is None, type(lines) is CountedIndex))
+        return resolve(root, mm, lines)
+
+    monkeypatch.setattr(eatxt.textsyntax, "LineIndex", CountedIndex)
+    monkeypatch.setattr(eatxt.cli, "LineIndex", CountedIndex)
+    monkeypatch.setattr(eatxt.cli, "parse_document", parse_and_watch)
+    monkeypatch.setattr(eatxt.cli, "resolve", resolve_and_record)
+    code, out, _ = run(capsys, *base_args(path))
+    assert code == 1 and "unresolved reference" in out
+    assert built == [len(path.read_text(encoding="utf-8"))]
+    assert seen == [(True, True)]
 
 
 def test_check_accepts_messy_formatting(capsys):
@@ -1510,9 +1542,9 @@ def test_main_leaves_the_collector_as_it_found_it(enabled, capsys, monkeypatch, 
 
     def parse_and_record(*args):
         inside.append(gc.isenabled())
-        return parse_model(*args)
+        return parse_document(*args)
 
-    monkeypatch.setattr(eatxt.cli, "parse_model", parse_and_record)
+    monkeypatch.setattr(eatxt.cli, "parse_document", parse_and_record)
 
     def outcome(argv, stdout=None):
         with monkeypatch.context() as patch:

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import random
 import re
 
 import pytest
@@ -613,9 +614,9 @@ def test_writer_matches_the_reference_at_any_chunk_size(mm, monkeypatch, chunk):
 
 
 def test_a_forbidden_character_is_named_as_the_whole_document_would_name_it(g, mm, monkeypatch):
-    """Each chunk is checked as it is joined; the first forbidden
-    character of the document is the one reported, with its first holder
-    in document order."""
+    """Each value is checked as it is written, whatever the chunk size;
+    the first value in document order that holds a forbidden character
+    is the one reported, with its first such character."""
     monkeypatch.setattr(eatxt.xmlio, "_CHUNK", 1)
     root = parse_ok("EAPackage P\n{\n    EADatatype A\n    EADatatype B\n}\n", g, mm)
     root.children[0][1].attributes.append(("gid", "a\x02"))
@@ -634,6 +635,101 @@ def test_a_tree_the_metamodel_cannot_hold_is_refused_before_its_characters(g, mm
     root.children[1][1].attributes.append(("size", "1"))
     with pytest.raises(SerializationError, match="'EADatatype' has no attribute 'size'"):
         to_eaxml(root, mm)
+
+
+def xml_forbids(char):
+    """Whether XML 1.0's Char production leaves ``char`` out: a control
+    character other than tab, line feed and carriage return, a surrogate,
+    U+FFFE or U+FFFF."""
+    code = ord(char)
+    return code < 0x20 and char not in "\t\n\r" or 0xD800 <= code <= 0xDFFF or code in (0xFFFE, 0xFFFF)
+
+
+# Characters that XML 1.0 forbids, that the writer escapes, and that it
+# writes as they are.
+_PLANTED_POOL = [
+    "\x00", "\x01", "\x0b", "\x1f", "\ud800", "\ufffe", "\uffff",
+    "&", "<", ">", "\r",
+    "\t", "\xe9", "\x7f",
+]
+
+
+def plant_characters(root, rng, count):
+    """Put ``count`` characters of the pool into the tree at random: into a
+    name, an attribute value (inside a String's quotes) or a segment of a
+    reference."""
+    elements = []
+    stack = [root]
+    while stack:
+        el = stack.pop()
+        elements.append(el)
+        stack += [child for _, child in el.children]
+    for _ in range(count):
+        el = rng.choice(elements)
+        char = rng.choice(_PLANTED_POOL)
+        slots = ["name"] * bool(el.short_name) + ["attribute"] * bool(el.attributes)
+        slots += ["reference"] * bool(el.cross_refs)
+        if not slots:
+            continue
+        slot = rng.choice(slots)
+        if slot == "name":
+            at = rng.randrange(len(el.short_name) + 1)
+            el.short_name = el.short_name[:at] + char + el.short_name[at:]
+        elif slot == "attribute":
+            i = rng.randrange(len(el.attributes))
+            member, value = el.attributes[i]
+            quoted = len(value) >= 2 and value[0] == value[-1] == '"'
+            at = rng.randrange(1, len(value)) if quoted else rng.randrange(len(value) + 1)
+            el.attributes[i] = (member, value[:at] + char + value[at:])
+        else:
+            i = rng.randrange(len(el.cross_refs))
+            ref = el.cross_refs[i]
+            segments = list(ref.target.segments)
+            j = rng.randrange(len(segments))
+            at = rng.randrange(len(segments[j]) + 1)
+            segments[j] = segments[j][:at] + char + segments[j][at:]
+            el.cross_refs[i] = CrossRef(ref.member, QualifiedName(tuple(segments)))
+
+
+def first_unwritable(root):
+    """The message that names the first value in document pre-order, each
+    element's name, then its attributes, then its references, that holds a
+    character XML 1.0 forbids; None when no value holds one."""
+    stack = [root]
+    while stack:
+        el = stack.pop()
+        values = [("shortName", el.short_name or "")] + el.attributes
+        values += [(ref.member, "/".join(ref.target.segments)) for ref in el.cross_refs]
+        for member, value in values:
+            bad = [char for char in value if xml_forbids(char)]
+            if bad:
+                return (f"{el.class_name} {el.short_name or '(unnamed)'}: '{member}' holds "
+                        f"the character {bad[0]!r}, which XML 1.0 cannot carry")
+        stack += [child for _, child in reversed(el.children)]
+    return None
+
+
+def test_planted_characters_are_escaped_or_the_first_holder_is_named(mm):
+    """An oracle that does not read ``xmlio``: with characters planted in
+    names, values and reference segments, the writer either writes what
+    the frozen writer writes, carriage returns as ``&#13;``, and that
+    holds no forbidden character, or it names the first value that holds
+    one."""
+    outcomes = set()
+    for seed in range(100):
+        rng = random.Random(seed)
+        root = random_model(seed, mm, max_elements=8 + seed // 2)
+        plant_characters(root, rng, rng.randint(1, 4))
+        expected = reference_to_eaxml(root, mm).replace("\r", "&#13;")
+        if not any(xml_forbids(char) for char in expected):
+            assert to_eaxml(root, mm) == expected, seed
+            outcomes.add("written")
+            continue
+        with pytest.raises(SerializationError) as caught:
+            to_eaxml(root, mm)
+        assert str(caught.value) == first_unwritable(root), seed
+        outcomes.add("refused")
+    assert outcomes == {"written", "refused"}
 
 
 def test_writer_matches_the_reference_on_empty_content(mm):
@@ -775,6 +871,7 @@ _MALFORMED_EAXML = [
     "<SHORT-NAME>Grüße\r\n</SHORT-NAME>\r\n<EA-DATATYPE>\r\n</EAXML>\r\n",
     "", "<", "<EAXML", "<EAXML>\n<EA-PACKAGE>\n", "\n\n<EAXML/>\n<EAXML/>",
     '<EAXML>\n<EA-PACKAGE a="1" a="2"/>\n</EAXML>\n', "<EAXML>&#0;</EAXML>",
+    '<EAXML/>\nversion="1.0"?>\n',
 ]
 
 
